@@ -11,7 +11,6 @@ prompt only; reward model inputs never include bundle text.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -32,10 +31,11 @@ from .core import (
 )
 from .models import EXTRACT_FACTS, REFLECT, AugmentorModel, Embedder, cosine
 
-log = logging.getLogger(__name__)
-
 REFLECTION_THRESHOLD = 0.3
 DEDUP_THRESHOLD = 0.9
+# A vectorized similarity within this distance of the dedup threshold is
+# re-checked with the per-pair cosine before it decides anything.
+EXACT_MARGIN = 1e-9
 
 
 class AugmentorKind(str, Enum):
@@ -75,11 +75,26 @@ class MemoryStore:
     deduplicated at write time: a fact whose embedding has cosine similarity
     at or above dedup_threshold with any stored fact is dropped, so stored
     facts are pairwise dissimilar below the threshold.
+
+    The check is vectorized: stored fact embeddings are kept as rows of an
+    (n, dim) array with amortized growth, next to their norms, and a new fact
+    is scored against all of them with one matrix-vector product,
+    (facts @ vec) / (norms * |vec|), where a zero denominator scores 0.0 as
+    in `cosine`.  Reflections stay out of the array.  The denominators are
+    the ones `cosine` computes; only the dot products may round differently,
+    by about dim * 2**-53 at most, since each cosine term is bounded by the
+    norms.  Every similarity within EXACT_MARGIN of the threshold, or not
+    finite, is therefore re-checked with `cosine` on the two embeddings, so
+    for float64 embeddings (what `hash_embed` returns) each keep/drop
+    decision is the one a per-pair loop over the stored facts would make.
     """
 
     def __init__(self, dedup_threshold: float = DEDUP_THRESHOLD):
         self.dedup_threshold = dedup_threshold
         self._units: list[ContextUnit] = []
+        self._facts: list[ContextUnit] = []
+        self._matrix = np.empty((0, 0))  # rows [:len(self._facts)] are in use
+        self._norms = np.empty(0)
 
     def __len__(self) -> int:
         return len(self._units)
@@ -94,13 +109,42 @@ class MemoryStore:
             raise ValueError("memory store holds persistent units only")
         if unit.abstraction is Abstraction.FACT:
             vec = np.asarray(unit.embedding)
-            for other in self._units:
-                if other.abstraction is not Abstraction.FACT:
-                    continue
-                if cosine(vec, np.asarray(other.embedding)) >= self.dedup_threshold:
-                    return False
+            norm = float(np.linalg.norm(vec))
+            if self._is_duplicate(vec, norm):
+                return False
+            self._append_fact(unit, vec, norm)
         self._units.append(unit)
         return True
+
+    def _is_duplicate(self, vec: np.ndarray, norm: float) -> bool:
+        n = len(self._facts)
+        if n == 0:
+            return False
+        dots = self._matrix[:n] @ vec
+        denom = self._norms[:n] * norm
+        sims = np.zeros(n)
+        np.divide(dots, denom, out=sims, where=denom != 0.0)
+        gap = sims - self.dedup_threshold
+        if (gap > EXACT_MARGIN).any():
+            return True
+        near = np.flatnonzero(~(np.abs(gap) > EXACT_MARGIN))
+        return any(
+            cosine(vec, np.asarray(self._facts[i].embedding)) >= self.dedup_threshold
+            for i in near
+        )
+
+    def _append_fact(self, unit: ContextUnit, vec: np.ndarray, norm: float) -> None:
+        n = len(self._facts)
+        if n == len(self._norms):
+            matrix = np.empty((max(16, 2 * n), vec.size))
+            norms = np.empty(len(matrix))
+            if n:
+                matrix[:n] = self._matrix
+                norms[:n] = self._norms
+            self._matrix, self._norms = matrix, norms
+        self._matrix[n] = vec
+        self._norms[n] = norm
+        self._facts.append(unit)
 
     def dump(self, path: str | Path) -> None:
         """Write one structured record per unit, line-delimited."""
@@ -266,12 +310,19 @@ def compose(
     model: AugmentorModel | None = None,
     embedder: Embedder | None = None,
 ) -> CompositeAugmentor:
-    """Build the composite for a task run; duplicate kinds are a config error."""
-    dedup = DEDUP_THRESHOLD
-    for c in configs:
-        if c.kind is AugmentorKind.FACT:
-            dedup = c.dedup_threshold
-    return CompositeAugmentor(configs, store or MemoryStore(dedup), model, embedder)
+    """Build the composite for a task run; duplicate kinds are a config error.
+
+    Without a store, a new one is made with the fact config's dedup
+    threshold (the default if there is no fact augmentor).
+    """
+    if store is None:
+        store = MemoryStore(
+            next(
+                (c.dedup_threshold for c in configs if c.kind is AugmentorKind.FACT),
+                DEDUP_THRESHOLD,
+            )
+        )
+    return CompositeAugmentor(configs, store, model, embedder)
 
 
 def normalize_for_method(configs: Sequence[AugmentorConfig], method: str) -> tuple[AugmentorConfig, ...]:

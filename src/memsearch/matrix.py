@@ -24,7 +24,6 @@ from pathlib import Path
 from .augmentors import (
     AugmentorConfig,
     AugmentorKind,
-    MemoryStore,
     compose,
     normalize_for_method,
 )
@@ -316,13 +315,7 @@ def _run_cell_task(
     policy, prm, aug_model, embedder = _build_models(spec, cfg.embedder_dim, telemetry)
     env = spec.benchmark.make_env()
     memory = normalize_for_method(cell.memory, cell.search.method.value)
-    store = MemoryStore(
-        next(
-            (c.dedup_threshold for c in memory if c.kind is AugmentorKind.FACT),
-            MemoryStore().dedup_threshold,
-        )
-    )
-    composite = compose(memory, store=store, model=aug_model, embedder=embedder)
+    composite = compose(memory, model=aug_model, embedder=embedder)
     search_cfg = cell.search
     if composite.wants_siblings and search_cfg.method is not SearchMethod.BEST_OF_N:
         search_cfg = replace(search_cfg, expansion=ExpansionMode.INTERLEAVED)
@@ -357,7 +350,7 @@ def _run_cell_task(
         ]
 
     if dump_dir is not None:
-        store.dump(dump_dir / f"{cell.cell_id}__{task.task_id}.jsonl")
+        composite.store.dump(dump_dir / f"{cell.cell_id}__{task.task_id}.jsonl")
 
     return {
         "task_id": task.task_id,

@@ -392,11 +392,26 @@ def hash_embed(text: str, dim: int = 64) -> np.ndarray:
 
 
 class HashEmbedder:
+    """`hash_embed` at a fixed dim, memoized by text for the life of the instance.
+
+    The matrix runner builds one embedder per (cell, task) unit, so the memo
+    lives as long as that task's memory store, and a line extracted again
+    (MCTS re-extracts the same listing at every expansion) is hashed once.
+    Memoized arrays are read-only, so a caller cannot change what later
+    callers receive.
+    """
+
     def __init__(self, dim: int = 64):
         self.dim = dim
+        self._memo: dict[str, np.ndarray] = {}
 
     def embed(self, text: str) -> np.ndarray:
-        return hash_embed(text, self.dim)
+        vec = self._memo.get(text)
+        if vec is None:
+            vec = hash_embed(text, self.dim)
+            vec.flags.writeable = False
+            self._memo[text] = vec
+        return vec
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -421,12 +436,19 @@ class RemoteChatConfig:
     retry_delay: float = 0.0
 
 
+# HTTP statuses that mean "try again later": rate limited, service unavailable
+_TRANSIENT_STATUS = frozenset({429, 503})
+
+
 class RemoteChatClient:
     """Minimal OpenAI-style chat completion client over stdlib urllib.
 
-    Retries transport failures up to max_retries; a 401 is a credential
-    error and is never retried.  Usage numbers from the response are
-    accumulated into the attached Telemetry.
+    Makes at most max_retries attempts.  Transport failures, unparseable
+    responses and the transient statuses 429 and 503 are retried, waiting
+    retry_delay before the second attempt and twice as long before each
+    later one.  A 401 is a credential error and any other HTTP error a
+    configuration error; neither is retried.  Usage numbers from the
+    response are accumulated into the attached Telemetry.
     """
 
     def __init__(self, config: RemoteChatConfig, telemetry: Telemetry | None = None):
@@ -452,14 +474,19 @@ class RemoteChatClient:
             except urllib.error.HTTPError as exc:
                 if exc.code == 401:
                     raise CredentialError("remote endpoint rejected credentials (401)") from exc
-                detail = exc.read().decode("utf-8", errors="replace")
-                raise ConfigurationError(f"remote endpoint returned {exc.code}: {detail}") from exc
+                if exc.code not in _TRANSIENT_STATUS:
+                    detail = exc.read().decode("utf-8", errors="replace")
+                    raise ConfigurationError(
+                        f"remote endpoint returned {exc.code}: {detail}"
+                    ) from exc
+                exc.close()
+                last_exc = exc
             except (urllib.error.URLError, TimeoutError, ConnectionError, json.JSONDecodeError) as exc:
                 last_exc = exc
-                if attempt + 1 < self.config.max_retries and self.config.retry_delay > 0:
-                    time.sleep(self.config.retry_delay)
+            if attempt + 1 < self.config.max_retries and self.config.retry_delay > 0:
+                time.sleep(self.config.retry_delay * 2**attempt)
         raise TransportError(
-            f"remote endpoint unreachable after {self.config.max_retries} attempts"
+            f"remote endpoint failed after {self.config.max_retries} attempts: {last_exc}"
         ) from last_exc
 
     def _ingest(self, body: dict) -> str:

@@ -6,7 +6,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memsearch import augmentors
 from memsearch.augmentors import (
     DEDUP_THRESHOLD,
     REFLECTION_THRESHOLD,
@@ -271,6 +274,55 @@ def test_fact_store_pairwise_dissimilar_under_random_streams():
         vecs = [np.asarray(u.embedding) for u in store.units]
         for a, b in itertools.combinations(vecs, 2):
             assert cosine(a, b) < threshold
+
+
+def _reference_add(stored: list, unit: ContextUnit, threshold: float) -> bool:
+    """The per-pair dedup loop the vectorized check must reproduce."""
+    if unit.abstraction is Abstraction.FACT:
+        vec = np.asarray(unit.embedding)
+        for other in stored:
+            if other.abstraction is not Abstraction.FACT:
+                continue
+            if cosine(vec, np.asarray(other.embedding)) >= threshold:
+                return False
+    stored.append(unit)
+    return True
+
+
+# words and their case variants, so streams repeat facts and near-facts
+_WORDS = st.sampled_from(["alpha", "Alpha", "beta", "gamma", "GAMMA", "delta", "table", "named"])
+_UNITS = st.tuples(st.booleans(), st.lists(_WORDS, min_size=1, max_size=5)).map(
+    lambda t: _reflection_unit(" ".join(t[1])) if t[0] else _fact_unit(" ".join(t[1]))
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(threshold=st.sampled_from([0.5, 0.9, 1.0]), stream=st.lists(_UNITS, max_size=40))
+def test_store_dedup_decisions_match_per_pair_loop(threshold, stream):
+    store, reference = MemoryStore(threshold), []
+    got = [store.add(u) for u in stream]
+    assert got == [_reference_add(reference, u, threshold) for u in stream]
+    assert store.units == tuple(reference)
+
+
+def test_store_dedup_threshold_at_exact_cosine_takes_margin_fallback(monkeypatch):
+    a = _fact_unit("The database contains a table named 'albums'.")
+    b = _fact_unit("The database contains a table named 'studio_sessions'.")
+    exact = cosine(np.asarray(b.embedding), np.asarray(a.embedding))
+    rechecks = []
+
+    def counting_cosine(x, y):
+        rechecks.append(1)
+        return cosine(x, y)
+
+    monkeypatch.setattr(augmentors, "cosine", counting_cosine)
+    at = MemoryStore(exact)
+    assert at.add(a)
+    assert not at.add(b)  # similarity == threshold: dropped
+    above = MemoryStore(float(np.nextafter(exact, 2.0)))
+    assert above.add(a)
+    assert above.add(b)  # one ulp below the threshold: kept
+    assert len(rechecks) == 2
 
 
 def test_embedding_respects_configured_dim():

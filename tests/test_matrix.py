@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from memsearch import matrix
 from memsearch.augmentors import AugmentorConfig, AugmentorKind
 from memsearch.core import Telemetry
 from memsearch.matrix import (
@@ -268,3 +269,44 @@ def test_run_matrix_parallel_matches_serial(tmp_path):
         assert (tmp_path / "serial" / name).read_bytes() == (
             tmp_path / "parallel" / name
         ).read_bytes()
+
+
+def test_run_matrix_dump_memory_writes_the_stores_used(tmp_path, monkeypatch):
+    cells = [
+        {
+            "id": f"sql__bon__{kind}",
+            "benchmark": "toy_sql_demo",
+            "memory": [kind],
+            "search": {"method": "best_of_n", "n_budget": 3},
+            "seed": 5,
+        }
+        for kind in ("fact", "reflection")
+    ]
+    cfg = load_matrix_config(write_mini_config(tmp_path, cells))
+    stores = []
+    real_compose = matrix.compose
+
+    def recording_compose(*args, **kwargs):
+        composite = real_compose(*args, **kwargs)
+        stores.append(composite.store)
+        return composite
+
+    monkeypatch.setattr(matrix, "compose", recording_compose)
+    run_matrix(cfg, tmp_path / "out", dump_memory=True)
+
+    tasks = cfg.benchmarks["toy_sql_demo"].benchmark.tasks
+    dumps = [
+        (tmp_path / "out" / "memory" / f"{cell.cell_id}__{task.task_id}.jsonl")
+        .read_text()
+        .splitlines()
+        for cell in cfg.cells
+        for task in tasks
+    ]
+    assert [len(lines) for lines in dumps] == [len(store) for store in stores]
+    fact_dumps, reflection_dumps = dumps[:len(tasks)], dumps[len(tasks):]
+    assert all(fact_dumps)
+    assert any(reflection_dumps)
+    assert {json.loads(line)["abstraction"] for lines in fact_dumps for line in lines} == {"fact"}
+    assert {json.loads(line)["abstraction"] for lines in reflection_dumps for line in lines} == {
+        "reflection"
+    }

@@ -18,6 +18,7 @@ from memsearch.core import (
     Telemetry,
     render_bundle,
 )
+from memsearch import models
 from memsearch.augmentors import sibling_context
 from memsearch.models import (
     EXTRACT_FACTS,
@@ -25,6 +26,7 @@ from memsearch.models import (
     ClampingRewardAdapter,
     ConfigurationError,
     CredentialError,
+    HashEmbedder,
     RemoteChatClient,
     RemoteChatConfig,
     RemotePolicy,
@@ -257,6 +259,16 @@ def test_hash_embed_is_normalized_and_deterministic():
     assert empty[0] == 1.0 and np.linalg.norm(empty) == 1.0
 
 
+def test_hash_embedder_memoizes_read_only_arrays():
+    embedder = HashEmbedder(dim=16)
+    v = embedder.embed("list the tables")
+    assert embedder.embed("list the tables") is v
+    assert np.array_equal(v, hash_embed("list the tables", 16))
+    with pytest.raises(ValueError):
+        v[0] = 0.0
+    assert HashEmbedder(dim=16).embed("list the tables") is not v
+
+
 def test_hash_embed_cosine_landmarks():
     """Pinned similarity relations the dedup threshold relies on."""
     disjoint = cosine(hash_embed("alpha beta gamma delta"), hash_embed("omicron sigma tau upsilon"))
@@ -302,13 +314,15 @@ class _Handler(BaseHTTPRequestHandler):
 @pytest.fixture
 def chat_server():
     server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     _Handler.script = []
     _Handler.hits = []
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
     thread.join(timeout=2)
+    server.server_close()
+    assert not thread.is_alive()
 
 
 def _ok_payload(content, prompt_tokens=12, completion_tokens=3):
@@ -346,6 +360,27 @@ def test_remote_client_other_http_error_is_configuration_error(chat_server):
     with pytest.raises(ConfigurationError):
         client.complete([{"role": "user", "content": "hi"}])
     assert len(_Handler.hits) == 1
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_remote_client_retries_transient_status_then_succeeds(chat_server, status):
+    _Handler.script = [(status, b"{}"), (status, b"{}"), (200, _ok_payload("QUERY|(q)"))]
+    telemetry = Telemetry()
+    client = RemoteChatClient(RemoteChatConfig(chat_server, "m", max_retries=3), telemetry)
+    assert client.complete([{"role": "user", "content": "hi"}]) == "QUERY|(q)"
+    assert len(_Handler.hits) == 3
+    assert telemetry.policy_tokens_in == 12
+
+
+def test_remote_client_transient_status_backs_off_within_max_retries(chat_server, monkeypatch):
+    _Handler.script = [(429, b"{}"), (503, b"{}")]
+    delays = []
+    monkeypatch.setattr(models.time, "sleep", delays.append)
+    cfg = RemoteChatConfig(chat_server, "m", max_retries=4, retry_delay=0.5)
+    with pytest.raises(TransportError, match="503"):
+        RemoteChatClient(cfg).complete([{"role": "user", "content": "hi"}])
+    assert len(_Handler.hits) == 4
+    assert delays == [0.5, 1.0, 2.0]
 
 
 def test_remote_client_retries_bad_json_then_transport_error(chat_server):
