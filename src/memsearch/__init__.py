@@ -68,7 +68,6 @@ from .search import (
     run_best_of_n,
     run_mcts,
     run_search,
-    serialize_record,
 )
 from .stats import (
     BhResult,

@@ -220,12 +220,6 @@ class Node:
     q_value: float = 0.5
     is_terminal: bool = False
 
-    def validate(self) -> None:
-        if not 0.0 <= self.q_value <= 1.0:
-            raise ValueError(f"node q_value {self.q_value} outside [0, 1]")
-        if self.is_terminal and self.children:
-            raise ValueError("terminal node must have no children")
-
 
 @dataclass(frozen=True)
 class PricingTable:
@@ -235,6 +229,11 @@ class PricingTable:
     policy_out: float = 4.00
     supervisor_in: float = 3.00
     supervisor_out: float = 15.00
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+                raise ValueError(f"{name} must be a non-negative number, got {value!r}")
 
 
 @dataclass
@@ -261,14 +260,6 @@ class Telemetry:
             self.supervisor_tokens_out += tokens_out
         else:
             raise ValueError(f"unknown telemetry role: {role!r}")
-
-    def cost_estimate(self, pricing: PricingTable | None = None) -> dict[str, float]:
-        p = pricing or PricingTable()
-        policy = (self.policy_tokens_in * p.policy_in + self.policy_tokens_out * p.policy_out) / 1e6
-        supervisor = (
-            self.supervisor_tokens_in * p.supervisor_in + self.supervisor_tokens_out * p.supervisor_out
-        ) / 1e6
-        return {"policy": policy, "supervisor": supervisor, "total": policy + supervisor}
 
     def as_dict(self) -> dict[str, int]:
         return {

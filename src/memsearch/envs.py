@@ -1,10 +1,13 @@
 """Deterministic toy environments and task fixtures.
 
 Three worlds cover the serializability axis: a read-only tabular world and
-a knowledge-graph world that both support fork(), and a scripted shell
-whose state mutates in place and cannot be forked.  Gold answers live
-behind the Grader, which only the experiment runner holds; tasks handed to
-search code carry no gold and no grading hook.
+a knowledge-graph world that both support fork() through one shared
+read-only base, and a scripted shell whose state mutates in place and
+cannot be forked.  Each environment class's ``serializable`` attribute is
+the single record of that axis; ENV_CLASSES maps env ids to the classes,
+and the experiment matrix reads it from there.  Gold answers live behind
+the Grader, which only the experiment runner holds; tasks handed to search
+code carry no gold and no grading hook.
 """
 
 from __future__ import annotations
@@ -149,99 +152,94 @@ def _eval_query(tables: dict, expr) -> str:
 # environments
 
 
-class ToySqlEnv:
+class _ReadOnlyWorldEnv:
+    """Shared plumbing of the read-only worlds.
+
+    A world never changes, so the immutable state handle is already a
+    snapshot and fork() just copies it.  reset, the world lookup behind each
+    handle, FINAL_ANSWER and unknown tools are handled here; a subclass
+    names its world's key and answers its own tools in _call_tool, returning
+    None for a tool it does not have.
+    """
+
+    env_id: str
+    world_key: str
+    serializable = True
+
+    def __init__(self, worlds: dict[str, dict]):
+        self._worlds = worlds
+
+    def reset(self, task: Task) -> StateHandle:
+        if task.task_id not in self._worlds:
+            raise EnvError(f"unknown task '{task.task_id}' for {self.env_id}")
+        return StateHandle(env_id=f"{self.env_id}/{task.task_id}", snapshot_token="ro", depth=0)
+
+    def _world(self, state: StateHandle) -> dict:
+        task_id = state.env_id.split("/", 1)[1]
+        try:
+            return self._worlds[task_id][self.world_key]
+        except KeyError as exc:
+            raise EnvError(f"stale state handle {state.env_id}") from exc
+
+    def step(self, state: StateHandle, action: Action) -> tuple[StateHandle, Observation]:
+        world = self._world(state)
+        tool = action.tool_name
+        if tool == FINAL_ANSWER:
+            obs = Observation(content="", is_error=False, tool_name=FINAL_ANSWER)
+        else:
+            obs = self._call_tool(world, tool, action.arguments.strip())
+            if obs is None:
+                obs = _err(tool, f"unknown tool '{tool}'")
+        return replace(state, depth=state.depth + 1), obs
+
+    def _call_tool(self, world: dict, tool: str, args: str) -> Observation | None:
+        raise NotImplementedError
+
+    def fork(self, state: StateHandle) -> StateHandle:
+        return replace(state)
+
+
+class ToySqlEnv(_ReadOnlyWorldEnv):
     """Read-only tabular world with LIST_TABLES / SCHEMA / QUERY tools."""
 
     env_id = "toy_sql"
-    serializable = True
+    world_key = "tables"
 
-    def __init__(self, worlds: dict[str, dict]):
-        self._worlds = worlds
-
-    def reset(self, task: Task) -> StateHandle:
-        if task.task_id not in self._worlds:
-            raise EnvError(f"unknown task '{task.task_id}' for {self.env_id}")
-        return StateHandle(env_id=f"{self.env_id}/{task.task_id}", snapshot_token="ro", depth=0)
-
-    def _tables(self, state: StateHandle) -> dict:
-        task_id = state.env_id.split("/", 1)[1]
-        try:
-            return self._worlds[task_id]["tables"]
-        except KeyError as exc:
-            raise EnvError(f"stale state handle {state.env_id}") from exc
-
-    def step(self, state: StateHandle, action: Action) -> tuple[StateHandle, Observation]:
-        tables = self._tables(state)
-        tool, args = action.tool_name, action.arguments.strip()
+    def _call_tool(self, tables: dict, tool: str, args: str) -> Observation | None:
         if tool == "LIST_TABLES":
-            obs = _ok(tool, ", ".join(tables))
-        elif tool == "SCHEMA":
+            return _ok(tool, ", ".join(tables))
+        if tool == "SCHEMA":
             if args in tables:
-                obs = _ok(tool, ", ".join(tables[args]["columns"]))
-            else:
-                obs = _err(tool, f"no such table '{args}'")
-        elif tool == "QUERY":
+                return _ok(tool, ", ".join(tables[args]["columns"]))
+            return _err(tool, f"no such table '{args}'")
+        if tool == "QUERY":
             try:
-                obs = _ok(tool, _eval_query(tables, parse_sexpr(args)))
+                return _ok(tool, _eval_query(tables, parse_sexpr(args)))
             except ValueError as exc:
-                obs = _err(tool, str(exc))
-        elif tool == FINAL_ANSWER:
-            obs = Observation(content="", is_error=False, tool_name=FINAL_ANSWER)
-        else:
-            obs = _err(tool, f"unknown tool '{tool}'")
-        return replace(state, depth=state.depth + 1), obs
-
-    def fork(self, state: StateHandle) -> StateHandle:
-        # the world is read-only, so the immutable handle is already a snapshot
-        return replace(state)
+                return _err(tool, str(exc))
+        return None
 
 
-class ToyKgEnv:
+class ToyKgEnv(_ReadOnlyWorldEnv):
     """Knowledge-graph world with RELATIONS / TRAVERSE tools."""
 
     env_id = "toy_kg"
-    serializable = True
+    world_key = "entities"
 
-    def __init__(self, worlds: dict[str, dict]):
-        self._worlds = worlds
-
-    def reset(self, task: Task) -> StateHandle:
-        if task.task_id not in self._worlds:
-            raise EnvError(f"unknown task '{task.task_id}' for {self.env_id}")
-        return StateHandle(env_id=f"{self.env_id}/{task.task_id}", snapshot_token="ro", depth=0)
-
-    def _entities(self, state: StateHandle) -> dict:
-        task_id = state.env_id.split("/", 1)[1]
-        try:
-            return self._worlds[task_id]["entities"]
-        except KeyError as exc:
-            raise EnvError(f"stale state handle {state.env_id}") from exc
-
-    def step(self, state: StateHandle, action: Action) -> tuple[StateHandle, Observation]:
-        entities = self._entities(state)
-        tool, args = action.tool_name, action.arguments.strip()
+    def _call_tool(self, entities: dict, tool: str, args: str) -> Observation | None:
         if tool == "RELATIONS":
             if args in entities:
-                obs = _ok(tool, ", ".join(entities[args]))
-            else:
-                obs = _err(tool, f"unknown entity '{args}'")
-        elif tool == "TRAVERSE":
+                return _ok(tool, ", ".join(entities[args]))
+            return _err(tool, f"unknown entity '{args}'")
+        if tool == "TRAVERSE":
             entity, _, relation = args.partition(",")
             entity, relation = entity.strip(), relation.strip()
             if entity not in entities:
-                obs = _err(tool, f"unknown entity '{entity}'")
-            elif relation not in entities[entity]:
-                obs = _err(tool, f"entity '{entity}' has no relation '{relation}'")
-            else:
-                obs = _ok(tool, ", ".join(entities[entity][relation]))
-        elif tool == FINAL_ANSWER:
-            obs = Observation(content="", is_error=False, tool_name=FINAL_ANSWER)
-        else:
-            obs = _err(tool, f"unknown tool '{tool}'")
-        return replace(state, depth=state.depth + 1), obs
-
-    def fork(self, state: StateHandle) -> StateHandle:
-        return replace(state)
+                return _err(tool, f"unknown entity '{entity}'")
+            if relation not in entities[entity]:
+                return _err(tool, f"entity '{entity}' has no relation '{relation}'")
+            return _ok(tool, ", ".join(entities[entity][relation]))
+        return None
 
 
 class ScriptedShellEnv:
@@ -301,13 +299,7 @@ class ScriptedShellEnv:
         raise ForkUnsupported(f"{self.env_id} state cannot be snapshotted")
 
 
-ENV_SERIALIZABLE = {
-    ToySqlEnv.env_id: True,
-    ToyKgEnv.env_id: True,
-    ScriptedShellEnv.env_id: False,
-}
-
-_ENV_CLASSES = {
+ENV_CLASSES = {
     ToySqlEnv.env_id: ToySqlEnv,
     ToyKgEnv.env_id: ToyKgEnv,
     ScriptedShellEnv.env_id: ScriptedShellEnv,
@@ -347,7 +339,7 @@ class Benchmark:
 
     def make_env(self) -> Environment:
         try:
-            cls = _ENV_CLASSES[self.env_id]
+            cls = ENV_CLASSES[self.env_id]
         except KeyError as exc:
             raise EnvError(f"unknown environment '{self.env_id}'") from exc
         return cls(self.worlds)
@@ -361,7 +353,7 @@ def load_benchmark(path: str | Path) -> Benchmark:
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     benchmark_id = raw["benchmark"]
     env_id = raw["env"]
-    if env_id not in _ENV_CLASSES:
+    if env_id not in ENV_CLASSES:
         raise EnvError(f"unknown environment '{env_id}' in {path}")
     tools = tuple(raw["tools"])
     tasks, worlds, golds = [], {}, {}

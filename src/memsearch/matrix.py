@@ -17,7 +17,7 @@ import logging
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -28,8 +28,9 @@ from .augmentors import (
     normalize_for_method,
 )
 from .core import PricingTable, Task, Telemetry, TerminalKind, Trajectory, stable_hash
-from .envs import ENV_SERIALIZABLE, Benchmark, load_benchmark
+from .envs import ENV_CLASSES, Benchmark, load_benchmark
 from .models import (
+    MIN_EMBED_DIM,
     ConfigurationError,
     HashEmbedder,
     RemoteChatClient,
@@ -95,11 +96,11 @@ def check_admissible(cell: ExperimentCell) -> Admissibility:
     kinds = [c.kind for c in cell.memory if c.kind is not AugmentorKind.NONE]
     if len(set(kinds)) != len(kinds):
         return Admissibility(False, AdmissibilityReason.DUPLICATE_AUGMENTOR, GLYPH_STRUCTURAL)
-    serializable = ENV_SERIALIZABLE.get(cell.env)
-    if serializable is None:
+    env_cls = ENV_CLASSES.get(cell.env)
+    if env_cls is None:
         return Admissibility(False, AdmissibilityReason.UNKNOWN_ENV, GLYPH_STRUCTURAL)
     method = cell.search.method
-    if method in (SearchMethod.BEAM, SearchMethod.MCTS) and not serializable:
+    if method in (SearchMethod.BEAM, SearchMethod.MCTS) and not env_cls.serializable:
         return Admissibility(False, AdmissibilityReason.NON_SERIALIZABLE, GLYPH_NON_SERIALIZABLE)
     if AugmentorKind.RAW_SIBLING in kinds and method is SearchMethod.BEST_OF_N:
         # sibling context only exists when a node expands multiple candidates
@@ -252,12 +253,16 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
 
     if not cells:
         raise MatrixConfigError(f"{path}: config defines no cells")
-    return MatrixConfig(
-        benchmarks=benchmarks,
-        cells=tuple(cells),
-        embedder_dim=int(raw.get("embedder_dim", 64)),
-        pricing=PricingTable(**raw.get("pricing", {})),
-    )
+    dim = raw.get("embedder_dim", 64)
+    if not isinstance(dim, int) or dim < MIN_EMBED_DIM:
+        raise MatrixConfigError(
+            f"{path}: embedder_dim must be an integer >= {MIN_EMBED_DIM}, got {dim!r}"
+        )
+    try:
+        pricing = PricingTable(**raw.get("pricing", {}))
+    except (TypeError, ValueError) as exc:
+        raise MatrixConfigError(f"{path}: bad pricing: {exc}") from exc
+    return MatrixConfig(benchmarks, tuple(cells), embedder_dim=dim, pricing=pricing)
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +367,7 @@ def _run_cell_task(
         "terminal_kinds": [t.terminal_kind.value for t in record.trajectories],
         "discovery_skipped": discovery_skipped,
         "telemetry": record.telemetry.as_dict(),
-        "giveup": (
-            {
-                "apology_terminals": record.giveup.apology_terminals,
-                "selected_apology": record.giveup.selected_apology,
-                "all_apology_states": record.giveup.all_apology_states,
-            }
-            if record.giveup
-            else None
-        ),
+        "giveup": asdict(record.giveup) if record.giveup else None,
     }
 
 
@@ -444,12 +441,7 @@ def run_matrix(
 
     manifest = {
         "format_version": 1,
-        "pricing": {
-            "policy_in": cfg.pricing.policy_in,
-            "policy_out": cfg.pricing.policy_out,
-            "supervisor_in": cfg.pricing.supervisor_in,
-            "supervisor_out": cfg.pricing.supervisor_out,
-        },
+        "pricing": asdict(cfg.pricing),
         "cells": manifest_cells,
     }
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -27,7 +27,6 @@ from .core import (
     Step,
     Task,
     Telemetry,
-    clamp01,
     fingerprint,
     stable_hash,
     trajectory_text,
@@ -206,7 +205,8 @@ class ScriptedPolicy:
         weights = [w for _, w in rule.candidates]
         if temperature <= 0.0:
             # argmax weight; candidates are pre-sorted so ties break lexicographically
-            template = templates[int(np.argmax(weights))]
+            best = max(range(len(weights)), key=weights.__getitem__)
+            template = templates[best]
         else:
             rng = random.Random(stable_hash("sample", seed, step_index, fingerprint(bundle.rendered)))
             template = rng.choices(templates, weights=weights, k=1)[0]
@@ -364,6 +364,9 @@ class ScriptedAugmentorModel:
 # embeddings
 
 
+MIN_EMBED_DIM = 8
+
+
 def hash_embed(text: str, dim: int = 64) -> np.ndarray:
     """Deterministic signed feature-hash embedding, L2-normalized.
 
@@ -371,8 +374,8 @@ def hash_embed(text: str, dim: int = 64) -> np.ndarray:
     invariant to leading/trailing/duplicate whitespace.  Empty text maps to
     the first basis vector.
     """
-    if dim < 8:
-        raise ValueError(f"embedding dim {dim} too small, need >= 8")
+    if dim < MIN_EMBED_DIM:
+        raise ValueError(f"embedding dim {dim} too small, need >= {MIN_EMBED_DIM}")
     tokens = text.lower().split()
     vec = np.zeros(dim, dtype=np.float64)
     if not tokens:
@@ -535,12 +538,3 @@ class RemotePolicy:
             return Action(tool, args, text)
         return Action(FINAL_ANSWER, text.strip(), text)
 
-
-class ClampingRewardAdapter:
-    """Wraps any reward source and clamps its output into [0, 1] at ingestion."""
-
-    def __init__(self, inner: RewardModel):
-        self.inner = inner
-
-    def score(self, task_prompt: str, prefix: Sequence[Step], candidate: Step) -> float:
-        return clamp01(self.inner.score(task_prompt, prefix, candidate))

@@ -10,9 +10,8 @@ executed siblings).  Every run is a pure function of its seed.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -34,7 +33,7 @@ from .core import (
     fingerprint,
     stable_hash,
 )
-from .envs import Environment, ForkUnsupported
+from .envs import Environment
 from .models import PolicyModel, RewardModel
 
 
@@ -52,10 +51,6 @@ class BackpropMode(str, Enum):
 class ExpansionMode(str, Enum):
     BATCH = "batch"
     INTERLEAVED = "interleaved"
-
-
-class SimulateStrategy(str, Enum):
-    MAX = "max"
 
 
 class AdmissibilityError(Exception):
@@ -82,7 +77,6 @@ class SearchConfig:
     w_exp: float = 1.0
     max_depth: int = MAX_DEPTH
     rollout_depth: int = MAX_DEPTH
-    simulate_strategy: SimulateStrategy = SimulateStrategy.MAX
     backprop: BackpropMode = BackpropMode.CUMULATIVE
     decay_gamma: float = 0.5
     temperature: float = 0.0
@@ -109,8 +103,19 @@ def is_apology(action: Action, markers: Sequence[str] = DEFAULT_APOLOGY_MARKERS)
     return any(m in text for m in markers)
 
 
-def _terminal_kind(action: Action, markers: Sequence[str]) -> TerminalKind:
-    return TerminalKind.APOLOGY if is_apology(action, markers) else TerminalKind.ANSWERED
+def _trajectory(
+    steps: Sequence[Step], fps: Sequence[str], iteration: int, markers: Sequence[str]
+) -> Trajectory:
+    """The one place a trajectory's terminal kind is decided: a last action
+    that is not FINAL_ANSWER means the depth cap ended it."""
+    last = steps[-1].action
+    if not last.is_final:
+        kind = TerminalKind.MAX_DEPTH
+    elif is_apology(last, markers):
+        kind = TerminalKind.APOLOGY
+    else:
+        kind = TerminalKind.ANSWERED
+    return Trajectory(tuple(steps), kind, aggregate_score(steps), iteration, tuple(fps))
 
 
 def _scored_step(
@@ -151,16 +156,15 @@ def expand(
     of them executes.  INTERLEAVED: candidates are sampled one at a time and
     executed immediately, and candidate i's bundle carries exactly the i
     records of its already executed siblings.  Each candidate executes in
-    its own fork of the parent state; a fork failure surfaces as an
-    admissibility error.
+    its own fork of the parent state.  This is the library's one fork guard:
+    a non-serializable environment raises AdmissibilityError here, before
+    any model call (the matrix runner refuses such cells earlier still, in
+    check_admissible).
     """
-
-    def _fork() -> StateHandle:
-        try:
-            return env.fork(parent_state)
-        except ForkUnsupported as exc:
-            raise AdmissibilityError(str(exc)) from exc
-
+    if not env.serializable:
+        raise AdmissibilityError(
+            f"{env.env_id} is not serializable; {config.method.value} cannot fork"
+        )
     out: list[Candidate] = []
     if config.expansion is ExpansionMode.BATCH:
         bundle = composite.retrieve()
@@ -172,7 +176,7 @@ def expand(
             for i in range(config.n_actions)
         ]
         for action in actions:
-            state, obs = env.step(_fork(), action)
+            state, obs = env.step(env.fork(parent_state), action)
             out.append(Candidate(_scored_step(action, obs, prm, task, prefix), state, fp))
         for cand in out:
             composite.on_step(cand.step, iteration)
@@ -183,7 +187,7 @@ def expand(
             action = policy.sample(
                 task, prefix, bundle, config.temperature, stable_hash(*seed_salt, "cand", i)
             )
-            state, obs = env.step(_fork(), action)
+            state, obs = env.step(env.fork(parent_state), action)
             step = _scored_step(action, obs, prm, task, prefix)
             executed.append(step)
             composite.on_step(step, iteration)
@@ -209,7 +213,6 @@ def _linear_rollout(
     state = env.reset(task)
     steps: list[Step] = []
     fps: list[str] = []
-    terminal = TerminalKind.MAX_DEPTH
     for depth in range(config.max_depth):
         bundle = composite.retrieve()
         action = policy.sample(
@@ -221,15 +224,8 @@ def _linear_rollout(
         fps.append(fingerprint(bundle.rendered))
         composite.on_step(step, iteration)
         if action.is_final:
-            terminal = _terminal_kind(action, config.apology_markers)
             break
-    return Trajectory(
-        steps=tuple(steps),
-        terminal_kind=terminal,
-        trajectory_score=aggregate_score(steps),
-        iteration_index=iteration,
-        bundle_fingerprints=tuple(fps),
-    )
+    return _trajectory(steps, fps, iteration, config.apology_markers)
 
 
 def run_best_of_n(
@@ -296,8 +292,6 @@ def run_beam(
         raise ValueError(f"config method {config.method} is not beam")
     if prm is None:
         raise ValueError("beam search needs a process reward model")
-    if not env.serializable:
-        raise AdmissibilityError(f"{env.env_id} is not serializable; beam search cannot fork")
 
     actives = [_Beam(steps=(), state=env.reset(task), fps=())]
     completed: list[Trajectory] = []
@@ -329,17 +323,10 @@ def run_beam(
         for beam, cand in survivors:
             steps = beam.steps + (cand.step,)
             fps = beam.fps + (cand.bundle_fp,)
-            if cand.step.action.is_final:
-                kind = _terminal_kind(cand.step.action, config.apology_markers)
-                if kind is TerminalKind.APOLOGY:
-                    apology_terminals += 1
-                completed.append(
-                    Trajectory(steps, kind, aggregate_score(steps), 0, fps)
-                )
-            elif len(steps) >= config.max_depth:
-                completed.append(
-                    Trajectory(steps, TerminalKind.MAX_DEPTH, aggregate_score(steps), 0, fps)
-                )
+            if cand.step.action.is_final or len(steps) >= config.max_depth:
+                traj = _trajectory(steps, fps, 0, config.apology_markers)
+                apology_terminals += traj.terminal_kind is TerminalKind.APOLOGY
+                completed.append(traj)
             else:
                 next_actives.append(_Beam(steps, cand.state, fps))
         actives = next_actives
@@ -364,21 +351,6 @@ def run_beam(
 
 def uct_score(q: float, child_visits: int, parent_visits: int, w_exp: float) -> float:
     return q + w_exp * math.sqrt(math.log(max(parent_visits, 1)) / child_visits)
-
-
-@dataclass(frozen=True)
-class UctStats:
-    """Visit/value snapshot of one node's children, for selection and audit."""
-
-    parent_visits: int
-    child_ids: tuple[int, ...]
-    child_visits: tuple[int, ...]
-    child_q: tuple[float, ...]
-
-    def visit_balance(self) -> int:
-        """parent visits minus the sum of child visits; nonzero counts the
-        times this node itself ended a backprop path."""
-        return self.parent_visits - sum(self.child_visits)
 
 
 class _Tree:
@@ -412,16 +384,6 @@ class _Tree:
     def prefix(self, nid: int) -> tuple[list[Step], list[str]]:
         ids = [n for n in reversed(self.path_to_root(nid)) if n != 0]
         return [self.steps[n] for n in ids], [self.fps[n] for n in ids]
-
-    def stats(self, nid: int) -> UctStats:
-        node = self.nodes[nid]
-        kids = tuple(node.children)
-        return UctStats(
-            parent_visits=node.visit_count,
-            child_ids=kids,
-            child_visits=tuple(self.nodes[k].visit_count for k in kids),
-            child_q=tuple(self.nodes[k].q_value for k in kids),
-        )
 
 
 def backprop(
@@ -493,8 +455,6 @@ def run_mcts(
         raise ValueError(f"config method {config.method} is not mcts")
     if prm is None:
         raise ValueError("mcts needs a process reward model")
-    if not env.serializable:
-        raise AdmissibilityError(f"{env.env_id} is not serializable; mcts cannot fork")
 
     tree = _Tree(env.reset(task))
     trajectories: list[Trajectory] = []
@@ -506,15 +466,7 @@ def run_mcts(
         prefix, prefix_fps = tree.prefix(nid)
 
         if tree.nodes[nid].is_terminal or len(prefix) >= config.max_depth:
-            last = prefix[-1].action
-            kind = (
-                _terminal_kind(last, config.apology_markers)
-                if last.is_final
-                else TerminalKind.MAX_DEPTH
-            )
-            traj = Trajectory(
-                tuple(prefix), kind, aggregate_score(prefix), it, tuple(prefix_fps)
-            )
+            traj = _trajectory(prefix, prefix_fps, it, config.apology_markers)
             path = tree.path_to_root(nid)
         else:
             cands = expand(
@@ -538,11 +490,6 @@ def run_mcts(
             steps = prefix + [start.step]
             fps = prefix_fps + [start.bundle_fp]
             state = start.state
-            terminal = (
-                _terminal_kind(start.step.action, config.apology_markers)
-                if start.step.action.is_final
-                else TerminalKind.MAX_DEPTH
-            )
             depth_cap = min(config.rollout_depth, config.max_depth)
             while not steps[-1].action.is_final and len(steps) < depth_cap:
                 rollout_cands = expand(
@@ -565,11 +512,7 @@ def run_mcts(
                 steps.append(chosen.step)
                 fps.append(chosen.bundle_fp)
                 state = chosen.state
-                if chosen.step.action.is_final:
-                    terminal = _terminal_kind(chosen.step.action, config.apology_markers)
-            traj = Trajectory(
-                tuple(steps), terminal, aggregate_score(steps), it, tuple(fps)
-            )
+            traj = _trajectory(steps, fps, it, config.apology_markers)
             path = tree.path_to_root(start_id)
 
         backprop(tree.nodes, path, traj.trajectory_score, config.backprop, config.decay_gamma)
@@ -586,7 +529,7 @@ def run_mcts(
 
 
 # ---------------------------------------------------------------------------
-# dispatch and serialization
+# dispatch
 
 
 def run_search(
@@ -607,44 +550,3 @@ def run_search(
         return run_mcts(task, env, policy, prm, composite, config, seed, telemetry)
     raise ValueError(f"unknown search method {config.method!r}")
 
-
-def serialize_record(record: SearchRecord) -> str:
-    """Line-delimited rendering of a SearchRecord, byte-stable across runs."""
-    lines = []
-    for t in record.trajectories:
-        lines.append(
-            json.dumps(
-                {
-                    "iteration": t.iteration_index,
-                    "terminal_kind": t.terminal_kind.value,
-                    "trajectory_score": t.trajectory_score,
-                    "bundle_fingerprints": list(t.bundle_fingerprints),
-                    "steps": [
-                        {
-                            "tool": s.action.tool_name,
-                            "arguments": s.action.arguments,
-                            "observation": s.observation.content,
-                            "is_error": s.observation.is_error,
-                            "reward": s.reward,
-                        }
-                        for s in t.steps
-                    ],
-                },
-                sort_keys=True,
-            )
-        )
-    summary = {
-        "final_answer": record.final_answer,
-        "telemetry": record.telemetry.as_dict(),
-        "giveup": (
-            {
-                "apology_terminals": record.giveup.apology_terminals,
-                "selected_apology": record.giveup.selected_apology,
-                "all_apology_states": record.giveup.all_apology_states,
-            }
-            if record.giveup
-            else None
-        ),
-    }
-    lines.append(json.dumps(summary, sort_keys=True))
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,6 @@ from memsearch.core import (
     Action,
     ContextUnit,
     GiveUpStats,
-    Node,
     Observation,
     PricingTable,
     Scope,
@@ -29,6 +28,7 @@ from memsearch.core import (
     step_text,
     trajectory_text,
 )
+from memsearch.stats import efficiency
 
 
 def _step(tool="QUERY", args="x", content="row", is_error=False, reward=None):
@@ -163,20 +163,6 @@ def test_empty_bundle():
     assert render_bundle([]).rendered == ""
 
 
-def test_node_validate():
-    state = StateHandle("e", None, 0)
-    node = Node(node_id=0, state=state, incoming_action=None)
-    node.validate()
-    node.q_value = 1.2
-    with pytest.raises(ValueError):
-        node.validate()
-    node.q_value = 0.5
-    node.is_terminal = True
-    node.children.append(1)
-    with pytest.raises(ValueError):
-        node.validate()
-
-
 def test_telemetry_accounting_and_cost():
     t = Telemetry()
     t.record("policy", 1000, 500)
@@ -186,12 +172,13 @@ def test_telemetry_accounting_and_cost():
     assert d["policy_calls"] == 2
     assert d["policy_tokens_in"] == 1000
     assert d["supervisor_calls"] == 1
-    cost = t.cost_estimate(PricingTable())
+    # the cost formula lives in stats.efficiency, which prices telemetry rows
+    cost = efficiency([{"trajectory_lengths": [1], "telemetry": d}], PricingTable())
     # 1000 in at 0.80/M plus 500 out at 4.00/M
-    assert cost["policy"] == pytest.approx(0.0008 + 0.002)
+    assert cost.policy_cost == pytest.approx(0.0008 + 0.002)
     # 2000 in at 3.00/M plus 10 out at 15.00/M
-    assert cost["supervisor"] == pytest.approx(0.006 + 0.00015)
-    assert cost["total"] == pytest.approx(cost["policy"] + cost["supervisor"])
+    assert cost.supervisor_cost == pytest.approx(0.006 + 0.00015)
+    assert cost.total_cost == pytest.approx(cost.policy_cost + cost.supervisor_cost)
     with pytest.raises(ValueError):
         t.record("gardener", 1, 1)
 

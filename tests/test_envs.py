@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from memsearch.core import FINAL_ANSWER, Action, Task
+from memsearch.core import FINAL_ANSWER, Action, Observation, StateHandle, Task
 from memsearch.envs import (
-    ENV_SERIALIZABLE,
+    ENV_CLASSES,
     EnvError,
     ForkUnsupported,
     Grader,
@@ -67,7 +67,7 @@ class TestToySql:
 
     def test_reset_and_serializable(self):
         assert self.env.serializable
-        assert ENV_SERIALIZABLE["toy_sql"]
+        assert ENV_CLASSES["toy_sql"] is ToySqlEnv
         assert self.state.depth == 0
 
     def test_list_tables_in_world_order(self):
@@ -155,6 +155,27 @@ class TestToyKg:
         assert "entity 'Cubism' has no relation 'pioneers'" in obs.content
 
 
+@pytest.mark.parametrize(
+    "env, task_id",
+    [(ToySqlEnv(SQL_WORLD), "t1"), (ToyKgEnv(KG_WORLD), "k1")],
+    ids=["toy_sql", "toy_kg"],
+)
+def test_read_only_worlds_share_reset_dispatch_and_fork(env, task_id):
+    task = Task(task_id, "p", (FINAL_ANSWER,), "b", env.env_id, {})
+    state = env.reset(task)
+    assert state == StateHandle(f"{env.env_id}/{task_id}", "ro", 0)
+    assert env.serializable and ENV_CLASSES[env.env_id] is type(env)
+    with pytest.raises(EnvError, match=f"unknown task 'nope' for {env.env_id}"):
+        env.reset(Task("nope", "p", (), "b", env.env_id, {}))
+    with pytest.raises(EnvError, match=f"stale state handle {env.env_id}/gone"):
+        env.step(StateHandle(f"{env.env_id}/gone", "ro", 0), _act(FINAL_ANSWER, "x"))
+    after, obs = env.step(state, _act(FINAL_ANSWER, "x"))
+    assert (after.depth, obs) == (1, Observation("", False, FINAL_ANSWER))
+    _, obs = env.step(state, _act("DROP", "x"))
+    assert obs == Observation("ERROR: unknown tool 'DROP'", True, "DROP")
+    assert env.fork(after) == after
+
+
 SHELL_WORLD = {
     "s1": {"files": {"notes.txt": "meet at dusk", "config.ini": "channel=beta"}}
 }
@@ -167,7 +188,7 @@ class TestScriptedShell:
 
     def test_not_serializable(self):
         assert not self.env.serializable
-        assert not ENV_SERIALIZABLE["scripted_shell"]
+        assert ENV_CLASSES["scripted_shell"] is ScriptedShellEnv
 
     def test_reset_creates_fresh_sessions(self):
         a = self.env.reset(self.task)

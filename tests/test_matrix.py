@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from memsearch import matrix
 from memsearch.augmentors import AugmentorConfig, AugmentorKind
+from memsearch.cli import main
 from memsearch.core import Telemetry
 from memsearch.matrix import (
     GLYPH_NON_SERIALIZABLE,
@@ -129,6 +131,41 @@ def test_load_matrix_config_validates_cells(tmp_path, fixtures_dir):
         attempt([dict(base, search={"method": "dfs"})])
     with pytest.raises(MatrixConfigError, match="no cells"):
         attempt([])
+
+
+@pytest.mark.parametrize(
+    "top_level, message",
+    [
+        ({"pricing": {"policy_inn": 1}}, "bad pricing: .*policy_inn"),
+        ({"pricing": {"policy_in": "1"}}, "bad pricing: policy_in"),
+        ({"pricing": {"supervisor_out": -2.0}}, "bad pricing: supervisor_out"),
+        ({"pricing": {"policy_out": True}}, "bad pricing: policy_out"),
+        ({"pricing": {"policy_out": float("nan")}}, "bad pricing: policy_out"),
+        ({"pricing": [0.8, 4.0]}, "bad pricing"),
+        ({"embedder_dim": 4}, "embedder_dim must be an integer >= 8, got 4"),
+        ({"embedder_dim": "64"}, "embedder_dim must be an integer >= 8, got '64'"),
+    ],
+    ids=[
+        "pricing_typo",
+        "pricing_string",
+        "pricing_negative",
+        "pricing_bool",
+        "pricing_nan",
+        "pricing_list",
+        "dim_4",
+        "dim_str",
+    ],
+)
+def test_bad_pricing_or_embedder_dim_is_a_config_error(tmp_path, capsys, top_level, message):
+    cell = {"id": "a", "benchmark": "toy_sql_demo", "search": {"method": "best_of_n"}}
+    path = write_mini_config(tmp_path, [cell])
+    path.write_text(json.dumps({**json.loads(path.read_text()), **top_level}))
+    with pytest.raises(MatrixConfigError, match=message):
+        load_matrix_config(path)
+    assert main(["validate", str(path)]) == 2
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.count("config error: ") == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_load_matrix_config_checks_benchmark_identity(tmp_path, fixtures_dir):
@@ -310,3 +347,27 @@ def test_run_matrix_dump_memory_writes_the_stores_used(tmp_path, monkeypatch):
     assert {json.loads(line)["abstraction"] for lines in reflection_dumps for line in lines} == {
         "reflection"
     }
+
+
+# sha256 over the sorted (relative path, NUL, bytes) of the demo run directory,
+# and of its analysis report.  An intended change of outputs updates these
+# pins and says so in CHANGES.md.
+DEMO_RUN_SHA256 = "f451eb452a9f6a462aadbc8c5adf6b42b6974441034cc5a2601da13e1bc9001a"
+DEMO_REPORT_SHA256 = "9a94fee7596962279399cd6ddba853e83460465a9de3e86716dea0cc4c0057a6"
+
+
+def _tree_sha256(root) -> str:
+    h = hashlib.sha256()
+    files = {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
+    for rel in sorted(files):
+        h.update(rel.encode("utf-8") + b"\0" + files[rel].read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_demo_run_directory_and_report_are_byte_pinned(tmp_path, demo_config_path, jobs):
+    out, report = tmp_path / "run", tmp_path / "report.txt"
+    assert main(["run", str(demo_config_path), "--out", str(out), "--jobs", str(jobs)]) == 0
+    assert _tree_sha256(out) == DEMO_RUN_SHA256
+    assert main(["analyze", str(out), "--report-out", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == DEMO_REPORT_SHA256

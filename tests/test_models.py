@@ -23,7 +23,6 @@ from memsearch.augmentors import sibling_context
 from memsearch.models import (
     EXTRACT_FACTS,
     REFLECT,
-    ClampingRewardAdapter,
     ConfigurationError,
     CredentialError,
     HashEmbedder,
@@ -192,14 +191,6 @@ def test_reward_args_contains_and_telemetry():
     assert model.score("prompt", [], apology) == 0.05
     assert telemetry.supervisor_calls == 1
     assert telemetry.supervisor_tokens_out == 1
-
-
-def test_clamping_adapter():
-    class Wild:
-        def score(self, task_prompt, prefix, candidate):
-            return 3.7
-
-    assert ClampingRewardAdapter(Wild()).score("p", [], _step()) == 1.0
 
 
 def test_augmentor_reflect_picks_first_matching_rule():

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
-import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsearch.augmentors import AugmentorConfig, AugmentorKind, FactMode, compose
 from memsearch.core import (
@@ -15,7 +16,6 @@ from memsearch.core import (
     StateHandle,
     Step,
     Task,
-    Telemetry,
     TerminalKind,
 )
 from memsearch.envs import ScriptedShellEnv, ToySqlEnv
@@ -32,7 +32,6 @@ from memsearch.search import (
     ExpansionMode,
     SearchConfig,
     SearchMethod,
-    UctStats,
     backprop,
     expand,
     is_apology,
@@ -40,7 +39,6 @@ from memsearch.search import (
     run_best_of_n,
     run_mcts,
     run_search,
-    serialize_record,
     uct_score,
 )
 
@@ -152,9 +150,29 @@ def test_expand_fork_failure_is_admissibility_error():
     task = Task("t1", "p", ("RUN", FINAL_ANSWER), "b", "scripted_shell", {})
     cfg = SearchConfig(method=SearchMethod.BEAM)
     state = env.reset(task)
-    policy = _policy({"rules": [{"step": 0, "candidates": {"RUN|ls": 1.0}}]})
-    with pytest.raises(AdmissibilityError):
+    policy = RecordingPolicy(_policy({"rules": [{"step": 0, "candidates": {"RUN|ls": 1.0}}]}))
+    with pytest.raises(AdmissibilityError, match="scripted_shell is not serializable"):
         expand(env, task, state, [], policy, _prm(), _none_composite(), cfg, 0, ("s",))
+    assert policy.bundles == []  # refused before any model call
+
+
+class ListPrm:
+    """Returns the given raw scores in call order."""
+
+    def __init__(self, scores):
+        self.scores = iter(scores)
+
+    def score(self, task_prompt, prefix, candidate):
+        return next(self.scores)
+
+
+@pytest.mark.parametrize("expansion", list(ExpansionMode))
+def test_expand_clamps_prm_scores_into_unit_interval(expansion):
+    env = ToySqlEnv(WORLD)
+    cfg = SearchConfig(method=SearchMethod.BEAM, n_actions=2, expansion=expansion)
+    state, policy, prm = env.reset(TASK), _policy(STRAIGHT_POLICY), ListPrm([3.7, -0.5])
+    cands = expand(env, TASK, state, [], policy, prm, _none_composite(), cfg, 0, ("s",))
+    assert [c.step.reward for c in cands] == [1.0, 0.0]
 
 
 def test_best_of_n_runs_full_budget():
@@ -245,8 +263,6 @@ def test_beam_give_up_stats_count_apologies():
 def test_uct_score_formula():
     assert uct_score(0.4, 2, 8, 1.0) == pytest.approx(0.4 + math.sqrt(math.log(8) / 2))
     assert uct_score(0.4, 1, 0, 1.0) == pytest.approx(0.4)  # max(parent,1) guard
-    stats = UctStats(parent_visits=5, child_ids=(1, 2), child_visits=(2, 2), child_q=(0.5, 0.6))
-    assert stats.visit_balance() == 1
 
 
 def _chain_nodes(n):
@@ -270,6 +286,33 @@ def test_backprop_cumulative_is_brute_force_mean():
             continue
         assert nodes[nid].visit_count == len(values)
         assert nodes[nid].q_value == pytest.approx(sum(values) / len(values))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    parents=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=12),
+    backups=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10**6), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=40,
+    ),
+    mode=st.sampled_from(list(BackpropMode)),
+    gamma=st.floats(0.0, 1.0),
+)
+def test_backprop_keeps_q_in_unit_interval_and_counts_paths(parents, backups, mode, gamma):
+    # node i + 1 hangs under a random earlier node; each backup starts at a random node
+    parent = {i + 1: p % (i + 1) for i, p in enumerate(parents)}
+    nodes = _chain_nodes(len(parents) + 1)
+    through = [0] * len(nodes)
+    for start, value in backups:
+        path = [start % len(nodes)]
+        while path[-1] != 0:
+            path.append(parent[path[-1]])
+        for nid in path:
+            through[nid] += 1
+        backprop(nodes, path, value, mode, gamma)
+        assert all(0.0 <= n.q_value <= 1.0 for n in nodes)
+    assert [n.visit_count for n in nodes] == through
 
 
 def test_backprop_decay_gamma_one_copies_child():
@@ -297,17 +340,31 @@ def test_mcts_runs_fixed_iterations_and_is_deterministic():
     two = run_mcts(TASK, ToySqlEnv(WORLD), policy, prm, _none_composite(), cfg, seed=11)
     assert len(one.trajectories) == 5
     assert [t.iteration_index for t in one.trajectories] == list(range(5))
-    assert serialize_record(one) == serialize_record(two)
+    assert one == two
     assert one.final_answer == "Platform, Developer"
 
 
-def test_mcts_final_answer_ignores_depth_capped_trajectories():
-    raw = {"rules": [{"step": s, "candidates": {"LIST_TABLES|": 1.0}} for s in range(15)]}
-    env = ToySqlEnv(WORLD)
-    cfg = SearchConfig(method=SearchMethod.MCTS, n_iters=2, n_actions=1, max_depth=3, rollout_depth=3)
-    record = run_mcts(TASK, env, _policy(raw), _prm(), _none_composite(), cfg, seed=1)
-    assert all(t.terminal_kind is TerminalKind.MAX_DEPTH for t in record.trajectories)
+def _check_depth_capped(method):
+    never_answers = {"rules": [{"step": s, "candidates": {"LIST_TABLES|": 1.0}} for s in range(15)]}
+    cfg = SearchConfig(
+        method=method, n_budget=2, n_iters=2, n_actions=1, max_depth=3, rollout_depth=3
+    )
+    record = run_search(
+        TASK, ToySqlEnv(WORLD), _policy(never_answers), _none_composite(), cfg, seed=1, prm=_prm()
+    )
+    assert record.trajectories
+    for t in record.trajectories:
+        assert (t.terminal_kind, len(t.steps), t.answer()) == (TerminalKind.MAX_DEPTH, 3, None)
     assert record.final_answer is None
+
+
+def test_mcts_final_answer_ignores_depth_capped_trajectories():
+    _check_depth_capped(SearchMethod.MCTS)
+
+
+@pytest.mark.parametrize("method", [SearchMethod.BEST_OF_N, SearchMethod.BEAM])
+def test_depth_capped_trajectories_never_answer(method):
+    _check_depth_capped(method)
 
 
 def test_run_search_dispatch_and_prm_requirement():
@@ -363,23 +420,3 @@ def test_prm_never_sees_memory_bundles():
     run_mcts(TASK, env, _policy(STRAIGHT_POLICY), spy, composite, cfg, seed=2)
     assert spy.calls > 0
     assert len(composite.store) > 0  # memory was active, and still hidden from the PRM
-
-
-def test_serialize_record_shape():
-    env = ToySqlEnv(WORLD)
-    cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=2)
-    telemetry = Telemetry()
-    record = run_best_of_n(
-        TASK, env, _policy(STRAIGHT_POLICY), _none_composite(), cfg, seed=0, telemetry=telemetry
-    )
-    text = serialize_record(record)
-    assert text.endswith("\n")
-    lines = text.splitlines()
-    assert len(lines) == 3  # 2 trajectories plus the summary
-    for line in lines:
-        json.loads(line)
-    summary = json.loads(lines[-1])
-    assert summary["final_answer"] == record.final_answer
-    assert "telemetry" in summary
-    first = json.loads(lines[0])
-    assert list(first) == sorted(first)
