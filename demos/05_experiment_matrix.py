@@ -24,7 +24,7 @@ print(f"{len(config.cells)} cells configured")
 for cell in config.cells:
     adm = check_admissible(cell)
     if not adm.admissible:
-        print(f"  refused {cell.cell_id}: {adm.glyph}  ({adm.reason})")
+        print(f"  refused {cell.cell_id}: {adm.glyph}  ({adm.reason.value})")
 print()
 
 out_dir = Path(tempfile.mkdtemp(prefix="matrix_demo_")) / "run"

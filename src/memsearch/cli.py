@@ -36,7 +36,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the experiment matrix")
     p_run.add_argument("config", help="experiment config file")
     p_run.add_argument("--out", required=True, help="output directory for verdicts and manifest")
-    p_run.add_argument("--jobs", type=int, default=1, help="parallel tasks per cell (default 1)")
+    p_run.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes over all (cell, task) units (default 1: run in this process)",
+    )
     p_run.add_argument(
         "--dump-memory", action="store_true", help="write per-task memory store dumps"
     )

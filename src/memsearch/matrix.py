@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -151,12 +151,15 @@ def _parse_memory(raw, where: str) -> tuple[AugmentorConfig, ...]:
         kind = entry.get("kind")
         if kind not in _MEMORY_KINDS:
             raise MatrixConfigError(f"{where}: unknown memory kind {kind!r}")
-        kwargs = {}
-        if "reflection_threshold" in entry:
-            kwargs["reflection_threshold"] = float(entry["reflection_threshold"])
-        if "dedup_threshold" in entry:
-            kwargs["dedup_threshold"] = float(entry["dedup_threshold"])
-        configs.append(AugmentorConfig(kind=_MEMORY_KINDS[kind], **kwargs))
+        try:
+            kwargs = {
+                key: float(entry[key])
+                for key in ("reflection_threshold", "dedup_threshold")
+                if key in entry
+            }
+            configs.append(AugmentorConfig(kind=_MEMORY_KINDS[kind], **kwargs))
+        except (TypeError, ValueError) as exc:
+            raise MatrixConfigError(f"{where}: bad {kind} memory config: {exc}") from exc
     return tuple(configs)
 
 
@@ -188,7 +191,7 @@ def _parse_search(raw: dict, where: str) -> SearchConfig:
         if "expansion" in kwargs:
             kwargs["expansion"] = ExpansionMode(kwargs["expansion"])
         return SearchConfig(**kwargs)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise MatrixConfigError(f"{where}: bad search config: {exc}") from exc
 
 
@@ -215,6 +218,15 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
             )
         except (KeyError, OSError, json.JSONDecodeError, ValueError) as exc:
             raise MatrixConfigError(f"{where}: {exc}") from exc
+        delay = policy_raw.get("retry_delay", 0.0) if isinstance(policy_raw, dict) else 0.0
+        if (
+            isinstance(delay, bool)
+            or not isinstance(delay, (int, float))
+            or not 0 <= delay < math.inf
+        ):
+            raise MatrixConfigError(
+                f"{where}: policy retry_delay must be a finite number >= 0, got {delay!r}"
+            )
         if bench.benchmark_id != name:
             raise MatrixConfigError(
                 f"{where}: fixture file declares benchmark '{bench.benchmark_id}'"
@@ -240,6 +252,10 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
         bench_name = entry.get("benchmark")
         if bench_name not in benchmarks:
             raise MatrixConfigError(f"{where}: unknown benchmark {bench_name!r}")
+        try:
+            seed = int(entry.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise MatrixConfigError(f"{where}: bad seed {entry.get('seed')!r}") from exc
         cells.append(
             ExperimentCell(
                 cell_id=cell_id,
@@ -247,7 +263,7 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
                 env=benchmarks[bench_name].benchmark.env_id,
                 memory=_parse_memory(entry.get("memory", ()), where),
                 search=_parse_search(entry.get("search", {}), where),
-                seed=int(entry.get("seed", 0)),
+                seed=seed,
             )
         )
 
@@ -291,6 +307,7 @@ def _build_models(spec: BenchmarkSpec, dim: int, telemetry: Telemetry):
                 api_key=api_key,
                 role="policy",
                 max_retries=int(policy_raw.get("max_retries", 3)),
+                retry_delay=float(policy_raw.get("retry_delay", 0.0)),
             ),
             telemetry,
         )
@@ -377,6 +394,71 @@ def _atomic_write(path: Path, content: str) -> None:
     os.replace(tmp, path)
 
 
+def _run_unit(
+    cfg: MatrixConfig,
+    cells: tuple[ExperimentCell, ...],
+    dump_dir: Path | None,
+    unit: tuple[int, int],
+) -> dict | str:
+    """One (cell index, task index) unit: its row, or its error as a string
+    (formatted here, so no exception object has to cross a process)."""
+    cell_index, task_index = unit
+    cell = cells[cell_index]
+    task = cfg.benchmarks[cell.benchmark].benchmark.tasks[task_index]
+    try:
+        return _run_cell_task(cfg, cell, task, dump_dir)
+    except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
+        return f"{type(exc).__name__}: {exc}"
+
+
+# Set once per worker process by the pool initializer, so each submitted unit
+# carries only its index pair.
+_worker_args: tuple[MatrixConfig, tuple[ExperimentCell, ...], Path | None] | None = None
+
+
+def _init_worker(
+    cfg: MatrixConfig, cells: tuple[ExperimentCell, ...], dump_dir: Path | None
+) -> None:
+    global _worker_args
+    _worker_args = (cfg, cells, dump_dir)
+
+
+def _run_worker_unit(unit: tuple[int, int]) -> dict | str:
+    return _run_unit(*_worker_args, unit)
+
+
+def _run_units(
+    cfg: MatrixConfig,
+    cells: tuple[ExperimentCell, ...],
+    dump_dir: Path | None,
+    units: list[tuple[int, int]],
+    jobs: int,
+) -> list[dict | str]:
+    """Results of `units`, in order: in this process for jobs <= 1, else on
+    one pool of up to `jobs` worker processes."""
+    if jobs <= 1 or not units:
+        return [_run_unit(cfg, cells, dump_dir, unit) for unit in units]
+    # imported here, so that loading a config or analysing a run does not pay
+    # for the process machinery
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork hands the loaded config to the workers without pickling it; where
+    # it is not offered, the platform default gives the same bytes, slower
+    context = (
+        multiprocessing.get_context("fork")
+        if "fork" in multiprocessing.get_all_start_methods()
+        else None
+    )
+    with ProcessPoolExecutor(
+        max_workers=min(jobs, len(units)),
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(cfg, cells, dump_dir),
+    ) as pool:
+        return list(pool.map(_run_worker_unit, units))
+
+
 def run_matrix(
     cfg: MatrixConfig,
     out_dir: str | Path,
@@ -387,7 +469,12 @@ def run_matrix(
 
     Inadmissible cells are refused before any model call.  A failing cell is
     marked FAILED in the manifest and does not stop the others.  Output
-    bytes depend only on the config and seeds.
+    bytes depend only on the config and seeds, never on `jobs`.
+
+    The admissible cells' (cell, task) units form one queue.  With jobs <= 1
+    it runs in this process; with jobs > 1 it runs on up to `jobs` worker
+    processes, which are forked where the platform offers it: call it from a
+    process with no other threads running.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -397,7 +484,18 @@ def run_matrix(
         dump_dir.mkdir(exist_ok=True)
 
     manifest_cells: dict[str, dict] = {}
-    for cell in cfg.cells:
+    admissions = [(cell, check_admissible(cell)) for cell in cfg.cells]
+    cells = tuple(cell for cell, adm in admissions if adm.admissible)
+    units = [
+        (c, t)
+        for c, cell in enumerate(cells)
+        for t in range(len(cfg.benchmarks[cell.benchmark].benchmark.tasks))
+    ]
+    results: dict[str, list[dict | str]] = {cell.cell_id: [] for cell in cells}
+    for (c, _), result in zip(units, _run_units(cfg, cells, dump_dir, units, jobs)):
+        results[cells[c].cell_id].append(result)
+
+    for cell, adm in admissions:
         entry: dict = {
             "benchmark": cell.benchmark,
             "env": cell.env,
@@ -405,28 +503,19 @@ def run_matrix(
             "memory": memory_label(cell.memory),
             "seed": cell.seed,
         }
-        adm = check_admissible(cell)
+        manifest_cells[cell.cell_id] = entry
         if not adm.admissible:
             entry.update(
                 {"status": "inadmissible", "reason": adm.reason.value, "glyph": adm.glyph}
             )
-            manifest_cells[cell.cell_id] = entry
             log.info("cell %s inadmissible: %s", cell.cell_id, adm.reason.value)
             continue
 
-        tasks = cfg.benchmarks[cell.benchmark].benchmark.tasks
-        try:
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    rows = list(
-                        pool.map(lambda t: _run_cell_task(cfg, cell, t, dump_dir), tasks)
-                    )
-            else:
-                rows = [_run_cell_task(cfg, cell, t, dump_dir) for t in tasks]
-        except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-            entry.update({"status": "failed", "error": f"{type(exc).__name__}: {exc}"})
-            manifest_cells[cell.cell_id] = entry
-            log.warning("cell %s failed: %s", cell.cell_id, exc)
+        rows = results[cell.cell_id]
+        error = next((r for r in rows if isinstance(r, str)), None)
+        if error is not None:
+            entry.update({"status": "failed", "error": error})
+            log.warning("cell %s failed: %s", cell.cell_id, error.partition(": ")[2])
             continue
 
         rows.sort(key=lambda r: r["task_id"])
@@ -436,7 +525,6 @@ def run_matrix(
             "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
         )
         entry.update({"status": "ok", "verdict_file": verdict_file, "n_tasks": len(rows)})
-        manifest_cells[cell.cell_id] = entry
         log.info("cell %s: %d tasks done", cell.cell_id, len(rows))
 
     manifest = {

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
+import multiprocessing
 
 import pytest
 
@@ -160,12 +162,79 @@ def test_bad_pricing_or_embedder_dim_is_a_config_error(tmp_path, capsys, top_lev
     cell = {"id": "a", "benchmark": "toy_sql_demo", "search": {"method": "best_of_n"}}
     path = write_mini_config(tmp_path, [cell])
     path.write_text(json.dumps({**json.loads(path.read_text()), **top_level}))
+    _assert_config_error(path, message, capsys)
+
+
+def _assert_config_error(path, message, capsys):
+    """Loading fails with `message`; `validate` and `run` exit 2 without output."""
     with pytest.raises(MatrixConfigError, match=message):
         load_matrix_config(path)
+    out = path.parent / "out"
     assert main(["validate", str(path)]) == 2
-    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.count("config error: ") == 2
-    assert not (tmp_path / "out").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "update, message",
+    [
+        (
+            {"memory": [{"kind": "fact", "dedup_threshold": "high"}]},
+            r"cells\[0\]: bad fact memory config: could not convert string to float: 'high'",
+        ),
+        (
+            {"memory": [{"kind": "fact", "dedup_threshold": 2}]},
+            r"cells\[0\]: bad fact memory config: dedup threshold outside",
+        ),
+        (
+            {"memory": [{"kind": "reflection", "reflection_threshold": None}]},
+            r"cells\[0\]: bad reflection memory config",
+        ),
+        ({"seed": "one"}, r"cells\[0\]: bad seed 'one'"),
+        ({"search": {"method": "best_of_n", "n_budget": "3"}}, r"cells\[0\]: bad search config"),
+    ],
+    ids=["dedup_str", "dedup_range", "reflection_null", "seed_str", "n_budget_str"],
+)
+def test_bad_cell_value_is_a_config_error(tmp_path, capsys, update, message):
+    cell = {"id": "a", "benchmark": "toy_sql_demo", "search": {"method": "best_of_n"}, **update}
+    _assert_config_error(write_mini_config(tmp_path, [cell]), message, capsys)
+
+
+def _one_sql_cell_config(tmp_path, fixtures_dir, **paths):
+    """A one-cell config over toy_sql_demo, with some of its file paths replaced."""
+    scripts = fixtures_dir / "scripts"
+    spec = {
+        "fixtures": str(fixtures_dir / "tasks" / "toy_sql_demo.json"),
+        "policy_script": str(scripts / "toy_sql_policy.json"),
+        "reward_script": str(scripts / "toy_sql_reward.json"),
+        "augmentor_script": str(scripts / "toy_sql_augmentor.json"),
+        **{key: str(path) for key, path in paths.items()},
+    }
+    cells = [{"id": "a", "benchmark": "toy_sql_demo", "search": {"method": "best_of_n"}}]
+    return write_mini_config(tmp_path, cells, {"toy_sql_demo": spec})
+
+
+def _remote_policy_config(tmp_path, fixtures_dir, **policy):
+    script = tmp_path / "remote_policy.json"
+    script.write_text(
+        json.dumps({"kind": "remote", "url": "http://localhost/v1", "model": "m", **policy})
+    )
+    return _one_sql_cell_config(tmp_path, fixtures_dir, policy_script=script)
+
+
+@pytest.mark.parametrize("delay", [-0.5, "1", True, None, float("nan"), float("inf")])
+def test_bad_retry_delay_is_a_config_error(tmp_path, capsys, fixtures_dir, delay):
+    path = _remote_policy_config(tmp_path, fixtures_dir, retry_delay=delay)
+    _assert_config_error(path, "policy retry_delay must be a finite number >= 0", capsys)
+
+
+def test_retry_delay_reaches_the_remote_client(tmp_path, fixtures_dir, monkeypatch):
+    monkeypatch.setenv("MEMSEARCH_API_KEY", "k")
+    for policy, expected in (({}, 0.0), ({"retry_delay": 0.25}, 0.25), ({"retry_delay": 2}, 2.0)):
+        cfg = load_matrix_config(_remote_policy_config(tmp_path, fixtures_dir, **policy))
+        policy_model = _build_models(cfg.benchmarks["toy_sql_demo"], 64, Telemetry())[0]
+        assert policy_model.client.config.retry_delay == expected
 
 
 def test_load_matrix_config_checks_benchmark_identity(tmp_path, fixtures_dir):
@@ -283,10 +352,15 @@ def test_run_matrix_isolates_failing_cells(tmp_path, fixtures_dir):
         {"id": "good", "benchmark": "toy_kg_demo", "search": {"method": "best_of_n", "n_budget": 1}},
     ]
     cfg = load_matrix_config(write_mini_config(tmp_path, cells, benchmarks))
-    manifest = run_matrix(cfg, tmp_path / "out")
-    assert manifest["cells"]["bad"]["status"] == "failed"
-    assert "ConfigurationError" in manifest["cells"]["bad"]["error"]
-    assert manifest["cells"]["good"]["status"] == "ok"
+    for jobs in (1, 2):
+        manifest = run_matrix(cfg, tmp_path / f"out{jobs}", jobs=jobs)
+        assert manifest["cells"]["bad"]["status"] == "failed"
+        assert manifest["cells"]["bad"]["error"].startswith("ConfigurationError: ")
+        assert manifest["cells"]["good"]["status"] == "ok"
+        assert not (tmp_path / f"out{jobs}" / "bad.jsonl").exists()
+    assert (tmp_path / "out1" / "manifest.json").read_bytes() == (
+        tmp_path / "out2" / "manifest.json"
+    ).read_bytes()
 
 
 def test_run_matrix_parallel_matches_serial(tmp_path):
@@ -300,12 +374,37 @@ def test_run_matrix_parallel_matches_serial(tmp_path):
         }
     ]
     cfg = load_matrix_config(write_mini_config(tmp_path, cells))
-    run_matrix(cfg, tmp_path / "serial", jobs=1)
-    run_matrix(cfg, tmp_path / "parallel", jobs=4)
-    for name in ("manifest.json", "sql__bon__fact.jsonl"):
-        assert (tmp_path / "serial" / name).read_bytes() == (
-            tmp_path / "parallel" / name
-        ).read_bytes()
+    run_matrix(cfg, tmp_path / "serial", jobs=1, dump_memory=True)
+    serial = _tree_bytes(tmp_path / "serial")
+    assert len([name for name in serial if name.startswith("memory/")]) == 10
+    assert all(serial[name] for name in serial)
+    for jobs in (2, 4):
+        run_matrix(cfg, tmp_path / f"parallel{jobs}", jobs=jobs, dump_memory=True)
+        assert _tree_bytes(tmp_path / f"parallel{jobs}") == serial
+
+
+def test_run_matrix_pool_is_sized_to_units_and_reaped(tmp_path, fixtures_dir, monkeypatch):
+    tasks_raw = json.loads((fixtures_dir / "tasks" / "toy_sql_demo.json").read_text())
+    two_tasks = tmp_path / "two_tasks.json"
+    two_tasks.write_text(json.dumps({**tasks_raw, "tasks": tasks_raw["tasks"][:2]}))
+    cfg = load_matrix_config(_one_sql_cell_config(tmp_path, fixtures_dir, fixtures=two_tasks))
+    sizes = []
+
+    class SpyExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyExecutor)
+    manifest = run_matrix(cfg, tmp_path / "out", jobs=8)
+    assert sizes == [2]
+    assert manifest["cells"]["a"]["n_tasks"] == 2
+    assert multiprocessing.active_children() == []
+
+
+def _tree_bytes(root) -> dict[str, bytes]:
+    """Relative path -> bytes of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def test_run_matrix_dump_memory_writes_the_stores_used(tmp_path, monkeypatch):
@@ -358,13 +457,13 @@ DEMO_REPORT_SHA256 = "9a94fee7596962279399cd6ddba853e83460465a9de3e86716dea0cc4c
 
 def _tree_sha256(root) -> str:
     h = hashlib.sha256()
-    files = {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
-    for rel in sorted(files):
-        h.update(rel.encode("utf-8") + b"\0" + files[rel].read_bytes())
+    for rel, data in sorted(_tree_bytes(root).items()):
+        h.update(rel.encode("utf-8") + b"\0" + data)
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+# jobs=3 splits the units unevenly over an odd number of workers
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_demo_run_directory_and_report_are_byte_pinned(tmp_path, demo_config_path, jobs):
     out, report = tmp_path / "run", tmp_path / "report.txt"
     assert main(["run", str(demo_config_path), "--out", str(out), "--jobs", str(jobs)]) == 0
