@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import os
 import re
+import sys
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -51,6 +51,9 @@ from .search import (
 )
 
 log = logging.getLogger(__name__)
+
+# first wait of a remote policy's 429/503/transport retry; it doubles per retry
+RETRY_DELAY_S = 1.0
 
 GLYPH_NON_SERIALIZABLE = "---"
 GLYPH_STRUCTURAL = "∅"  # empty-set sign
@@ -218,15 +221,6 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
             )
         except (KeyError, OSError, json.JSONDecodeError, ValueError) as exc:
             raise MatrixConfigError(f"{where}: {exc}") from exc
-        delay = policy_raw.get("retry_delay", 0.0) if isinstance(policy_raw, dict) else 0.0
-        if (
-            isinstance(delay, bool)
-            or not isinstance(delay, (int, float))
-            or not 0 <= delay < math.inf
-        ):
-            raise MatrixConfigError(
-                f"{where}: policy retry_delay must be a finite number >= 0, got {delay!r}"
-            )
         if bench.benchmark_id != name:
             raise MatrixConfigError(
                 f"{where}: fixture file declares benchmark '{bench.benchmark_id}'"
@@ -307,7 +301,7 @@ def _build_models(spec: BenchmarkSpec, dim: int, telemetry: Telemetry):
                 api_key=api_key,
                 role="policy",
                 max_retries=int(policy_raw.get("max_retries", 3)),
-                retry_delay=float(policy_raw.get("retry_delay", 0.0)),
+                retry_delay=RETRY_DELAY_S,
             ),
             telemetry,
         )
@@ -443,13 +437,9 @@ def _run_units(
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork hands the loaded config to the workers without pickling it; where
-    # it is not offered, the platform default gives the same bytes, slower
-    context = (
-        multiprocessing.get_context("fork")
-        if "fork" in multiprocessing.get_all_start_methods()
-        else None
-    )
+    # on Linux, fork hands the loaded config to the workers without pickling
+    # it; elsewhere the platform default (spawn) gives the same bytes, slower
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
     with ProcessPoolExecutor(
         max_workers=min(jobs, len(units)),
         mp_context=context,
@@ -473,8 +463,11 @@ def run_matrix(
 
     The admissible cells' (cell, task) units form one queue.  With jobs <= 1
     it runs in this process; with jobs > 1 it runs on up to `jobs` worker
-    processes, which are forked where the platform offers it: call it from a
-    process with no other threads running.
+    processes.  On Linux they are forked, so no other Python thread of the
+    caller may hold a lock at that moment (native threads such as OpenBLAS's
+    are fork-safe through their atfork handlers); Python 3.12+ warns on such
+    forks.  Elsewhere they start with the platform default.  Only Linux on
+    Python 3.11 has been run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
