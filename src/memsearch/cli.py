@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an = sub.add_parser("analyze", help="aggregate a finished run directory")
     p_an.add_argument("out_dir", help="directory produced by 'run'")
     p_an.add_argument("--baseline", default="none", help="memory label to compare against")
-    p_an.add_argument("--q", type=float, default=0.05, help="BH false discovery rate")
+    p_an.add_argument("--q", type=float, default=0.05, help="BH false discovery rate, in (0, 1]")
     p_an.add_argument(
         "--rule",
         choices=["pass_at_n", "selected"],
@@ -91,6 +91,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    if not 0.0 < args.q <= 1.0:
+        print("error: --q must lie in (0, 1]", file=sys.stderr)
+        return EXIT_CONFIG
     analysis = analyze_run(args.out_dir, baseline=args.baseline, q=args.q, rule=args.rule)
     report = emit_matrix_report(analysis)
     if args.report_out:

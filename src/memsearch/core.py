@@ -173,6 +173,7 @@ _SECTION_ORDER = (Abstraction.FACT, Abstraction.REFLECTION, Abstraction.RAW)
 class ContextBundle:
     units: tuple[ContextUnit, ...]
     rendered: str
+    fingerprint: str  # of rendered; computed once, in render_bundle
 
     @property
     def is_empty(self) -> bool:
@@ -186,7 +187,8 @@ def render_bundle(units: Iterable[ContextUnit]) -> ContextBundle:
     source_iteration (insertion order breaks ties), then ephemeral units in
     insertion order.  The rendered text groups units into labeled sections
     in the fixed order FACTS:, REFLECTIONS:, SIBLINGS:; empty sections are
-    omitted and an empty unit list renders as the empty string.
+    omitted and an empty unit list renders as the empty string.  This is the
+    one place a bundle's fingerprint is computed.
     """
     units = list(units)
     persistent = [u for u in units if u.persistent]
@@ -202,7 +204,8 @@ def render_bundle(units: Iterable[ContextUnit]) -> ContextBundle:
         lines = [_SECTION_LABELS[section]]
         lines.extend(f"- {u.body}" for u in members)
         blocks.append("\n".join(lines))
-    return ContextBundle(units=ordered, rendered="\n".join(blocks))
+    rendered = "\n".join(blocks)
+    return ContextBundle(units=ordered, rendered=rendered, fingerprint=fingerprint(rendered))
 
 
 EMPTY_BUNDLE = render_bundle(())
@@ -261,16 +264,6 @@ class Telemetry:
         else:
             raise ValueError(f"unknown telemetry role: {role!r}")
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "policy_calls": self.policy_calls,
-            "policy_tokens_in": self.policy_tokens_in,
-            "policy_tokens_out": self.policy_tokens_out,
-            "supervisor_calls": self.supervisor_calls,
-            "supervisor_tokens_in": self.supervisor_tokens_in,
-            "supervisor_tokens_out": self.supervisor_tokens_out,
-        }
-
 
 @dataclass(frozen=True)
 class GiveUpStats:
@@ -284,9 +277,12 @@ class GiveUpStats:
 @dataclass(frozen=True)
 class SearchRecord:
     trajectories: tuple[Trajectory, ...]
-    telemetry: Telemetry
-    final_answer: str | None
+    selected: Trajectory | None  # the trajectory whose answer is submitted; None: no answer
     giveup: GiveUpStats | None = None
+
+    @property
+    def final_answer(self) -> str | None:
+        return self.selected.answer() if self.selected is not None else None
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 Three worlds cover the serializability axis: a read-only tabular world and
 a knowledge-graph world that both support fork() through one shared
 read-only base, and a scripted shell whose state mutates in place and
-cannot be forked.  Each environment class's ``serializable`` attribute is
-the single record of that axis; ENV_CLASSES maps env ids to the classes,
-and the experiment matrix reads it from there.  Gold answers live behind
-the Grader, which only the experiment runner holds; tasks handed to search
-code carry no gold and no grading hook.
+cannot be forked.  All three share one reset check and step dispatch.
+Each environment class's ``serializable`` attribute is the single record
+of that axis; ENV_CLASSES maps env ids to the classes, and the experiment
+matrix reads it from there.  Gold answers live behind the Grader, which
+only the experiment runner holds; tasks handed to search code carry no
+gold and no grading hook.
 """
 
 from __future__ import annotations
@@ -152,19 +153,18 @@ def _eval_query(tables: dict, expr) -> str:
 # environments
 
 
-class _ReadOnlyWorldEnv:
-    """Shared plumbing of the read-only worlds.
+class _WorldEnv:
+    """Shared step dispatch of every world.
 
-    A world never changes, so the immutable state handle is already a
-    snapshot and fork() just copies it.  reset, the world lookup behind each
-    handle, FINAL_ANSWER and unknown tools are handled here; a subclass
-    names its world's key and answers its own tools in _call_tool, returning
-    None for a tool it does not have.
+    reset's unknown-task check, FINAL_ANSWER, unknown tools and the depth
+    count are handled here.  A subclass opens a task's state in _open, finds
+    the world behind a handle in _world (EnvError for a stale handle) and
+    answers its own tools in _call_tool, returning None for a tool it does
+    not have.
     """
 
     env_id: str
-    world_key: str
-    serializable = True
+    serializable: bool
 
     def __init__(self, worlds: dict[str, dict]):
         self._worlds = worlds
@@ -172,14 +172,7 @@ class _ReadOnlyWorldEnv:
     def reset(self, task: Task) -> StateHandle:
         if task.task_id not in self._worlds:
             raise EnvError(f"unknown task '{task.task_id}' for {self.env_id}")
-        return StateHandle(env_id=f"{self.env_id}/{task.task_id}", snapshot_token="ro", depth=0)
-
-    def _world(self, state: StateHandle) -> dict:
-        task_id = state.env_id.split("/", 1)[1]
-        try:
-            return self._worlds[task_id][self.world_key]
-        except KeyError as exc:
-            raise EnvError(f"stale state handle {state.env_id}") from exc
+        return self._open(task.task_id)
 
     def step(self, state: StateHandle, action: Action) -> tuple[StateHandle, Observation]:
         world = self._world(state)
@@ -192,8 +185,23 @@ class _ReadOnlyWorldEnv:
                 obs = _err(tool, f"unknown tool '{tool}'")
         return replace(state, depth=state.depth + 1), obs
 
-    def _call_tool(self, world: dict, tool: str, args: str) -> Observation | None:
-        raise NotImplementedError
+
+class _ReadOnlyWorldEnv(_WorldEnv):
+    """A world that never changes, so the immutable state handle is already a
+    snapshot and fork() just copies it.  A subclass names its world's key."""
+
+    world_key: str
+    serializable = True
+
+    def _open(self, task_id: str) -> StateHandle:
+        return StateHandle(env_id=f"{self.env_id}/{task_id}", snapshot_token="ro", depth=0)
+
+    def _world(self, state: StateHandle) -> dict:
+        task_id = state.env_id.partition("/")[2]
+        try:
+            return self._worlds[task_id][self.world_key]
+        except KeyError as exc:
+            raise EnvError(f"stale state handle {state.env_id}") from exc
 
     def fork(self, state: StateHandle) -> StateHandle:
         return replace(state)
@@ -242,39 +250,31 @@ class ToyKgEnv(_ReadOnlyWorldEnv):
         return None
 
 
-class ScriptedShellEnv:
+class ScriptedShellEnv(_WorldEnv):
     """Mutable key-value shell.  State lives server-side; fork is unsupported."""
 
     env_id = "scripted_shell"
     serializable = False
 
     def __init__(self, worlds: dict[str, dict]):
-        self._worlds = worlds
+        super().__init__(worlds)
         self._sessions: dict[str, dict[str, str]] = {}
         self._counter = 0
 
-    def reset(self, task: Task) -> StateHandle:
-        if task.task_id not in self._worlds:
-            raise EnvError(f"unknown task '{task.task_id}' for {self.env_id}")
+    def _open(self, task_id: str) -> StateHandle:
         self._counter += 1
-        session = f"{self.env_id}/{task.task_id}#{self._counter}"
-        self._sessions[session] = dict(self._worlds[task.task_id]["files"])
+        session = f"{self.env_id}/{task_id}#{self._counter}"
+        self._sessions[session] = dict(self._worlds[task_id]["files"])
         return StateHandle(env_id=session, snapshot_token=None, depth=0)
 
-    def step(self, state: StateHandle, action: Action) -> tuple[StateHandle, Observation]:
+    def _world(self, state: StateHandle) -> dict[str, str]:
         if state.env_id not in self._sessions:
             raise EnvError(f"stale state handle {state.env_id}")
-        files = self._sessions[state.env_id]
-        tool = action.tool_name
-        if tool == "RUN":
-            obs = self._run(files, action.arguments.strip())
-        elif tool == FINAL_ANSWER:
-            obs = Observation(content="", is_error=False, tool_name=FINAL_ANSWER)
-        else:
-            obs = _err(tool, f"unknown tool '{tool}'")
-        return replace(state, depth=state.depth + 1), obs
+        return self._sessions[state.env_id]
 
-    def _run(self, files: dict[str, str], command: str) -> Observation:
+    def _call_tool(self, files: dict[str, str], tool: str, command: str) -> Observation | None:
+        if tool != "RUN":
+            return None
         parts = command.split(None, 2)
         if not parts:
             return _err("RUN", "empty command")

@@ -27,7 +27,7 @@ from .augmentors import (
     compose,
     normalize_for_method,
 )
-from .core import PricingTable, Task, Telemetry, TerminalKind, Trajectory, stable_hash
+from .core import PricingTable, Task, Telemetry, stable_hash
 from .envs import ENV_CLASSES, Benchmark, load_benchmark
 from .models import (
     MIN_EMBED_DIM,
@@ -41,14 +41,7 @@ from .models import (
     ScriptedPolicyConfig,
     ScriptedRewardModel,
 )
-from .search import (
-    BackpropMode,
-    ExpansionMode,
-    SearchConfig,
-    SearchMethod,
-    SearchRecord,
-    run_search,
-)
+from .search import BackpropMode, ExpansionMode, SearchConfig, SearchMethod, run_search
 
 log = logging.getLogger(__name__)
 
@@ -74,9 +67,19 @@ class AdmissibilityReason(str, Enum):
 
 @dataclass(frozen=True)
 class Admissibility:
-    admissible: bool
     reason: AdmissibilityReason
-    glyph: str = ""
+
+    @property
+    def admissible(self) -> bool:
+        return self.reason is AdmissibilityReason.OK
+
+    @property
+    def glyph(self) -> str:
+        if self.admissible:
+            return ""
+        if self.reason is AdmissibilityReason.NON_SERIALIZABLE:
+            return GLYPH_NON_SERIALIZABLE
+        return GLYPH_STRUCTURAL
 
 
 @dataclass(frozen=True)
@@ -98,27 +101,23 @@ def check_admissible(cell: ExperimentCell) -> Admissibility:
     """Decide whether a cell can run at all.  Never raises."""
     kinds = [c.kind for c in cell.memory if c.kind is not AugmentorKind.NONE]
     if len(set(kinds)) != len(kinds):
-        return Admissibility(False, AdmissibilityReason.DUPLICATE_AUGMENTOR, GLYPH_STRUCTURAL)
+        return Admissibility(AdmissibilityReason.DUPLICATE_AUGMENTOR)
     env_cls = ENV_CLASSES.get(cell.env)
     if env_cls is None:
-        return Admissibility(False, AdmissibilityReason.UNKNOWN_ENV, GLYPH_STRUCTURAL)
+        return Admissibility(AdmissibilityReason.UNKNOWN_ENV)
     method = cell.search.method
     if method in (SearchMethod.BEAM, SearchMethod.MCTS) and not env_cls.serializable:
-        return Admissibility(False, AdmissibilityReason.NON_SERIALIZABLE, GLYPH_NON_SERIALIZABLE)
+        return Admissibility(AdmissibilityReason.NON_SERIALIZABLE)
     if AugmentorKind.RAW_SIBLING in kinds and method is SearchMethod.BEST_OF_N:
         # sibling context only exists when a node expands multiple candidates
-        return Admissibility(
-            False, AdmissibilityReason.CROSS_SIBLING_NEEDS_EXPANSION, GLYPH_STRUCTURAL
-        )
+        return Admissibility(AdmissibilityReason.CROSS_SIBLING_NEEDS_EXPANSION)
     if method is SearchMethod.BEAM and (
         AugmentorKind.REFLECTION in kinds or AugmentorKind.FACT in kinds
     ):
         # a single round never revisits the task, so nothing persists into a
         # later trajectory
-        return Admissibility(
-            False, AdmissibilityReason.CROSS_TRAJECTORY_NEEDS_ITERATIONS, GLYPH_STRUCTURAL
-        )
-    return Admissibility(True, AdmissibilityReason.OK)
+        return Admissibility(AdmissibilityReason.CROSS_TRAJECTORY_NEEDS_ITERATIONS)
+    return Admissibility(AdmissibilityReason.OK)
 
 
 # ---------------------------------------------------------------------------
@@ -166,33 +165,30 @@ def _parse_memory(raw, where: str) -> tuple[AugmentorConfig, ...]:
     return tuple(configs)
 
 
-_SEARCH_KEYS = {
-    "method",
-    "n_budget",
-    "beam_width",
-    "n_actions",
-    "n_iters",
-    "w_exp",
-    "max_depth",
-    "rollout_depth",
-    "backprop",
-    "decay_gamma",
-    "temperature",
-    "expansion",
-}
+# expansion is no key: _run_cell_task derives it from the cell's memory
+_INT_SEARCH_KEYS = ("n_budget", "beam_width", "n_actions", "n_iters", "max_depth", "rollout_depth")
+_SEARCH_KEYS = {"method", "w_exp", "backprop", "decay_gamma", "temperature", *_INT_SEARCH_KEYS}
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not one here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _parse_search(raw: dict, where: str) -> SearchConfig:
     unknown = set(raw) - _SEARCH_KEYS
     if unknown:
         raise MatrixConfigError(f"{where}: unknown search keys {sorted(unknown)}")
+    for key in _INT_SEARCH_KEYS:
+        if key in raw and not _is_int(raw[key]):
+            raise MatrixConfigError(
+                f"{where}: bad search config: {key} must be an integer, got {raw[key]!r}"
+            )
     try:
         kwargs = dict(raw)
         kwargs["method"] = SearchMethod(raw["method"])
         if "backprop" in kwargs:
             kwargs["backprop"] = BackpropMode(kwargs["backprop"])
-        if "expansion" in kwargs:
-            kwargs["expansion"] = ExpansionMode(kwargs["expansion"])
         return SearchConfig(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixConfigError(f"{where}: bad search config: {exc}") from exc
@@ -246,10 +242,9 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
         bench_name = entry.get("benchmark")
         if bench_name not in benchmarks:
             raise MatrixConfigError(f"{where}: unknown benchmark {bench_name!r}")
-        try:
-            seed = int(entry.get("seed", 0))
-        except (TypeError, ValueError) as exc:
-            raise MatrixConfigError(f"{where}: bad seed {entry.get('seed')!r}") from exc
+        seed = entry.get("seed", 0)
+        if not _is_int(seed):
+            raise MatrixConfigError(f"{where}: bad seed {seed!r}")
         cells.append(
             ExperimentCell(
                 cell_id=cell_id,
@@ -313,13 +308,6 @@ def _build_models(spec: BenchmarkSpec, dim: int, telemetry: Telemetry):
     return policy, prm, aug_model, HashEmbedder(dim)
 
 
-def _selected_trajectory(record: SearchRecord) -> Trajectory | None:
-    finished = [t for t in record.trajectories if t.answer() is not None]
-    if record.final_answer is None or not finished:
-        return None
-    return max(finished, key=lambda t: t.trajectory_score)
-
-
 def _run_cell_task(
     cfg: MatrixConfig,
     cell: ExperimentCell,
@@ -332,25 +320,17 @@ def _run_cell_task(
     env = spec.benchmark.make_env()
     memory = normalize_for_method(cell.memory, cell.search.method.value)
     composite = compose(memory, model=aug_model, embedder=embedder)
-    search_cfg = cell.search
-    if composite.wants_siblings and search_cfg.method is not SearchMethod.BEST_OF_N:
-        search_cfg = replace(search_cfg, expansion=ExpansionMode.INTERLEAVED)
+    # the memory alone decides the expansion, so the memory label says what prompts carried
+    interleaved = composite.wants_siblings and cell.search.method is not SearchMethod.BEST_OF_N
+    expansion = ExpansionMode.INTERLEAVED if interleaved else ExpansionMode.BATCH
+    search_cfg = replace(cell.search, expansion=expansion)
 
-    record = run_search(
-        task,
-        env,
-        policy,
-        composite,
-        search_cfg,
-        seed=task_seed(cell.seed, task.task_id),
-        prm=prm,
-        telemetry=telemetry,
-    )
+    seed = task_seed(cell.seed, task.task_id)
+    record = run_search(task, env, policy, composite, search_cfg, seed=seed, prm=prm)
 
     grader = spec.benchmark.grader()  # grading happens offline, after the search
     if search_cfg.method is SearchMethod.BEAM:
-        selected = _selected_trajectory(record)
-        skip_src = [selected] if selected is not None else list(record.trajectories[:1])
+        skip_src = [record.selected] if record.selected else list(record.trajectories[:1])
         verdicts = [grader.grade(task.task_id, record.final_answer)]
         lengths = [len(t.steps) for t in skip_src]
     else:
@@ -377,7 +357,7 @@ def _run_cell_task(
         "trajectory_lengths": lengths,
         "terminal_kinds": [t.terminal_kind.value for t in record.trajectories],
         "discovery_skipped": discovery_skipped,
-        "telemetry": record.telemetry.as_dict(),
+        "telemetry": asdict(telemetry),
         "giveup": asdict(record.giveup) if record.giveup else None,
     }
 

@@ -27,7 +27,6 @@ from .core import (
     Step,
     Task,
     Telemetry,
-    fingerprint,
     stable_hash,
     trajectory_text,
 )
@@ -131,17 +130,16 @@ class ScriptedPolicy:
         self.config = config
         self.telemetry = telemetry
 
-    def _pick_rule(self, step_index: int, rendered: str) -> PolicyRule | None:
-        fp = fingerprint(rendered)
+    def _pick_rule(self, step_index: int, bundle: ContextBundle) -> PolicyRule | None:
         best: tuple[int, int] | None = None
         best_rule: PolicyRule | None = None
         for pos, rule in enumerate(self.config.rules):
             if rule.step != step_index:
                 continue
             kind = _match_kind(rule.match)
-            if kind == 0 and rule.match[3:] != fp:
+            if kind == 0 and rule.match[3:] != bundle.fingerprint:
                 continue
-            if kind == 1 and rule.match[len("contains:"):] not in rendered:
+            if kind == 1 and rule.match[len("contains:"):] not in bundle.rendered:
                 continue
             key = (kind, pos)
             if best is None or key < best:
@@ -171,7 +169,7 @@ class ScriptedPolicy:
             + sum(_count_tokens(s.action.raw_text) + _count_tokens(s.observation.content) for s in prefix)
         )
         step_index = len(prefix)
-        rule = self._pick_rule(step_index, bundle.rendered)
+        rule = self._pick_rule(step_index, bundle)
         if rule is None:
             action = self._apology()
         else:
@@ -208,7 +206,7 @@ class ScriptedPolicy:
             best = max(range(len(weights)), key=weights.__getitem__)
             template = templates[best]
         else:
-            rng = random.Random(stable_hash("sample", seed, step_index, fingerprint(bundle.rendered)))
+            rng = random.Random(stable_hash("sample", seed, step_index, bundle.fingerprint))
             template = rng.choices(templates, weights=weights, k=1)[0]
         filled = self._fill(template, task, prefix)
         tool, _, args = filled.partition("|")

@@ -25,12 +25,10 @@ from .core import (
     StateHandle,
     Step,
     Task,
-    Telemetry,
     TerminalKind,
     Trajectory,
     aggregate_score,
     clamp01,
-    fingerprint,
     stable_hash,
 )
 from .envs import Environment
@@ -118,6 +116,14 @@ def _trajectory(
     return Trajectory(tuple(steps), kind, aggregate_score(steps), iteration, tuple(fps))
 
 
+def _record(
+    trajectories: Sequence[Trajectory], best: Trajectory | None, giveup: GiveUpStats | None = None
+) -> SearchRecord:
+    """The one place the submitted trajectory is chosen: the best one, if it answered."""
+    selected = best if best is not None and best.answer() is not None else None
+    return SearchRecord(tuple(trajectories), selected, giveup)
+
+
 def _scored_step(
     action: Action,
     observation,
@@ -168,7 +174,6 @@ def expand(
     out: list[Candidate] = []
     if config.expansion is ExpansionMode.BATCH:
         bundle = composite.retrieve()
-        fp = fingerprint(bundle.rendered)
         actions = [
             policy.sample(
                 task, prefix, bundle, config.temperature, stable_hash(*seed_salt, "cand", i)
@@ -177,7 +182,8 @@ def expand(
         ]
         for action in actions:
             state, obs = env.step(env.fork(parent_state), action)
-            out.append(Candidate(_scored_step(action, obs, prm, task, prefix), state, fp))
+            step = _scored_step(action, obs, prm, task, prefix)
+            out.append(Candidate(step, state, bundle.fingerprint))
         for cand in out:
             composite.on_step(cand.step, iteration)
     else:
@@ -191,7 +197,7 @@ def expand(
             step = _scored_step(action, obs, prm, task, prefix)
             executed.append(step)
             composite.on_step(step, iteration)
-            out.append(Candidate(step, state, fingerprint(bundle.rendered)))
+            out.append(Candidate(step, state, bundle.fingerprint))
     return out
 
 
@@ -221,7 +227,7 @@ def _linear_rollout(
         state, obs = env.step(state, action)
         step = _scored_step(action, obs, prm, task, steps)
         steps.append(step)
-        fps.append(fingerprint(bundle.rendered))
+        fps.append(bundle.fingerprint)
         composite.on_step(step, iteration)
         if action.is_final:
             break
@@ -236,7 +242,6 @@ def run_best_of_n(
     config: SearchConfig,
     seed: int = 0,
     prm: RewardModel | None = None,
-    telemetry: Telemetry | None = None,
 ) -> SearchRecord:
     """Sequential independent attempts under a fixed budget.
 
@@ -252,11 +257,7 @@ def run_best_of_n(
         trajectories.append(traj)
         composite.on_trajectory(traj)
     best = max(trajectories, key=lambda t: t.trajectory_score)  # ties: earliest attempt
-    return SearchRecord(
-        trajectories=tuple(trajectories),
-        telemetry=telemetry or Telemetry(),
-        final_answer=best.answer(),
-    )
+    return _record(trajectories, best)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +279,6 @@ def run_beam(
     composite: CompositeAugmentor,
     config: SearchConfig,
     seed: int = 0,
-    telemetry: Telemetry | None = None,
 ) -> SearchRecord:
     """Single-round beam search with PRM top-B retention.
 
@@ -337,12 +337,7 @@ def run_beam(
         selected_apology=best.terminal_kind is TerminalKind.APOLOGY,
         all_apology_states=all_apology_states,
     )
-    return SearchRecord(
-        trajectories=tuple(completed),
-        telemetry=telemetry or Telemetry(),
-        final_answer=best.answer(),
-        giveup=giveup,
-    )
+    return _record(completed, best, giveup)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +435,6 @@ def run_mcts(
     composite: CompositeAugmentor,
     config: SearchConfig,
     seed: int = 0,
-    telemetry: Telemetry | None = None,
 ) -> SearchRecord:
     """UCT tree search with a fixed iteration budget.
 
@@ -521,11 +515,7 @@ def run_mcts(
 
     finished = [t for t in trajectories if t.terminal_kind is not TerminalKind.MAX_DEPTH]
     best = max(finished, key=lambda t: t.trajectory_score) if finished else None
-    return SearchRecord(
-        trajectories=tuple(trajectories),
-        telemetry=telemetry or Telemetry(),
-        final_answer=best.answer() if best else None,
-    )
+    return _record(trajectories, best)
 
 
 # ---------------------------------------------------------------------------
@@ -540,13 +530,12 @@ def run_search(
     config: SearchConfig,
     seed: int = 0,
     prm: RewardModel | None = None,
-    telemetry: Telemetry | None = None,
 ) -> SearchRecord:
     if config.method is SearchMethod.BEST_OF_N:
-        return run_best_of_n(task, env, policy, composite, config, seed, prm, telemetry)
+        return run_best_of_n(task, env, policy, composite, config, seed, prm)
     if config.method is SearchMethod.BEAM:
-        return run_beam(task, env, policy, prm, composite, config, seed, telemetry)
+        return run_beam(task, env, policy, prm, composite, config, seed)
     if config.method is SearchMethod.MCTS:
-        return run_mcts(task, env, policy, prm, composite, config, seed, telemetry)
+        return run_mcts(task, env, policy, prm, composite, config, seed)
     raise ValueError(f"unknown search method {config.method!r}")
 

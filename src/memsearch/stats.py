@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -123,6 +123,8 @@ def bh_fdr(pvalues: list[float], q: float = 0.05) -> BhResult:
     """Benjamini-Hochberg step-up: find the largest k with p_(k) <= k*q/m
     and reject every hypothesis with p <= p_(k).  Flagging by the p-value
     cutoff keeps tied p-values consistent."""
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"FDR level q={q} outside (0, 1]")
     m = len(pvalues)
     if m == 0:
         return BhResult((), (), (), 0)
@@ -250,16 +252,7 @@ def analyze_run(
             n = len(rows)
             info["accuracy"] = sum(1 for r in rows if _task_verdict(r, rule)) / n
             info["accuracy_selected"] = sum(1 for r in rows if r["selected_verdict"]) / n
-            eff = efficiency(rows, pricing)
-            info["efficiency"] = {
-                "mean_steps": eff.mean_steps,
-                "skip_rate": eff.skip_rate,
-                "policy_cost": eff.policy_cost,
-                "supervisor_cost": eff.supervisor_cost,
-                "total_cost": eff.total_cost,
-                "policy_calls": eff.policy_calls,
-                "supervisor_calls": eff.supervisor_calls,
-            }
+            info["efficiency"] = asdict(efficiency(rows, pricing))
             giveups = [r["giveup"] for r in rows if r.get("giveup")]
             if giveups:
                 info["giveup"] = {

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from memsearch.cli import main
 
 from conftest import write_mini_config
@@ -94,3 +96,10 @@ def test_analyze_selected_rule_and_q(tmp_path, capsys):
     assert main(["analyze", str(out), "--rule", "selected", "--q", "0.1"]) == 0
     report = capsys.readouterr().out
     assert "rule=selected" in report
+
+
+@pytest.mark.parametrize("q", ["0", "-1", "2", "nan"])
+def test_analyze_rejects_q_outside_unit_interval(tmp_path, capsys, q):
+    # refused before the run directory is read: a missing one would exit 1
+    assert main(["analyze", str(tmp_path / "nowhere"), "--q", q]) == 2
+    assert "--q must lie in (0, 1]" in capsys.readouterr().err

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsearch.core import (
     EMPTY_BUNDLE,
@@ -157,6 +161,39 @@ def test_render_bundle_omits_empty_sections():
     assert bundle.rendered.startswith("FACTS:")
 
 
+_LABELS = (
+    (Abstraction.FACT, "FACTS:"),
+    (Abstraction.REFLECTION, "REFLECTIONS:"),
+    (Abstraction.RAW, "SIBLINGS:"),
+)
+# (abstraction, source iteration, ephemeral); bodies are made unique per unit below
+_UNIT_SPECS = st.tuples(st.sampled_from(list(Abstraction)), st.integers(0, 4), st.booleans())
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(specs=st.lists(_UNIT_SPECS, max_size=12))
+def test_render_bundle_order_sections_and_fingerprint(specs):
+    units = [_unit(a, f"u{i}", it, ephemeral) for i, (a, it, ephemeral) in enumerate(specs)]
+    bundle = render_bundle(units)
+
+    # persistent units first, stably sorted by source_iteration; then ephemeral
+    # units in insertion order
+    persistent = [i for i, u in enumerate(units) if u.persistent]
+    persistent.sort(key=lambda i: (units[i].source_iteration, i))
+    ephemeral = [i for i, u in enumerate(units) if not u.persistent]
+    assert bundle.units == tuple(units[i] for i in persistent + ephemeral)
+
+    # sections FACTS, REFLECTIONS, SIBLINGS, each listing its units in bundle order
+    expected: list[str] = []
+    for section, label in _LABELS:
+        members = [u for u in bundle.units if u.abstraction is section]
+        if members:
+            expected += [label] + [f"- {u.body}" for u in members]
+    assert bundle.rendered.split("\n") == (expected or [""])
+
+    assert bundle.fingerprint == fingerprint(bundle.rendered)
+
+
 def test_empty_bundle():
     assert EMPTY_BUNDLE.is_empty
     assert EMPTY_BUNDLE.rendered == ""
@@ -168,7 +205,7 @@ def test_telemetry_accounting_and_cost():
     t.record("policy", 1000, 500)
     t.record("supervisor", 2000, 10)
     t.record("policy", 0, 0)
-    d = t.as_dict()
+    d = asdict(t)
     assert d["policy_calls"] == 2
     assert d["policy_tokens_in"] == 1000
     assert d["supervisor_calls"] == 1
@@ -198,10 +235,12 @@ def test_trajectory_text_format():
 
 def test_search_record_defaults():
     traj = Trajectory((_final(),), TerminalKind.ANSWERED, 1.0, 0)
-    rec = SearchRecord(trajectories=(traj,), telemetry=Telemetry(), final_answer="42")
+    rec = SearchRecord(trajectories=(traj,), selected=traj)
     assert rec.giveup is None
+    assert rec.final_answer == "42"  # the selected trajectory's answer
+    assert SearchRecord((traj,), None).final_answer is None
     stats = GiveUpStats(apology_terminals=2, selected_apology=True, all_apology_states=1)
-    rec2 = SearchRecord((traj,), Telemetry(), "42", stats)
+    rec2 = SearchRecord((traj,), traj, stats)
     assert rec2.giveup.apology_terminals == 2
 
 

@@ -169,6 +169,8 @@ def test_read_only_worlds_share_reset_dispatch_and_fork(env, task_id):
         env.reset(Task("nope", "p", (), "b", env.env_id, {}))
     with pytest.raises(EnvError, match=f"stale state handle {env.env_id}/gone"):
         env.step(StateHandle(f"{env.env_id}/gone", "ro", 0), _act(FINAL_ANSWER, "x"))
+    with pytest.raises(EnvError, match=f"stale state handle {env.env_id}$"):
+        env.step(StateHandle(env.env_id, "ro", 0), _act(FINAL_ANSWER, "x"))  # no task part
     after, obs = env.step(state, _act(FINAL_ANSWER, "x"))
     assert (after.depth, obs) == (1, Observation("", False, FINAL_ANSWER))
     _, obs = env.step(state, _act("DROP", "x"))

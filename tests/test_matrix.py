@@ -193,9 +193,61 @@ def _assert_config_error(path, message, capsys):
             r"cells\[0\]: bad reflection memory config",
         ),
         ({"seed": "one"}, r"cells\[0\]: bad seed 'one'"),
+        ({"seed": "3"}, r"cells\[0\]: bad seed '3'"),
+        ({"seed": 1.7}, r"cells\[0\]: bad seed 1\.7"),
+        ({"seed": True}, r"cells\[0\]: bad seed True"),
         ({"search": {"method": "best_of_n", "n_budget": "3"}}, r"cells\[0\]: bad search config"),
+        (
+            {"search": {"method": "best_of_n", "n_budget": 2.5}},
+            r"cells\[0\]: bad search config: n_budget must be an integer, got 2\.5",
+        ),
+        (
+            {"search": {"method": "best_of_n", "n_budget": True}},
+            r"cells\[0\]: bad search config: n_budget must be an integer, got True",
+        ),
+        (
+            {"search": {"method": "mcts", "n_actions": 1.5}},
+            r"cells\[0\]: bad search config: n_actions must be an integer, got 1\.5",
+        ),
+        (
+            {"search": {"method": "beam", "beam_width": 2.0}},
+            r"cells\[0\]: bad search config: beam_width must be an integer, got 2\.0",
+        ),
+        (
+            {"search": {"method": "mcts", "n_iters": False}},
+            r"cells\[0\]: bad search config: n_iters must be an integer, got False",
+        ),
+        (
+            {"search": {"method": "mcts", "max_depth": 4.5}},
+            r"cells\[0\]: bad search config: max_depth must be an integer, got 4\.5",
+        ),
+        (
+            {"search": {"method": "mcts", "rollout_depth": "4"}},
+            r"cells\[0\]: bad search config: rollout_depth must be an integer, got '4'",
+        ),
+        (
+            {"search": {"method": "mcts", "expansion": "interleaved"}},
+            r"cells\[0\]: unknown search keys \['expansion'\]",
+        ),
     ],
-    ids=["dedup_str", "dedup_range", "reflection_null", "seed_str", "n_budget_str"],
+    ids=[
+        "dedup_str",
+        "dedup_range",
+        "reflection_null",
+        "seed_str",
+        "seed_numeric_str",
+        "seed_float",
+        "seed_bool",
+        "n_budget_str",
+        "n_budget_float",
+        "n_budget_bool",
+        "n_actions_float",
+        "beam_width_float",
+        "n_iters_bool",
+        "max_depth_float",
+        "rollout_depth_str",
+        "expansion_key",
+    ],
 )
 def test_bad_cell_value_is_a_config_error(tmp_path, capsys, update, message):
     cell = {"id": "a", "benchmark": "toy_sql_demo", "search": {"method": "best_of_n"}, **update}
@@ -443,10 +495,11 @@ def test_run_matrix_dump_memory_writes_the_stores_used(tmp_path, monkeypatch):
 
 
 # sha256 over the sorted (relative path, NUL, bytes) of the demo run directory,
-# and of its analysis report.  An intended change of outputs updates these
-# pins and says so in CHANGES.md.
+# of its analysis report and of its `--json-out` analysis.  An intended change
+# of outputs updates these pins and says so in CHANGES.md.
 DEMO_RUN_SHA256 = "f451eb452a9f6a462aadbc8c5adf6b42b6974441034cc5a2601da13e1bc9001a"
 DEMO_REPORT_SHA256 = "9a94fee7596962279399cd6ddba853e83460465a9de3e86716dea0cc4c0057a6"
+DEMO_ANALYSIS_SHA256 = "e18384f2e5b61f90e39397a11f79dd78647e952e40f7d96b2f7c129f4ec446c3"
 
 
 def _tree_sha256(root) -> str:
@@ -459,8 +512,10 @@ def _tree_sha256(root) -> str:
 # jobs=3 splits the units unevenly over an odd number of workers
 @pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_demo_run_directory_and_report_are_byte_pinned(tmp_path, demo_config_path, jobs):
-    out, report = tmp_path / "run", tmp_path / "report.txt"
+    out, report, analysis = tmp_path / "run", tmp_path / "report.txt", tmp_path / "analysis.json"
     assert main(["run", str(demo_config_path), "--out", str(out), "--jobs", str(jobs)]) == 0
     assert _tree_sha256(out) == DEMO_RUN_SHA256
-    assert main(["analyze", str(out), "--report-out", str(report)]) == 0
+    argv = ["analyze", str(out), "--report-out", str(report), "--json-out", str(analysis)]
+    assert main(argv) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == DEMO_REPORT_SHA256
+    assert hashlib.sha256(analysis.read_bytes()).hexdigest() == DEMO_ANALYSIS_SHA256

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsearch.matrix import load_matrix_config, run_matrix
 from memsearch.stats import (
@@ -148,6 +150,26 @@ def test_bh_fdr_step_up_and_tie_consistency():
     assert res.n_rejected == 0
     with pytest.raises(ValueError):
         bh_fdr([0.5, 1.2])
+    for q in (0.0, -1.0, 2.0, math.nan):  # the FDR level must lie in (0, 1]
+        for ps in ([0.01, 0.5], []):
+            with pytest.raises(ValueError, match=r"outside \(0, 1\]"):
+                bh_fdr(ps, q=q)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    ps=st.lists(st.floats(0.0, 1.0), max_size=30),
+    q=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_bh_qvalues_are_monotone_bounded_and_not_below_p(ps, q):
+    qvalues = bh_fdr(ps, q=q).qvalues
+    assert len(qvalues) == len(ps)
+    for p_i, q_i in zip(ps, qvalues):
+        assert q_i <= 1.0
+        assert q_i >= p_i - 1e-12
+        for p_j, q_j in zip(ps, qvalues):
+            if p_i <= p_j:
+                assert q_i <= q_j  # so tied p-values get equal q-values
 
 
 def test_bh_fdr_qvalues_monotone_in_rank():
