@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import threading
@@ -248,6 +249,30 @@ def test_hash_embed_is_normalized_and_deterministic():
         hash_embed("x", dim=4)
     empty = hash_embed("")
     assert empty[0] == 1.0 and np.linalg.norm(empty) == 1.0
+
+
+@pytest.mark.parametrize(
+    "text, dim, digest",
+    [
+        ("the cat sat on the mat the cat sat", 8, "8661ba5ed9c22bd411846c7ae41d72be5e979652dccb9ce76865a7b72750a038"),
+        ("the cat sat on the mat the cat sat", 64, "f7d928a8696f9a10a02b8ce69ae496b322059a777db83208e17d96b53beefb67"),
+        ("a a a a b a b a b", 8, "9381ecc214d1eef9d54f5a49c9131e0c81101a3b585d90b41ed36b48c14c9b0f"),
+        ("a a a a b a b a b", 64, "c7b59ece32c0c6a5d1fc4b21cb6f4d6ad73a77859eb48ba138997033c6baaa7f"),
+        (
+            "Table orders has columns id, total ; table orders has columns id",
+            8,
+            "58ca35dd7909506a27774d1b143b15eb414932b66cf24892eb82d55b8f884d3f",
+        ),
+        (
+            "Table orders has columns id, total ; table orders has columns id",
+            64,
+            "6e199322359dd7eb2921a13cf54ed4bdcfb8888d8ae8942fd9712011707d23a4",
+        ),
+    ],
+)
+def test_hash_embed_pinned_bytes(text, dim, digest):
+    # repeated unigrams and bigrams; dedup decisions depend on these exact bits
+    assert hashlib.sha256(hash_embed(text, dim).tobytes()).hexdigest() == digest
 
 
 def test_hash_embedder_memoizes_read_only_arrays():
