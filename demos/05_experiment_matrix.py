@@ -27,13 +27,15 @@ for cell in config.cells:
         print(f"  refused {cell.cell_id}: {adm.glyph}  ({adm.reason.value})")
 print()
 
-out_dir = Path(tempfile.mkdtemp(prefix="matrix_demo_")) / "run"
-manifest = run_matrix(config, out_dir)
-ran = sum(1 for m in manifest["cells"].values() if m["status"] == "ok")
-print(f"ran {ran} admissible cells into {out_dir}")
-print()
+# The run lives in a temporary directory that is removed when the demo ends.
+with tempfile.TemporaryDirectory(prefix="matrix_demo_") as tmp:
+    out_dir = Path(tmp) / "run"
+    manifest = run_matrix(config, out_dir)
+    ran = sum(1 for m in manifest["cells"].values() if m["status"] == "ok")
+    print(f"ran {ran} admissible cells into {out_dir}")
+    print()
 
-# The analysis pairs each memory cell against the no-memory baseline of
-# the same benchmark and search method, task by task.
-analysis = analyze_run(out_dir, baseline="none", q=0.10)
-print(emit_matrix_report(analysis))
+    # The analysis pairs each memory cell against the no-memory baseline of
+    # the same benchmark and search method, task by task.
+    analysis = analyze_run(out_dir, baseline="none", q=0.10)
+    print(emit_matrix_report(analysis))

@@ -87,6 +87,10 @@ class MemoryStore:
     finite, is therefore re-checked with `cosine` on the two embeddings, so
     for float64 embeddings (what `hash_embed` returns) each keep/drop
     decision is the one a per-pair loop over the stored facts would make.
+
+    The rendered bundle of the stored units is kept until the next unit is
+    actually stored, so retrieval without ephemeral units renders once per
+    write, not once per policy call.
     """
 
     def __init__(self, dedup_threshold: float = DEDUP_THRESHOLD):
@@ -95,6 +99,7 @@ class MemoryStore:
         self._facts: list[ContextUnit] = []
         self._matrix = np.empty((0, 0))  # rows [:len(self._facts)] are in use
         self._norms = np.empty(0)
+        self._bundle: ContextBundle | None = None  # render_bundle(self._units), or None: stale
 
     def __len__(self) -> int:
         return len(self._units)
@@ -114,7 +119,14 @@ class MemoryStore:
                 return False
             self._append_fact(unit, vec, norm)
         self._units.append(unit)
+        self._bundle = None
         return True
+
+    def bundle(self) -> ContextBundle:
+        """The rendered bundle of the stored units, rendered again only after a store."""
+        if self._bundle is None:
+            self._bundle = render_bundle(self._units)
+        return self._bundle
 
     def _is_duplicate(self, vec: np.ndarray, norm: float) -> bool:
         n = len(self._facts)
@@ -245,6 +257,8 @@ def extract_facts(
 
 def retrieve(store: MemoryStore, ephemeral: Sequence[ContextUnit] = ()) -> ContextBundle:
     """Inject-all retrieval: every persistent unit plus the ephemeral ones."""
+    if not ephemeral:
+        return store.bundle()
     return render_bundle(list(store.units) + list(ephemeral))
 
 

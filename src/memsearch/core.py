@@ -4,6 +4,12 @@ Everything here is an immutable value object except :class:`Node` and
 :class:`Telemetry`, which are mutable by design: nodes are updated in place
 by backpropagation and telemetry counters accumulate during a run.  All
 other types are frozen dataclasses and safe to share across threads.
+
+A :class:`Step` carries the whitespace token counts of its action and
+observation, and a :class:`ContextBundle` those of its rendered text, each
+counted once when the value is built: the scripted models bill every prefix
+step and the bundle on every call, and recounting them there is quadratic
+in depth.  :func:`_count_tokens` is the one definition of a token.
 """
 
 from __future__ import annotations
@@ -36,12 +42,17 @@ class Abstraction(str, Enum):
 
 
 def stable_hash(*parts: object) -> int:
-    """Deterministic 64-bit hash of the given parts, stable across processes."""
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(repr(p).encode("utf-8"))
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest()[:8], "big")
+    """Deterministic 64-bit hash of the given parts, stable across processes.
+
+    The digest is sha256 over each part's repr followed by a 0x1f separator.
+    """
+    data = "".join([repr(p) + "\x1f" for p in parts]).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+
+
+def _count_tokens(text: str) -> int:
+    """Whitespace token count, the unit of every scripted model's billing."""
+    return len(text.split())
 
 
 def fingerprint(text: str) -> str:
@@ -98,10 +109,15 @@ class Step:
     action: Action
     observation: Observation
     reward: float | None = None
+    # token counts of action.raw_text and observation.content, set once here
+    action_tokens: int = field(init=False, compare=False, repr=False)
+    observation_tokens: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.reward is not None and not 0.0 <= self.reward <= 1.0:
             raise ValueError(f"step reward {self.reward} outside [0, 1]")
+        object.__setattr__(self, "action_tokens", _count_tokens(self.action.raw_text))
+        object.__setattr__(self, "observation_tokens", _count_tokens(self.observation.content))
 
 
 def aggregate_score(steps: Iterable[Step]) -> float:
@@ -174,6 +190,10 @@ class ContextBundle:
     units: tuple[ContextUnit, ...]
     rendered: str
     fingerprint: str  # of rendered; computed once, in render_bundle
+    tokens: int = field(init=False, compare=False, repr=False)  # of rendered, set once here
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", _count_tokens(self.rendered))
 
     @property
     def is_empty(self) -> bool:
@@ -187,28 +207,24 @@ def render_bundle(units: Iterable[ContextUnit]) -> ContextBundle:
     source_iteration (insertion order breaks ties), then ephemeral units in
     insertion order.  The rendered text groups units into labeled sections
     in the fixed order FACTS:, REFLECTIONS:, SIBLINGS:; empty sections are
-    omitted and an empty unit list renders as the empty string.  This is the
-    one place a bundle's fingerprint is computed.
+    omitted and an empty unit list renders as the empty string (it is
+    EMPTY_BUNDLE).  This is the one place a bundle's fingerprint is computed.
     """
     units = list(units)
+    if not units:
+        return EMPTY_BUNDLE
     persistent = [u for u in units if u.persistent]
     persistent.sort(key=lambda u: u.source_iteration)  # stable: ties keep insertion order
-    ephemeral = [u for u in units if not u.persistent]
-    ordered = tuple(persistent + ephemeral)
+    ordered = tuple(persistent + [u for u in units if not u.persistent])
 
-    blocks: list[str] = []
-    for section in _SECTION_ORDER:
-        members = [u for u in ordered if u.abstraction is section]
-        if not members:
-            continue
-        lines = [_SECTION_LABELS[section]]
-        lines.extend(f"- {u.body}" for u in members)
-        blocks.append("\n".join(lines))
-    rendered = "\n".join(blocks)
+    sections: dict[Abstraction, list[str]] = {a: [_SECTION_LABELS[a]] for a in _SECTION_ORDER}
+    for u in ordered:
+        sections[u.abstraction].append(f"- {u.body}")
+    rendered = "\n".join("\n".join(lines) for lines in sections.values() if len(lines) > 1)
     return ContextBundle(units=ordered, rendered=rendered, fingerprint=fingerprint(rendered))
 
 
-EMPTY_BUNDLE = render_bundle(())
+EMPTY_BUNDLE = ContextBundle(units=(), rendered="", fingerprint=fingerprint(""))
 
 
 @dataclass

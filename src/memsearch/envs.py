@@ -14,7 +14,7 @@ gold and no grading hook.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
@@ -46,6 +46,9 @@ def _ok(tool: str, content: str) -> Observation:
 
 def _err(tool: str, message: str) -> Observation:
     return Observation(content=f"ERROR: {message}", is_error=True, tool_name=tool)
+
+
+_FINAL_OBSERVATION = Observation(content="", is_error=False, tool_name=FINAL_ANSWER)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,7 @@ class _WorldEnv:
     count are handled here.  A subclass opens a task's state in _open, finds
     the world behind a handle in _world (EnvError for a stale handle) and
     answers its own tools in _call_tool, returning None for a tool it does
-    not have.
+    not have.  Tool calls go through _observe, where a subclass may memoize.
     """
 
     env_id: str
@@ -178,20 +181,40 @@ class _WorldEnv:
         world = self._world(state)
         tool = action.tool_name
         if tool == FINAL_ANSWER:
-            obs = Observation(content="", is_error=False, tool_name=FINAL_ANSWER)
+            obs = _FINAL_OBSERVATION
         else:
-            obs = self._call_tool(world, tool, action.arguments.strip())
-            if obs is None:
-                obs = _err(tool, f"unknown tool '{tool}'")
-        return replace(state, depth=state.depth + 1), obs
+            obs = self._observe(state, world, tool, action.arguments.strip())
+        return StateHandle(state.env_id, state.snapshot_token, state.depth + 1), obs
+
+    def _observe(self, state: StateHandle, world, tool: str, args: str) -> Observation:
+        obs = self._call_tool(world, tool, args)
+        return obs if obs is not None else _err(tool, f"unknown tool '{tool}'")
 
 
 class _ReadOnlyWorldEnv(_WorldEnv):
     """A world that never changes, so the immutable state handle is already a
-    snapshot and fork() just copies it.  A subclass names its world's key."""
+    snapshot and fork() returns it as is.  A subclass names its world's key.
+
+    For the same reason a tool's observation depends only on (task, tool,
+    arguments); each is computed once per env instance, errors included, and
+    shared after that (observations are immutable).  The matrix runner builds
+    one env per (cell, task) unit, so the memo holds that unit's distinct
+    calls and goes away with it.
+    """
 
     world_key: str
     serializable = True
+
+    def __init__(self, worlds: dict[str, dict]):
+        super().__init__(worlds)
+        self._observed: dict[tuple[str, str, str], Observation] = {}
+
+    def _observe(self, state: StateHandle, world, tool: str, args: str) -> Observation:
+        key = (state.env_id, tool, args)  # env_id names the task
+        obs = self._observed.get(key)
+        if obs is None:
+            obs = self._observed[key] = super()._observe(state, world, tool, args)
+        return obs
 
     def _open(self, task_id: str) -> StateHandle:
         return StateHandle(env_id=f"{self.env_id}/{task_id}", snapshot_token="ro", depth=0)
@@ -204,7 +227,7 @@ class _ReadOnlyWorldEnv(_WorldEnv):
             raise EnvError(f"stale state handle {state.env_id}") from exc
 
     def fork(self, state: StateHandle) -> StateHandle:
-        return replace(state)
+        return state
 
 
 class ToySqlEnv(_ReadOnlyWorldEnv):

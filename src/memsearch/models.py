@@ -27,6 +27,7 @@ from .core import (
     Step,
     Task,
     Telemetry,
+    _count_tokens,
     stable_hash,
     trajectory_text,
 )
@@ -42,10 +43,6 @@ class CredentialError(Exception):
 
 class TransportError(Exception):
     """The remote endpoint was unreachable after the configured retries."""
-
-
-def _count_tokens(text: str) -> int:
-    return len(text.split())
 
 
 class PolicyModel(Protocol):
@@ -129,22 +126,24 @@ class ScriptedPolicy:
     def __init__(self, config: ScriptedPolicyConfig, telemetry: Telemetry | None = None):
         self.config = config
         self.telemetry = telemetry
+        # step index -> (match kind, match operand, rule), in precedence order:
+        # by match kind, then by position in the config
+        ranked = sorted(
+            (_match_kind(rule.match), pos, rule) for pos, rule in enumerate(config.rules)
+        )
+        self._rules_at: dict[int, list[tuple[int, str, PolicyRule]]] = {}
+        for kind, _, rule in ranked:
+            operand = rule.match.partition(":")[2]
+            self._rules_at.setdefault(rule.step, []).append((kind, operand, rule))
 
     def _pick_rule(self, step_index: int, bundle: ContextBundle) -> PolicyRule | None:
-        best: tuple[int, int] | None = None
-        best_rule: PolicyRule | None = None
-        for pos, rule in enumerate(self.config.rules):
-            if rule.step != step_index:
+        for kind, operand, rule in self._rules_at.get(step_index, ()):
+            if kind == 0 and operand != bundle.fingerprint:
                 continue
-            kind = _match_kind(rule.match)
-            if kind == 0 and rule.match[3:] != bundle.fingerprint:
+            if kind == 1 and operand not in bundle.rendered:
                 continue
-            if kind == 1 and rule.match[len("contains:"):] not in bundle.rendered:
-                continue
-            key = (kind, pos)
-            if best is None or key < best:
-                best, best_rule = key, rule
-        return best_rule
+            return rule
+        return None
 
     def _fill(self, template: str, task: Task, prefix: Sequence[Step]) -> str:
         values = dict(task.meta)
@@ -163,11 +162,6 @@ class ScriptedPolicy:
     def sample(
         self, task: Task, prefix: Sequence[Step], bundle: ContextBundle, temperature: float, seed: int
     ) -> Action:
-        prompt_tokens = (
-            _count_tokens(task.prompt)
-            + _count_tokens(bundle.rendered)
-            + sum(_count_tokens(s.action.raw_text) + _count_tokens(s.observation.content) for s in prefix)
-        )
         step_index = len(prefix)
         rule = self._pick_rule(step_index, bundle)
         if rule is None:
@@ -175,6 +169,11 @@ class ScriptedPolicy:
         else:
             action = self._sample_rule(rule, task, prefix, bundle, temperature, seed, step_index)
         if self.telemetry is not None:
+            prompt_tokens = (
+                _count_tokens(task.prompt)
+                + bundle.tokens
+                + sum(s.action_tokens + s.observation_tokens for s in prefix)
+            )
             self.telemetry.record("policy", prompt_tokens, _count_tokens(action.raw_text))
         return action
 
@@ -271,9 +270,9 @@ class ScriptedRewardModel:
         if self.telemetry is not None:
             tokens_in = (
                 _count_tokens(task_prompt)
-                + sum(_count_tokens(s.action.raw_text) for s in prefix)
-                + _count_tokens(candidate.action.raw_text)
-                + _count_tokens(candidate.observation.content)
+                + sum(s.action_tokens for s in prefix)
+                + candidate.action_tokens
+                + candidate.observation_tokens
             )
             self.telemetry.record("supervisor", tokens_in, 1)
         return value
@@ -372,21 +371,29 @@ def hash_embed(text: str, dim: int = 64) -> np.ndarray:
     invariant to leading/trailing/duplicate whitespace.  Empty text maps to
     the first basis vector.
     """
+    return _feature_hash(text, dim, {})
+
+
+def _feature_hash(text: str, dim: int, features: dict[str, tuple[int, float]]) -> np.ndarray:
+    """hash_embed, with `features` as the memo of each n-gram's (index, sign) at this dim.
+
+    An n-gram is hashed on its first sighting in the memo only.  Every
+    coordinate is a sum of +-1.0 terms, exact in float64, so the vector is
+    the same bits whatever the memo holds.
+    """
     if dim < MIN_EMBED_DIM:
         raise ValueError(f"embedding dim {dim} too small, need >= {MIN_EMBED_DIM}")
     tokens = text.lower().split()
-    vec = np.zeros(dim, dtype=np.float64)
-    if not tokens:
-        vec[0] = 1.0
-        return vec
-    grams = tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]
-    for gram in grams:
-        h = stable_hash("embed", gram)
-        idx = h % dim
-        sign = 1.0 if (h >> 32) & 1 else -1.0
-        vec[idx] += sign
+    acc = [0.0] * dim
+    for gram in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
+        feature = features.get(gram)
+        if feature is None:
+            h = stable_hash("embed", gram)
+            feature = features[gram] = (h % dim, 1.0 if (h >> 32) & 1 else -1.0)
+        acc[feature[0]] += feature[1]
+    vec = np.array(acc, dtype=np.float64)
     norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
+    if norm == 0.0:  # empty text, or every feature cancelled out
         vec[0] = 1.0
         return vec
     return vec / norm
@@ -398,6 +405,8 @@ class HashEmbedder:
     The matrix runner builds one embedder per (cell, task) unit, so the memo
     lives as long as that task's memory store, and a line extracted again
     (MCTS re-extracts the same listing at every expansion) is hashed once.
+    The n-grams of new lines are memoized the same way: fact lines share most
+    of their words, and each distinct n-gram is hashed once per instance.
     Memoized arrays are read-only, so a caller cannot change what later
     callers receive.
     """
@@ -405,11 +414,12 @@ class HashEmbedder:
     def __init__(self, dim: int = 64):
         self.dim = dim
         self._memo: dict[str, np.ndarray] = {}
+        self._features: dict[str, tuple[int, float]] = {}
 
     def embed(self, text: str) -> np.ndarray:
         vec = self._memo.get(text)
         if vec is None:
-            vec = hash_embed(text, self.dim)
+            vec = _feature_hash(text, self.dim, self._features)
             vec.flags.writeable = False
             self._memo[text] = vec
         return vec

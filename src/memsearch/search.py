@@ -82,6 +82,10 @@ class SearchConfig:
     apology_markers: tuple[str, ...] = DEFAULT_APOLOGY_MARKERS
 
     def __post_init__(self) -> None:
+        for name in ("n_budget", "beam_width", "n_actions", "n_iters", "max_depth", "rollout_depth"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if min(self.n_budget, self.beam_width, self.n_actions, self.n_iters) < 1:
             raise ValueError("search widths and budgets must be at least 1")
         if not 1 <= self.max_depth <= MAX_DEPTH or not 1 <= self.rollout_depth <= MAX_DEPTH:

@@ -27,6 +27,7 @@ from memsearch.augmentors import (
     sibling_context,
 )
 from memsearch.core import (
+    EMPTY_BUNDLE,
     Abstraction,
     Action,
     ContextUnit,
@@ -36,6 +37,7 @@ from memsearch.core import (
     Telemetry,
     TerminalKind,
     Trajectory,
+    render_bundle,
 )
 from memsearch.models import HashEmbedder, ScriptedAugmentorModel, cosine, hash_embed
 
@@ -194,6 +196,35 @@ def test_retrieve_injects_everything():
     assert "REFLECTIONS:" in bundle.rendered
     assert "SIBLINGS:" in bundle.rendered
     assert len(bundle.units) == 3
+
+
+def test_retrieve_renders_again_only_after_a_store():
+    store = MemoryStore()
+    assert retrieve(store) is EMPTY_BUNDLE
+    assert store.add(_fact_unit("the table games has a column Year"))
+    first = retrieve(store)
+    assert "games has a column Year" in first.rendered
+    assert retrieve(store) is first  # nothing stored since: the same bundle
+
+    # a dropped duplicate leaves the bundle as it was
+    assert not store.add(_fact_unit("the table games has a column Year", iteration=1))
+    assert retrieve(store) is first
+
+    # a stored fact or reflection shows in the next bundle
+    assert store.add(_reflection_unit("avoid the albums table", iteration=1))
+    second = retrieve(store)
+    assert second.rendered == render_bundle(store.units).rendered
+    assert "REFLECTIONS:\n- avoid the albums table" in second.rendered
+    assert store.add(_fact_unit("platforms are PSP, Wii and DS", iteration=2))
+    third = retrieve(store)
+    assert "- platforms are PSP, Wii and DS" in third.rendered
+    assert third.fingerprint != second.fingerprint
+
+    # sibling units still render, after the persistent block
+    with_siblings = retrieve(store, sibling_context([_step(content="one row")]))
+    assert with_siblings.rendered.startswith(third.rendered + "\nSIBLINGS:\n- tried QUERY|x")
+    assert with_siblings.units == third.units + tuple(sibling_context([_step(content="one row")]))
+    assert retrieve(store) is third
 
 
 def test_composite_rejects_duplicates_and_missing_models():

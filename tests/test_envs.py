@@ -125,6 +125,29 @@ class TestToySql:
         assert a.content != b.content
 
 
+def test_read_only_world_repeats_observations_per_task():
+    other = {"tables": {"games": {"columns": ["Platform"], "rows": [["GBA"]]}}}
+    env = ToySqlEnv({**SQL_WORLD, "t2": other})
+    first, second = env.reset(_sql_task("t1")), env.reset(_sql_task("t2"))
+    ok_query = _act("QUERY", "(project Platform games)")
+    bad_query = _act("QUERY", "(project Platform (where (eq Developer x) nowhere))")
+
+    _, ok = env.step(first, ok_query)
+    _, bad = env.step(first, bad_query)
+    assert ok.content == "PSP, Wii, DS" and not ok.is_error
+    assert bad.is_error and "no such table 'nowhere'" in bad.content
+    deeper, _ = env.step(first, _act("LIST_TABLES"))
+    assert env.step(deeper, ok_query) == (StateHandle(deeper.env_id, "ro", 2), ok)
+    assert env.step(env.fork(first), _act("QUERY", "  (project Platform games) "))[1] == ok
+    assert env.step(first, bad_query)[1] is bad  # computed once per env, errors included
+
+    # the same query on another task's world answers from that world
+    assert env.step(second, ok_query)[1].content == "GBA"
+    assert env.step(second, bad_query)[1] == bad
+    assert env.step(second, ok_query)[1].content == "GBA"
+    assert env.step(first, ok_query)[1] == ok
+
+
 KG_WORLD = {
     "k1": {
         "entities": {

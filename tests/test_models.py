@@ -8,12 +8,17 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from memsearch.core import (
     EMPTY_BUNDLE,
     FINAL_ANSWER,
+    Abstraction,
     Action,
+    ContextUnit,
     Observation,
+    Scope,
     Step,
     Task,
     Telemetry,
@@ -153,6 +158,52 @@ def test_policy_telemetry_counts_whitespace_tokens():
     assert telemetry.policy_calls == 1
     assert telemetry.policy_tokens_in == len(TASK.prompt.split())
     assert telemetry.policy_tokens_out == 2  # "QUERY|one two" splits on whitespace
+
+
+_WORDS = st.text(alphabet="ab |\t\n", max_size=12)
+
+
+def words(text: str) -> int:
+    return len(text.split())
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    prefix=st.lists(st.tuples(_WORDS, _WORDS, st.booleans()), max_size=6),
+    bundle_bodies=st.lists(st.text(alphabet="xy \n", min_size=1, max_size=8), max_size=3),
+    cand=st.tuples(_WORDS, _WORDS),
+)
+def test_model_token_counts_match_a_whitespace_recount(prefix, bundle_bodies, cand):
+    # token counts carried on Step and ContextBundle must bill what a recount of the texts bills
+    steps = [
+        Step(Action("QUERY", a, f"QUERY|{a}"), Observation(f"obs {o}", err, "QUERY"))
+        for a, o, err in prefix
+    ]
+    bundle = render_bundle(
+        ContextUnit(Scope.CROSS_TRAJECTORY, Abstraction.REFLECTION, body, 0, persistent=True)
+        for body in bundle_bodies
+    )
+    candidate = Step(
+        Action("QUERY", cand[0], f"QUERY|{cand[0]}"), Observation(f"obs {cand[1]}", False, "QUERY")
+    )
+
+    telemetry = Telemetry()
+    raw = {"rules": [{"step": len(steps), "candidates": {"QUERY|one two": 1.0}}]}
+    action = _policy(raw, telemetry).sample(TASK, steps, bundle, 0.0, 0)
+    assert telemetry.policy_tokens_in == (
+        words(TASK.prompt)
+        + words(bundle.rendered)
+        + sum(words(s.action.raw_text) + words(s.observation.content) for s in steps)
+    )
+    assert telemetry.policy_tokens_out == words(action.raw_text)
+
+    ScriptedRewardModel([], 0.5, telemetry).score(TASK.prompt, steps, candidate)
+    assert telemetry.supervisor_tokens_in == (
+        words(TASK.prompt)
+        + sum(words(s.action.raw_text) for s in steps)
+        + words(candidate.action.raw_text)
+        + words(candidate.observation.content)
+    )
 
 
 def test_reward_rules_first_match_and_default():

@@ -100,6 +100,16 @@ def test_search_config_defaults_and_validation():
     SearchConfig(method=SearchMethod.BEAM, expansion=ExpansionMode.INTERLEAVED)
 
 
+@pytest.mark.parametrize(
+    "name", ["n_budget", "beam_width", "n_actions", "n_iters", "max_depth", "rollout_depth"]
+)
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True, None])
+def test_search_config_requires_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SearchConfig(method=SearchMethod.BEST_OF_N, **{name: value})
+    assert getattr(SearchConfig(method=SearchMethod.BEST_OF_N, **{name: 3}), name) == 3
+
+
 def test_is_apology_markers():
     def final(text):
         return Action(FINAL_ANSWER, text, f"{FINAL_ANSWER}|{text}")
