@@ -519,3 +519,29 @@ def test_demo_run_directory_and_report_are_byte_pinned(tmp_path, demo_config_pat
     assert main(argv) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == DEMO_REPORT_SHA256
     assert hashlib.sha256(analysis.read_bytes()).hexdigest() == DEMO_ANALYSIS_SHA256
+
+
+# The demo pin covers no incremental fact extraction under expansion.  These
+# cells run it under batch expansion (mcts x fact) and under interleaved
+# expansion (every raw_sibling cell), beside a sampled beam and batch facts
+# with reflections under best-of-N.
+MIXED_EXPANSION_CELLS = [
+    ("mcts__fact", ["fact"], {"method": "mcts"}),
+    ("mcts__raw_sibling", ["raw_sibling"], {"method": "mcts"}),
+    ("mcts__fact+raw_sibling", ["fact", "raw_sibling"], {"method": "mcts"}),
+    ("beam__raw_sibling", ["raw_sibling"], {"method": "beam", "temperature": 0.7}),
+    ("bon__fact+reflection", ["fact", "reflection"], {"method": "best_of_n"}),
+]
+MIXED_EXPANSION_RUN_SHA256 = "e622ca939bde145fe6aef447591400be961a9b877132cc77f900cd41a6bf128d"
+
+
+def test_mixed_expansion_run_with_memory_dumps_is_byte_pinned(tmp_path):
+    cells = [
+        {"id": cell_id, "benchmark": "toy_sql_demo", "memory": memory, "search": search, "seed": 3}
+        for cell_id, memory, search in MIXED_EXPANSION_CELLS
+    ]
+    out = tmp_path / "run"
+    argv = ["run", str(write_mini_config(tmp_path, cells)), "--out", str(out), "--dump-memory"]
+    assert main(argv) == 0
+    assert len(list((out / "memory").iterdir())) == 10 * len(cells)
+    assert _tree_sha256(out) == MIXED_EXPANSION_RUN_SHA256

@@ -154,6 +154,27 @@ def test_expand_interleaved_sibling_counts():
     assert counts == [0, 1, 2]
 
 
+@pytest.mark.parametrize(
+    "expansion, memory, retrieves",
+    [
+        (ExpansionMode.BATCH, AugmentorKind.NONE, 1),
+        (ExpansionMode.INTERLEAVED, AugmentorKind.RAW_SIBLING, 3),
+    ],
+)
+def test_expand_retrieves_once_per_batch_and_once_per_interleaved_candidate(
+    monkeypatch, expansion, memory, retrieves
+):
+    env = ToySqlEnv(WORLD)
+    cfg = SearchConfig(method=SearchMethod.BEAM, n_actions=3, expansion=expansion)
+    composite = compose((AugmentorConfig(memory),))
+    calls = []
+    real_retrieve = composite.retrieve
+    monkeypatch.setattr(composite, "retrieve", lambda *a: calls.append(a) or real_retrieve(*a))
+    state = env.reset(TASK)
+    expand(env, TASK, state, [], _policy(STRAIGHT_POLICY), _prm(), composite, cfg, 0, ("s",))
+    assert len(calls) == retrieves
+
+
 def test_expand_fork_failure_is_admissibility_error():
     world = {"t1": {"files": {}}}
     env = ScriptedShellEnv(world)
