@@ -25,6 +25,7 @@ from .core import (
     Scope,
     Step,
     Trajectory,
+    is_number,
     render_bundle,
     step_text,
     trajectory_text,
@@ -62,6 +63,9 @@ class AugmentorConfig:
     dedup_threshold: float = DEDUP_THRESHOLD
 
     def __post_init__(self) -> None:
+        for name in ("reflection_threshold", "dedup_threshold"):
+            if not is_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not 0.0 <= self.reflection_threshold <= 1.0:
             raise ValueError("reflection threshold outside [0, 1]")
         if not 0.0 < self.dedup_threshold <= 1.0:

@@ -50,6 +50,16 @@ def stable_hash(*parts: object) -> int:
     return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
 
 
+def is_int(value: object) -> bool:
+    """A JSON integer: bool is an int subclass in Python, but not one here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """A JSON number, int or float; again not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _count_tokens(text: str) -> int:
     """Whitespace token count, the unit of every scripted model's billing."""
     return len(text.split())
@@ -251,7 +261,7 @@ class PricingTable:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+            if not is_number(value) or not value >= 0:
                 raise ValueError(f"{name} must be a non-negative number, got {value!r}")
 
 

@@ -12,12 +12,13 @@ byte-identical across runs with identical inputs.
 
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .augmentors import (
     compose,
     normalize_for_method,
 )
-from .core import PricingTable, Task, Telemetry, stable_hash
+from .core import PricingTable, Task, Telemetry, is_int, stable_hash
 from .envs import ENV_CLASSES, Benchmark, load_benchmark
 from .models import (
     MIN_EMBED_DIM,
@@ -129,11 +130,22 @@ _CELL_ID = re.compile(r"^[A-Za-z0-9_+.\-]+$")
 
 
 @dataclass(frozen=True)
+class RemotePolicySpec:
+    """A remote policy endpoint; its API key is read from `api_key_env` when a unit runs."""
+
+    chat: RemoteChatConfig
+    api_key_env: str
+
+
+@dataclass(frozen=True)
 class BenchmarkSpec:
+    """A benchmark with its scripts parsed once, at load.  The models bill no
+    telemetry; `_build_models` gives each unit copies that bill its own."""
+
     benchmark: Benchmark
-    policy_raw: dict
-    reward_raw: dict
-    augmentor_raw: dict
+    policy: ScriptedPolicy | RemotePolicySpec
+    reward: ScriptedRewardModel
+    augmentor: ScriptedAugmentorModel
     discovery_tool: str | None
 
 
@@ -145,17 +157,25 @@ class MatrixConfig:
     pricing: PricingTable
 
 
+def _shaped(value, shape: type, where: str):
+    """`value`, if it is a JSON object (shape dict) or array (shape list)."""
+    if not isinstance(value, shape):
+        kind = "an object" if shape is dict else "an array"
+        raise MatrixConfigError(f"{where} must be {kind}, got {type(value).__name__}")
+    return value
+
+
 def _parse_memory(raw, where: str) -> tuple[AugmentorConfig, ...]:
     configs = []
-    for entry in raw:
+    for entry in _shaped(raw, list, f"{where}: memory"):
         if isinstance(entry, str):
             entry = {"kind": entry}
-        kind = entry.get("kind")
+        kind = _shaped(entry, dict, f"{where}: memory entry {entry!r}").get("kind")
         if kind not in _MEMORY_KINDS:
             raise MatrixConfigError(f"{where}: unknown memory kind {kind!r}")
         try:
             kwargs = {
-                key: float(entry[key])
+                key: entry[key]
                 for key in ("reflection_threshold", "dedup_threshold")
                 if key in entry
             }
@@ -166,24 +186,13 @@ def _parse_memory(raw, where: str) -> tuple[AugmentorConfig, ...]:
 
 
 # expansion is no key: _run_cell_task derives it from the cell's memory
-_INT_SEARCH_KEYS = ("n_budget", "beam_width", "n_actions", "n_iters", "max_depth", "rollout_depth")
-_SEARCH_KEYS = {"method", "w_exp", "backprop", "decay_gamma", "temperature", *_INT_SEARCH_KEYS}
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: bool is an int subclass in Python, but not one here."""
-    return isinstance(value, int) and not isinstance(value, bool)
+_SEARCH_KEYS = {f.name for f in fields(SearchConfig)} - {"expansion"}
 
 
 def _parse_search(raw: dict, where: str) -> SearchConfig:
-    unknown = set(raw) - _SEARCH_KEYS
+    unknown = set(_shaped(raw, dict, f"{where}: search")) - _SEARCH_KEYS
     if unknown:
         raise MatrixConfigError(f"{where}: unknown search keys {sorted(unknown)}")
-    for key in _INT_SEARCH_KEYS:
-        if key in raw and not _is_int(raw[key]):
-            raise MatrixConfigError(
-                f"{where}: bad search config: {key} must be an integer, got {raw[key]!r}"
-            )
     try:
         kwargs = dict(raw)
         kwargs["method"] = SearchMethod(raw["method"])
@@ -192,6 +201,38 @@ def _parse_search(raw: dict, where: str) -> SearchConfig:
         return SearchConfig(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixConfigError(f"{where}: bad search config: {exc}") from exc
+
+
+def _parse_policy(raw: dict) -> ScriptedPolicy | RemotePolicySpec:
+    if raw.get("kind", "scripted") != "remote":
+        return ScriptedPolicy(ScriptedPolicyConfig.from_dict(raw))
+    url, model = raw["url"], raw["model"]
+    key_env, retries = raw.get("api_key_env", "MEMSEARCH_API_KEY"), raw.get("max_retries", 3)
+    if not all(isinstance(v, str) for v in (url, model, key_env)):
+        raise ConfigurationError("remote policy url, model and api_key_env must be strings")
+    if not is_int(retries) or retries < 1:
+        raise ConfigurationError(f"max_retries must be an integer >= 1, got {retries!r}")
+    chat = RemoteChatConfig(
+        url=url, model=model, role="policy", max_retries=retries, retry_delay=RETRY_DELAY_S
+    )
+    return RemotePolicySpec(chat, key_env)
+
+
+# what reading or parsing a malformed script raises (JSONDecodeError is a ValueError)
+_SCRIPT_ERRORS = (
+    AttributeError, ConfigurationError, KeyError, OSError, TypeError, ValueError, re.error
+)
+
+
+def _load_script(base: Path, spec: dict, key: str, where: str, parse):
+    """Read one of a benchmark's scripts and `parse` it; any fault in it is a config error."""
+    try:
+        script = base / spec[key]
+        raw = _shaped(json.loads(script.read_text(encoding="utf-8")), dict, f"{where}: {script}")
+        return parse(raw)
+    except _SCRIPT_ERRORS as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise MatrixConfigError(f"{where}: {key}: {detail}") from exc
 
 
 def load_matrix_config(path: str | Path) -> MatrixConfig:
@@ -205,17 +246,14 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
         raise MatrixConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
     base = path.parent
+    raw = _shaped(raw, dict, f"{path}: the config")
     benchmarks: dict[str, BenchmarkSpec] = {}
-    for name, spec in raw.get("benchmarks", {}).items():
+    for name, spec in _shaped(raw.get("benchmarks", {}), dict, f"{path}: benchmarks").items():
         where = f"{path}: benchmark '{name}'"
+        spec = _shaped(spec, dict, where)
         try:
             bench = load_benchmark(base / spec["fixtures"])
-            policy_raw = json.loads((base / spec["policy_script"]).read_text(encoding="utf-8"))
-            reward_raw = json.loads((base / spec["reward_script"]).read_text(encoding="utf-8"))
-            augmentor_raw = json.loads(
-                (base / spec["augmentor_script"]).read_text(encoding="utf-8")
-            )
-        except (KeyError, OSError, json.JSONDecodeError, ValueError) as exc:
+        except (KeyError, OSError, TypeError, ValueError) as exc:
             raise MatrixConfigError(f"{where}: {exc}") from exc
         if bench.benchmark_id != name:
             raise MatrixConfigError(
@@ -223,18 +261,20 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
             )
         benchmarks[name] = BenchmarkSpec(
             benchmark=bench,
-            policy_raw=policy_raw,
-            reward_raw=reward_raw,
-            augmentor_raw=augmentor_raw,
+            policy=_load_script(base, spec, "policy_script", where, _parse_policy),
+            reward=_load_script(base, spec, "reward_script", where, ScriptedRewardModel.from_dict),
+            augmentor=_load_script(
+                base, spec, "augmentor_script", where, ScriptedAugmentorModel.from_dict
+            ),
             discovery_tool=spec.get("discovery_tool"),
         )
 
     cells: list[ExperimentCell] = []
     seen: set[str] = set()
-    for i, entry in enumerate(raw.get("cells", ())):
+    for i, entry in enumerate(_shaped(raw.get("cells", []), list, f"{path}: cells")):
         where = f"{path}: cells[{i}]"
-        cell_id = entry.get("id")
-        if not cell_id or not _CELL_ID.match(cell_id):
+        cell_id = _shaped(entry, dict, where).get("id")
+        if not isinstance(cell_id, str) or not _CELL_ID.match(cell_id):
             raise MatrixConfigError(f"{where}: missing or unusable cell id {cell_id!r}")
         if cell_id in seen:
             raise MatrixConfigError(f"{where}: duplicate cell id '{cell_id}'")
@@ -243,14 +283,14 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
         if bench_name not in benchmarks:
             raise MatrixConfigError(f"{where}: unknown benchmark {bench_name!r}")
         seed = entry.get("seed", 0)
-        if not _is_int(seed):
+        if not is_int(seed):
             raise MatrixConfigError(f"{where}: bad seed {seed!r}")
         cells.append(
             ExperimentCell(
                 cell_id=cell_id,
                 benchmark=bench_name,
                 env=benchmarks[bench_name].benchmark.env_id,
-                memory=_parse_memory(entry.get("memory", ()), where),
+                memory=_parse_memory(entry.get("memory", []), where),
                 search=_parse_search(entry.get("search", {}), where),
                 seed=seed,
             )
@@ -259,7 +299,7 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
     if not cells:
         raise MatrixConfigError(f"{path}: config defines no cells")
     dim = raw.get("embedder_dim", 64)
-    if not isinstance(dim, int) or dim < MIN_EMBED_DIM:
+    if not is_int(dim) or dim < MIN_EMBED_DIM:
         raise MatrixConfigError(
             f"{path}: embedder_dim must be an integer >= {MIN_EMBED_DIM}, got {dim!r}"
         )
@@ -280,31 +320,28 @@ def task_seed(cell_seed: int, task_id: str) -> int:
     return stable_hash("task_seed", cell_seed, task_id)
 
 
+def _with_telemetry(model, telemetry: Telemetry):
+    """A shallow copy of a parsed scripted model that bills `telemetry`."""
+    model = copy.copy(model)
+    model.telemetry = telemetry
+    return model
+
+
 def _build_models(spec: BenchmarkSpec, dim: int, telemetry: Telemetry):
-    policy_raw = spec.policy_raw
-    if policy_raw.get("kind", "scripted") == "remote":
-        key_env = policy_raw.get("api_key_env", "MEMSEARCH_API_KEY")
+    if isinstance(spec.policy, RemotePolicySpec):
+        key_env = spec.policy.api_key_env
         api_key = os.environ.get(key_env)
         if not api_key:
             raise ConfigurationError(
                 f"remote policy requires credentials in the '{key_env}' environment variable"
             )
-        client = RemoteChatClient(
-            RemoteChatConfig(
-                url=policy_raw["url"],
-                model=policy_raw["model"],
-                api_key=api_key,
-                role="policy",
-                max_retries=int(policy_raw.get("max_retries", 3)),
-                retry_delay=RETRY_DELAY_S,
-            ),
-            telemetry,
+        policy = RemotePolicy(
+            RemoteChatClient(replace(spec.policy.chat, api_key=api_key), telemetry)
         )
-        policy = RemotePolicy(client)
     else:
-        policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(policy_raw), telemetry)
-    prm = ScriptedRewardModel.from_dict(spec.reward_raw, telemetry)
-    aug_model = ScriptedAugmentorModel.from_dict(spec.augmentor_raw, telemetry)
+        policy = _with_telemetry(spec.policy, telemetry)
+    prm = _with_telemetry(spec.reward, telemetry)
+    aug_model = _with_telemetry(spec.augmentor, telemetry)
     return policy, prm, aug_model, HashEmbedder(dim)
 
 

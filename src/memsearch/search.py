@@ -19,6 +19,7 @@ from .augmentors import CompositeAugmentor, sibling_context
 from .core import (
     MAX_DEPTH,
     Action,
+    ContextBundle,
     GiveUpStats,
     Node,
     SearchRecord,
@@ -29,6 +30,8 @@ from .core import (
     Trajectory,
     aggregate_score,
     clamp01,
+    is_int,
+    is_number,
     stable_hash,
 )
 from .envs import Environment
@@ -55,7 +58,7 @@ class AdmissibilityError(Exception):
     """The method/memory/environment combination cannot run."""
 
 
-DEFAULT_APOLOGY_MARKERS = (
+APOLOGY_MARKERS = (
     "i cannot",
     "i can't",
     "cannot find",
@@ -79,13 +82,16 @@ class SearchConfig:
     decay_gamma: float = 0.5
     temperature: float = 0.0
     expansion: ExpansionMode = ExpansionMode.BATCH
-    apology_markers: tuple[str, ...] = DEFAULT_APOLOGY_MARKERS
 
     def __post_init__(self) -> None:
         for name in ("n_budget", "beam_width", "n_actions", "n_iters", "max_depth", "rollout_depth"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("w_exp", "temperature", "decay_gamma"):
+            value = getattr(self, name)
+            if not is_number(value) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if min(self.n_budget, self.beam_width, self.n_actions, self.n_iters) < 1:
             raise ValueError("search widths and budgets must be at least 1")
         if not 1 <= self.max_depth <= MAX_DEPTH or not 1 <= self.rollout_depth <= MAX_DEPTH:
@@ -98,26 +104,35 @@ class SearchConfig:
             raise ValueError("interleaved expansion needs an expansion-based method (beam or mcts)")
 
 
-def is_apology(action: Action, markers: Sequence[str] = DEFAULT_APOLOGY_MARKERS) -> bool:
+def is_apology(action: Action) -> bool:
     if not action.is_final:
         return False
     text = action.arguments.lower()
-    return any(m in text for m in markers)
+    return any(m in text for m in APOLOGY_MARKERS)
 
 
-def _trajectory(
-    steps: Sequence[Step], fps: Sequence[str], iteration: int, markers: Sequence[str]
-) -> Trajectory:
+@dataclass(frozen=True)
+class Candidate:
+    """An executed step, the state it leads to and its bundle's fingerprint."""
+
+    step: Step
+    state: StateHandle
+    bundle_fp: str
+
+
+def _trajectory(path: Sequence[Candidate], iteration: int) -> Trajectory:
     """The one place a trajectory's terminal kind is decided: a last action
     that is not FINAL_ANSWER means the depth cap ended it."""
+    steps = tuple(c.step for c in path)
     last = steps[-1].action
     if not last.is_final:
         kind = TerminalKind.MAX_DEPTH
-    elif is_apology(last, markers):
+    elif is_apology(last):
         kind = TerminalKind.APOLOGY
     else:
         kind = TerminalKind.ANSWERED
-    return Trajectory(tuple(steps), kind, aggregate_score(steps), iteration, tuple(fps))
+    fps = tuple(c.bundle_fp for c in path)
+    return Trajectory(steps, kind, aggregate_score(steps), iteration, fps)
 
 
 def _record(
@@ -128,24 +143,29 @@ def _record(
     return SearchRecord(tuple(trajectories), selected, giveup)
 
 
-def _scored_step(
-    action: Action,
-    observation,
-    prm: RewardModel | None,
+def _take_step(
+    env: Environment,
     task: Task,
+    state: StateHandle,
     prefix: Sequence[Step],
-) -> Step:
-    if prm is None:
-        return Step(action, observation)
-    raw = prm.score(task.prompt, prefix, Step(action, observation))
-    return Step(action, observation, clamp01(raw))
-
-
-@dataclass(frozen=True)
-class Candidate:
-    step: Step
-    state: StateHandle
-    bundle_fp: str
+    policy: PolicyModel,
+    prm: RewardModel | None,
+    composite: CompositeAugmentor,
+    bundle: ContextBundle,
+    config: SearchConfig,
+    iteration: int,
+    seed: int,
+) -> Candidate:
+    """The one step every method takes: sample an action from `bundle`,
+    execute it from `state`, score it with the PRM (clamped into [0, 1];
+    unscored without a PRM) and hand it to the composite's on_step."""
+    action = policy.sample(task, prefix, bundle, config.temperature, seed)
+    state, obs = env.step(state, action)
+    step = Step(action, obs)
+    if prm is not None:
+        step = Step(action, obs, clamp01(prm.score(task.prompt, prefix, step)))
+    composite.on_step(step, iteration)
+    return Candidate(step, state, bundle.fingerprint)
 
 
 def expand(
@@ -162,46 +182,31 @@ def expand(
 ) -> list[Candidate]:
     """Sample and execute n_actions sibling candidates of one node.
 
-    BATCH: all candidates are sampled from byte-identical prompts before any
-    of them executes.  INTERLEAVED: candidates are sampled one at a time and
-    executed immediately, and candidate i's bundle carries exactly the i
-    records of its already executed siblings.  Each candidate executes in
-    its own fork of the parent state.  This is the library's one fork guard:
-    a non-serializable environment raises AdmissibilityError here, before
-    any model call (the matrix runner refuses such cells earlier still, in
-    check_admissible).
+    Candidates are sampled one at a time, and each is executed, scored and
+    written to memory (on_step) before the next is sampled.  BATCH: every
+    candidate is sampled from the one bundle retrieved before the first, so
+    all prompts are byte-identical.  INTERLEAVED: candidate i's bundle is
+    retrieved for it and carries exactly the i records of its already
+    executed siblings.  Each candidate executes in its own fork of the
+    parent state.  This is the library's one fork guard: a non-serializable
+    environment raises AdmissibilityError here, before any model call (the
+    matrix runner refuses such cells earlier still, in check_admissible).
     """
     if not env.serializable:
         raise AdmissibilityError(
             f"{env.env_id} is not serializable; {config.method.value} cannot fork"
         )
     out: list[Candidate] = []
-    if config.expansion is ExpansionMode.BATCH:
-        bundle = composite.retrieve()
-        actions = [
-            policy.sample(
-                task, prefix, bundle, config.temperature, stable_hash(*seed_salt, "cand", i)
+    for i in range(config.n_actions):
+        if i == 0 or config.expansion is ExpansionMode.INTERLEAVED:
+            bundle = composite.retrieve(sibling_context([c.step for c in out]))
+        state = env.fork(parent_state)
+        seed = stable_hash(*seed_salt, "cand", i)
+        out.append(
+            _take_step(
+                env, task, state, prefix, policy, prm, composite, bundle, config, iteration, seed
             )
-            for i in range(config.n_actions)
-        ]
-        for action in actions:
-            state, obs = env.step(env.fork(parent_state), action)
-            step = _scored_step(action, obs, prm, task, prefix)
-            out.append(Candidate(step, state, bundle.fingerprint))
-        for cand in out:
-            composite.on_step(cand.step, iteration)
-    else:
-        executed: list[Step] = []
-        for i in range(config.n_actions):
-            bundle = composite.retrieve(sibling_context(executed))
-            action = policy.sample(
-                task, prefix, bundle, config.temperature, stable_hash(*seed_salt, "cand", i)
-            )
-            state, obs = env.step(env.fork(parent_state), action)
-            step = _scored_step(action, obs, prm, task, prefix)
-            executed.append(step)
-            composite.on_step(step, iteration)
-            out.append(Candidate(step, state, bundle.fingerprint))
+        )
     return out
 
 
@@ -218,24 +223,21 @@ def _linear_rollout(
     config: SearchConfig,
     iteration: int,
     seed: int,
-    salt: str,
 ) -> Trajectory:
     state = env.reset(task)
-    steps: list[Step] = []
-    fps: list[str] = []
+    path: list[Candidate] = []
     for depth in range(config.max_depth):
+        prefix = [c.step for c in path]
         bundle = composite.retrieve()
-        action = policy.sample(
-            task, steps, bundle, config.temperature, stable_hash(seed, salt, iteration, depth)
+        step_seed = stable_hash(seed, "bon", iteration, depth)
+        cand = _take_step(
+            env, task, state, prefix, policy, prm, composite, bundle, config, iteration, step_seed
         )
-        state, obs = env.step(state, action)
-        step = _scored_step(action, obs, prm, task, steps)
-        steps.append(step)
-        fps.append(bundle.fingerprint)
-        composite.on_step(step, iteration)
-        if action.is_final:
+        path.append(cand)
+        state = cand.state
+        if cand.step.action.is_final:
             break
-    return _trajectory(steps, fps, iteration, config.apology_markers)
+    return _trajectory(path, iteration)
 
 
 def run_best_of_n(
@@ -257,7 +259,7 @@ def run_best_of_n(
         raise ValueError(f"config method {config.method} is not best_of_n")
     trajectories: list[Trajectory] = []
     for i in range(config.n_budget):
-        traj = _linear_rollout(env, task, policy, prm, composite, config, i, seed, "bon")
+        traj = _linear_rollout(env, task, policy, prm, composite, config, i, seed)
         trajectories.append(traj)
         composite.on_trajectory(traj)
     best = max(trajectories, key=lambda t: t.trajectory_score)  # ties: earliest attempt
@@ -266,13 +268,6 @@ def run_best_of_n(
 
 # ---------------------------------------------------------------------------
 # single-round beam
-
-
-@dataclass(frozen=True)
-class _Beam:
-    steps: tuple[Step, ...]
-    state: StateHandle
-    fps: tuple[str, ...]
 
 
 def run_beam(
@@ -297,7 +292,8 @@ def run_beam(
     if prm is None:
         raise ValueError("beam search needs a process reward model")
 
-    actives = [_Beam(steps=(), state=env.reset(task), fps=())]
+    root = env.reset(task)
+    actives: list[tuple[Candidate, ...]] = [()]
     completed: list[Trajectory] = []
     apology_terminals = 0
     all_apology_states = 0
@@ -305,13 +301,13 @@ def run_beam(
     for depth in range(config.max_depth):
         if not actives:
             break
-        pool: list[tuple[_Beam, Candidate]] = []
-        for b_idx, beam in enumerate(actives):
+        pool: list[tuple[Candidate, ...]] = []
+        for b_idx, path in enumerate(actives):
             cands = expand(
                 env,
                 task,
-                beam.state,
-                beam.steps,
+                path[-1].state if path else root,
+                [c.step for c in path],
                 policy,
                 prm,
                 composite,
@@ -319,21 +315,18 @@ def run_beam(
                 iteration=0,
                 seed_salt=(seed, "beam", depth, b_idx),
             )
-            if all(is_apology(c.step.action, config.apology_markers) for c in cands):
+            if all(is_apology(c.step.action) for c in cands):
                 all_apology_states += 1
-            pool.extend((beam, c) for c in cands)
-        survivors = sorted(pool, key=lambda bc: -(bc[1].step.reward or 0.0))[: config.beam_width]
-        next_actives: list[_Beam] = []
-        for beam, cand in survivors:
-            steps = beam.steps + (cand.step,)
-            fps = beam.fps + (cand.bundle_fp,)
-            if cand.step.action.is_final or len(steps) >= config.max_depth:
-                traj = _trajectory(steps, fps, 0, config.apology_markers)
+            pool.extend(path + (c,) for c in cands)
+        survivors = sorted(pool, key=lambda p: -(p[-1].step.reward or 0.0))[: config.beam_width]
+        actives = []
+        for path in survivors:
+            if path[-1].step.action.is_final or len(path) >= config.max_depth:
+                traj = _trajectory(path, 0)
                 apology_terminals += traj.terminal_kind is TerminalKind.APOLOGY
                 completed.append(traj)
             else:
-                next_actives.append(_Beam(steps, cand.state, fps))
-        actives = next_actives
+                actives.append(path)
 
     best = max(completed, key=lambda t: t.trajectory_score)  # ties: completion order
     giveup = GiveUpStats(
@@ -355,34 +348,27 @@ def uct_score(q: float, child_visits: int, parent_visits: int, w_exp: float) -> 
 class _Tree:
     def __init__(self, root_state: StateHandle):
         self.nodes: list[Node] = [Node(node_id=0, state=root_state, incoming_action=None)]
-        self.steps: dict[int, Step] = {}
-        self.fps: dict[int, str] = {}
+        self.cands: dict[int, Candidate] = {}  # of every node but the root
         self.parent: dict[int, int] = {}
 
-    def add_child(self, parent_id: int, cand: Candidate, terminal: bool) -> int:
+    def add_child(self, parent_id: int, cand: Candidate) -> None:
         nid = len(self.nodes)
         node = Node(
             node_id=nid,
             state=cand.state,
             incoming_action=cand.step.action,
-            is_terminal=terminal,
+            is_terminal=cand.step.action.is_final,
         )
         self.nodes.append(node)
         self.nodes[parent_id].children.append(nid)
-        self.steps[nid] = cand.step
-        self.fps[nid] = cand.bundle_fp
+        self.cands[nid] = cand
         self.parent[nid] = parent_id
-        return nid
 
     def path_to_root(self, nid: int) -> list[int]:
         path = [nid]
         while path[-1] != 0:
             path.append(self.parent[path[-1]])
         return path
-
-    def prefix(self, nid: int) -> tuple[list[Step], list[str]]:
-        ids = [n for n in reversed(self.path_to_root(nid)) if n != 0]
-        return [self.steps[n] for n in ids], [self.fps[n] for n in ids]
 
 
 def backprop(
@@ -461,17 +447,15 @@ def run_mcts(
         nid = 0
         while tree.nodes[nid].children and not tree.nodes[nid].is_terminal:
             nid = _select_child(tree, nid, config.w_exp)
-        prefix, prefix_fps = tree.prefix(nid)
+        path = [tree.cands[n] for n in reversed(tree.path_to_root(nid)[:-1])]
 
-        if tree.nodes[nid].is_terminal or len(prefix) >= config.max_depth:
-            traj = _trajectory(prefix, prefix_fps, it, config.apology_markers)
-            path = tree.path_to_root(nid)
-        else:
+        leaf = nid
+        if not tree.nodes[nid].is_terminal and len(path) < config.max_depth:
             cands = expand(
                 env,
                 task,
                 tree.nodes[nid].state,
-                prefix,
+                [c.step for c in path],
                 policy,
                 prm,
                 composite,
@@ -479,41 +463,30 @@ def run_mcts(
                 iteration=it,
                 seed_salt=(seed, "mcts_expand", nid),
             )
-            child_ids = [
-                tree.add_child(nid, c, terminal=c.step.action.is_final) for c in cands
-            ]
+            for c in cands:
+                tree.add_child(nid, c)
             pick = max(range(len(cands)), key=lambda i: cands[i].step.reward or 0.0)
-            start_id, start = child_ids[pick], cands[pick]
-
-            steps = prefix + [start.step]
-            fps = prefix_fps + [start.bundle_fp]
-            state = start.state
+            leaf = tree.nodes[nid].children[pick]
+            path.append(cands[pick])
             depth_cap = min(config.rollout_depth, config.max_depth)
-            while not steps[-1].action.is_final and len(steps) < depth_cap:
+            while not path[-1].step.action.is_final and len(path) < depth_cap:
                 rollout_cands = expand(
                     env,
                     task,
-                    state,
-                    steps,
+                    path[-1].state,
+                    [c.step for c in path],
                     policy,
                     prm,
                     composite,
                     config,
                     iteration=it,
-                    seed_salt=(seed, "mcts_roll", it, len(steps)),
+                    seed_salt=(seed, "mcts_roll", it, len(path)),
                 )
-                keep = max(
-                    range(len(rollout_cands)),
-                    key=lambda i: rollout_cands[i].step.reward or 0.0,
-                )
-                chosen = rollout_cands[keep]
-                steps.append(chosen.step)
-                fps.append(chosen.bundle_fp)
-                state = chosen.state
-            traj = _trajectory(steps, fps, it, config.apology_markers)
-            path = tree.path_to_root(start_id)
+                path.append(max(rollout_cands, key=lambda c: c.step.reward or 0.0))
 
-        backprop(tree.nodes, path, traj.trajectory_score, config.backprop, config.decay_gamma)
+        traj = _trajectory(path, it)
+        ids = tree.path_to_root(leaf)
+        backprop(tree.nodes, ids, traj.trajectory_score, config.backprop, config.decay_gamma)
         trajectories.append(traj)
         composite.on_trajectory(traj)
 

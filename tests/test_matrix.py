@@ -16,7 +16,6 @@ from memsearch.matrix import (
     GLYPH_STRUCTURAL,
     RETRY_DELAY_S,
     AdmissibilityReason,
-    BenchmarkSpec,
     ExperimentCell,
     MatrixConfigError,
     _build_models,
@@ -182,7 +181,15 @@ def _assert_config_error(path, message, capsys):
     [
         (
             {"memory": [{"kind": "fact", "dedup_threshold": "high"}]},
-            r"cells\[0\]: bad fact memory config: could not convert string to float: 'high'",
+            r"cells\[0\]: bad fact memory config: dedup_threshold must be a number, got 'high'",
+        ),
+        (
+            {"memory": [{"kind": "fact", "dedup_threshold": "0.9"}]},
+            r"cells\[0\]: bad fact memory config: dedup_threshold must be a number, got '0\.9'",
+        ),
+        (
+            {"memory": [{"kind": "fact", "dedup_threshold": True}]},
+            r"cells\[0\]: bad fact memory config: dedup_threshold must be a number, got True",
         ),
         (
             {"memory": [{"kind": "fact", "dedup_threshold": 2}]},
@@ -229,9 +236,27 @@ def _assert_config_error(path, message, capsys):
             {"search": {"method": "mcts", "expansion": "interleaved"}},
             r"cells\[0\]: unknown search keys \['expansion'\]",
         ),
+        (
+            {"search": {"method": "beam", "temperature": True}},
+            r"cells\[0\]: bad search config: temperature must be a finite number, got True",
+        ),
+        (
+            {"search": {"method": "beam", "temperature": float("nan")}},
+            r"cells\[0\]: bad search config: temperature must be a finite number, got nan",
+        ),
+        (
+            {"search": {"method": "mcts", "w_exp": float("nan")}},
+            r"cells\[0\]: bad search config: w_exp must be a finite number, got nan",
+        ),
+        (
+            {"search": {"method": "mcts", "decay_gamma": False}},
+            r"cells\[0\]: bad search config: decay_gamma must be a finite number, got False",
+        ),
     ],
     ids=[
         "dedup_str",
+        "dedup_numeric_str",
+        "dedup_bool",
         "dedup_range",
         "reflection_null",
         "seed_str",
@@ -247,11 +272,111 @@ def _assert_config_error(path, message, capsys):
         "max_depth_float",
         "rollout_depth_str",
         "expansion_key",
+        "temperature_bool",
+        "temperature_nan",
+        "w_exp_nan",
+        "decay_gamma_bool",
     ],
 )
 def test_bad_cell_value_is_a_config_error(tmp_path, capsys, update, message):
     cell = {"id": "a", "benchmark": "toy_sql_demo", "search": {"method": "best_of_n"}, **update}
     _assert_config_error(write_mini_config(tmp_path, [cell]), message, capsys)
+
+
+def _sql_cell():
+    return {"id": "a", "benchmark": "toy_sql_demo", "search": {"method": "best_of_n"}}
+
+
+@pytest.mark.parametrize(
+    "reshape, message",
+    [
+        (lambda cfg: [cfg], r"config\.json: the config must be an object, got list"),
+        (
+            lambda cfg: {**cfg, "benchmarks": list(cfg["benchmarks"].values())},
+            r"config\.json: benchmarks must be an object, got list",
+        ),
+        (
+            lambda cfg: {**cfg, "benchmarks": {"toy_sql_demo": "toy_sql_demo.json"}},
+            r"benchmark 'toy_sql_demo' must be an object, got str",
+        ),
+        (lambda cfg: {**cfg, "cells": ["a"]}, r"cells\[0\] must be an object, got str"),
+        (
+            lambda cfg: {**cfg, "cells": [{**_sql_cell(), "memory": [3]}]},
+            r"cells\[0\]: memory entry 3 must be an object, got int",
+        ),
+        (
+            lambda cfg: {**cfg, "cells": [{**_sql_cell(), "id": 7}]},
+            r"cells\[0\]: missing or unusable cell id 7",
+        ),
+    ],
+    ids=["top_level_array", "benchmarks_list", "spec_str", "cell_str", "memory_int", "id_int"],
+)
+def test_malformed_config_shape_is_a_config_error(tmp_path, capsys, reshape, message):
+    path = write_mini_config(tmp_path, [_sql_cell()])
+    path.write_text(json.dumps(reshape(json.loads(path.read_text()))))
+    _assert_config_error(path, message, capsys)
+
+
+REMOTE_POLICY = {"kind": "remote", "url": "http://localhost/v1", "model": "m"}
+
+
+@pytest.mark.parametrize(
+    "key, script, message",
+    [
+        (
+            "policy_script",
+            {"rules": [{"step": 0, "match": "regex:x", "candidates": {"LIST_TABLES|": 1.0}}]},
+            r"policy_script: bad policy match spec: 'regex:x'",
+        ),
+        (
+            "reward_script",
+            {"rules": [{"tool": "QUERY", "score": 3}]},
+            r"reward_script: reward rule score 3\.0 outside \[0, 1\]",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(", "template": "{0}"}]}},
+            r"augmentor_script: missing \), unterminated subpattern",
+        ),
+        ("reward_script", {"rules": [{"tool": "QUERY"}]}, "reward_script: missing key 'score'"),
+        ("policy_script", [], r".*script\.json must be an object, got list"),
+        (
+            "policy_script",
+            {**REMOTE_POLICY, "url": 5},
+            "policy_script: remote policy url, model and api_key_env must be strings",
+        ),
+        ("policy_script", {"kind": "remote", "url": "u"}, "policy_script: missing key 'model'"),
+        (
+            "policy_script",
+            {**REMOTE_POLICY, "max_retries": 0},
+            "policy_script: max_retries must be an integer >= 1, got 0",
+        ),
+        (
+            "policy_script",
+            {**REMOTE_POLICY, "max_retries": "3"},
+            "policy_script: max_retries must be an integer >= 1, got '3'",
+        ),
+    ],
+    ids=[
+        "policy_match",
+        "reward_score",
+        "fact_pattern",
+        "reward_rule_no_score",
+        "policy_array",
+        "remote_url",
+        "remote_no_model",
+        "remote_retries_0",
+        "remote_retries_str",
+    ],
+)
+def test_bad_script_is_a_config_error(
+    tmp_path, fixtures_dir, capsys, monkeypatch, key, script, message
+):
+    monkeypatch.delenv("MEMSEARCH_API_KEY", raising=False)
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    config = _one_sql_cell_config(tmp_path, fixtures_dir, **{key: path})
+    _assert_config_error(config, rf"benchmark 'toy_sql_demo': {message}", capsys)
 
 
 def _one_sql_cell_config(tmp_path, fixtures_dir, **paths):
@@ -270,9 +395,7 @@ def _one_sql_cell_config(tmp_path, fixtures_dir, **paths):
 
 def _remote_policy_config(tmp_path, fixtures_dir):
     script = tmp_path / "remote_policy.json"
-    script.write_text(
-        json.dumps({"kind": "remote", "url": "http://localhost/v1", "model": "m"})
-    )
+    script.write_text(json.dumps(REMOTE_POLICY))
     return _one_sql_cell_config(tmp_path, fixtures_dir, policy_script=script)
 
 
@@ -298,17 +421,10 @@ def test_load_matrix_config_checks_benchmark_identity(tmp_path, fixtures_dir):
         load_matrix_config(path)
 
 
-def test_build_models_remote_requires_credentials(fixtures_dir, monkeypatch):
-    from memsearch.envs import load_benchmark
-
-    bench = load_benchmark(fixtures_dir / "tasks" / "toy_sql_demo.json")
-    spec = BenchmarkSpec(
-        benchmark=bench,
-        policy_raw={"kind": "remote", "url": "http://localhost/v1", "model": "m"},
-        reward_raw={},
-        augmentor_raw={},
-        discovery_tool=None,
-    )
+def test_build_models_remote_requires_credentials(tmp_path, fixtures_dir, monkeypatch):
+    spec = load_matrix_config(_remote_policy_config(tmp_path, fixtures_dir)).benchmarks[
+        "toy_sql_demo"
+    ]
     monkeypatch.delenv("MEMSEARCH_API_KEY", raising=False)
     with pytest.raises(ConfigurationError, match="MEMSEARCH_API_KEY"):
         _build_models(spec, 64, Telemetry())

@@ -110,6 +110,14 @@ def test_search_config_requires_integer_counts(name, value):
     assert getattr(SearchConfig(method=SearchMethod.BEST_OF_N, **{name: 3}), name) == 3
 
 
+@pytest.mark.parametrize("name", ["w_exp", "temperature", "decay_gamma"])
+@pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"), "0.5", None])
+def test_search_config_requires_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        SearchConfig(method=SearchMethod.BEST_OF_N, **{name: value})
+    assert getattr(SearchConfig(method=SearchMethod.BEST_OF_N, **{name: 1}), name) == 1
+
+
 def test_is_apology_markers():
     def final(text):
         return Action(FINAL_ANSWER, text, f"{FINAL_ANSWER}|{text}")
