@@ -170,7 +170,9 @@ def _parse_memory(raw, where: str) -> tuple[AugmentorConfig, ...]:
     for entry in _shaped(raw, list, f"{where}: memory"):
         if isinstance(entry, str):
             entry = {"kind": entry}
-        kind = _shaped(entry, dict, f"{where}: memory entry {entry!r}").get("kind")
+        if not isinstance(entry, dict):
+            raise MatrixConfigError(f"{where}: memory entry {entry!r} is no kind name or object")
+        kind = entry.get("kind")
         if kind not in _MEMORY_KINDS:
             raise MatrixConfigError(f"{where}: unknown memory kind {kind!r}")
         try:

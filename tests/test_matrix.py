@@ -302,7 +302,7 @@ def _sql_cell():
         (lambda cfg: {**cfg, "cells": ["a"]}, r"cells\[0\] must be an object, got str"),
         (
             lambda cfg: {**cfg, "cells": [{**_sql_cell(), "memory": [3]}]},
-            r"cells\[0\]: memory entry 3 must be an object, got int",
+            r"cells\[0\]: memory entry 3 is no kind name or object",
         ),
         (
             lambda cfg: {**cfg, "cells": [{**_sql_cell(), "id": 7}]},
