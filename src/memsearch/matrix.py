@@ -173,7 +173,7 @@ def _parse_memory(raw, where: str) -> tuple[AugmentorConfig, ...]:
         if not isinstance(entry, dict):
             raise MatrixConfigError(f"{where}: memory entry {entry!r} is no kind name or object")
         kind = entry.get("kind")
-        if kind not in _MEMORY_KINDS:
+        if not isinstance(kind, str) or kind not in _MEMORY_KINDS:
             raise MatrixConfigError(f"{where}: unknown memory kind {kind!r}")
         try:
             kwargs = {
@@ -282,7 +282,7 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
             raise MatrixConfigError(f"{where}: duplicate cell id '{cell_id}'")
         seen.add(cell_id)
         bench_name = entry.get("benchmark")
-        if bench_name not in benchmarks:
+        if not isinstance(bench_name, str) or bench_name not in benchmarks:
             raise MatrixConfigError(f"{where}: unknown benchmark {bench_name!r}")
         seed = entry.get("seed", 0)
         if not is_int(seed):

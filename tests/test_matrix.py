@@ -308,8 +308,25 @@ def _sql_cell():
             lambda cfg: {**cfg, "cells": [{**_sql_cell(), "id": 7}]},
             r"cells\[0\]: missing or unusable cell id 7",
         ),
+        (
+            lambda cfg: {**cfg, "cells": [{**_sql_cell(), "benchmark": ["toy_sql_demo"]}]},
+            r"cells\[0\]: unknown benchmark \['toy_sql_demo'\]",
+        ),
+        (
+            lambda cfg: {**cfg, "cells": [{**_sql_cell(), "memory": [{"kind": ["fact"]}]}]},
+            r"cells\[0\]: unknown memory kind \['fact'\]",
+        ),
     ],
-    ids=["top_level_array", "benchmarks_list", "spec_str", "cell_str", "memory_int", "id_int"],
+    ids=[
+        "top_level_array",
+        "benchmarks_list",
+        "spec_str",
+        "cell_str",
+        "memory_int",
+        "id_int",
+        "benchmark_list",
+        "memory_kind_list",
+    ],
 )
 def test_malformed_config_shape_is_a_config_error(tmp_path, capsys, reshape, message):
     path = write_mini_config(tmp_path, [_sql_cell()])
