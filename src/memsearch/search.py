@@ -123,7 +123,7 @@ class Candidate:
 def _trajectory(path: Sequence[Candidate], iteration: int) -> Trajectory:
     """The one place a trajectory's terminal kind is decided: a last action
     that is not FINAL_ANSWER means the depth cap ended it."""
-    steps = tuple(c.step for c in path)
+    steps = tuple([c.step for c in path])
     last = steps[-1].action
     if not last.is_final:
         kind = TerminalKind.MAX_DEPTH
@@ -131,7 +131,7 @@ def _trajectory(path: Sequence[Candidate], iteration: int) -> Trajectory:
         kind = TerminalKind.APOLOGY
     else:
         kind = TerminalKind.ANSWERED
-    fps = tuple(c.bundle_fp for c in path)
+    fps = tuple([c.bundle_fp for c in path])
     return Trajectory(steps, kind, aggregate_score(steps), iteration, fps)
 
 
