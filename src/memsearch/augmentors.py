@@ -252,7 +252,7 @@ def extract_facts(
             body=line,
             source_iteration=iteration,
             persistent=True,
-            embedding=tuple(embedder.embed(line)),
+            embedding=embedder.embed(line),
         )
         if store.add(unit):
             stored += 1

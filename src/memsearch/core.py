@@ -5,11 +5,13 @@ Everything here is an immutable value object except :class:`Node` and
 by backpropagation and telemetry counters accumulate during a run.  All
 other types are frozen dataclasses and safe to share across threads.
 
-A :class:`Step` carries the whitespace token counts of its action and
-observation, and a :class:`ContextBundle` those of its rendered text, each
-counted once when the value is built: the scripted models bill every prefix
-step and the bundle on every call, and recounting them there is quadratic
-in depth.  :func:`_count_tokens` is the one definition of a token.
+An :class:`Action` carries the whitespace token count of its raw text, an
+:class:`Observation` that of its content, a :class:`Task` that of its
+prompt and a :class:`ContextBundle` that of its rendered text, each counted
+once when the value is built: the scripted models bill the prompt, every
+prefix step and the bundle on every call, and recounting them there is
+quadratic in depth.  :func:`_count_tokens` is the one definition of a
+token.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 MAX_DEPTH = 15
 
@@ -96,6 +98,10 @@ class Action:
     tool_name: str
     arguments: str
     raw_text: str
+    tokens: int = field(init=False, compare=False, repr=False)  # of raw_text, set once here
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", _count_tokens(self.raw_text))
 
     @property
     def is_final(self) -> bool:
@@ -107,11 +113,13 @@ class Observation:
     content: str
     is_error: bool
     tool_name: str
+    tokens: int = field(init=False, compare=False, repr=False)  # of content, set once here
 
     def __post_init__(self) -> None:
         # Empty content is reserved for the FINAL_ANSWER echo observation.
         if not self.content and self.tool_name != FINAL_ANSWER:
             raise ValueError("empty observation content for non-final tool")
+        object.__setattr__(self, "tokens", _count_tokens(self.content))
 
 
 @dataclass(frozen=True)
@@ -119,15 +127,10 @@ class Step:
     action: Action
     observation: Observation
     reward: float | None = None
-    # token counts of action.raw_text and observation.content, set once here
-    action_tokens: int = field(init=False, compare=False, repr=False)
-    observation_tokens: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.reward is not None and not 0.0 <= self.reward <= 1.0:
             raise ValueError(f"step reward {self.reward} outside [0, 1]")
-        object.__setattr__(self, "action_tokens", _count_tokens(self.action.raw_text))
-        object.__setattr__(self, "observation_tokens", _count_tokens(self.observation.content))
 
 
 def aggregate_score(steps: Iterable[Step]) -> float:
@@ -178,7 +181,12 @@ class ContextUnit:
     body: str
     source_iteration: int
     persistent: bool
-    embedding: tuple[float, ...] | None = None
+    # a fact's embedding, kept as the embedder returned it (an array or a
+    # sequence of floats); arrays do not compare, so it is left out of ==,
+    # hash and repr
+    embedding: Sequence[float] | None = field(
+        default=None, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.scope is Scope.CROSS_SIBLING and self.persistent:
@@ -321,6 +329,10 @@ class Task:
     benchmark: str
     env: str
     meta: Mapping[str, str]
+    prompt_tokens: int = field(init=False, compare=False, repr=False)  # set once here
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "prompt_tokens", _count_tokens(self.prompt))
 
 
 def trajectory_text(traj_steps: Iterable[Step], terminal_kind: TerminalKind | None = None) -> str:

@@ -261,6 +261,14 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
             raise MatrixConfigError(
                 f"{where}: fixture file declares benchmark '{bench.benchmark_id}'"
             )
+        discovery_tool = spec.get("discovery_tool")
+        tools = sorted({tool for task in bench.tasks for tool in task.tools})
+        if discovery_tool is not None and (
+            not isinstance(discovery_tool, str) or discovery_tool not in tools
+        ):
+            raise MatrixConfigError(
+                f"{where}: discovery_tool {discovery_tool!r} is none of the fixture's tools {tools}"
+            )
         benchmarks[name] = BenchmarkSpec(
             benchmark=bench,
             policy=_load_script(base, spec, "policy_script", where, _parse_policy),
@@ -268,7 +276,7 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
             augmentor=_load_script(
                 base, spec, "augmentor_script", where, ScriptedAugmentorModel.from_dict
             ),
-            discovery_tool=spec.get("discovery_tool"),
+            discovery_tool=discovery_tool,
         )
 
     cells: list[ExperimentCell] = []
@@ -407,37 +415,58 @@ def _atomic_write(path: Path, content: str) -> None:
     os.replace(tmp, path)
 
 
+# a unit's task id and its verdict file line
+_Row = tuple[str, str]
+
+
 def _run_unit(
     cfg: MatrixConfig,
     cells: tuple[ExperimentCell, ...],
     dump_dir: Path | None,
     unit: tuple[int, int],
-) -> dict | str:
-    """One (cell index, task index) unit: its row, or its error as a string
-    (formatted here, so no exception object has to cross a process)."""
+) -> _Row | str:
+    """One (cell index, task index) unit: its task id and verdict line, or
+    its error as a string.  Both are made here, on the worker that ran the
+    unit, so no exception object has to cross a process and the runner only
+    joins lines."""
     cell_index, task_index = unit
     cell = cells[cell_index]
     task = cfg.benchmarks[cell.benchmark].benchmark.tasks[task_index]
     try:
-        return _run_cell_task(cfg, cell, task, dump_dir)
+        row = _run_cell_task(cfg, cell, task, dump_dir)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return f"{type(exc).__name__}: {exc}"
+    return row["task_id"], json.dumps(row, sort_keys=True) + "\n"
 
 
-# Set once per worker process by the pool initializer, so each submitted unit
-# carries only its index pair.
-_worker_args: tuple[MatrixConfig, tuple[ExperimentCell, ...], Path | None] | None = None
+# Set once per worker process by the pool initializer: the run's inputs, its
+# unit list and the shared counter of the next unit index to claim.
+_worker_args: tuple | None = None
 
 
 def _init_worker(
-    cfg: MatrixConfig, cells: tuple[ExperimentCell, ...], dump_dir: Path | None
+    cfg: MatrixConfig,
+    cells: tuple[ExperimentCell, ...],
+    dump_dir: Path | None,
+    units: list[tuple[int, int]],
+    counter,
 ) -> None:
     global _worker_args
-    _worker_args = (cfg, cells, dump_dir)
+    _worker_args = (cfg, cells, dump_dir, units, counter)
 
 
-def _run_worker_unit(unit: tuple[int, int]) -> dict | str:
-    return _run_unit(*_worker_args, unit)
+def _claim_units() -> list[tuple[int, _Row | str]]:
+    """Run unit after unit, each claimed from the shared counter, until none
+    is left; return the (unit index, result) pairs in one message."""
+    cfg, cells, dump_dir, units, counter = _worker_args
+    done = []
+    while True:
+        with counter.get_lock():
+            index = counter.value
+            counter.value = index + 1
+        if index >= len(units):
+            return done
+        done.append((index, _run_unit(cfg, cells, dump_dir, units[index])))
 
 
 def _run_units(
@@ -446,9 +475,16 @@ def _run_units(
     dump_dir: Path | None,
     units: list[tuple[int, int]],
     jobs: int,
-) -> list[dict | str]:
+) -> list[_Row | str]:
     """Results of `units`, in order: in this process for jobs <= 1, else on
-    one pool of up to `jobs` worker processes."""
+    one pool of up to `jobs` worker processes that share one queue.
+
+    Each worker claims the next unit index from a shared counter, one lock
+    acquisition per claim, so a unit costs no round trip through the pool
+    and no worker idles while a unit is left; each worker sends its results
+    back in one message when the queue is empty.  A unit whose result comes
+    back twice or never is an error, not a silent gap or overwrite.
+    """
     if jobs <= 1 or not units:
         return [_run_unit(cfg, cells, dump_dir, unit) for unit in units]
     # imported here, so that loading a config or analysing a run does not pay
@@ -458,14 +494,25 @@ def _run_units(
 
     # on Linux, fork hands the loaded config to the workers without pickling
     # it; elsewhere the platform default (spawn) gives the same bytes, slower
-    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    counter = context.Value("q", 0)
+    workers = min(jobs, len(units))
     with ProcessPoolExecutor(
-        max_workers=min(jobs, len(units)),
+        max_workers=workers,
         mp_context=context,
         initializer=_init_worker,
-        initargs=(cfg, cells, dump_dir),
+        initargs=(cfg, cells, dump_dir, units, counter),
     ) as pool:
-        return list(pool.map(_run_worker_unit, units))
+        batches = [pool.submit(_claim_units) for _ in range(workers)]
+        results: list[_Row | str | None] = [None] * len(units)
+        for batch in batches:
+            for index, result in batch.result():
+                if results[index] is not None:
+                    raise RuntimeError(f"unit {units[index]} came back twice")
+                results[index] = result
+    if None in results:
+        raise RuntimeError(f"unit {units[results.index(None)]} never came back")
+    return results
 
 
 def run_matrix(
@@ -481,12 +528,14 @@ def run_matrix(
     bytes depend only on the config and seeds, never on `jobs`.
 
     The admissible cells' (cell, task) units form one queue.  With jobs <= 1
-    it runs in this process; with jobs > 1 it runs on up to `jobs` worker
-    processes.  On Linux they are forked, so no other Python thread of the
-    caller may hold a lock at that moment (native threads such as OpenBLAS's
-    are fork-safe through their atfork handlers); Python 3.12+ warns on such
-    forks.  Elsewhere they start with the platform default.  Only Linux on
-    Python 3.11 has been run.
+    it runs in this process; with jobs > 1 each of up to `jobs` worker
+    processes claims the next unit from it until it is empty (see
+    `_run_units`), and the results are put back in unit order.  On Linux the
+    workers are forked, so no other Python thread of the caller may hold a
+    lock at that moment (native threads such as OpenBLAS's are fork-safe
+    through their atfork handlers); Python 3.12+ warns on such forks.
+    Elsewhere they start with the platform default.  Only Linux on Python
+    3.11 has been run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -503,7 +552,7 @@ def run_matrix(
         for c, cell in enumerate(cells)
         for t in range(len(cfg.benchmarks[cell.benchmark].benchmark.tasks))
     ]
-    results: dict[str, list[dict | str]] = {cell.cell_id: [] for cell in cells}
+    results: dict[str, list[_Row | str]] = {cell.cell_id: [] for cell in cells}
     for (c, _), result in zip(units, _run_units(cfg, cells, dump_dir, units, jobs)):
         results[cells[c].cell_id].append(result)
 
@@ -530,12 +579,9 @@ def run_matrix(
             log.warning("cell %s failed: %s", cell.cell_id, error.partition(": ")[2])
             continue
 
-        rows.sort(key=lambda r: r["task_id"])
+        rows.sort()  # by task id, unique within a benchmark
         verdict_file = f"{cell.cell_id}.jsonl"
-        _atomic_write(
-            out / verdict_file,
-            "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows),
-        )
+        _atomic_write(out / verdict_file, "".join(line for _, line in rows))
         entry.update({"status": "ok", "verdict_file": verdict_file, "n_tasks": len(rows)})
         log.info("cell %s: %d tasks done", cell.cell_id, len(rows))
 

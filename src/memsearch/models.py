@@ -111,6 +111,25 @@ class ScriptedPolicyConfig:
         )
 
 
+@dataclass(frozen=True)
+class _Choices:
+    """A policy rule's candidates, split once: the templates, their weights
+    and the argmax template, plus whether the rule is the default match."""
+
+    templates: list[str]
+    weights: list[float]
+    best: str
+    default: bool
+
+    @classmethod
+    def of(cls, rule: PolicyRule, default: bool) -> "_Choices":
+        templates = [t for t, _ in rule.candidates]
+        weights = [w for _, w in rule.candidates]
+        # argmax weight; candidates are pre-sorted so ties break lexicographically
+        best = templates[max(range(len(weights)), key=weights.__getitem__)]
+        return cls(templates, weights, best, default)
+
+
 class ScriptedPolicy:
     """Deterministic branch-table policy.
 
@@ -126,23 +145,24 @@ class ScriptedPolicy:
     def __init__(self, config: ScriptedPolicyConfig, telemetry: Telemetry | None = None):
         self.config = config
         self.telemetry = telemetry
-        # step index -> (match kind, match operand, rule), in precedence order:
-        # by match kind, then by position in the config
+        # step index -> (match kind, match operand, _Choices), in precedence
+        # order: by match kind, then by position in the config
         ranked = sorted(
             (_match_kind(rule.match), pos, rule) for pos, rule in enumerate(config.rules)
         )
-        self._rules_at: dict[int, list[tuple[int, str, PolicyRule]]] = {}
+        self._rules_at: dict[int, list[tuple[int, str, _Choices]]] = {}
         for kind, _, rule in ranked:
             operand = rule.match.partition(":")[2]
-            self._rules_at.setdefault(rule.step, []).append((kind, operand, rule))
+            choices = _Choices.of(rule, default=kind == 2)
+            self._rules_at.setdefault(rule.step, []).append((kind, operand, choices))
 
-    def _pick_rule(self, step_index: int, bundle: ContextBundle) -> PolicyRule | None:
-        for kind, operand, rule in self._rules_at.get(step_index, ()):
+    def _pick_rule(self, step_index: int, bundle: ContextBundle) -> _Choices | None:
+        for kind, operand, choices in self._rules_at.get(step_index, ()):
             if kind == 0 and operand != bundle.fingerprint:
                 continue
             if kind == 1 and operand not in bundle.rendered:
                 continue
-            return rule
+            return choices
         return None
 
     def _fill(self, template: str, task: Task, prefix: Sequence[Step]) -> str:
@@ -170,16 +190,16 @@ class ScriptedPolicy:
             action = self._sample_rule(rule, task, prefix, bundle, temperature, seed, step_index)
         if self.telemetry is not None:
             prompt_tokens = (
-                _count_tokens(task.prompt)
+                task.prompt_tokens
                 + bundle.tokens
-                + sum(s.action_tokens + s.observation_tokens for s in prefix)
+                + sum(s.action.tokens + s.observation.tokens for s in prefix)
             )
-            self.telemetry.record("policy", prompt_tokens, _count_tokens(action.raw_text))
+            self.telemetry.record("policy", prompt_tokens, action.tokens)
         return action
 
     def _sample_rule(
         self,
-        rule: PolicyRule,
+        rule: _Choices,
         task: Task,
         prefix: Sequence[Step],
         bundle: ContextBundle,
@@ -190,7 +210,7 @@ class ScriptedPolicy:
         last_errored = bool(prefix) and prefix[-1].observation.is_error
         if (
             temperature > 0.0
-            and rule.match == "*"
+            and rule.default
             and last_errored
             and self.config.apology_collapse_prob > 0.0
         ):
@@ -198,15 +218,11 @@ class ScriptedPolicy:
             if coin.random() < self.config.apology_collapse_prob:
                 return self._apology()
 
-        templates = [t for t, _ in rule.candidates]
-        weights = [w for _, w in rule.candidates]
         if temperature <= 0.0:
-            # argmax weight; candidates are pre-sorted so ties break lexicographically
-            best = max(range(len(weights)), key=weights.__getitem__)
-            template = templates[best]
+            template = rule.best
         else:
             rng = random.Random(stable_hash("sample", seed, step_index, bundle.fingerprint))
-            template = rng.choices(templates, weights=weights, k=1)[0]
+            template = rng.choices(rule.templates, weights=rule.weights, k=1)[0]
         filled = self._fill(template, task, prefix)
         tool, _, args = filled.partition("|")
         return Action(tool, args, filled)
@@ -246,6 +262,9 @@ class ScriptedRewardModel:
         self.rules = tuple(rules)
         self.default = default
         self.telemetry = telemetry
+        # (prompt, its token count) of the last prompt billed: a search scores
+        # every step of one task against the same prompt
+        self._prompt_tokens = ("", 0)
 
     @classmethod
     def from_dict(cls, raw: dict, telemetry: Telemetry | None = None) -> "ScriptedRewardModel":
@@ -268,11 +287,15 @@ class ScriptedRewardModel:
                 value = rule.score
                 break
         if self.telemetry is not None:
+            prompt, prompt_tokens = self._prompt_tokens
+            if task_prompt != prompt:
+                prompt_tokens = _count_tokens(task_prompt)
+                self._prompt_tokens = (task_prompt, prompt_tokens)
             tokens_in = (
-                _count_tokens(task_prompt)
-                + sum(s.action_tokens for s in prefix)
-                + candidate.action_tokens
-                + candidate.observation_tokens
+                prompt_tokens
+                + sum(s.action.tokens for s in prefix)
+                + candidate.action.tokens
+                + candidate.observation.tokens
             )
             self.telemetry.record("supervisor", tokens_in, 1)
         return value

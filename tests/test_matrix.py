@@ -6,6 +6,8 @@ import json
 import multiprocessing
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from memsearch import matrix
 from memsearch.augmentors import AugmentorConfig, AugmentorKind
@@ -28,7 +30,7 @@ from memsearch.matrix import (
 from memsearch.models import ConfigurationError
 from memsearch.search import SearchConfig, SearchMethod
 
-from conftest import write_mini_config
+from conftest import FIXTURES, write_mini_config
 
 
 def _cell(memory=(), method=SearchMethod.BEST_OF_N, env="toy_sql"):
@@ -334,6 +336,25 @@ def test_malformed_config_shape_is_a_config_error(tmp_path, capsys, reshape, mes
     _assert_config_error(path, message, capsys)
 
 
+@pytest.mark.parametrize(
+    "tool, message",
+    [
+        ("LIST_TABLE", r"discovery_tool 'LIST_TABLE' is none of the fixture's tools \["),
+        ("RELATIONS", r"discovery_tool 'RELATIONS' is none of the fixture's tools"),
+        ("", r"discovery_tool '' is none of the fixture's tools"),
+        (7, r"discovery_tool 7 is none of the fixture's tools"),
+        (["LIST_TABLES"], r"discovery_tool \['LIST_TABLES'\] is none of the fixture's tools"),
+    ],
+    ids=["misspelt", "other_benchmarks_tool", "empty", "int", "list"],
+)
+def test_unknown_discovery_tool_is_a_config_error(tmp_path, capsys, tool, message):
+    path = write_mini_config(tmp_path, [_sql_cell()])
+    raw = json.loads(path.read_text())
+    raw["benchmarks"]["toy_sql_demo"]["discovery_tool"] = tool
+    path.write_text(json.dumps(raw))
+    _assert_config_error(path, rf"benchmark 'toy_sql_demo': {message}", capsys)
+
+
 REMOTE_POLICY = {"kind": "remote", "url": "http://localhost/v1", "model": "m"}
 
 
@@ -578,6 +599,83 @@ def test_run_matrix_pool_is_sized_to_units_and_reaped(tmp_path, fixtures_dir, mo
     manifest = run_matrix(cfg, tmp_path / "out", jobs=8)
     assert sizes == [2]
     assert manifest["cells"]["a"]["n_tasks"] == 2
+    assert multiprocessing.active_children() == []
+
+
+_REAL_CLAIM_UNITS = matrix._claim_units
+
+
+def _claim_units_first_twice():
+    done = _REAL_CLAIM_UNITS()
+    return done + done[:1]
+
+
+def _claim_units_dropping_first():
+    return _REAL_CLAIM_UNITS()[1:]
+
+
+@pytest.mark.parametrize(
+    "claim, message",
+    [
+        (_claim_units_first_twice, r"unit \(0, \d\) came back twice"),
+        (_claim_units_dropping_first, r"unit \(0, \d\) never came back"),
+    ],
+    ids=["twice", "never"],
+)
+def test_run_units_refuses_a_unit_back_twice_or_never(tmp_path, monkeypatch, claim, message):
+    # a lost update on the shared counter runs a unit twice or skips one; a
+    # unit run twice writes the same bytes, so only this check can see it
+    cell = {**_sql_cell(), "search": {"method": "best_of_n", "n_budget": 1}}
+    cfg = load_matrix_config(write_mini_config(tmp_path, [cell]))
+    monkeypatch.setattr(matrix, "_claim_units", claim)
+    with pytest.raises(RuntimeError, match=message):
+        run_matrix(cfg, tmp_path / "out", jobs=2)
+    assert multiprocessing.active_children() == []
+
+
+DEMO_CONFIG = json.loads((FIXTURES / "demo_config.json").read_text(encoding="utf-8"))
+
+
+def _mini_demo_config(root, cell_picks, n_tasks, seeds):
+    """The demo config cut to the picked cells (reseeded) and to the first
+    n_tasks tasks of each benchmark, written under root."""
+    benchmarks = {}
+    for name, spec in DEMO_CONFIG["benchmarks"].items():
+        raw = json.loads((FIXTURES / spec["fixtures"]).read_text(encoding="utf-8"))
+        tasks = root / f"{name}.json"
+        tasks.write_text(json.dumps({**raw, "tasks": raw["tasks"][:n_tasks]}))
+        benchmarks[name] = {
+            **{key: str(FIXTURES / path) for key, path in spec.items() if key.endswith("_script")},
+            "fixtures": str(tasks),
+            "discovery_tool": spec["discovery_tool"],
+        }
+    cells = [{**DEMO_CONFIG["cells"][i], "seed": seed} for i, seed in zip(cell_picks, seeds)]
+    return write_mini_config(root, cells, benchmarks)
+
+
+@settings(
+    max_examples=20,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    cell_picks=st.lists(
+        st.integers(0, len(DEMO_CONFIG["cells"]) - 1), min_size=1, max_size=4, unique=True
+    ),
+    n_tasks=st.integers(1, 10),
+    seeds=st.lists(st.integers(0, 2**31 - 1), min_size=4, max_size=4),
+)
+def test_run_tree_is_the_same_at_every_jobs(tmp_path_factory, cell_picks, n_tasks, seeds):
+    # more workers than cores claim from one counter; every run tree, memory
+    # dumps included, must equal the one made in this process
+    root = tmp_path_factory.mktemp("mini")
+    cfg = load_matrix_config(_mini_demo_config(root, cell_picks, n_tasks, seeds))
+    run_matrix(cfg, root / "jobs1", jobs=1, dump_memory=True)
+    serial = _tree_bytes(root / "jobs1")
+    for jobs in (2, 3, 8):
+        run_matrix(cfg, root / f"jobs{jobs}", jobs=jobs, dump_memory=True)
+        assert _tree_bytes(root / f"jobs{jobs}") == serial, jobs
     assert multiprocessing.active_children() == []
 
 
