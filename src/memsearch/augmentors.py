@@ -92,6 +92,21 @@ class MemoryStore:
     for float64 embeddings (what `hash_embed` returns) each keep/drop
     decision is the one a per-pair loop over the stored facts would make.
 
+    Two exits skip part of that work and decide the same:
+
+    - The scan looks at the largest similarity first.  Rounding is monotone,
+      so max(sims) - threshold is the largest gap: more than EXACT_MARGIN
+      above 0 means some fact is a duplicate, more than EXACT_MARGIN below
+      means none is, and only a near or NaN maximum takes the full check.
+    - A repeated fact skips the scan.  The store keeps the keys (dtype and
+      bytes) of embeddings whose repeat is known to be dropped: one that was
+      dropped (the store only grows, so the fact it matched is still there)
+      and one that was stored with a self-similarity (v.v) / (|v| |v|) more
+      than EXACT_MARGIN above the threshold (that value is `cosine(v, v)`,
+      so the per-pair loop drops a repeat on the stored copy).  The
+      decision rests on the embedding alone, so two bodies that embed the
+      same share a key.
+
     The rendered bundle of the stored units is kept until the next unit is
     actually stored, so retrieval without ephemeral units renders once per
     write, not once per policy call.
@@ -103,6 +118,7 @@ class MemoryStore:
         self._facts: list[ContextUnit] = []
         self._matrix = np.empty((0, 0))  # rows [:len(self._facts)] are in use
         self._norms = np.empty(0)
+        self._drop_keys: set[tuple[str, bytes]] = set()  # embeddings whose repeat is dropped
         self._bundle: ContextBundle | None = None  # render_bundle(self._units), or None: stale
 
     def __len__(self) -> int:
@@ -118,10 +134,17 @@ class MemoryStore:
             raise ValueError("memory store holds persistent units only")
         if unit.abstraction is Abstraction.FACT:
             vec = np.asarray(unit.embedding)
+            key = (vec.dtype.str, vec.tobytes())
+            if key in self._drop_keys:
+                return False
             norm = float(np.linalg.norm(vec))
             if self._is_duplicate(vec, norm):
+                self._drop_keys.add(key)
                 return False
             self._append_fact(unit, vec, norm)
+            denom = norm * norm
+            if denom != 0.0 and float(np.dot(vec, vec)) / denom - self.dedup_threshold > EXACT_MARGIN:
+                self._drop_keys.add(key)
         self._units.append(unit)
         self._bundle = None
         return True
@@ -140,6 +163,11 @@ class MemoryStore:
         denom = self._norms[:n] * norm
         sims = np.zeros(n)
         np.divide(dots, denom, out=sims, where=denom != 0.0)
+        top = sims.max() - self.dedup_threshold
+        if top > EXACT_MARGIN:
+            return True
+        if top < -EXACT_MARGIN:
+            return False
         gap = sims - self.dedup_threshold
         if (gap > EXACT_MARGIN).any():
             return True

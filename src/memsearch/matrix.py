@@ -337,7 +337,7 @@ def _with_telemetry(model, telemetry: Telemetry):
     return model
 
 
-def _build_models(spec: BenchmarkSpec, dim: int, telemetry: Telemetry):
+def _build_models(spec: BenchmarkSpec, telemetry: Telemetry):
     if isinstance(spec.policy, RemotePolicySpec):
         key_env = spec.policy.api_key_env
         api_key = os.environ.get(key_env)
@@ -352,18 +352,19 @@ def _build_models(spec: BenchmarkSpec, dim: int, telemetry: Telemetry):
         policy = _with_telemetry(spec.policy, telemetry)
     prm = _with_telemetry(spec.reward, telemetry)
     aug_model = _with_telemetry(spec.augmentor, telemetry)
-    return policy, prm, aug_model, HashEmbedder(dim)
+    return policy, prm, aug_model
 
 
 def _run_cell_task(
     cfg: MatrixConfig,
+    embedder: HashEmbedder,
     cell: ExperimentCell,
     task: Task,
     dump_dir: Path | None,
 ) -> dict:
     spec = cfg.benchmarks[cell.benchmark]
     telemetry = Telemetry()
-    policy, prm, aug_model, embedder = _build_models(spec, cfg.embedder_dim, telemetry)
+    policy, prm, aug_model = _build_models(spec, telemetry)
     env = spec.benchmark.make_env()
     memory = normalize_for_method(cell.memory, cell.search.method.value)
     composite = compose(memory, model=aug_model, embedder=embedder)
@@ -421,6 +422,7 @@ _Row = tuple[str, str]
 
 def _run_unit(
     cfg: MatrixConfig,
+    embedder: HashEmbedder,
     cells: tuple[ExperimentCell, ...],
     dump_dir: Path | None,
     unit: tuple[int, int],
@@ -433,32 +435,34 @@ def _run_unit(
     cell = cells[cell_index]
     task = cfg.benchmarks[cell.benchmark].benchmark.tasks[task_index]
     try:
-        row = _run_cell_task(cfg, cell, task, dump_dir)
+        row = _run_cell_task(cfg, embedder, cell, task, dump_dir)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return f"{type(exc).__name__}: {exc}"
     return row["task_id"], json.dumps(row, sort_keys=True) + "\n"
 
 
-# Set once per worker process by the pool initializer: the run's inputs, its
-# unit list and the shared counter of the next unit index to claim.
+# Set once per worker process by the pool initializer: the run's inputs (each
+# worker fills its own copy of the run's embedder), its unit list and the
+# shared counter of the next unit index to claim.
 _worker_args: tuple | None = None
 
 
 def _init_worker(
     cfg: MatrixConfig,
+    embedder: HashEmbedder,
     cells: tuple[ExperimentCell, ...],
     dump_dir: Path | None,
     units: list[tuple[int, int]],
     counter,
 ) -> None:
     global _worker_args
-    _worker_args = (cfg, cells, dump_dir, units, counter)
+    _worker_args = (cfg, embedder, cells, dump_dir, units, counter)
 
 
 def _claim_units() -> list[tuple[int, _Row | str]]:
     """Run unit after unit, each claimed from the shared counter, until none
     is left; return the (unit index, result) pairs in one message."""
-    cfg, cells, dump_dir, units, counter = _worker_args
+    cfg, embedder, cells, dump_dir, units, counter = _worker_args
     done = []
     while True:
         with counter.get_lock():
@@ -466,11 +470,12 @@ def _claim_units() -> list[tuple[int, _Row | str]]:
             counter.value = index + 1
         if index >= len(units):
             return done
-        done.append((index, _run_unit(cfg, cells, dump_dir, units[index])))
+        done.append((index, _run_unit(cfg, embedder, cells, dump_dir, units[index])))
 
 
 def _run_units(
     cfg: MatrixConfig,
+    embedder: HashEmbedder,
     cells: tuple[ExperimentCell, ...],
     dump_dir: Path | None,
     units: list[tuple[int, int]],
@@ -486,7 +491,7 @@ def _run_units(
     back twice or never is an error, not a silent gap or overwrite.
     """
     if jobs <= 1 or not units:
-        return [_run_unit(cfg, cells, dump_dir, unit) for unit in units]
+        return [_run_unit(cfg, embedder, cells, dump_dir, unit) for unit in units]
     # imported here, so that loading a config or analysing a run does not pay
     # for the process machinery
     import multiprocessing
@@ -501,7 +506,7 @@ def _run_units(
         max_workers=workers,
         mp_context=context,
         initializer=_init_worker,
-        initargs=(cfg, cells, dump_dir, units, counter),
+        initargs=(cfg, embedder, cells, dump_dir, units, counter),
     ) as pool:
         batches = [pool.submit(_claim_units) for _ in range(workers)]
         results: list[_Row | str | None] = [None] * len(units)
@@ -552,8 +557,11 @@ def run_matrix(
         for c, cell in enumerate(cells)
         for t in range(len(cfg.benchmarks[cell.benchmark].benchmark.tasks))
     ]
+    # one embedder per call, never kept past it: a later call with the same
+    # config hashes its lines again, as a fresh `memsearch run` does
+    embedder = HashEmbedder(cfg.embedder_dim)
     results: dict[str, list[_Row | str]] = {cell.cell_id: [] for cell in cells}
-    for (c, _), result in zip(units, _run_units(cfg, cells, dump_dir, units, jobs)):
+    for (c, _), result in zip(units, _run_units(cfg, embedder, cells, dump_dir, units, jobs)):
         results[cells[c].cell_id].append(result)
 
     for cell, adm in admissions:

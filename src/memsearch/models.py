@@ -425,13 +425,16 @@ def _feature_hash(text: str, dim: int, features: dict[str, tuple[int, float]]) -
 class HashEmbedder:
     """`hash_embed` at a fixed dim, memoized by text for the life of the instance.
 
-    The matrix runner builds one embedder per (cell, task) unit, so the memo
-    lives as long as that task's memory store, and a line extracted again
-    (MCTS re-extracts the same listing at every expansion) is hashed once.
-    The n-grams of new lines are memoized the same way: fact lines share most
-    of their words, and each distinct n-gram is hashed once per instance.
-    Memoized arrays are read-only, so a caller cannot change what later
-    callers receive.
+    The matrix runner builds one embedder per run (per `run_matrix` call) and
+    hands it to every (cell, task) unit, so a line extracted again, in the
+    same task (MCTS re-extracts the same listing at every expansion) or in
+    another unit of the run, is hashed once; with forked workers each worker
+    fills its own copy.  The memo is bounded by the run's distinct fact
+    lines.  The n-grams of new lines are memoized the same way: fact lines
+    share most of their words, and each distinct n-gram is hashed once per
+    instance.  Sharing is exact: `_feature_hash` gives the same bits whatever
+    the memo holds, and memoized arrays are read-only, so a caller cannot
+    change what later callers receive.
     """
 
     def __init__(self, dim: int = 64):

@@ -336,6 +336,66 @@ def test_store_dedup_decisions_match_per_pair_loop(threshold, stream):
     assert store.units == tuple(reference)
 
 
+# a pool of 3-4 bodies, so that most adds repeat an earlier one
+_POOL = st.lists(st.lists(_WORDS, min_size=1, max_size=5).map(" ".join), min_size=3, max_size=4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(threshold=st.sampled_from([0.5, 0.9, 1.0 - 1e-12, 1.0]), data=st.data())
+def test_store_repeat_exits_match_per_pair_loop(threshold, data):
+    pool = data.draw(_POOL)
+    units = st.tuples(st.integers(0, 9), st.sampled_from(pool)).map(
+        lambda t: _reflection_unit(t[1]) if t[0] == 0 else _fact_unit(t[1])
+    )
+    stream = data.draw(st.lists(units, max_size=40))
+    store, reference = MemoryStore(threshold), []
+    got = [store.add(u) for u in stream]
+    assert got == [_reference_add(reference, u, threshold) for u in stream]
+    assert store.units == tuple(reference)
+
+
+def _tuple_fact(body, embedding):
+    return ContextUnit(
+        Scope.CROSS_TRAJECTORY, Abstraction.FACT, body, 0, persistent=True, embedding=embedding
+    )
+
+
+@pytest.mark.parametrize(
+    "embedding, threshold",
+    [((0.0,) * 16, 0.5), ((1e200,) * 16, 0.5), ((0.2,) + (0.3,) * 15, 1.0)],
+    ids=["all_zero", "norm_overflows", "self_cosine_below_one"],
+)
+def test_store_keeps_every_repeat_of_a_degenerate_embedding(embedding, threshold):
+    # a zero denominator scores 0.0, an infinite norm scores NaN, and the last
+    # vector's cosine with itself rounds to 1 - 2**-53: in the per-pair loop
+    # none duplicates itself, so no repeat is dropped
+    stream = [_tuple_fact(f"fact {i}", embedding) for i in range(3)]
+    store, reference = MemoryStore(threshold), []
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = [store.add(u) for u in stream]
+        assert got == [_reference_add(reference, u, threshold) for u in stream] == [True] * 3
+
+
+def test_store_repeat_of_a_stored_or_dropped_fact_skips_the_scan(monkeypatch):
+    a = _fact_unit("The database contains a table named 'albums'.")
+    b = _fact_unit("The database contains a table named 'studio_sessions'.")
+    scans = []
+    real = MemoryStore._is_duplicate
+
+    def counting_scan(self, vec, norm):
+        scans.append(1)
+        return real(self, vec, norm)
+
+    monkeypatch.setattr(MemoryStore, "_is_duplicate", counting_scan)
+    store = MemoryStore(cosine(np.asarray(a.embedding), np.asarray(b.embedding)) - 0.01)
+    assert store.add(a) and len(scans) == 1
+    assert not store.add(_fact_unit(a.body)) and len(scans) == 1  # a stored fact again
+    assert not store.add(_fact_unit(a.body.upper())) and len(scans) == 1  # same embedding
+    assert not store.add(b) and len(scans) == 2  # dropped as a duplicate of a
+    assert not store.add(_fact_unit(b.body)) and len(scans) == 2  # a dropped fact again
+    assert store.units == (a,)
+
+
 def test_store_dedup_threshold_at_exact_cosine_takes_margin_fallback(monkeypatch):
     a = _fact_unit("The database contains a table named 'albums'.")
     b = _fact_unit("The database contains a table named 'studio_sessions'.")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from memsearch import matrix
+from memsearch import matrix, models
 from memsearch.augmentors import AugmentorConfig, AugmentorKind
 from memsearch.cli import main
 from memsearch.core import Telemetry
@@ -27,7 +27,7 @@ from memsearch.matrix import (
     run_matrix,
     task_seed,
 )
-from memsearch.models import ConfigurationError
+from memsearch.models import ConfigurationError, HashEmbedder
 from memsearch.search import SearchConfig, SearchMethod
 
 from conftest import FIXTURES, write_mini_config
@@ -440,7 +440,7 @@ def _remote_policy_config(tmp_path, fixtures_dir):
 def test_retry_delay_reaches_the_remote_client(tmp_path, fixtures_dir, monkeypatch):
     monkeypatch.setenv("MEMSEARCH_API_KEY", "k")
     cfg = load_matrix_config(_remote_policy_config(tmp_path, fixtures_dir))
-    policy_model = _build_models(cfg.benchmarks["toy_sql_demo"], 64, Telemetry())[0]
+    policy_model = _build_models(cfg.benchmarks["toy_sql_demo"], Telemetry())[0]
     assert policy_model.client.config.retry_delay == RETRY_DELAY_S > 0
 
 
@@ -465,10 +465,37 @@ def test_build_models_remote_requires_credentials(tmp_path, fixtures_dir, monkey
     ]
     monkeypatch.delenv("MEMSEARCH_API_KEY", raising=False)
     with pytest.raises(ConfigurationError, match="MEMSEARCH_API_KEY"):
-        _build_models(spec, 64, Telemetry())
+        _build_models(spec, Telemetry())
     monkeypatch.setenv("MEMSEARCH_API_KEY", "k")
-    policy, prm, aug, emb = _build_models(spec, 64, Telemetry())
+    policy, prm, aug = _build_models(spec, Telemetry())
     assert policy.client.config.api_key == "k"
+
+
+def test_run_matrix_builds_one_embedder_per_call(tmp_path, demo_config_path, monkeypatch):
+    built, hashed = [], []
+
+    class CountingEmbedder(HashEmbedder):
+        def __init__(self, dim):
+            super().__init__(dim)
+            built.append(self)
+
+    real_hash = models._feature_hash
+
+    def counting_hash(text, dim, features):
+        hashed.append(text)
+        return real_hash(text, dim, features)
+
+    monkeypatch.setattr(matrix, "HashEmbedder", CountingEmbedder)
+    monkeypatch.setattr(models, "_feature_hash", counting_hash)
+    cfg = load_matrix_config(demo_config_path)
+    run_matrix(cfg, tmp_path / "first", jobs=1)
+    assert len(built) == 1  # not one per (cell, task) unit: 88 of those
+    first = list(hashed)
+    run_matrix(cfg, tmp_path / "second", jobs=1)
+    assert len(built) == 2
+    # the second call starts from an empty memo: it hashes every line again
+    assert hashed == first * 2 and len(first) == len(set(first)) > 0
+    assert built[0]._memo.keys() == built[1]._memo.keys() == set(first)
 
 
 def test_run_matrix_mini_run(tmp_path):
