@@ -14,9 +14,7 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     Abstraction,
@@ -31,6 +29,9 @@ from .core import (
     trajectory_text,
 )
 from .models import EXTRACT_FACTS, REFLECT, AugmentorModel, Embedder, cosine
+
+if TYPE_CHECKING:
+    import numpy as np
 
 REFLECTION_THRESHOLD = 0.3
 DEDUP_THRESHOLD = 0.9
@@ -110,14 +111,20 @@ class MemoryStore:
     The rendered bundle of the stored units is kept until the next unit is
     actually stored, so retrieval without ephemeral units renders once per
     write, not once per policy call.
+
+    The fact index (the array and the norms) is allocated by the first
+    stored fact, and numpy is imported only on the fact path, so a store
+    that holds only reflections never loads it.
     """
 
     def __init__(self, dedup_threshold: float = DEDUP_THRESHOLD):
         self.dedup_threshold = dedup_threshold
         self._units: list[ContextUnit] = []
         self._facts: list[ContextUnit] = []
-        self._matrix = np.empty((0, 0))  # rows [:len(self._facts)] are in use
-        self._norms = np.empty(0)
+        # fact embeddings and their norms, allocated by the first stored fact;
+        # rows [:len(self._facts)] are in use
+        self._matrix: np.ndarray | None = None
+        self._norms: np.ndarray | None = None
         self._drop_keys: set[tuple[str, bytes]] = set()  # embeddings whose repeat is dropped
         self._bundle: ContextBundle | None = None  # render_bundle(self._units), or None: stale
 
@@ -133,6 +140,8 @@ class MemoryStore:
         if not unit.persistent:
             raise ValueError("memory store holds persistent units only")
         if unit.abstraction is Abstraction.FACT:
+            import numpy as np
+
             vec = np.asarray(unit.embedding)
             key = (vec.dtype.str, vec.tobytes())
             if key in self._drop_keys:
@@ -159,6 +168,8 @@ class MemoryStore:
         n = len(self._facts)
         if n == 0:
             return False
+        import numpy as np
+
         dots = self._matrix[:n] @ vec
         denom = self._norms[:n] * norm
         sims = np.zeros(n)
@@ -178,8 +189,10 @@ class MemoryStore:
         )
 
     def _append_fact(self, unit: ContextUnit, vec: np.ndarray, norm: float) -> None:
+        import numpy as np
+
         n = len(self._facts)
-        if n == len(self._norms):
+        if self._norms is None or n == len(self._norms):
             matrix = np.empty((max(16, 2 * n), vec.size))
             norms = np.empty(len(matrix))
             if n:

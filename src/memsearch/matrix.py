@@ -43,6 +43,7 @@ from .models import (
     ScriptedRewardModel,
 )
 from .search import BackpropMode, ExpansionMode, SearchConfig, SearchMethod, run_search
+from .stats import FORMAT_VERSION
 
 log = logging.getLogger(__name__)
 
@@ -594,7 +595,7 @@ def run_matrix(
         log.info("cell %s: %d tasks done", cell.cell_id, len(rows))
 
     manifest = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "pricing": asdict(cfg.pricing),
         "cells": manifest_cells,
     }

@@ -10,15 +10,12 @@ Telemetry so cost accounting can be exercised without a network.
 from __future__ import annotations
 
 import json
+import math
 import random
 import re
 import time
-import urllib.error
-import urllib.request
-from dataclasses import dataclass, field
-from typing import Protocol, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .core import (
     FINAL_ANSWER,
@@ -28,9 +25,14 @@ from .core import (
     Task,
     Telemetry,
     _count_tokens,
+    is_int,
+    is_number,
     stable_hash,
     trajectory_text,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConfigurationError(Exception):
@@ -94,11 +96,27 @@ class ScriptedPolicyConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ScriptedPolicyConfig":
         rules = []
-        for r in raw.get("rules", ()):
+        for i, r in enumerate(raw.get("rules", ())):
+            step = r["step"]
+            if not is_int(step) or step < 0:
+                raise ConfigurationError(
+                    f"policy rule {i}: step must be an integer >= 0, got {step!r}"
+                )
             cands = tuple(sorted(r["candidates"].items()))
             if not cands:
-                raise ConfigurationError(f"policy rule at step {r.get('step')} has no candidates")
-            rule = PolicyRule(step=int(r["step"]), match=r.get("match", "*"), candidates=cands)
+                raise ConfigurationError(f"policy rule {i} at step {step} has no candidates")
+            for template, weight in cands:
+                if not is_number(weight) or not 0.0 <= weight < math.inf:
+                    raise ConfigurationError(
+                        f"policy rule {i} at step {step}: weight of {template!r} must be "
+                        f"a finite number >= 0, got {weight!r}"
+                    )
+            if not 0.0 < sum(w for _, w in cands) < math.inf:
+                raise ConfigurationError(
+                    f"policy rule {i} at step {step}: candidate weights must sum to a "
+                    "finite number above 0"
+                )
+            rule = PolicyRule(step=step, match=r.get("match", "*"), candidates=cands)
             _match_kind(rule.match)  # validate eagerly
             rules.append(rule)
         prob = float(raw.get("apology_collapse_prob", 0.0))
@@ -404,6 +422,8 @@ def _feature_hash(text: str, dim: int, features: dict[str, tuple[int, float]]) -
     coordinate is a sum of +-1.0 terms, exact in float64, so the vector is
     the same bits whatever the memo holds.
     """
+    import numpy as np
+
     if dim < MIN_EMBED_DIM:
         raise ValueError(f"embedding dim {dim} too small, need >= {MIN_EMBED_DIM}")
     tokens = text.lower().split()
@@ -434,7 +454,10 @@ class HashEmbedder:
     share most of their words, and each distinct n-gram is hashed once per
     instance.  Sharing is exact: `_feature_hash` gives the same bits whatever
     the memo holds, and memoized arrays are read-only, so a caller cannot
-    change what later callers receive.
+    change what later callers receive.  numpy is imported by the first
+    embedding, not with the module, so code that never embeds (config
+    loading, admissibility, analysis, runs without fact memory) never loads
+    it.
     """
 
     def __init__(self, dim: int = 64):
@@ -452,6 +475,8 @@ class HashEmbedder:
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    import numpy as np
+
     denom = float(np.linalg.norm(a)) * float(np.linalg.norm(b))
     if denom == 0.0:
         return 0.0
@@ -485,7 +510,9 @@ class RemoteChatClient:
     retry_delay before the second attempt and twice as long before each
     later one.  A 401 is a credential error and any other HTTP error a
     configuration error; neither is retried.  Usage numbers from the
-    response are accumulated into the attached Telemetry.
+    response are accumulated into the attached Telemetry.  The HTTP stack
+    (`urllib.request`, `http.client`) is imported by the first request,
+    not with the module.
     """
 
     def __init__(self, config: RemoteChatConfig, telemetry: Telemetry | None = None):
@@ -495,6 +522,9 @@ class RemoteChatClient:
         self.telemetry = telemetry
 
     def complete(self, messages: list[dict[str, str]], temperature: float = 0.0) -> str:
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps(
             {"model": self.config.model, "messages": messages, "temperature": temperature}
         ).encode("utf-8")

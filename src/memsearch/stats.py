@@ -16,10 +16,12 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .core import PricingTable
+from .core import PricingTable, is_int
 
 PASS_AT_N = "pass_at_n"
 SELECTED = "selected"
+# the manifest format `run_matrix` writes and `analyze_run` reads
+FORMAT_VERSION = 1
 
 
 class PairingError(Exception):
@@ -28,6 +30,10 @@ class PairingError(Exception):
 
 class MissingBaselineError(Exception):
     """No baseline cell exists for a (benchmark, method) group."""
+
+
+class FormatVersionError(Exception):
+    """A run directory's manifest is of a format this version cannot read."""
 
 
 @dataclass(frozen=True)
@@ -232,10 +238,18 @@ def analyze_run(
     rule: str = PASS_AT_N,
 ) -> dict:
     """Aggregate a finished run directory into accuracy, paired tests with
-    BH correction, and efficiency metrics.  Raises MissingBaselineError when
-    a (benchmark, method) group has treatment cells but no baseline cell."""
+    BH correction, and efficiency metrics.  Raises FormatVersionError when
+    the manifest's format_version is missing or unknown, and
+    MissingBaselineError when a (benchmark, method) group has treatment
+    cells but no baseline cell."""
     out = Path(out_dir)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    version = manifest.get("format_version")
+    if not is_int(version) or version != FORMAT_VERSION:
+        raise FormatVersionError(
+            f"{out / 'manifest.json'}: format_version {version!r} is not supported "
+            f"(supported: {FORMAT_VERSION})"
+        )
     pricing = PricingTable(**manifest.get("pricing", {}))
     cells = manifest["cells"]
 

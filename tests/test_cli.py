@@ -89,6 +89,22 @@ def test_analyze_missing_dir_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_analyze_unknown_format_version_exits_1_with_one_line(tmp_path, capsys):
+    path = write_mini_config(tmp_path, _cells())
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["format_version"] = 2
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {out / 'manifest.json'}: format_version 2 is not supported (supported: 1)"
+    ]
+
+
 def test_analyze_selected_rule_and_q(tmp_path, capsys):
     path = write_mini_config(tmp_path, _cells() + _cells(memory=["reflection"]))
     out = tmp_path / "out"

@@ -355,6 +355,62 @@ def test_unknown_discovery_tool_is_a_config_error(tmp_path, capsys, tool, messag
     _assert_config_error(path, rf"benchmark 'toy_sql_demo': {message}", capsys)
 
 
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ({"step": 1.7}, r"policy rule 0: step must be an integer >= 0, got 1\.7"),
+        ({"step": True}, r"policy rule 0: step must be an integer >= 0, got True"),
+        ({"step": -2}, r"policy rule 0: step must be an integer >= 0, got -2"),
+        ({"step": "0"}, r"policy rule 0: step must be an integer >= 0, got '0'"),
+        (
+            {"candidates": {"LIST_TABLES|": -1.0}},
+            r"policy rule 0 at step 0: weight of 'LIST_TABLES\|' must be a finite number "
+            r">= 0, got -1\.0",
+        ),
+        (
+            {"candidates": {"LIST_TABLES|": float("nan")}},
+            r"policy rule 0 at step 0: weight of .* got nan",
+        ),
+        (
+            {"candidates": {"LIST_TABLES|": float("inf")}},
+            r"policy rule 0 at step 0: weight of .* got inf",
+        ),
+        (
+            {"candidates": {"LIST_TABLES|": True}},
+            r"policy rule 0 at step 0: weight of .* got True",
+        ),
+        (
+            {"candidates": {"LIST_TABLES|": "1"}},
+            r"policy rule 0 at step 0: weight of .* got '1'",
+        ),
+        (
+            {"candidates": {"LIST_TABLES|": 0.0, "SCHEMA|x": 0}},
+            r"policy rule 0 at step 0: candidate weights must sum to a finite number above 0",
+        ),
+    ],
+    ids=[
+        "step_float",
+        "step_bool",
+        "step_negative",
+        "step_str",
+        "weight_negative",
+        "weight_nan",
+        "weight_inf",
+        "weight_bool",
+        "weight_str",
+        "weights_all_zero",
+    ],
+)
+def test_bad_policy_step_or_weight_is_a_config_error(
+    tmp_path, fixtures_dir, capsys, rule, message
+):
+    script = {"rules": [{"step": 0, "candidates": {"LIST_TABLES|": 1.0}, **rule}]}
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    config = _one_sql_cell_config(tmp_path, fixtures_dir, policy_script=path)
+    _assert_config_error(config, rf"benchmark 'toy_sql_demo': policy_script: {message}", capsys)
+
+
 REMOTE_POLICY = {"kind": "remote", "url": "http://localhost/v1", "model": "m"}
 
 

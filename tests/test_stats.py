@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 
 from memsearch.matrix import load_matrix_config, run_matrix
 from memsearch.stats import (
+    FORMAT_VERSION,
+    FormatVersionError,
     MissingBaselineError,
     PairingError,
     analyze_run,
@@ -294,6 +298,26 @@ def test_analyze_run_aggregates(mini_run):
 def test_analyze_run_missing_baseline(mini_run):
     with pytest.raises(MissingBaselineError, match="toy_sql_demo__beam__nothing"):
         analyze_run(mini_run, baseline="nothing")
+
+
+@pytest.mark.parametrize(
+    "version, found",
+    [(None, "None"), (2, "2"), (0, "0"), ("1", "'1'"), (True, "True"), (1.0, "1.0")],
+    ids=["missing", "newer", "zero", "string", "bool", "float"],
+)
+def test_analyze_run_refuses_unknown_format_version(mini_run, tmp_path, version, found):
+    run = tmp_path / "run"
+    shutil.copytree(mini_run, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["format_version"] == FORMAT_VERSION == 1
+    if version is None:
+        del manifest["format_version"]
+    else:
+        manifest["format_version"] = version
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    message = f"format_version {found} is not supported (supported: 1)"
+    with pytest.raises(FormatVersionError, match=re.escape(message)):
+        analyze_run(run)
 
 
 def test_emit_matrix_report_shape(mini_run):
