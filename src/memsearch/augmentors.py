@@ -11,6 +11,7 @@ prompt only; reward model inputs never include bundle text.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -56,6 +57,14 @@ class AugmentorError(Exception):
     """An augmentor model call failed; the experiment cell must abort."""
 
 
+def _check_dedup_threshold(value: object) -> None:
+    """Raise ValueError unless `value` is a number in (0, 1], a usable dedup threshold."""
+    if not is_number(value):
+        raise ValueError(f"dedup_threshold must be a number, got {value!r}")
+    if not 0.0 < value <= 1.0:
+        raise ValueError("dedup threshold outside (0, 1]")
+
+
 @dataclass(frozen=True)
 class AugmentorConfig:
     kind: AugmentorKind
@@ -64,13 +73,13 @@ class AugmentorConfig:
     dedup_threshold: float = DEDUP_THRESHOLD
 
     def __post_init__(self) -> None:
-        for name in ("reflection_threshold", "dedup_threshold"):
-            if not is_number(getattr(self, name)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if not is_number(self.reflection_threshold):
+            raise ValueError(
+                f"reflection_threshold must be a number, got {self.reflection_threshold!r}"
+            )
         if not 0.0 <= self.reflection_threshold <= 1.0:
             raise ValueError("reflection threshold outside [0, 1]")
-        if not 0.0 < self.dedup_threshold <= 1.0:
-            raise ValueError("dedup threshold outside (0, 1]")
+        _check_dedup_threshold(self.dedup_threshold)
 
 
 class MemoryStore:
@@ -79,7 +88,10 @@ class MemoryStore:
     The store only grows; nothing is evicted within a task.  Fact units are
     deduplicated at write time: a fact whose embedding has cosine similarity
     at or above dedup_threshold with any stored fact is dropped, so stored
-    facts are pairwise dissimilar below the threshold.
+    facts are pairwise dissimilar below the threshold.  The threshold must be
+    a number in (0, 1], as in `AugmentorConfig`; anything else raises
+    ValueError here, and what follows holds for every threshold in that
+    range.
 
     The check is vectorized: stored fact embeddings are kept as rows of an
     (n, dim) array with amortized growth, next to their norms, and a new fact
@@ -92,6 +104,16 @@ class MemoryStore:
     finite, is therefore re-checked with `cosine` on the two embeddings, so
     for float64 embeddings (what `hash_embed` returns) each keep/drop
     decision is the one a per-pair loop over the stored facts would make.
+
+    A new fact costs one product v.v besides the matrix-vector product.  v.v
+    gives both the norm and the numerator of the self-similarity below: for
+    a float64 embedding `np.linalg.norm(v)` is sqrt(v.v), and a square root
+    is correctly rounded in numpy as in `math` (other dtypes still go
+    through `np.linalg.norm`).  The store keeps its smallest stored norm.
+    When |vec| times it is above 0, no denominator is 0 (rounding is
+    monotone), so the plain quotient gives the zero-filled one's values;
+    only a zero or NaN norm, or a product that underflows, takes the masked
+    divide.
 
     Two exits skip part of that work and decide the same:
 
@@ -118,6 +140,7 @@ class MemoryStore:
     """
 
     def __init__(self, dedup_threshold: float = DEDUP_THRESHOLD):
+        _check_dedup_threshold(dedup_threshold)
         self.dedup_threshold = dedup_threshold
         self._units: list[ContextUnit] = []
         self._facts: list[ContextUnit] = []
@@ -125,7 +148,8 @@ class MemoryStore:
         # rows [:len(self._facts)] are in use
         self._matrix: np.ndarray | None = None
         self._norms: np.ndarray | None = None
-        self._drop_keys: set[tuple[str, bytes]] = set()  # embeddings whose repeat is dropped
+        self._min_norm = math.inf  # of the stored facts; NaN once a NaN norm is stored
+        self._drop_keys: set[tuple[np.dtype, bytes]] = set()  # embeddings whose repeat is dropped
         self._bundle: ContextBundle | None = None  # render_bundle(self._units), or None: stale
 
     def __len__(self) -> int:
@@ -143,16 +167,17 @@ class MemoryStore:
             import numpy as np
 
             vec = np.asarray(unit.embedding)
-            key = (vec.dtype.str, vec.tobytes())
+            key = (vec.dtype, vec.tobytes())
             if key in self._drop_keys:
                 return False
-            norm = float(np.linalg.norm(vec))
+            sq = vec.dot(vec)
+            norm = math.sqrt(sq) if vec.dtype == np.float64 else float(np.linalg.norm(vec))
             if self._is_duplicate(vec, norm):
                 self._drop_keys.add(key)
                 return False
             self._append_fact(unit, vec, norm)
             denom = norm * norm
-            if denom != 0.0 and float(np.dot(vec, vec)) / denom - self.dedup_threshold > EXACT_MARGIN:
+            if denom != 0.0 and float(sq) / denom - self.dedup_threshold > EXACT_MARGIN:
                 self._drop_keys.add(key)
         self._units.append(unit)
         self._bundle = None
@@ -172,8 +197,11 @@ class MemoryStore:
 
         dots = self._matrix[:n] @ vec
         denom = self._norms[:n] * norm
-        sims = np.zeros(n)
-        np.divide(dots, denom, out=sims, where=denom != 0.0)
+        if norm * self._min_norm > 0.0:  # every denominator is at least this product
+            sims = dots / denom
+        else:
+            sims = np.zeros(n)
+            np.divide(dots, denom, out=sims, where=denom != 0.0)
         top = sims.max() - self.dedup_threshold
         if top > EXACT_MARGIN:
             return True
@@ -201,6 +229,8 @@ class MemoryStore:
             self._matrix, self._norms = matrix, norms
         self._matrix[n] = vec
         self._norms[n] = norm
+        if norm < self._min_norm or math.isnan(norm):
+            self._min_norm = norm
         self._facts.append(unit)
 
     def dump(self, path: str | Path) -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 MAX_DEPTH = 15
 
@@ -43,13 +43,43 @@ class Abstraction(str, Enum):
     FACT = "fact"
 
 
+def _encoded(*parts: object) -> bytes:
+    """What the parts feed a stable_hash digest: each one's repr and a 0x1f separator, in UTF-8.
+
+    repr escapes lone surrogates, so the encoding never fails, and the
+    encoding of a sequence of parts is the concatenation of theirs.
+    """
+    return "\x1f".join([*map(repr, parts), ""]).encode("utf-8")
+
+
+def _first64(state: hashlib._Hash) -> int:
+    return int.from_bytes(state.digest()[:8], "big")
+
+
 def stable_hash(*parts: object) -> int:
     """Deterministic 64-bit hash of the given parts, stable across processes.
 
-    The digest is sha256 over each part's repr followed by a 0x1f separator.
+    The digest is sha256 over each part's repr followed by a 0x1f separator;
+    the hash is its first 8 bytes, big-endian.
     """
-    data = "".join([repr(p) + "\x1f" for p in parts]).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+    return _first64(hashlib.sha256(_encoded(*parts)))
+
+
+def stable_hasher(*prefix: object) -> Callable[[object], int]:
+    """`h` with h(part) == stable_hash(*prefix, part).
+
+    The prefix is hashed once: each call copies that sha256 state and feeds
+    it only the part, so hashing many parts under one prefix skips the
+    prefix's repr, encoding and compression every time.
+    """
+    state = hashlib.sha256(_encoded(*prefix))
+
+    def h(part: object) -> int:
+        copy = state.copy()
+        copy.update(_encoded(part))
+        return _first64(copy)
+
+    return h
 
 
 def is_int(value: object) -> bool:

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import re
+import string
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
@@ -28,6 +29,7 @@ from .core import (
     is_int,
     is_number,
     stable_hash,
+    stable_hasher,
     trajectory_text,
 )
 
@@ -37,6 +39,24 @@ if TYPE_CHECKING:
 
 class ConfigurationError(Exception):
     """A script or client config is malformed; raised eagerly at load time."""
+
+
+def _number(value: object, what: str) -> float:
+    """`value` as a float if it is a JSON number; else a ConfigurationError naming `what`."""
+    if not is_number(value):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _string(value: object, what: str) -> str:
+    """`value` if it is a string; else a ConfigurationError naming `what`."""
+    if not isinstance(value, str):
+        raise ConfigurationError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def _optional_string(value: object, what: str) -> str | None:
+    return None if value is None else _string(value, what)
 
 
 class CredentialError(Exception):
@@ -119,12 +139,12 @@ class ScriptedPolicyConfig:
             rule = PolicyRule(step=step, match=r.get("match", "*"), candidates=cands)
             _match_kind(rule.match)  # validate eagerly
             rules.append(rule)
-        prob = float(raw.get("apology_collapse_prob", 0.0))
+        prob = _number(raw.get("apology_collapse_prob", 0.0), "apology_collapse_prob")
         if not 0.0 <= prob <= 1.0:
             raise ConfigurationError(f"apology_collapse_prob {prob} outside [0, 1]")
         return cls(
             rules=tuple(rules),
-            apology_text=raw.get("apology_text", cls.apology_text),
+            apology_text=_string(raw.get("apology_text", cls.apology_text), "apology_text"),
             apology_collapse_prob=prob,
         )
 
@@ -286,17 +306,21 @@ class ScriptedRewardModel:
 
     @classmethod
     def from_dict(cls, raw: dict, telemetry: Telemetry | None = None) -> "ScriptedRewardModel":
-        rules = [
-            RewardRule(
-                score=float(r["score"]),
-                tool=r.get("tool"),
-                is_error=r.get("is_error"),
-                obs_contains=r.get("obs_contains"),
-                args_contains=r.get("args_contains"),
-            )
-            for r in raw.get("rules", ())
-        ]
-        return cls(rules, float(raw.get("default", 0.5)), telemetry)
+        rules = []
+        for i, r in enumerate(raw.get("rules", ())):
+            where = f"reward rule {i}"
+            score = _number(r["score"], f"{where}: score")
+            is_error = r.get("is_error")
+            if is_error is not None and not isinstance(is_error, bool):
+                raise ConfigurationError(
+                    f"{where}: is_error must be true or false, got {is_error!r}"
+                )
+            probes = {
+                key: _optional_string(r.get(key), f"{where}: {key}")
+                for key in ("tool", "obs_contains", "args_contains")
+            }
+            rules.append(RewardRule(score=score, is_error=is_error, **probes))
+        return cls(rules, _number(raw.get("default", 0.5), "reward default"), telemetry)
 
     def score(self, task_prompt: str, prefix: Sequence[Step], candidate: Step) -> float:
         value = self.default
@@ -333,6 +357,43 @@ class FactPattern:
     split: str | None = None
 
 
+def _check_fact_rule(where: str, rule: FactPattern) -> None:
+    """Raise ConfigurationError unless every match of the rule can fill its template.
+
+    `generate` fills the template with exactly as many strings as the
+    pattern has groups (a split piece stands in for the first group), so
+    each field must be a positional index below that count, written out or
+    auto-numbered `{}`.  A trial fill with empty strings then catches what
+    the field names do not show: conversions, format specs and the fields
+    nested in them.
+    """
+    if rule.split == "":
+        raise ConfigurationError(f"{where}: split must not be empty")
+    groups = re.compile(rule.pattern, re.MULTILINE).groups
+    if rule.split is not None and groups == 0:
+        raise ConfigurationError(f"{where}: a split rule's pattern needs a group to split")
+    try:
+        fields = string.Formatter().parse(rule.template)
+        names = [name for _, name, _, _ in fields if name is not None]
+        auto = all(name == "" for name in names)
+        for i, name in enumerate(names):
+            index = i if auto else int(name) if name.isascii() and name.isdigit() else None
+            if index is None:
+                raise ValueError(
+                    f"field {{{name}}} is not a positional index"
+                    if name
+                    else "automatic {} and numbered fields are mixed"
+                )
+            if index >= groups:
+                raise ValueError(f"field {{{name}}} needs group {index + 1}")
+        rule.template.format(*[""] * groups)
+    except (AttributeError, IndexError, KeyError, ValueError) as exc:
+        raise ConfigurationError(
+            f"{where}: template {rule.template!r} cannot be filled from the pattern's "
+            f"{groups} group(s): {exc}"
+        ) from exc
+
+
 class ScriptedAugmentorModel:
     """Template engine for reflection and fact extraction over trajectory text.
 
@@ -359,13 +420,26 @@ class ScriptedAugmentorModel:
     def from_dict(cls, raw: dict, telemetry: Telemetry | None = None) -> "ScriptedAugmentorModel":
         refl = raw.get("reflection", {})
         facts = raw.get("facts", {})
-        patterns = [
-            FactPattern(pattern=p["pattern"], template=p["template"], split=p.get("split"))
-            for p in facts.get("rules", ())
+        patterns = []
+        for i, p in enumerate(facts.get("rules", ())):
+            rule = FactPattern(
+                pattern=_string(p["pattern"], f"fact rule {i}: pattern"),
+                template=_string(p["template"], f"fact rule {i}: template"),
+                split=_optional_string(p.get("split"), f"fact rule {i}: split"),
+            )
+            _check_fact_rule(f"fact rule {i}", rule)
+            patterns.append(rule)
+        reflection_rules = [
+            (
+                _string(r["contains"], f"reflection rule {i}: contains"),
+                _string(r["text"], f"reflection rule {i}: text"),
+            )
+            for i, r in enumerate(refl.get("rules", ()))
         ]
+        default = refl.get("default", "The last attempt failed; reconsider the approach.")
         return cls(
-            reflection_rules=[(r["contains"], r["text"]) for r in refl.get("rules", ())],
-            reflection_default=refl.get("default", "The last attempt failed; reconsider the approach."),
+            reflection_rules=reflection_rules,
+            reflection_default=_string(default, "reflection default"),
             fact_patterns=patterns,
             telemetry=telemetry,
         )
@@ -415,12 +489,18 @@ def hash_embed(text: str, dim: int = 64) -> np.ndarray:
     return _feature_hash(text, dim, {})
 
 
+# stable_hash("embed", gram), with the prefix's sha256 state computed once
+_hash_gram = stable_hasher("embed")
+
+
 def _feature_hash(text: str, dim: int, features: dict[str, tuple[int, float]]) -> np.ndarray:
     """hash_embed, with `features` as the memo of each n-gram's (index, sign) at this dim.
 
-    An n-gram is hashed on its first sighting in the memo only.  Every
-    coordinate is a sum of +-1.0 terms, exact in float64, so the vector is
-    the same bits whatever the memo holds.
+    An n-gram is hashed on its first sighting in the memo only, from a copy
+    of the sha256 state of the "embed" prefix.  Every coordinate is a sum of
+    +-1.0 terms, exact in float64, so the vector is the same bits whatever
+    the memo holds, and its squared norm v.v is exact: the norm is its
+    square root, which is what `np.linalg.norm` computes.
     """
     import numpy as np
 
@@ -431,15 +511,15 @@ def _feature_hash(text: str, dim: int, features: dict[str, tuple[int, float]]) -
     for gram in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
         feature = features.get(gram)
         if feature is None:
-            h = stable_hash("embed", gram)
+            h = _hash_gram(gram)
             feature = features[gram] = (h % dim, 1.0 if (h >> 32) & 1 else -1.0)
         acc[feature[0]] += feature[1]
     vec = np.array(acc, dtype=np.float64)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:  # empty text, or every feature cancelled out
+    sq = vec.dot(vec)
+    if sq == 0.0:  # empty text, or every feature cancelled out
         vec[0] = 1.0
         return vec
-    return vec / norm
+    return vec / math.sqrt(sq)
 
 
 class HashEmbedder:
@@ -452,12 +532,13 @@ class HashEmbedder:
     fills its own copy.  The memo is bounded by the run's distinct fact
     lines.  The n-grams of new lines are memoized the same way: fact lines
     share most of their words, and each distinct n-gram is hashed once per
-    instance.  Sharing is exact: `_feature_hash` gives the same bits whatever
-    the memo holds, and memoized arrays are read-only, so a caller cannot
-    change what later callers receive.  numpy is imported by the first
-    embedding, not with the module, so code that never embeds (config
-    loading, admissibility, analysis, runs without fact memory) never loads
-    it.
+    instance, from a copy of the one precomputed sha256 state of the
+    "embed" prefix rather than from scratch.  Sharing is exact:
+    `_feature_hash` gives the same bits whatever the memo holds, and
+    memoized arrays are read-only, so a caller cannot change what later
+    callers receive.  numpy is imported by the first embedding, not with the
+    module, so code that never embeds (config loading, admissibility,
+    analysis, runs without fact memory) never loads it.
     """
 
     def __init__(self, dim: int = 64):

@@ -376,6 +376,108 @@ def test_store_keeps_every_repeat_of_a_degenerate_embedding(embedding, threshold
         assert got == [_reference_add(reference, u, threshold) for u in stream] == [True] * 3
 
 
+def _arr(values, dtype=np.float64):
+    return np.array(values, dtype=dtype)
+
+
+_DIM16 = [hash_embed(body, 16) for body in ("alpha beta", "gamma delta", "alpha gamma")]
+_TINY = [_arr([1e-200] * 16, np.longdouble), _arr([1e-200] * 8 + [0.0] * 8, np.longdouble)]
+
+
+@pytest.mark.parametrize(
+    "stream, masked",
+    [
+        # v.v of these longdouble vectors is about 1e-400, so their norms are
+        # about 1e-200 and the product of two of them underflows to 0 in float64
+        pytest.param(
+            _TINY + [_TINY[0], tuple(_DIM16[0])],
+            True,
+            id="norm_products_underflow",
+            marks=pytest.mark.skipif(
+                np.finfo(np.longdouble).tiny >= 1e-300, reason="longdouble is float64 here"
+            ),
+        ),
+        pytest.param(
+            [_arr([0.0] * 16)] + [tuple(v) for v in _DIM16 + _DIM16], True, id="zero_fact_first"
+        ),
+        pytest.param(
+            [_arr([np.nan] + [1.0] * 15)] + [tuple(v) for v in _DIM16], True, id="nan_fact_first"
+        ),
+        pytest.param(
+            [tuple(v) for v in _DIM16] + [_arr([1e200] * 16), _arr([1e200] * 8 + [0.0] * 8)],
+            False,
+            id="norms_overflow",
+        ),
+        pytest.param([tuple(v) for v in _DIM16 + _DIM16[::-1]], False, id="tuples"),
+        pytest.param(
+            [tuple(v.astype(np.float32)) for v in _DIM16] + [_arr([3, 4] + [0] * 14, int)],
+            False,
+            id="float32_and_int",
+        ),
+    ],
+)
+def test_store_divide_paths_match_per_pair_loop(monkeypatch, stream, masked):
+    # the plain quotient uses `/`; only the zero-filled masked divide calls np.divide
+    calls = []
+    real = np.divide
+
+    def counting_divide(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "divide", counting_divide)
+    units = [_tuple_fact(f"fact {i}", e) for i, e in enumerate(stream)]
+    for threshold in (0.5, 0.9, 1.0):
+        store, reference = MemoryStore(threshold), []
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            got = [store.add(u) for u in units]
+            assert got == [_reference_add(reference, u, threshold) for u in units]
+        assert store.units == tuple(reference)
+    assert bool(calls) is masked
+
+
+@pytest.mark.parametrize(
+    "threshold",
+    [0, 0.0, -1, 1.5, float("nan"), float("inf"), True, "0.9", None],
+)
+def test_store_refuses_the_dedup_thresholds_the_config_refuses(threshold):
+    with pytest.raises(ValueError) as store_error:
+        MemoryStore(threshold)
+    with pytest.raises(ValueError) as config_error:
+        AugmentorConfig(AugmentorKind.FACT, dedup_threshold=threshold)
+    assert str(store_error.value) == str(config_error.value)
+
+
+@pytest.mark.parametrize("threshold", [1, 1.0, 0.9, 1e-9])
+def test_store_takes_every_threshold_in_range(threshold):
+    assert MemoryStore(threshold).dedup_threshold == threshold
+
+
+def test_extract_facts_embeds_and_adds_once_per_line(monkeypatch):
+    # the benchmark's tracer and its fact_heavy checks count one
+    # HashEmbedder.embed and one MemoryStore.add per extracted line
+    calls = {"embed": [], "add": []}
+    real_embed, real_add = HashEmbedder.embed, MemoryStore.add
+
+    def embed(self, text):
+        calls["embed"].append(text)
+        return real_embed(self, text)
+
+    def add(self, unit):
+        calls["add"].append(unit.body)
+        return real_add(self, unit)
+
+    monkeypatch.setattr(HashEmbedder, "embed", embed)
+    monkeypatch.setattr(MemoryStore, "add", add)
+    store, embedder = MemoryStore(), HashEmbedder()
+    text = "OBSERVATION[LIST_TABLES]: games, games, albums, Games"
+    tables = ("games", "games", "albums", "Games")
+    lines = [f"The database contains a table named '{t}'." for t in tables]
+    assert extract_facts(text, 0, AUG_MODEL, embedder, store) == 2
+    assert extract_facts(text, 1, AUG_MODEL, embedder, store) == 0
+    assert calls == {"embed": lines * 2, "add": lines * 2}
+
+
 def test_store_repeat_of_a_stored_or_dropped_fact_skips_the_scan(monkeypatch):
     a = _fact_unit("The database contains a table named 'albums'.")
     b = _fact_unit("The database contains a table named 'studio_sessions'.")

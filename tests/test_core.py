@@ -29,6 +29,7 @@ from memsearch.core import (
     fingerprint,
     render_bundle,
     stable_hash,
+    stable_hasher,
     step_text,
     trajectory_text,
 )
@@ -71,6 +72,26 @@ def test_stable_hash_is_deterministic_and_type_sensitive():
 def test_stable_hash_pinned_values(parts, expected):
     # every seed in a run derives from stable_hash; these values must never move
     assert stable_hash(*parts) == expected
+
+
+# any code point, lone surrogates included, with quotes, backslashes, the
+# 0x1f separator and non-ASCII text made likely
+_TEXT = st.text(
+    st.one_of(
+        st.characters(exclude_categories=()),
+        st.sampled_from(["'", '"', "\\", "\x1f", "é", "✓", "\ud800", "\udfff"]),
+    )
+)
+_PARTS = st.lists(st.one_of(_TEXT, st.integers(), st.none(), st.floats()), max_size=3)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=_TEXT, prefix=_PARTS)
+def test_stable_hasher_equals_stable_hash_with_the_prefix(text, prefix):
+    assert stable_hasher("embed")(text) == stable_hash("embed", text)
+    h = stable_hasher(*prefix)
+    assert h(text) == stable_hash(*prefix, text)
+    assert h(text) == h(text)  # the prefix state is copied, never consumed
 
 
 def test_fingerprint_shape():

@@ -450,6 +450,137 @@ REMOTE_POLICY = {"kind": "remote", "url": "http://localhost/v1", "model": "m"}
             {**REMOTE_POLICY, "max_retries": "3"},
             "policy_script: max_retries must be an integer >= 1, got '3'",
         ),
+        (
+            "reward_script",
+            {"rules": [{"score": True}]},
+            r"reward_script: reward rule 0: score must be a number, got True",
+        ),
+        (
+            "reward_script",
+            {"rules": [{"score": 0.1}, {"score": "0.7"}]},
+            r"reward_script: reward rule 1: score must be a number, got '0\.7'",
+        ),
+        (
+            "reward_script",
+            {"rules": [], "default": False},
+            "reward_script: reward default must be a number, got False",
+        ),
+        (
+            "reward_script",
+            {"rules": [{"score": 0.1, "is_error": "no"}]},
+            "reward_script: reward rule 0: is_error must be true or false, got 'no'",
+        ),
+        (
+            "reward_script",
+            {"rules": [{"score": 0.1, "is_error": 0}]},
+            "reward_script: reward rule 0: is_error must be true or false, got 0",
+        ),
+        (
+            "reward_script",
+            {"rules": [{"score": 0.1, "tool": ["QUERY"]}]},
+            r"reward_script: reward rule 0: tool must be a string, got \['QUERY'\]",
+        ),
+        (
+            "reward_script",
+            {"rules": [{"score": 0.1, "obs_contains": 3}]},
+            "reward_script: reward rule 0: obs_contains must be a string, got 3",
+        ),
+        (
+            "reward_script",
+            {"rules": [{"score": 0.1, "args_contains": True}]},
+            "reward_script: reward rule 0: args_contains must be a string, got True",
+        ),
+        (
+            "policy_script",
+            {"rules": [], "apology_collapse_prob": True},
+            "policy_script: apology_collapse_prob must be a number, got True",
+        ),
+        (
+            "policy_script",
+            {"rules": [], "apology_collapse_prob": "0.5"},
+            "policy_script: apology_collapse_prob must be a number, got '0.5'",
+        ),
+        (
+            "policy_script",
+            {"rules": [], "apology_text": 7},
+            "policy_script: apology_text must be a string, got 7",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "LIST_TABLES\\]: (.+)", "template": "T {0} {1}"}]}},
+            r"augmentor_script: fact rule 0: template 'T \{0\} \{1\}' cannot be filled "
+            r"from the pattern's 1 group\(s\): field \{1\} needs group 2",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(a)", "template": "{} and {}"}]}},
+            r"augmentor_script: fact rule 0: template .* cannot be filled .* field \{\} needs group 2",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(a)(b)", "template": "{} and {1}"}]}},
+            r"augmentor_script: fact rule 0: .* automatic \{\} and numbered fields are mixed",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(a)", "template": "{table}"}]}},
+            r"augmentor_script: fact rule 0: .* field \{table\} is not a positional index",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(a)", "template": "{0:d}"}]}},
+            r"augmentor_script: fact rule 0: .* Unknown format code 'd'",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(a)", "template": "{0:{1}}"}]}},
+            r"augmentor_script: fact rule 0: .* Replacement index 1 out of range",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(a)", "template": "{0"}]}},
+            r"augmentor_script: fact rule 0: template '\{0' cannot be filled",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "LIST_TABLES", "template": "{0}", "split": ", "}]}},
+            "augmentor_script: fact rule 0: a split rule's pattern needs a group to split",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(.+)", "template": "{0}", "split": ""}]}},
+            "augmentor_script: fact rule 0: split must not be empty",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(.+)", "template": 3}]}},
+            "augmentor_script: fact rule 0: template must be a string, got 3",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": ["(.+)"], "template": "{0}"}]}},
+            r"augmentor_script: fact rule 0: pattern must be a string, got \['\(\.\+\)'\]",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(.+)", "template": "{0}", "split": 1}]}},
+            "augmentor_script: fact rule 0: split must be a string, got 1",
+        ),
+        (
+            "augmentor_script",
+            {"reflection": {"rules": [{"contains": 5, "text": "t"}]}},
+            "augmentor_script: reflection rule 0: contains must be a string, got 5",
+        ),
+        (
+            "augmentor_script",
+            {"reflection": {"rules": [{"contains": "ERROR", "text": None}]}},
+            "augmentor_script: reflection rule 0: text must be a string, got None",
+        ),
+        (
+            "augmentor_script",
+            {"reflection": {"default": ["t"]}},
+            r"augmentor_script: reflection default must be a string, got \['t'\]",
+        ),
     ],
     ids=[
         "policy_match",
@@ -461,6 +592,32 @@ REMOTE_POLICY = {"kind": "remote", "url": "http://localhost/v1", "model": "m"}
         "remote_no_model",
         "remote_retries_0",
         "remote_retries_str",
+        "score_bool",
+        "score_str",
+        "default_bool",
+        "is_error_str",
+        "is_error_int",
+        "tool_list",
+        "obs_contains_int",
+        "args_contains_bool",
+        "collapse_prob_bool",
+        "collapse_prob_str",
+        "apology_text_int",
+        "template_field_past_groups",
+        "auto_fields_past_groups",
+        "auto_and_numbered_fields",
+        "named_field",
+        "bad_format_spec",
+        "nested_field_past_groups",
+        "unclosed_field",
+        "split_without_group",
+        "split_empty",
+        "template_int",
+        "pattern_list",
+        "split_int",
+        "reflection_contains_int",
+        "reflection_text_null",
+        "reflection_default_list",
     ],
 )
 def test_bad_script_is_a_config_error(

@@ -291,6 +291,24 @@ def test_augmentor_extract_facts_split_and_groups():
         model.generate("SUMMARIZE", "x")
 
 
+def test_augmentor_templates_take_automatic_and_repeated_fields():
+    model = ScriptedAugmentorModel.from_dict(
+        {
+            "facts": {
+                "rules": [
+                    {"pattern": r"SCHEMA\|(\w+): (.+)", "template": "{} has {}"},
+                    {"pattern": r"LIST: (.+)", "template": "{0!r} or {0:>6}", "split": ","},
+                ]
+            }
+        }
+    )
+    assert model.generate(EXTRACT_FACTS, "SCHEMA|games: Year\nLIST: a,b").splitlines() == [
+        "games has Year",
+        "'a' or      a",
+        "'b' or      b",
+    ]
+
+
 def test_hash_embed_is_normalized_and_deterministic():
     v = hash_embed("list the tables")
     assert v.shape == (64,)
