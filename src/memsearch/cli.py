@@ -1,10 +1,11 @@
 """Command line front end: validate, run, analyze.
 
 Exit codes: 0 success, 1 operational failure (inadmissible cells on
-validate, failed cells on run, an unknown manifest format_version or a
-missing baseline on analyze), 2 config or usage errors.  Remote model
-credentials are read from the environment variable named in the model
-config (default MEMSEARCH_API_KEY), never from the config file itself.
+validate, failed cells or a dead worker process on run, an unknown manifest
+format_version or a missing baseline on analyze), 2 config or usage errors.
+Remote model credentials are read from the environment variable named in
+the model config (default MEMSEARCH_API_KEY), never from the config file
+itself.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import logging
 import sys
 from pathlib import Path
 
-from .matrix import MatrixConfigError, check_admissible, load_matrix_config, run_matrix
+from .matrix import (
+    MatrixConfigError,
+    WorkerError,
+    check_admissible,
+    load_matrix_config,
+    run_matrix,
+)
 from .stats import (
     FormatVersionError,
     MissingBaselineError,
@@ -129,7 +136,13 @@ def main(argv: list[str] | None = None) -> int:
     except MatrixConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FormatVersionError, MissingBaselineError, PairingError, FileNotFoundError) as exc:
+    except (
+        FormatVersionError,
+        MissingBaselineError,
+        PairingError,
+        FileNotFoundError,
+        WorkerError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -18,9 +18,11 @@ import logging
 import os
 import re
 import sys
+from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
+from typing import Iterator
 
 from .augmentors import (
     AugmentorConfig,
@@ -442,36 +444,30 @@ def _run_unit(
     return row["task_id"], json.dumps(row, sort_keys=True) + "\n"
 
 
-# Set once per worker process by the pool initializer: the run's inputs (each
-# worker fills its own copy of the run's embedder), its unit list and the
-# shared counter of the next unit index to claim.
-_worker_args: tuple | None = None
+class WorkerError(RuntimeError):
+    """A worker process died, or a unit's result came back twice or never."""
 
 
-def _init_worker(
+def _work(
+    conn,
+    counter,
     cfg: MatrixConfig,
     embedder: HashEmbedder,
     cells: tuple[ExperimentCell, ...],
     dump_dir: Path | None,
     units: list[tuple[int, int]],
-    counter,
 ) -> None:
-    global _worker_args
-    _worker_args = (cfg, embedder, cells, dump_dir, units, counter)
-
-
-def _claim_units() -> list[tuple[int, _Row | str]]:
-    """Run unit after unit, each claimed from the shared counter, until none
-    is left; return the (unit index, result) pairs in one message."""
-    cfg, embedder, cells, dump_dir, units, counter = _worker_args
-    done = []
+    """A worker's loop: run unit after unit, each claimed from the shared
+    counter, and send each (unit index, result) the moment it is made; close
+    `conn` when no unit is left."""
     while True:
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
         if index >= len(units):
-            return done
-        done.append((index, _run_unit(cfg, embedder, cells, dump_dir, units[index])))
+            conn.close()
+            return
+        conn.send((index, _run_unit(cfg, embedder, cells, dump_dir, units[index])))
 
 
 def _run_units(
@@ -481,44 +477,81 @@ def _run_units(
     dump_dir: Path | None,
     units: list[tuple[int, int]],
     jobs: int,
-) -> list[_Row | str]:
-    """Results of `units`, in order: in this process for jobs <= 1, else on
-    one pool of up to `jobs` worker processes that share one queue.
+) -> Iterator[tuple[int, _Row | str]]:
+    """Yield (unit index, result) for every unit as it finishes: in order in
+    this process for jobs <= 1, else from up to `jobs` worker processes that
+    share one queue.
 
     Each worker claims the next unit index from a shared counter, one lock
-    acquisition per claim, so a unit costs no round trip through the pool
-    and no worker idles while a unit is left; each worker sends its results
-    back in one message when the queue is empty.  A unit whose result comes
-    back twice or never is an error, not a silent gap or overwrite.
+    acquisition per claim, and sends each result down its own pipe as soon
+    as the unit is done, so neither side holds a batch.  A worker that exits
+    with a nonzero code, or a unit whose result comes back twice or never,
+    raises `WorkerError`.  Close the generator (`contextlib.closing`) when
+    the consumer stops early: that terminates and joins every live worker.
     """
     if jobs <= 1 or not units:
-        return [_run_unit(cfg, embedder, cells, dump_dir, unit) for unit in units]
+        for index, unit in enumerate(units):
+            yield index, _run_unit(cfg, embedder, cells, dump_dir, unit)
+        return
     # imported here, so that loading a config or analysing a run does not pay
     # for the process machinery
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing.connection import wait
 
     # on Linux, fork hands the loaded config to the workers without pickling
     # it; elsewhere the platform default (spawn) gives the same bytes, slower
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     counter = context.Value("q", 0)
-    workers = min(jobs, len(units))
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=context,
-        initializer=_init_worker,
-        initargs=(cfg, embedder, cells, dump_dir, units, counter),
-    ) as pool:
-        batches = [pool.submit(_claim_units) for _ in range(workers)]
-        results: list[_Row | str | None] = [None] * len(units)
-        for batch in batches:
-            for index, result in batch.result():
-                if results[index] is not None:
-                    raise RuntimeError(f"unit {units[index]} came back twice")
-                results[index] = result
-    if None in results:
-        raise RuntimeError(f"unit {units[results.index(None)]} never came back")
-    return results
+    workers = {}  # receiving end -> its worker
+    seen = [False] * len(units)
+    try:
+        for _ in range(min(jobs, len(units))):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(
+                target=_work, args=(sender, counter, cfg, embedder, cells, dump_dir, units)
+            )
+            worker.start()
+            # only the worker holds the sending end now: its exit is our EOF,
+            # and no later worker inherits it
+            sender.close()
+            workers[receiver] = worker
+        live = list(workers)
+        while live:
+            for receiver in wait(live):
+                try:
+                    index, result = receiver.recv()
+                except EOFError:
+                    live.remove(receiver)
+                    worker = workers[receiver]
+                    worker.join()
+                    if worker.exitcode != 0:
+                        raise WorkerError(
+                            f"a worker process exited with code {worker.exitcode}"
+                        ) from None
+                    continue
+                if seen[index]:
+                    raise WorkerError(f"unit {units[index]} came back twice")
+                seen[index] = True
+                yield index, result
+        if not all(seen):
+            raise WorkerError(f"unit {units[seen.index(False)]} never came back")
+    finally:
+        for receiver, worker in workers.items():
+            if worker.is_alive():
+                worker.terminate()
+            worker.join()
+            receiver.close()
+
+
+def _finish_cell(out: Path, cell: ExperimentCell, results: list[_Row | str]) -> str | int:
+    """A complete cell's outcome: the error of its first failing task in task
+    order, or else its number of tasks, once its verdict file is written."""
+    error = next((r for r in results if isinstance(r, str)), None)
+    if error is not None:
+        return error
+    rows = sorted(results)  # by task id, unique within a benchmark
+    _atomic_write(out / f"{cell.cell_id}.jsonl", "".join(line for _, line in rows))
+    return len(rows)
 
 
 def run_matrix(
@@ -535,8 +568,12 @@ def run_matrix(
 
     The admissible cells' (cell, task) units form one queue.  With jobs <= 1
     it runs in this process; with jobs > 1 each of up to `jobs` worker
-    processes claims the next unit from it until it is empty (see
-    `_run_units`), and the results are put back in unit order.  On Linux the
+    processes claims the next unit from it until it is empty and sends each
+    result back as the unit finishes (see `_run_units`).  A cell's verdict
+    file is written as soon as its last unit lands, and its rows are then
+    dropped; the manifest is written once, after the last cell.  A worker
+    that dies raises `WorkerError` with no worker left running, leaving the
+    verdict files of the cells finished so far and no manifest.  On Linux the
     workers are forked, so no other Python thread of the caller may hold a
     lock at that moment (native threads such as OpenBLAS's are fork-safe
     through their atfork handlers); Python 3.12+ warns on such forks.
@@ -550,21 +587,27 @@ def run_matrix(
         dump_dir = out / "memory"
         dump_dir.mkdir(exist_ok=True)
 
-    manifest_cells: dict[str, dict] = {}
     admissions = [(cell, check_admissible(cell)) for cell in cfg.cells]
     cells = tuple(cell for cell, adm in admissions if adm.admissible)
-    units = [
-        (c, t)
-        for c, cell in enumerate(cells)
-        for t in range(len(cfg.benchmarks[cell.benchmark].benchmark.tasks))
-    ]
+    n_tasks = [len(cfg.benchmarks[cell.benchmark].benchmark.tasks) for cell in cells]
+    units = [(c, t) for c, n in enumerate(n_tasks) for t in range(n)]
     # one embedder per call, never kept past it: a later call with the same
     # config hashes its lines again, as a fresh `memsearch run` does
     embedder = HashEmbedder(cfg.embedder_dim)
-    results: dict[str, list[_Row | str]] = {cell.cell_id: [] for cell in cells}
-    for (c, _), result in zip(units, _run_units(cfg, embedder, cells, dump_dir, units, jobs)):
-        results[cells[c].cell_id].append(result)
+    # cell id -> its error or its number of tasks; a cell without tasks is done
+    outcomes = {
+        cell.cell_id: _finish_cell(out, cell, []) for cell, n in zip(cells, n_tasks) if not n
+    }
+    pending: dict[int, list[_Row | str | None]] = {}  # cell index -> results by task
+    with closing(_run_units(cfg, embedder, cells, dump_dir, units, jobs)) as results:
+        for index, result in results:
+            c, t = units[index]
+            rows = pending.setdefault(c, [None] * n_tasks[c])
+            rows[t] = result
+            if None not in rows:
+                outcomes[cells[c].cell_id] = _finish_cell(out, cells[c], pending.pop(c))
 
+    manifest_cells: dict[str, dict] = {}
     for cell, adm in admissions:
         entry: dict = {
             "benchmark": cell.benchmark,
@@ -581,18 +624,13 @@ def run_matrix(
             log.info("cell %s inadmissible: %s", cell.cell_id, adm.reason.value)
             continue
 
-        rows = results[cell.cell_id]
-        error = next((r for r in rows if isinstance(r, str)), None)
-        if error is not None:
-            entry.update({"status": "failed", "error": error})
-            log.warning("cell %s failed: %s", cell.cell_id, error.partition(": ")[2])
+        outcome = outcomes[cell.cell_id]
+        if isinstance(outcome, str):
+            entry.update({"status": "failed", "error": outcome})
+            log.warning("cell %s failed: %s", cell.cell_id, outcome.partition(": ")[2])
             continue
-
-        rows.sort()  # by task id, unique within a benchmark
-        verdict_file = f"{cell.cell_id}.jsonl"
-        _atomic_write(out / verdict_file, "".join(line for _, line in rows))
-        entry.update({"status": "ok", "verdict_file": verdict_file, "n_tasks": len(rows)})
-        log.info("cell %s: %d tasks done", cell.cell_id, len(rows))
+        entry.update({"status": "ok", "verdict_file": f"{cell.cell_id}.jsonl", "n_tasks": outcome})
+        log.info("cell %s: %d tasks done", cell.cell_id, outcome)
 
     manifest = {
         "format_version": FORMAT_VERSION,

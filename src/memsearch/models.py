@@ -400,7 +400,9 @@ class ScriptedAugmentorModel:
     REFLECT returns the first rule text whose `contains` probe occurs in the
     input, else the default reflection.  EXTRACT_FACTS runs each regex over
     the input; every match emits one fact per template (or one per
-    `split`-separated piece of the first group), newline-separated.
+    `split`-separated piece of the first group), newline-separated.  A match
+    in which some group did not take part, such as a skipped optional
+    `(...)?` group, emits no fact.
     """
 
     def __init__(
@@ -457,6 +459,8 @@ class ScriptedAugmentorModel:
             for compiled, spec in self._compiled:
                 for m in compiled.finditer(text):
                     groups = m.groups()
+                    if None in groups:
+                        continue
                     if spec.split is not None:
                         for piece in groups[0].split(spec.split):
                             piece = piece.strip()

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from memsearch import matrix
 from memsearch.cli import main
 
 from conftest import write_mini_config
@@ -82,6 +85,27 @@ def test_run_rejects_bad_jobs(tmp_path, capsys):
     path = write_mini_config(tmp_path, _cells())
     assert main(["run", str(path), "--out", str(tmp_path / "o"), "--jobs", "0"]) == 2
     capsys.readouterr()
+
+
+def test_run_with_a_dead_worker_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    path = write_mini_config(tmp_path, _cells())
+    out = tmp_path / "out"
+    parent, real_run_unit = os.getpid(), matrix._run_unit
+
+    def dying(cfg, embedder, cells, dump_dir, unit):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real_run_unit(cfg, embedder, cells, dump_dir, unit)
+
+    monkeypatch.setattr(matrix, "_run_unit", dying)
+    assert main(["run", str(path), "--out", str(out), "--jobs", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: a worker process exited with code 3"]
+    assert multiprocessing.active_children() == []
+    # no manifest, so the stopped run is refused rather than misread
+    assert main(["analyze", str(out)]) == 1
+    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_analyze_missing_dir_exits_1(tmp_path, capsys):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
-import concurrent.futures
 import hashlib
 import json
 import multiprocessing
+import os
+import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,6 +22,7 @@ from memsearch.matrix import (
     AdmissibilityReason,
     ExperimentCell,
     MatrixConfigError,
+    WorkerError,
     _build_models,
     check_admissible,
     load_matrix_config,
@@ -828,49 +831,173 @@ def test_run_matrix_pool_is_sized_to_units_and_reaped(tmp_path, fixtures_dir, mo
     two_tasks = tmp_path / "two_tasks.json"
     two_tasks.write_text(json.dumps({**tasks_raw, "tasks": tasks_raw["tasks"][:2]}))
     cfg = load_matrix_config(_one_sql_cell_config(tmp_path, fixtures_dir, fixtures=two_tasks))
-    sizes = []
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    started = []
 
-    class SpyExecutor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    class SpyProcess(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyExecutor)
+    monkeypatch.setattr(context, "Process", SpyProcess)
     manifest = run_matrix(cfg, tmp_path / "out", jobs=8)
-    assert sizes == [2]
+    assert len(started) == 2
     assert manifest["cells"]["a"]["n_tasks"] == 2
     assert multiprocessing.active_children() == []
 
 
-_REAL_CLAIM_UNITS = matrix._claim_units
+def test_a_cell_without_tasks_gets_an_empty_verdict_file(tmp_path, fixtures_dir):
+    # no unit of it ever lands, so it is complete before the first one does
+    tasks_raw = json.loads((fixtures_dir / "tasks" / "toy_sql_demo.json").read_text())
+    no_tasks = tmp_path / "no_tasks.json"
+    no_tasks.write_text(json.dumps({**tasks_raw, "tasks": []}))
+    cfg = load_matrix_config(_one_sql_cell_config(tmp_path, fixtures_dir, fixtures=no_tasks))
+    for jobs in (1, 2):
+        manifest = run_matrix(cfg, tmp_path / f"out{jobs}", jobs=jobs)
+        assert manifest["cells"]["a"]["status"] == "ok"
+        assert manifest["cells"]["a"]["n_tasks"] == 0
+        assert (tmp_path / f"out{jobs}" / "a.jsonl").read_bytes() == b""
 
 
-def _claim_units_first_twice():
-    done = _REAL_CLAIM_UNITS()
-    return done + done[:1]
+def _work_sending_first(times):
+    """`matrix._work` with unit 0's result sent `times` times."""
 
+    def work(conn, counter, cfg, embedder, cells, dump_dir, units):
+        while True:
+            with counter.get_lock():
+                index = counter.value
+                counter.value = index + 1
+            if index >= len(units):
+                conn.close()
+                return
+            result = matrix._run_unit(cfg, embedder, cells, dump_dir, units[index])
+            for _ in range(times if index == 0 else 1):
+                conn.send((index, result))
 
-def _claim_units_dropping_first():
-    return _REAL_CLAIM_UNITS()[1:]
+    return work
 
 
 @pytest.mark.parametrize(
-    "claim, message",
+    "times, message",
     [
-        (_claim_units_first_twice, r"unit \(0, \d\) came back twice"),
-        (_claim_units_dropping_first, r"unit \(0, \d\) never came back"),
+        (2, r"unit \(0, \d\) came back twice"),
+        (0, r"unit \(0, \d\) never came back"),
     ],
     ids=["twice", "never"],
 )
-def test_run_units_refuses_a_unit_back_twice_or_never(tmp_path, monkeypatch, claim, message):
+def test_run_units_refuses_a_unit_back_twice_or_never(tmp_path, monkeypatch, times, message):
     # a lost update on the shared counter runs a unit twice or skips one; a
     # unit run twice writes the same bytes, so only this check can see it
     cell = {**_sql_cell(), "search": {"method": "best_of_n", "n_budget": 1}}
     cfg = load_matrix_config(write_mini_config(tmp_path, [cell]))
-    monkeypatch.setattr(matrix, "_claim_units", claim)
-    with pytest.raises(RuntimeError, match=message):
+    monkeypatch.setattr(matrix, "_work", _work_sending_first(times))
+    with pytest.raises(WorkerError, match=message):
         run_matrix(cfg, tmp_path / "out", jobs=2)
     assert multiprocessing.active_children() == []
+
+
+def _sql_cells_config(tmp_path, ids):
+    """One best_of_n cell at n_budget 1 over toy_sql_demo per id, in order."""
+    search = {"method": "best_of_n", "n_budget": 1}
+    cells = [{"id": i, "benchmark": "toy_sql_demo", "search": search} for i in ids]
+    return write_mini_config(tmp_path, cells)
+
+
+def _stalling_last_cell(real_run_unit):
+    """`matrix._run_unit` with each unit of the config's last cell stalled for
+    long enough that a worker that reaches one is still alive when the runner
+    stops: only the runner's own clean-up can then end it in time."""
+
+    def run_unit(cfg, embedder, cells, dump_dir, unit):
+        if unit[0] == len(cells) - 1:
+            time.sleep(20)
+        return real_run_unit(cfg, embedder, cells, dump_dir, unit)
+
+    return run_unit
+
+
+def test_a_dead_worker_raises_worker_error_and_leaves_no_child(tmp_path, monkeypatch):
+    cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "last")))
+    parent, real_run_unit = os.getpid(), _stalling_last_cell(matrix._run_unit)
+
+    def dying(cfg, embedder, cells, dump_dir, unit):
+        if unit == (0, 1) and os.getpid() != parent:
+            os._exit(3)
+        return real_run_unit(cfg, embedder, cells, dump_dir, unit)
+
+    monkeypatch.setattr(matrix, "_run_unit", dying)
+    with pytest.raises(WorkerError, match="a worker process exited with code 3"):
+        run_matrix(cfg, tmp_path / "out", jobs=2)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_a_failing_verdict_write_propagates_and_leaves_no_child(tmp_path, monkeypatch):
+    cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "last")))
+
+    def failing_write(path, content):
+        raise OSError(f"cannot write {path.name}")
+
+    monkeypatch.setattr(matrix, "_atomic_write", failing_write)
+    monkeypatch.setattr(matrix, "_run_unit", _stalling_last_cell(matrix._run_unit))
+    # the caller keeps the exception, and with it run_matrix's frame
+    with pytest.raises(OSError, match="cannot write first.jsonl") as raised:
+        run_matrix(cfg, tmp_path / "out", jobs=2)
+    assert multiprocessing.active_children() == []
+    assert raised.traceback
+
+
+def test_a_failed_cell_reports_its_first_failing_task_at_every_jobs(tmp_path, monkeypatch):
+    # task 0 fails late, task 1 at once: at jobs > 1 the second error arrives
+    # first, but the manifest names the first failing task in task order
+    cell = {**_sql_cell(), "search": {"method": "best_of_n", "n_budget": 1}}
+    cfg = load_matrix_config(write_mini_config(tmp_path, [cell]))
+    first, second = (t.task_id for t in cfg.benchmarks["toy_sql_demo"].benchmark.tasks[:2])
+    real_run_cell_task = matrix._run_cell_task
+
+    def failing(cfg, embedder, cell, task, dump_dir):
+        if task.task_id == first:
+            time.sleep(0.3)
+            raise ValueError("the first task fails")
+        if task.task_id == second:
+            raise ValueError("the second task fails")
+        return real_run_cell_task(cfg, embedder, cell, task, dump_dir)
+
+    monkeypatch.setattr(matrix, "_run_cell_task", failing)
+    errors = {
+        jobs: run_matrix(cfg, tmp_path / f"out{jobs}", jobs=jobs)["cells"]["a"]["error"]
+        for jobs in (1, 2, 3)
+    }
+    assert errors == dict.fromkeys((1, 2, 3), "ValueError: the first task fails")
+
+
+def test_a_cell_verdict_file_is_written_when_its_last_unit_lands(tmp_path, monkeypatch):
+    # units are claimed in config order, so every unit of the first cell is
+    # claimed, and runs to its end, before any unit of the last cell starts;
+    # waiting in the last cell for the first cell's file cannot deadlock
+    cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "middle", "last")))
+    parent, real_run_cell_task = os.getpid(), matrix._run_cell_task
+
+    def waiting(cfg, embedder, cell, task, dump_dir):
+        if cell.cell_id == "last":
+            first_file = dump_dir.parent / "first.jsonl"
+            # in this process the file must be there already; a worker may wait
+            deadline = time.monotonic() + (0 if os.getpid() == parent else 30)
+            while not first_file.exists():
+                if time.monotonic() >= deadline:
+                    raise AssertionError("the first cell's verdict file is not written")
+                time.sleep(0.005)
+        return real_run_cell_task(cfg, embedder, cell, task, dump_dir)
+
+    monkeypatch.setattr(matrix, "_run_cell_task", waiting)
+    for jobs in (1, 2):
+        manifest = run_matrix(cfg, tmp_path / f"out{jobs}", jobs=jobs, dump_memory=True)
+        assert {cid: meta["status"] for cid, meta in manifest["cells"].items()} == {
+            "first": "ok",
+            "middle": "ok",
+            "last": "ok",
+        }
+    assert _tree_bytes(tmp_path / "out1") == _tree_bytes(tmp_path / "out2")
 
 
 DEMO_CONFIG = json.loads((FIXTURES / "demo_config.json").read_text(encoding="utf-8"))

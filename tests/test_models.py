@@ -309,6 +309,17 @@ def test_augmentor_templates_take_automatic_and_repeated_fields():
     ]
 
 
+@pytest.mark.parametrize("split", [None, ","])
+def test_augmentor_match_with_a_skipped_optional_group_emits_no_fact(split):
+    rule = {"pattern": r"LIST: (\w+)?;", "template": "table {0}"}
+    if split is not None:
+        rule["split"] = split
+    model = ScriptedAugmentorModel.from_dict({"facts": {"rules": [rule]}})
+    # neither 'table None' nor an AttributeError on None.split
+    assert model.generate(EXTRACT_FACTS, "LIST: ;") == ""
+    assert model.generate(EXTRACT_FACTS, "LIST: ;\nLIST: games;") == "table games"
+
+
 def test_hash_embed_is_normalized_and_deterministic():
     v = hash_embed("list the tables")
     assert v.shape == (64,)
