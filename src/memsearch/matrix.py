@@ -598,14 +598,15 @@ def run_matrix(
     outcomes = {
         cell.cell_id: _finish_cell(out, cell, []) for cell, n in zip(cells, n_tasks) if not n
     }
-    pending: dict[int, list[_Row | str | None]] = {}  # cell index -> results by task
+    # cell index -> its results by task, until the cell is finished
+    pending: list[list | None] = [[None] * n for n in n_tasks]
     with closing(_run_units(cfg, embedder, cells, dump_dir, units, jobs)) as results:
         for index, result in results:
             c, t = units[index]
-            rows = pending.setdefault(c, [None] * n_tasks[c])
-            rows[t] = result
-            if None not in rows:
-                outcomes[cells[c].cell_id] = _finish_cell(out, cells[c], pending.pop(c))
+            pending[c][t] = result
+            if None not in pending[c]:
+                outcomes[cells[c].cell_id] = _finish_cell(out, cells[c], pending[c])
+                pending[c] = None
 
     manifest_cells: dict[str, dict] = {}
     for cell, adm in admissions:
