@@ -22,9 +22,9 @@ print(f"{len(config.cells)} cells configured")
 # model call.  The glyph distinguishes "the combination cannot exist" from
 # "this environment cannot support that search method".
 for cell in config.cells:
-    adm = check_admissible(cell)
-    if not adm.admissible:
-        print(f"  refused {cell.cell_id}: {adm.glyph}  ({adm.reason.value})")
+    reason = check_admissible(cell)
+    if not reason.admissible:
+        print(f"  refused {cell.cell_id}: {reason.glyph}  ({reason.value})")
 print()
 
 # The run lives in a temporary directory that is removed when the demo ends.

@@ -40,7 +40,6 @@ from .core import (
 )
 from .envs import Benchmark, Grader, ScriptedShellEnv, ToyKgEnv, ToySqlEnv, load_benchmark
 from .matrix import (
-    Admissibility,
     AdmissibilityReason,
     ExperimentCell,
     check_admissible,

@@ -78,12 +78,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
     cfg = load_matrix_config(args.config)
     all_ok = True
     for cell in cfg.cells:
-        adm = check_admissible(cell)
-        if adm.admissible:
+        reason = check_admissible(cell)
+        if reason.admissible:
             print(f"{cell.cell_id}: admissible")
         else:
             all_ok = False
-            print(f"{cell.cell_id}: inadmissible ({adm.reason.value}) {adm.glyph}")
+            print(f"{cell.cell_id}: inadmissible ({reason.value}) {reason.glyph}")
     return EXIT_OK if all_ok else EXIT_FAILURE
 
 

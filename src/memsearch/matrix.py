@@ -13,6 +13,7 @@ byte-identical across runs with identical inputs.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import logging
 import os
@@ -68,20 +69,15 @@ class AdmissibilityReason(str, Enum):
     CROSS_SIBLING_NEEDS_EXPANSION = "cross_sibling_needs_expansion"
     CROSS_TRAJECTORY_NEEDS_ITERATIONS = "cross_trajectory_needs_iterations"
 
-
-@dataclass(frozen=True)
-class Admissibility:
-    reason: AdmissibilityReason
-
     @property
     def admissible(self) -> bool:
-        return self.reason is AdmissibilityReason.OK
+        return self is AdmissibilityReason.OK
 
     @property
     def glyph(self) -> str:
         if self.admissible:
             return ""
-        if self.reason is AdmissibilityReason.NON_SERIALIZABLE:
+        if self is AdmissibilityReason.NON_SERIALIZABLE:
             return GLYPH_NON_SERIALIZABLE
         return GLYPH_STRUCTURAL
 
@@ -101,27 +97,27 @@ def memory_label(memory: tuple[AugmentorConfig, ...]) -> str:
     return "+".join(kinds) if kinds else "none"
 
 
-def check_admissible(cell: ExperimentCell) -> Admissibility:
+def check_admissible(cell: ExperimentCell) -> AdmissibilityReason:
     """Decide whether a cell can run at all.  Never raises."""
     kinds = [c.kind for c in cell.memory if c.kind is not AugmentorKind.NONE]
     if len(set(kinds)) != len(kinds):
-        return Admissibility(AdmissibilityReason.DUPLICATE_AUGMENTOR)
+        return AdmissibilityReason.DUPLICATE_AUGMENTOR
     env_cls = ENV_CLASSES.get(cell.env)
     if env_cls is None:
-        return Admissibility(AdmissibilityReason.UNKNOWN_ENV)
+        return AdmissibilityReason.UNKNOWN_ENV
     method = cell.search.method
     if method in (SearchMethod.BEAM, SearchMethod.MCTS) and not env_cls.serializable:
-        return Admissibility(AdmissibilityReason.NON_SERIALIZABLE)
+        return AdmissibilityReason.NON_SERIALIZABLE
     if AugmentorKind.RAW_SIBLING in kinds and method is SearchMethod.BEST_OF_N:
         # sibling context only exists when a node expands multiple candidates
-        return Admissibility(AdmissibilityReason.CROSS_SIBLING_NEEDS_EXPANSION)
+        return AdmissibilityReason.CROSS_SIBLING_NEEDS_EXPANSION
     if method is SearchMethod.BEAM and (
         AugmentorKind.REFLECTION in kinds or AugmentorKind.FACT in kinds
     ):
         # a single round never revisits the task, so nothing persists into a
         # later trajectory
-        return Admissibility(AdmissibilityReason.CROSS_TRAJECTORY_NEEDS_ITERATIONS)
-    return Admissibility(AdmissibilityReason.OK)
+        return AdmissibilityReason.CROSS_TRAJECTORY_NEEDS_ITERATIONS
+    return AdmissibilityReason.OK
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +164,22 @@ def _shaped(value, shape: type, where: str):
     return value
 
 
+def _known(raw: dict, keys: set[str], what: str, where: str) -> dict:
+    """`raw`, if it has none but `keys`: a misspelt key is an error, not a default."""
+    unknown = set(raw) - keys
+    if unknown:
+        raise MatrixConfigError(f"{where}: unknown {what} keys {sorted(unknown)}")
+    return raw
+
+
+_CONFIG_KEYS = {"benchmarks", "cells", "embedder_dim", "pricing"}
+_BENCHMARK_KEYS = {
+    "fixtures", "policy_script", "reward_script", "augmentor_script", "discovery_tool"
+}
+_CELL_KEYS = {"id", "benchmark", "memory", "search", "seed"}
+_MEMORY_KEYS = {"kind", "reflection_threshold", "dedup_threshold"}
+
+
 def _parse_memory(raw, where: str) -> tuple[AugmentorConfig, ...]:
     configs = []
     for entry in _shaped(raw, list, f"{where}: memory"):
@@ -175,15 +187,11 @@ def _parse_memory(raw, where: str) -> tuple[AugmentorConfig, ...]:
             entry = {"kind": entry}
         if not isinstance(entry, dict):
             raise MatrixConfigError(f"{where}: memory entry {entry!r} is no kind name or object")
-        kind = entry.get("kind")
+        kind = _known(entry, _MEMORY_KEYS, "memory", where).get("kind")
         if not isinstance(kind, str) or kind not in _MEMORY_KINDS:
             raise MatrixConfigError(f"{where}: unknown memory kind {kind!r}")
         try:
-            kwargs = {
-                key: entry[key]
-                for key in ("reflection_threshold", "dedup_threshold")
-                if key in entry
-            }
+            kwargs = {key: value for key, value in entry.items() if key != "kind"}
             configs.append(AugmentorConfig(kind=_MEMORY_KINDS[kind], **kwargs))
         except (TypeError, ValueError) as exc:
             raise MatrixConfigError(f"{where}: bad {kind} memory config: {exc}") from exc
@@ -195,9 +203,7 @@ _SEARCH_KEYS = {f.name for f in fields(SearchConfig)} - {"expansion"}
 
 
 def _parse_search(raw: dict, where: str) -> SearchConfig:
-    unknown = set(_shaped(raw, dict, f"{where}: search")) - _SEARCH_KEYS
-    if unknown:
-        raise MatrixConfigError(f"{where}: unknown search keys {sorted(unknown)}")
+    _known(_shaped(raw, dict, f"{where}: search"), _SEARCH_KEYS, "search", where)
     try:
         kwargs = dict(raw)
         kwargs["method"] = SearchMethod(raw["method"])
@@ -209,14 +215,15 @@ def _parse_search(raw: dict, where: str) -> SearchConfig:
 
 
 def _parse_policy(raw: dict) -> ScriptedPolicy | RemotePolicySpec:
-    if raw.get("kind", "scripted") != "remote":
+    kind = raw.get("kind", "scripted")
+    if kind not in ("scripted", "remote"):
+        raise ConfigurationError(f"unknown policy kind {kind!r}")
+    if kind == "scripted":
         return ScriptedPolicy(ScriptedPolicyConfig.from_dict(raw))
     url, model = raw["url"], raw["model"]
     key_env, retries = raw.get("api_key_env", "MEMSEARCH_API_KEY"), raw.get("max_retries", 3)
     if not all(isinstance(v, str) for v in (url, model, key_env)):
         raise ConfigurationError("remote policy url, model and api_key_env must be strings")
-    if not is_int(retries) or retries < 1:
-        raise ConfigurationError(f"max_retries must be an integer >= 1, got {retries!r}")
     chat = RemoteChatConfig(
         url=url, model=model, role="policy", max_retries=retries, retry_delay=RETRY_DELAY_S
     )
@@ -251,11 +258,11 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
         raise MatrixConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
     base = path.parent
-    raw = _shaped(raw, dict, f"{path}: the config")
+    raw = _known(_shaped(raw, dict, f"{path}: the config"), _CONFIG_KEYS, "config", str(path))
     benchmarks: dict[str, BenchmarkSpec] = {}
     for name, spec in _shaped(raw.get("benchmarks", {}), dict, f"{path}: benchmarks").items():
         where = f"{path}: benchmark '{name}'"
-        spec = _shaped(spec, dict, where)
+        spec = _known(_shaped(spec, dict, where), _BENCHMARK_KEYS, "benchmark", where)
         try:
             bench = load_benchmark(base / spec["fixtures"])
         except (KeyError, OSError, TypeError, ValueError) as exc:
@@ -286,7 +293,7 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
     seen: set[str] = set()
     for i, entry in enumerate(_shaped(raw.get("cells", []), list, f"{path}: cells")):
         where = f"{path}: cells[{i}]"
-        cell_id = _shaped(entry, dict, where).get("id")
+        cell_id = _known(_shaped(entry, dict, where), _CELL_KEYS, "cell", where).get("id")
         if not isinstance(cell_id, str) or not _CELL_ID.match(cell_id):
             raise MatrixConfigError(f"{where}: missing or unusable cell id {cell_id!r}")
         if cell_id in seen:
@@ -448,16 +455,8 @@ class WorkerError(RuntimeError):
     """A worker process died, or a unit's result came back twice or never."""
 
 
-def _work(
-    conn,
-    counter,
-    cfg: MatrixConfig,
-    embedder: HashEmbedder,
-    cells: tuple[ExperimentCell, ...],
-    dump_dir: Path | None,
-    units: list[tuple[int, int]],
-) -> None:
-    """A worker's loop: run unit after unit, each claimed from the shared
+def _work(conn, counter, run, units: list[tuple[int, int]]) -> None:
+    """A worker's loop: `run` unit after unit, each claimed from the shared
     counter, and send each (unit index, result) the moment it is made; close
     `conn` when no unit is left."""
     while True:
@@ -467,20 +466,13 @@ def _work(
         if index >= len(units):
             conn.close()
             return
-        conn.send((index, _run_unit(cfg, embedder, cells, dump_dir, units[index])))
+        conn.send((index, run(units[index])))
 
 
-def _run_units(
-    cfg: MatrixConfig,
-    embedder: HashEmbedder,
-    cells: tuple[ExperimentCell, ...],
-    dump_dir: Path | None,
-    units: list[tuple[int, int]],
-    jobs: int,
-) -> Iterator[tuple[int, _Row | str]]:
-    """Yield (unit index, result) for every unit as it finishes: in order in
-    this process for jobs <= 1, else from up to `jobs` worker processes that
-    share one queue.
+def _run_units(run, units: list[tuple[int, int]], jobs: int) -> Iterator[tuple[int, _Row | str]]:
+    """Yield (unit index, `run(unit)`) for every unit as it finishes: in order
+    in this process for jobs <= 1, else from up to `jobs` worker processes
+    that share one queue.
 
     Each worker claims the next unit index from a shared counter, one lock
     acquisition per claim, and sends each result down its own pipe as soon
@@ -491,7 +483,7 @@ def _run_units(
     """
     if jobs <= 1 or not units:
         for index, unit in enumerate(units):
-            yield index, _run_unit(cfg, embedder, cells, dump_dir, unit)
+            yield index, run(unit)
         return
     # imported here, so that loading a config or analysing a run does not pay
     # for the process machinery
@@ -507,9 +499,7 @@ def _run_units(
     try:
         for _ in range(min(jobs, len(units))):
             receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(
-                target=_work, args=(sender, counter, cfg, embedder, cells, dump_dir, units)
-            )
+            worker = context.Process(target=_work, args=(sender, counter, run, units))
             worker.start()
             # only the worker holds the sending end now: its exit is our EOF,
             # and no later worker inherits it
@@ -543,15 +533,17 @@ def _run_units(
             receiver.close()
 
 
-def _finish_cell(out: Path, cell: ExperimentCell, results: list[_Row | str]) -> str | int:
-    """A complete cell's outcome: the error of its first failing task in task
-    order, or else its number of tasks, once its verdict file is written."""
+def _finish_cell(out: Path, cell: ExperimentCell, entry: dict, results: list[_Row | str]) -> None:
+    """Complete a cell's manifest entry from its results by task: failed with
+    the error of its first failing task in task order, or else ok once its
+    verdict file is written."""
     error = next((r for r in results if isinstance(r, str)), None)
     if error is not None:
-        return error
+        entry.update(status="failed", error=error)
+        return
     rows = sorted(results)  # by task id, unique within a benchmark
     _atomic_write(out / f"{cell.cell_id}.jsonl", "".join(line for _, line in rows))
-    return len(rows)
+    entry.update(status="ok", verdict_file=f"{cell.cell_id}.jsonl", n_tasks=len(rows))
 
 
 def run_matrix(
@@ -569,16 +561,17 @@ def run_matrix(
     The admissible cells' (cell, task) units form one queue.  With jobs <= 1
     it runs in this process; with jobs > 1 each of up to `jobs` worker
     processes claims the next unit from it until it is empty and sends each
-    result back as the unit finishes (see `_run_units`).  A cell's verdict
-    file is written as soon as its last unit lands, and its rows are then
-    dropped; the manifest is written once, after the last cell.  A worker
-    that dies raises `WorkerError` with no worker left running, leaving the
-    verdict files of the cells finished so far and no manifest.  On Linux the
-    workers are forked, so no other Python thread of the caller may hold a
-    lock at that moment (native threads such as OpenBLAS's are fork-safe
-    through their atfork handlers); Python 3.12+ warns on such forks.
-    Elsewhere they start with the platform default.  Only Linux on Python
-    3.11 has been run.
+    result back as the unit finishes (see `_run_units`).  Each cell's
+    manifest entry is made when its admission is checked, and is final when
+    its verdict file is written, as soon as its last unit lands; its rows are
+    then dropped.  The manifest is written once, after the last cell.  A
+    worker that dies raises `WorkerError` with no worker left running,
+    leaving the verdict files of the cells finished so far and no manifest.
+    On Linux the workers are forked, so no other Python thread of the caller
+    may hold a lock at that moment (native threads such as OpenBLAS's are
+    fork-safe through their atfork handlers); Python 3.12+ warns on such
+    forks.  Elsewhere they start with the platform default.  Only Linux on
+    Python 3.11 has been run.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -587,56 +580,49 @@ def run_matrix(
         dump_dir = out / "memory"
         dump_dir.mkdir(exist_ok=True)
 
-    admissions = [(cell, check_admissible(cell)) for cell in cfg.cells]
-    cells = tuple(cell for cell, adm in admissions if adm.admissible)
-    n_tasks = [len(cfg.benchmarks[cell.benchmark].benchmark.tasks) for cell in cells]
-    units = [(c, t) for c, n in enumerate(n_tasks) for t in range(n)]
-    # one embedder per call, never kept past it: a later call with the same
-    # config hashes its lines again, as a fresh `memsearch run` does
-    embedder = HashEmbedder(cfg.embedder_dim)
-    # cell id -> its error or its number of tasks; a cell without tasks is done
-    outcomes = {
-        cell.cell_id: _finish_cell(out, cell, []) for cell, n in zip(cells, n_tasks) if not n
-    }
-    # cell index -> its results by task, until the cell is finished
-    pending: list[list | None] = [[None] * n for n in n_tasks]
-    with closing(_run_units(cfg, embedder, cells, dump_dir, units, jobs)) as results:
-        for index, result in results:
-            c, t = units[index]
-            pending[c][t] = result
-            if None not in pending[c]:
-                outcomes[cells[c].cell_id] = _finish_cell(out, cells[c], pending[c])
-                pending[c] = None
-
-    manifest_cells: dict[str, dict] = {}
-    for cell, adm in admissions:
-        entry: dict = {
+    entries: dict[str, dict] = {}  # cell id -> its manifest entry, in config order
+    cells: list[ExperimentCell] = []  # the admitted ones that have tasks
+    pending: list[list | None] = []  # cell index -> its results by task, until it is finished
+    for cell in cfg.cells:
+        entry = entries[cell.cell_id] = {
             "benchmark": cell.benchmark,
             "env": cell.env,
             "method": cell.search.method.value,
             "memory": memory_label(cell.memory),
             "seed": cell.seed,
         }
-        manifest_cells[cell.cell_id] = entry
-        if not adm.admissible:
-            entry.update(
-                {"status": "inadmissible", "reason": adm.reason.value, "glyph": adm.glyph}
-            )
-            log.info("cell %s inadmissible: %s", cell.cell_id, adm.reason.value)
-            continue
+        reason = check_admissible(cell)
+        if not reason.admissible:
+            entry.update(status="inadmissible", reason=reason.value, glyph=reason.glyph)
+        elif n_tasks := len(cfg.benchmarks[cell.benchmark].benchmark.tasks):
+            cells.append(cell)
+            pending.append([None] * n_tasks)
+        else:  # no unit of it will ever land, so it is finished now
+            _finish_cell(out, cell, entry, [])
+    units = [(c, t) for c, results in enumerate(pending) for t in range(len(results))]
+    # one embedder per call, never kept past it: a later call with the same
+    # config hashes its lines again, as a fresh `memsearch run` does
+    run = functools.partial(_run_unit, cfg, HashEmbedder(cfg.embedder_dim), tuple(cells), dump_dir)
+    with closing(_run_units(run, units, jobs)) as finished:
+        for index, result in finished:
+            c, t = units[index]
+            pending[c][t] = result
+            if None not in pending[c]:
+                _finish_cell(out, cells[c], entries[cells[c].cell_id], pending[c])
+                pending[c] = None
 
-        outcome = outcomes[cell.cell_id]
-        if isinstance(outcome, str):
-            entry.update({"status": "failed", "error": outcome})
-            log.warning("cell %s failed: %s", cell.cell_id, outcome.partition(": ")[2])
-            continue
-        entry.update({"status": "ok", "verdict_file": f"{cell.cell_id}.jsonl", "n_tasks": outcome})
-        log.info("cell %s: %d tasks done", cell.cell_id, outcome)
+    for cell_id, entry in entries.items():
+        if entry["status"] == "inadmissible":
+            log.info("cell %s inadmissible: %s", cell_id, entry["reason"])
+        elif entry["status"] == "failed":
+            log.warning("cell %s failed: %s", cell_id, entry["error"].partition(": ")[2])
+        else:
+            log.info("cell %s: %d tasks done", cell_id, entry["n_tasks"])
 
     manifest = {
         "format_version": FORMAT_VERSION,
         "pricing": asdict(cfg.pricing),
-        "cells": manifest_cells,
+        "cells": entries,
     }
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

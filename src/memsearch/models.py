@@ -582,6 +582,12 @@ class RemoteChatConfig:
     timeout: float = 30.0
     retry_delay: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not is_int(self.max_retries) or self.max_retries < 1:
+            raise ConfigurationError(
+                f"max_retries must be an integer >= 1, got {self.max_retries!r}"
+            )
+
 
 # HTTP statuses that mean "try again later": rate limited, service unavailable
 _TRANSIENT_STATUS = frozenset({429, 503})
@@ -601,8 +607,6 @@ class RemoteChatClient:
     """
 
     def __init__(self, config: RemoteChatConfig, telemetry: Telemetry | None = None):
-        if config.max_retries < 1:
-            raise ConfigurationError("max_retries must be at least 1")
         self.config = config
         self.telemetry = telemetry
 

@@ -41,14 +41,12 @@ class PairedCounts:
     """Discordant-pair counts from paired verdicts.
 
     b counts tasks the treatment solved and the baseline missed; c counts
-    the reverse.  n is the number of paired tasks; dropped is how many rows
-    were excluded by partial pairing.
+    the reverse.  n is the number of paired tasks.
     """
 
     n: int
     b: int
     c: int
-    dropped: int = 0
 
 
 def _task_verdict(row: dict, rule: str) -> bool:
@@ -63,29 +61,26 @@ def pair_verdicts(
     baseline_rows: list[dict],
     treatment_rows: list[dict],
     rule: str = PASS_AT_N,
-    allow_partial: bool = False,
 ) -> PairedCounts:
     """Pair two verdict files task-by-task into discordant counts.
 
-    By default the two files must cover exactly the same task ids; the
-    error lists the symmetric difference.  With allow_partial=True the
-    intersection is used and the dropped count reported.
+    The two files must cover exactly the same task ids; the error lists the
+    symmetric difference.
     """
     base = {r["task_id"]: r for r in baseline_rows}
     treat = {r["task_id"]: r for r in treatment_rows}
     diff = sorted(set(base) ^ set(treat))
-    if diff and not allow_partial:
+    if diff:
         raise PairingError(f"verdict files cover different tasks: {diff}")
-    common = sorted(set(base) & set(treat))
     b = c = 0
-    for tid in common:
+    for tid in sorted(base):
         bv = _task_verdict(base[tid], rule)
         tv = _task_verdict(treat[tid], rule)
         if tv and not bv:
             b += 1
         elif bv and not tv:
             c += 1
-    return PairedCounts(n=len(common), b=b, c=c, dropped=len(diff))
+    return PairedCounts(n=len(base), b=b, c=c)
 
 
 def mcnemar_exact(b: int, c: int) -> float:

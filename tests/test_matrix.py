@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import sys
@@ -58,27 +59,27 @@ def test_admissibility_duplicate_augmentor():
     cell = _cell((AugmentorKind.FACT, AugmentorKind.FACT))
     adm = check_admissible(cell)
     assert not adm.admissible
-    assert adm.reason is AdmissibilityReason.DUPLICATE_AUGMENTOR
+    assert adm is AdmissibilityReason.DUPLICATE_AUGMENTOR
     assert adm.glyph == GLYPH_STRUCTURAL
 
 
 def test_admissibility_unknown_env():
     adm = check_admissible(_cell(env="postgres"))
-    assert adm.reason is AdmissibilityReason.UNKNOWN_ENV
+    assert adm is AdmissibilityReason.UNKNOWN_ENV
 
 
 def test_admissibility_non_serializable_blocks_expansion_methods():
     for method in (SearchMethod.BEAM, SearchMethod.MCTS):
         adm = check_admissible(_cell(method=method, env="scripted_shell"))
         assert not adm.admissible
-        assert adm.reason is AdmissibilityReason.NON_SERIALIZABLE
+        assert adm is AdmissibilityReason.NON_SERIALIZABLE
         assert adm.glyph == GLYPH_NON_SERIALIZABLE
     assert check_admissible(_cell(env="scripted_shell")).admissible
 
 
 def test_admissibility_raw_sibling_needs_expansion():
     adm = check_admissible(_cell((AugmentorKind.RAW_SIBLING,)))
-    assert adm.reason is AdmissibilityReason.CROSS_SIBLING_NEEDS_EXPANSION
+    assert adm is AdmissibilityReason.CROSS_SIBLING_NEEDS_EXPANSION
     assert adm.glyph == GLYPH_STRUCTURAL
     assert check_admissible(_cell((AugmentorKind.RAW_SIBLING,), SearchMethod.BEAM)).admissible
     assert check_admissible(_cell((AugmentorKind.RAW_SIBLING,), SearchMethod.MCTS)).admissible
@@ -87,7 +88,7 @@ def test_admissibility_raw_sibling_needs_expansion():
 def test_admissibility_cross_trajectory_blocked_on_beam():
     for kind in (AugmentorKind.REFLECTION, AugmentorKind.FACT):
         adm = check_admissible(_cell((kind,), SearchMethod.BEAM))
-        assert adm.reason is AdmissibilityReason.CROSS_TRAJECTORY_NEEDS_ITERATIONS
+        assert adm is AdmissibilityReason.CROSS_TRAJECTORY_NEEDS_ITERATIONS
         assert check_admissible(_cell((kind,), SearchMethod.MCTS)).admissible
         assert check_admissible(_cell((kind,), SearchMethod.BEST_OF_N)).admissible
 
@@ -151,6 +152,7 @@ def test_load_matrix_config_validates_cells(tmp_path, fixtures_dir):
         ({"pricing": [0.8, 4.0]}, "bad pricing"),
         ({"embedder_dim": 4}, "embedder_dim must be an integer >= 8, got 4"),
         ({"embedder_dim": "64"}, "embedder_dim must be an integer >= 8, got '64'"),
+        ({"embeder_dim": 64}, r"config\.json: unknown config keys \['embeder_dim'\]"),
     ],
     ids=[
         "pricing_typo",
@@ -161,6 +163,7 @@ def test_load_matrix_config_validates_cells(tmp_path, fixtures_dir):
         "pricing_list",
         "dim_4",
         "dim_str",
+        "dim_misspelt",
     ],
 )
 def test_bad_pricing_or_embedder_dim_is_a_config_error(tmp_path, capsys, top_level, message):
@@ -204,6 +207,11 @@ def _assert_config_error(path, message, capsys):
             {"memory": [{"kind": "reflection", "reflection_threshold": None}]},
             r"cells\[0\]: bad reflection memory config",
         ),
+        (
+            {"memory": [{"kind": "fact", "dedup_treshold": 0.5}]},
+            r"cells\[0\]: unknown memory keys \['dedup_treshold'\]",
+        ),
+        ({"memroy": ["fact"]}, r"cells\[0\]: unknown cell keys \['memroy'\]"),
         ({"seed": "one"}, r"cells\[0\]: bad seed 'one'"),
         ({"seed": "3"}, r"cells\[0\]: bad seed '3'"),
         ({"seed": 1.7}, r"cells\[0\]: bad seed 1\.7"),
@@ -264,6 +272,8 @@ def _assert_config_error(path, message, capsys):
         "dedup_bool",
         "dedup_range",
         "reflection_null",
+        "memory_key_misspelt",
+        "cell_key_misspelt",
         "seed_str",
         "seed_numeric_str",
         "seed_float",
@@ -304,6 +314,15 @@ def _sql_cell():
             lambda cfg: {**cfg, "benchmarks": {"toy_sql_demo": "toy_sql_demo.json"}},
             r"benchmark 'toy_sql_demo' must be an object, got str",
         ),
+        (
+            lambda cfg: {
+                **cfg,
+                "benchmarks": {
+                    "toy_sql_demo": {**cfg["benchmarks"]["toy_sql_demo"], "discovery_tol": "QUERY"}
+                },
+            },
+            r"benchmark 'toy_sql_demo': unknown benchmark keys \['discovery_tol'\]",
+        ),
         (lambda cfg: {**cfg, "cells": ["a"]}, r"cells\[0\] must be an object, got str"),
         (
             lambda cfg: {**cfg, "cells": [{**_sql_cell(), "memory": [3]}]},
@@ -326,6 +345,7 @@ def _sql_cell():
         "top_level_array",
         "benchmarks_list",
         "spec_str",
+        "spec_key_misspelt",
         "cell_str",
         "memory_int",
         "id_int",
@@ -443,6 +463,11 @@ REMOTE_POLICY = {"kind": "remote", "url": "http://localhost/v1", "model": "m"}
             "policy_script: remote policy url, model and api_key_env must be strings",
         ),
         ("policy_script", {"kind": "remote", "url": "u"}, "policy_script: missing key 'model'"),
+        (
+            "policy_script",
+            {**REMOTE_POLICY, "kind": "remtoe"},
+            "policy_script: unknown policy kind 'remtoe'",
+        ),
         (
             "policy_script",
             {**REMOTE_POLICY, "max_retries": 0},
@@ -593,6 +618,7 @@ REMOTE_POLICY = {"kind": "remote", "url": "http://localhost/v1", "model": "m"}
         "policy_array",
         "remote_url",
         "remote_no_model",
+        "policy_kind_misspelt",
         "remote_retries_0",
         "remote_retries_str",
         "score_bool",
@@ -806,6 +832,35 @@ def test_run_matrix_isolates_failing_cells(tmp_path, fixtures_dir):
     ).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_matrix_logs_one_record_per_cell_in_config_order(tmp_path, monkeypatch, caplog, jobs):
+    # the failing cell comes first in the config but its unit lands last
+    search = {"method": "best_of_n", "n_budget": 1}
+    cells = [
+        {"id": "failing", "benchmark": "toy_sql_demo", "search": search},
+        {"id": "refused", "benchmark": "toy_sql_demo", "memory": ["raw_sibling"], "search": search},
+        {"id": "passing", "benchmark": "toy_sql_demo", "search": search},
+    ]
+    cfg = load_matrix_config(write_mini_config(tmp_path, cells))
+    real_run_cell_task = matrix._run_cell_task
+
+    def failing(cfg, embedder, cell, task, dump_dir):
+        if cell.cell_id == "failing" and task.task_id == "sql-003":
+            time.sleep(0.2)
+            raise ValueError("task sql-003 fails")
+        return real_run_cell_task(cfg, embedder, cell, task, dump_dir)
+
+    monkeypatch.setattr(matrix, "_run_cell_task", failing)
+    with caplog.at_level(logging.INFO, logger="memsearch.matrix"):
+        run_matrix(cfg, tmp_path / "out", jobs=jobs)
+    records = [(r.levelno, r.getMessage()) for r in caplog.records if r.name == "memsearch.matrix"]
+    assert records == [
+        (logging.WARNING, "cell failing failed: task sql-003 fails"),
+        (logging.INFO, "cell refused inadmissible: cross_sibling_needs_expansion"),
+        (logging.INFO, "cell passing: 10 tasks done"),
+    ]
+
+
 def test_run_matrix_parallel_matches_serial(tmp_path):
     cells = [
         {
@@ -862,7 +917,7 @@ def test_a_cell_without_tasks_gets_an_empty_verdict_file(tmp_path, fixtures_dir)
 def _work_sending_first(times):
     """`matrix._work` with unit 0's result sent `times` times."""
 
-    def work(conn, counter, cfg, embedder, cells, dump_dir, units):
+    def work(conn, counter, run, units):
         while True:
             with counter.get_lock():
                 index = counter.value
@@ -870,7 +925,7 @@ def _work_sending_first(times):
             if index >= len(units):
                 conn.close()
                 return
-            result = matrix._run_unit(cfg, embedder, cells, dump_dir, units[index])
+            result = run(units[index])
             for _ in range(times if index == 0 else 1):
                 conn.send((index, result))
 

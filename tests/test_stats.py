@@ -63,7 +63,7 @@ def test_pair_verdicts_counts_rescues_and_regressions():
     base = [_row("a", [False]), _row("b", [True]), _row("c", [False]), _row("d", [True])]
     treat = [_row("a", [True]), _row("b", [False]), _row("c", [False]), _row("d", [True])]
     counts = pair_verdicts(base, treat)
-    assert (counts.n, counts.b, counts.c, counts.dropped) == (4, 1, 1, 0)
+    assert (counts.n, counts.b, counts.c) == (4, 1, 1)
 
 
 def test_pair_verdicts_pass_at_n_vs_selected():
@@ -80,8 +80,6 @@ def test_pair_verdicts_strict_and_partial():
     treat = [_row("b", [True]), _row("c", [False])]
     with pytest.raises(PairingError, match=r"\['a', 'c'\]"):
         pair_verdicts(base, treat)
-    counts = pair_verdicts(base, treat, allow_partial=True)
-    assert (counts.n, counts.b, counts.dropped) == (1, 1, 2)
 
 
 def test_mcnemar_exact_golden_rows():
