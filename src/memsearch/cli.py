@@ -16,13 +16,8 @@ import logging
 import sys
 from pathlib import Path
 
-from .matrix import (
-    MatrixConfigError,
-    WorkerError,
-    check_admissible,
-    load_matrix_config,
-    run_matrix,
-)
+from .core import ConfigurationError
+from .matrix import WorkerError, check_admissible, load_matrix_config, run_matrix
 from .stats import (
     FormatVersionError,
     MissingBaselineError,
@@ -133,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args)
         return cmd_analyze(args)
-    except MatrixConfigError as exc:
+    except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (

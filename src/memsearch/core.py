@@ -92,6 +92,39 @@ def is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+class ConfigurationError(Exception):
+    """A config, script or fixture is malformed; raised eagerly at load time."""
+
+
+# the JSON types `checked` tells apart, by the Python type that stands for each
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", bool: "true or false",
+    int: "an integer", float: "a number",
+}
+
+
+def checked(value, kind: type, what: str):
+    """`value`, if it has the JSON type `kind`; else a ConfigurationError naming `what`.
+
+    int stands for a JSON integer and float for any JSON number, which is
+    returned as a float; neither admits a bool.  A refusal shows a wrong
+    scalar, but only the type of a wrong object or array, which may be long.
+    """
+    test = {int: is_int, float: is_number}.get(kind)
+    if not (test(value) if test else isinstance(value, kind)):
+        got = type(value).__name__ if kind in (dict, list) else repr(value)
+        raise ConfigurationError(f"{what} must be {_JSON_TYPES[kind]}, got {got}")
+    return float(value) if kind is float else value
+
+
+def known(raw: dict, keys: set[str], what: str, where: str) -> dict:
+    """`raw`, if it has none but `keys`: a misspelt key is an error, not a default."""
+    unknown = set(raw) - keys
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown {what} keys {sorted(unknown)}")
+    return raw
+
+
 def _count_tokens(text: str) -> int:
     """Whitespace token count, the unit of every scripted model's billing."""
     return len(text.split())

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-from .core import FINAL_ANSWER, Action, Observation, StateHandle, Task
+from .core import FINAL_ANSWER, Action, Observation, StateHandle, Task, checked, known
 
 
 class EnvError(Exception):
@@ -372,30 +372,38 @@ class Benchmark:
 
 
 def load_benchmark(path: str | Path) -> Benchmark:
-    """Load a benchmark fixture file: tasks, per-task worlds, gold answers."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Load a benchmark fixture file: tasks, per-task worlds, gold answers.
+
+    A duplicate task id is a ValueError, an unknown env an EnvError and any
+    other fault in the file's shape or keys a ConfigurationError."""
+    raw = checked(json.loads(Path(path).read_text(encoding="utf-8")), dict, str(path))
+    known(raw, {"benchmark", "env", "tools", "tasks"}, "fixture", str(path))
     benchmark_id = raw["benchmark"]
     env_id = raw["env"]
     if env_id not in ENV_CLASSES:
         raise EnvError(f"unknown environment '{env_id}' in {path}")
-    tools = tuple(raw["tools"])
+    tools = checked(raw["tools"], list, f"{path}: tools")
+    tools = tuple(checked(tool, str, f"{path}: tool") for tool in tools)
     tasks, worlds, golds = [], {}, {}
-    for entry in raw["tasks"]:
-        task_id = entry["id"]
+    for i, entry in enumerate(raw["tasks"]):
+        where = f"{path}: tasks[{i}]"
+        known(checked(entry, dict, where), {"id", "prompt", "gold", "meta", "world"}, "task", where)
+        task_id = checked(entry["id"], str, f"{where}: id")
         if task_id in worlds:
             raise ValueError(f"duplicate task id '{task_id}' in {path}")
+        meta = checked(entry.get("meta", {}), dict, f"{where}: meta")
         tasks.append(
             Task(
                 task_id=task_id,
-                prompt=entry["prompt"],
+                prompt=checked(entry["prompt"], str, f"{where}: prompt"),
                 tools=tools,
                 benchmark=benchmark_id,
                 env=env_id,
-                meta={str(k): str(v) for k, v in entry.get("meta", {}).items()},
+                meta={str(k): str(v) for k, v in meta.items()},
             )
         )
-        worlds[task_id] = entry["world"]
-        golds[task_id] = entry["gold"]
+        worlds[task_id] = checked(entry["world"], dict, f"{where}: world")
+        golds[task_id] = checked(entry["gold"], str, f"{where}: gold")
     return Benchmark(
         benchmark_id=benchmark_id,
         env_id=env_id,

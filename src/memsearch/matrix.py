@@ -31,8 +31,8 @@ from .augmentors import (
     compose,
     normalize_for_method,
 )
-from .core import PricingTable, Task, Telemetry, is_int, stable_hash
-from .envs import ENV_CLASSES, Benchmark, load_benchmark
+from .core import PricingTable, Task, Telemetry, checked, is_int, known, stable_hash
+from .envs import ENV_CLASSES, Benchmark, EnvError, load_benchmark
 from .models import (
     MIN_EMBED_DIM,
     ConfigurationError,
@@ -55,10 +55,6 @@ RETRY_DELAY_S = 1.0
 
 GLYPH_NON_SERIALIZABLE = "---"
 GLYPH_STRUCTURAL = "∅"  # empty-set sign
-
-
-class MatrixConfigError(Exception):
-    """The experiment config file is malformed; carries a location hint."""
 
 
 class AdmissibilityReason(str, Enum):
@@ -156,22 +152,6 @@ class MatrixConfig:
     pricing: PricingTable
 
 
-def _shaped(value, shape: type, where: str):
-    """`value`, if it is a JSON object (shape dict) or array (shape list)."""
-    if not isinstance(value, shape):
-        kind = "an object" if shape is dict else "an array"
-        raise MatrixConfigError(f"{where} must be {kind}, got {type(value).__name__}")
-    return value
-
-
-def _known(raw: dict, keys: set[str], what: str, where: str) -> dict:
-    """`raw`, if it has none but `keys`: a misspelt key is an error, not a default."""
-    unknown = set(raw) - keys
-    if unknown:
-        raise MatrixConfigError(f"{where}: unknown {what} keys {sorted(unknown)}")
-    return raw
-
-
 _CONFIG_KEYS = {"benchmarks", "cells", "embedder_dim", "pricing"}
 _BENCHMARK_KEYS = {
     "fixtures", "policy_script", "reward_script", "augmentor_script", "discovery_tool"
@@ -182,19 +162,19 @@ _MEMORY_KEYS = {"kind", "reflection_threshold", "dedup_threshold"}
 
 def _parse_memory(raw, where: str) -> tuple[AugmentorConfig, ...]:
     configs = []
-    for entry in _shaped(raw, list, f"{where}: memory"):
+    for entry in checked(raw, list, f"{where}: memory"):
         if isinstance(entry, str):
             entry = {"kind": entry}
         if not isinstance(entry, dict):
-            raise MatrixConfigError(f"{where}: memory entry {entry!r} is no kind name or object")
-        kind = _known(entry, _MEMORY_KEYS, "memory", where).get("kind")
+            raise ConfigurationError(f"{where}: memory entry {entry!r} is no kind name or object")
+        kind = known(entry, _MEMORY_KEYS, "memory", where).get("kind")
         if not isinstance(kind, str) or kind not in _MEMORY_KINDS:
-            raise MatrixConfigError(f"{where}: unknown memory kind {kind!r}")
+            raise ConfigurationError(f"{where}: unknown memory kind {kind!r}")
         try:
             kwargs = {key: value for key, value in entry.items() if key != "kind"}
             configs.append(AugmentorConfig(kind=_MEMORY_KINDS[kind], **kwargs))
         except (TypeError, ValueError) as exc:
-            raise MatrixConfigError(f"{where}: bad {kind} memory config: {exc}") from exc
+            raise ConfigurationError(f"{where}: bad {kind} memory config: {exc}") from exc
     return tuple(configs)
 
 
@@ -203,7 +183,7 @@ _SEARCH_KEYS = {f.name for f in fields(SearchConfig)} - {"expansion"}
 
 
 def _parse_search(raw: dict, where: str) -> SearchConfig:
-    _known(_shaped(raw, dict, f"{where}: search"), _SEARCH_KEYS, "search", where)
+    known(checked(raw, dict, f"{where}: search"), _SEARCH_KEYS, "search", where)
     try:
         kwargs = dict(raw)
         kwargs["method"] = SearchMethod(raw["method"])
@@ -211,7 +191,7 @@ def _parse_search(raw: dict, where: str) -> SearchConfig:
             kwargs["backprop"] = BackpropMode(kwargs["backprop"])
         return SearchConfig(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixConfigError(f"{where}: bad search config: {exc}") from exc
+        raise ConfigurationError(f"{where}: bad search config: {exc}") from exc
 
 
 def _parse_policy(raw: dict) -> ScriptedPolicy | RemotePolicySpec:
@@ -220,6 +200,7 @@ def _parse_policy(raw: dict) -> ScriptedPolicy | RemotePolicySpec:
         raise ConfigurationError(f"unknown policy kind {kind!r}")
     if kind == "scripted":
         return ScriptedPolicy(ScriptedPolicyConfig.from_dict(raw))
+    known(raw, {"kind", "url", "model", "api_key_env", "max_retries"}, "policy", "remote policy")
     url, model = raw["url"], raw["model"]
     key_env, retries = raw.get("api_key_env", "MEMSEARCH_API_KEY"), raw.get("max_retries", 3)
     if not all(isinstance(v, str) for v in (url, model, key_env)):
@@ -230,21 +211,24 @@ def _parse_policy(raw: dict) -> ScriptedPolicy | RemotePolicySpec:
     return RemotePolicySpec(chat, key_env)
 
 
-# what reading or parsing a malformed script raises (JSONDecodeError is a ValueError)
-_SCRIPT_ERRORS = (
-    AttributeError, ConfigurationError, KeyError, OSError, TypeError, ValueError, re.error
+# what loading a malformed fixture or script raises (JSONDecodeError is a ValueError)
+_LOAD_ERRORS = (
+    AttributeError, ConfigurationError, EnvError, KeyError, OSError, TypeError, ValueError, re.error
 )
 
 
-def _load_script(base: Path, spec: dict, key: str, where: str, parse):
-    """Read one of a benchmark's scripts and `parse` it; any fault in it is a config error."""
+def _script(parse):
+    """A loader of a script file: `parse` of the JSON object in it."""
+    return lambda path: parse(checked(json.loads(path.read_text("utf-8")), dict, str(path)))
+
+
+def _load_file(base: Path, spec: dict, where: str, key: str, load):
+    """`load` one of a benchmark's files by path; any fault in it is a config error."""
     try:
-        script = base / spec[key]
-        raw = _shaped(json.loads(script.read_text(encoding="utf-8")), dict, f"{where}: {script}")
-        return parse(raw)
-    except _SCRIPT_ERRORS as exc:
+        return load(base / spec[key])
+    except _LOAD_ERRORS as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise MatrixConfigError(f"{where}: {key}: {detail}") from exc
+        raise ConfigurationError(f"{where}: {key}: {detail}") from exc
 
 
 def load_matrix_config(path: str | Path) -> MatrixConfig:
@@ -253,22 +237,20 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
-        raise MatrixConfigError(f"{path}: {exc}") from exc
+        raise ConfigurationError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise MatrixConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        raise ConfigurationError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
     base = path.parent
-    raw = _known(_shaped(raw, dict, f"{path}: the config"), _CONFIG_KEYS, "config", str(path))
+    raw = known(checked(raw, dict, f"{path}: the config"), _CONFIG_KEYS, "config", str(path))
     benchmarks: dict[str, BenchmarkSpec] = {}
-    for name, spec in _shaped(raw.get("benchmarks", {}), dict, f"{path}: benchmarks").items():
+    for name, spec in checked(raw.get("benchmarks", {}), dict, f"{path}: benchmarks").items():
         where = f"{path}: benchmark '{name}'"
-        spec = _known(_shaped(spec, dict, where), _BENCHMARK_KEYS, "benchmark", where)
-        try:
-            bench = load_benchmark(base / spec["fixtures"])
-        except (KeyError, OSError, TypeError, ValueError) as exc:
-            raise MatrixConfigError(f"{where}: {exc}") from exc
+        spec = known(checked(spec, dict, where), _BENCHMARK_KEYS, "benchmark", where)
+        load = functools.partial(_load_file, base, spec, where)
+        bench = load("fixtures", load_benchmark)
         if bench.benchmark_id != name:
-            raise MatrixConfigError(
+            raise ConfigurationError(
                 f"{where}: fixture file declares benchmark '{bench.benchmark_id}'"
             )
         discovery_tool = spec.get("discovery_tool")
@@ -276,35 +258,33 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
         if discovery_tool is not None and (
             not isinstance(discovery_tool, str) or discovery_tool not in tools
         ):
-            raise MatrixConfigError(
+            raise ConfigurationError(
                 f"{where}: discovery_tool {discovery_tool!r} is none of the fixture's tools {tools}"
             )
         benchmarks[name] = BenchmarkSpec(
             benchmark=bench,
-            policy=_load_script(base, spec, "policy_script", where, _parse_policy),
-            reward=_load_script(base, spec, "reward_script", where, ScriptedRewardModel.from_dict),
-            augmentor=_load_script(
-                base, spec, "augmentor_script", where, ScriptedAugmentorModel.from_dict
-            ),
+            policy=load("policy_script", _script(_parse_policy)),
+            reward=load("reward_script", _script(ScriptedRewardModel.from_dict)),
+            augmentor=load("augmentor_script", _script(ScriptedAugmentorModel.from_dict)),
             discovery_tool=discovery_tool,
         )
 
     cells: list[ExperimentCell] = []
     seen: set[str] = set()
-    for i, entry in enumerate(_shaped(raw.get("cells", []), list, f"{path}: cells")):
+    for i, entry in enumerate(checked(raw.get("cells", []), list, f"{path}: cells")):
         where = f"{path}: cells[{i}]"
-        cell_id = _known(_shaped(entry, dict, where), _CELL_KEYS, "cell", where).get("id")
+        cell_id = known(checked(entry, dict, where), _CELL_KEYS, "cell", where).get("id")
         if not isinstance(cell_id, str) or not _CELL_ID.match(cell_id):
-            raise MatrixConfigError(f"{where}: missing or unusable cell id {cell_id!r}")
+            raise ConfigurationError(f"{where}: missing or unusable cell id {cell_id!r}")
         if cell_id in seen:
-            raise MatrixConfigError(f"{where}: duplicate cell id '{cell_id}'")
+            raise ConfigurationError(f"{where}: duplicate cell id '{cell_id}'")
         seen.add(cell_id)
         bench_name = entry.get("benchmark")
         if not isinstance(bench_name, str) or bench_name not in benchmarks:
-            raise MatrixConfigError(f"{where}: unknown benchmark {bench_name!r}")
+            raise ConfigurationError(f"{where}: unknown benchmark {bench_name!r}")
         seed = entry.get("seed", 0)
         if not is_int(seed):
-            raise MatrixConfigError(f"{where}: bad seed {seed!r}")
+            raise ConfigurationError(f"{where}: bad seed {seed!r}")
         cells.append(
             ExperimentCell(
                 cell_id=cell_id,
@@ -317,16 +297,16 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
         )
 
     if not cells:
-        raise MatrixConfigError(f"{path}: config defines no cells")
+        raise ConfigurationError(f"{path}: config defines no cells")
     dim = raw.get("embedder_dim", 64)
     if not is_int(dim) or dim < MIN_EMBED_DIM:
-        raise MatrixConfigError(
+        raise ConfigurationError(
             f"{path}: embedder_dim must be an integer >= {MIN_EMBED_DIM}, got {dim!r}"
         )
     try:
         pricing = PricingTable(**raw.get("pricing", {}))
     except (TypeError, ValueError) as exc:
-        raise MatrixConfigError(f"{path}: bad pricing: {exc}") from exc
+        raise ConfigurationError(f"{path}: bad pricing: {exc}") from exc
     return MatrixConfig(benchmarks, tuple(cells), embedder_dim=dim, pricing=pricing)
 
 

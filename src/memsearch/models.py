@@ -21,13 +21,16 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 from .core import (
     FINAL_ANSWER,
     Action,
+    ConfigurationError,
     ContextBundle,
     Step,
     Task,
     Telemetry,
     _count_tokens,
+    checked,
     is_int,
     is_number,
+    known,
     stable_hash,
     stable_hasher,
     trajectory_text,
@@ -35,28 +38,6 @@ from .core import (
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-class ConfigurationError(Exception):
-    """A script or client config is malformed; raised eagerly at load time."""
-
-
-def _number(value: object, what: str) -> float:
-    """`value` as a float if it is a JSON number; else a ConfigurationError naming `what`."""
-    if not is_number(value):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    return float(value)
-
-
-def _string(value: object, what: str) -> str:
-    """`value` if it is a string; else a ConfigurationError naming `what`."""
-    if not isinstance(value, str):
-        raise ConfigurationError(f"{what} must be a string, got {value!r}")
-    return value
-
-
-def _optional_string(value: object, what: str) -> str | None:
-    return None if value is None else _string(value, what)
 
 
 class CredentialError(Exception):
@@ -115,8 +96,12 @@ class ScriptedPolicyConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScriptedPolicyConfig":
+        keys = {"kind", "rules", "apology_text", "apology_collapse_prob"}  # matrix reads kind
+        known(raw, keys, "policy", "scripted policy")
         rules = []
         for i, r in enumerate(raw.get("rules", ())):
+            where = f"policy rule {i}"
+            known(checked(r, dict, where), {"step", "match", "candidates"}, "rule", where)
             step = r["step"]
             if not is_int(step) or step < 0:
                 raise ConfigurationError(
@@ -139,12 +124,12 @@ class ScriptedPolicyConfig:
             rule = PolicyRule(step=step, match=r.get("match", "*"), candidates=cands)
             _match_kind(rule.match)  # validate eagerly
             rules.append(rule)
-        prob = _number(raw.get("apology_collapse_prob", 0.0), "apology_collapse_prob")
+        prob = checked(raw.get("apology_collapse_prob", 0.0), float, "apology_collapse_prob")
         if not 0.0 <= prob <= 1.0:
             raise ConfigurationError(f"apology_collapse_prob {prob} outside [0, 1]")
         return cls(
             rules=tuple(rules),
-            apology_text=_string(raw.get("apology_text", cls.apology_text), "apology_text"),
+            apology_text=checked(raw.get("apology_text", cls.apology_text), str, "apology_text"),
             apology_collapse_prob=prob,
         )
 
@@ -290,6 +275,10 @@ class RewardRule:
         return True
 
 
+# a reward rule's optional probes and their JSON types; null is the same as absent
+_REWARD_PROBES = {"tool": str, "is_error": bool, "obs_contains": str, "args_contains": str}
+
+
 class ScriptedRewardModel:
     """Ordered first-match rule list over (tool, error flag, substrings)."""
 
@@ -306,21 +295,19 @@ class ScriptedRewardModel:
 
     @classmethod
     def from_dict(cls, raw: dict, telemetry: Telemetry | None = None) -> "ScriptedRewardModel":
+        known(raw, {"rules", "default"}, "reward", "reward model")
         rules = []
         for i, r in enumerate(raw.get("rules", ())):
             where = f"reward rule {i}"
-            score = _number(r["score"], f"{where}: score")
-            is_error = r.get("is_error")
-            if is_error is not None and not isinstance(is_error, bool):
-                raise ConfigurationError(
-                    f"{where}: is_error must be true or false, got {is_error!r}"
-                )
+            known(checked(r, dict, where), {"score", *_REWARD_PROBES}, "rule", where)
+            score = checked(r["score"], float, f"{where}: score")
             probes = {
-                key: _optional_string(r.get(key), f"{where}: {key}")
-                for key in ("tool", "obs_contains", "args_contains")
+                key: checked(r[key], kind, f"{where}: {key}")
+                for key, kind in _REWARD_PROBES.items()
+                if r.get(key) is not None
             }
-            rules.append(RewardRule(score=score, is_error=is_error, **probes))
-        return cls(rules, _number(raw.get("default", 0.5), "reward default"), telemetry)
+            rules.append(RewardRule(score=score, **probes))
+        return cls(rules, checked(raw.get("default", 0.5), float, "reward default"), telemetry)
 
     def score(self, task_prompt: str, prefix: Sequence[Step], candidate: Step) -> float:
         value = self.default
@@ -420,28 +407,33 @@ class ScriptedAugmentorModel:
 
     @classmethod
     def from_dict(cls, raw: dict, telemetry: Telemetry | None = None) -> "ScriptedAugmentorModel":
-        refl = raw.get("reflection", {})
-        facts = raw.get("facts", {})
+        known(raw, {"reflection", "facts"}, "augmentor", "augmentor model")
+        refl = checked(raw.get("reflection", {}), dict, "reflection")
+        facts = checked(raw.get("facts", {}), dict, "facts")
+        known(refl, {"rules", "default"}, "reflection", "reflection")
+        known(facts, {"rules"}, "facts", "facts")
         patterns = []
         for i, p in enumerate(facts.get("rules", ())):
+            where = f"fact rule {i}"
+            known(checked(p, dict, where), {"pattern", "template", "split"}, "rule", where)
+            split = p.get("split")
             rule = FactPattern(
-                pattern=_string(p["pattern"], f"fact rule {i}: pattern"),
-                template=_string(p["template"], f"fact rule {i}: template"),
-                split=_optional_string(p.get("split"), f"fact rule {i}: split"),
+                pattern=checked(p["pattern"], str, f"{where}: pattern"),
+                template=checked(p["template"], str, f"{where}: template"),
+                split=split if split is None else checked(split, str, f"{where}: split"),
             )
-            _check_fact_rule(f"fact rule {i}", rule)
+            _check_fact_rule(where, rule)
             patterns.append(rule)
-        reflection_rules = [
-            (
-                _string(r["contains"], f"reflection rule {i}: contains"),
-                _string(r["text"], f"reflection rule {i}: text"),
-            )
-            for i, r in enumerate(refl.get("rules", ()))
-        ]
+        reflection_rules = []
+        for i, r in enumerate(refl.get("rules", ())):
+            where = f"reflection rule {i}"
+            known(checked(r, dict, where), {"contains", "text"}, "rule", where)
+            pair = (checked(r[key], str, f"{where}: {key}") for key in ("contains", "text"))
+            reflection_rules.append(tuple(pair))
         default = refl.get("default", "The last attempt failed; reconsider the approach.")
         return cls(
             reflection_rules=reflection_rules,
-            reflection_default=_string(default, "reflection default"),
+            reflection_default=checked(default, str, "reflection default"),
             fact_patterns=patterns,
             telemetry=telemetry,
         )

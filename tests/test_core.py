@@ -12,6 +12,7 @@ from memsearch.core import (
     MAX_DEPTH,
     Abstraction,
     Action,
+    ConfigurationError,
     ContextUnit,
     GiveUpStats,
     Observation,
@@ -25,8 +26,10 @@ from memsearch.core import (
     TerminalKind,
     Trajectory,
     aggregate_score,
+    checked,
     clamp01,
     fingerprint,
+    known,
     render_bundle,
     stable_hash,
     stable_hasher,
@@ -106,6 +109,39 @@ def test_clamp01():
     assert clamp01(-2.0) == 0.0
     assert clamp01(0.4) == 0.4
     assert clamp01(7.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "value, kind, message",
+    [
+        (True, int, "x must be an integer, got True"),
+        (2.0, int, r"x must be an integer, got 2\.0"),
+        (False, float, "x must be a number, got False"),
+        ("1", float, "x must be a number, got '1'"),
+        (0, bool, "x must be true or false, got 0"),
+        (None, str, "x must be a string, got None"),
+        ("QUERY", list, "x must be an array, got str"),
+        ([1], dict, "x must be an object, got list"),
+    ],
+)
+def test_checked_refuses_other_json_types(value, kind, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}$"):
+        checked(value, kind, "x")
+
+
+def test_checked_returns_the_value_and_numbers_as_floats():
+    assert checked(3, int, "x") == 3
+    assert checked(3, float, "x") == 3.0 and isinstance(checked(3, float, "x"), float)
+    assert checked(False, bool, "x") is False
+    raw = {"a": 1}
+    assert checked(raw, dict, "x") is raw
+
+
+def test_known_refuses_keys_outside_the_set():
+    raw = {"a": 1, "b": 2}
+    assert known(raw, {"a", "b", "c"}, "thing", "here") is raw
+    with pytest.raises(ConfigurationError, match=r"^here: unknown thing keys \['b', 'd'\]$"):
+        known({"a": 1, "d": 0, "b": 2}, {"a"}, "thing", "here")
 
 
 def test_state_handle_depth_bounds():

@@ -16,13 +16,13 @@ from memsearch import matrix, models
 from memsearch.augmentors import AugmentorConfig, AugmentorKind
 from memsearch.cli import main
 from memsearch.core import Telemetry
+from memsearch.envs import load_benchmark
 from memsearch.matrix import (
     GLYPH_NON_SERIALIZABLE,
     GLYPH_STRUCTURAL,
     RETRY_DELAY_S,
     AdmissibilityReason,
     ExperimentCell,
-    MatrixConfigError,
     WorkerError,
     _build_models,
     check_admissible,
@@ -103,9 +103,9 @@ def test_task_seed_is_per_task_stable():
 def test_load_matrix_config_reports_json_location(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"cells": [,]}')
-    with pytest.raises(MatrixConfigError, match=r"bad\.json:1:\d+"):
+    with pytest.raises(ConfigurationError, match=r"bad\.json:1:\d+"):
         load_matrix_config(bad)
-    with pytest.raises(MatrixConfigError):
+    with pytest.raises(ConfigurationError):
         load_matrix_config(tmp_path / "missing.json")
 
 
@@ -125,19 +125,19 @@ def test_load_matrix_config_validates_cells(tmp_path, fixtures_dir):
     assert cfg.cells[0].env == "toy_sql"
     assert cfg.cells[0].search.method is SearchMethod.BEST_OF_N
 
-    with pytest.raises(MatrixConfigError, match="duplicate cell id"):
+    with pytest.raises(ConfigurationError, match="duplicate cell id"):
         attempt([base, base])
-    with pytest.raises(MatrixConfigError, match="unusable cell id"):
+    with pytest.raises(ConfigurationError, match="unusable cell id"):
         attempt([dict(base, id="has space")])
-    with pytest.raises(MatrixConfigError, match="unknown benchmark"):
+    with pytest.raises(ConfigurationError, match="unknown benchmark"):
         attempt([dict(base, benchmark="nope")])
-    with pytest.raises(MatrixConfigError, match="unknown memory kind"):
+    with pytest.raises(ConfigurationError, match="unknown memory kind"):
         attempt([dict(base, memory=["episodic"])])
-    with pytest.raises(MatrixConfigError, match="unknown search keys"):
+    with pytest.raises(ConfigurationError, match="unknown search keys"):
         attempt([dict(base, search={"method": "best_of_n", "depth": 3})])
-    with pytest.raises(MatrixConfigError, match="bad search config"):
+    with pytest.raises(ConfigurationError, match="bad search config"):
         attempt([dict(base, search={"method": "dfs"})])
-    with pytest.raises(MatrixConfigError, match="no cells"):
+    with pytest.raises(ConfigurationError, match="no cells"):
         attempt([])
 
 
@@ -175,7 +175,7 @@ def test_bad_pricing_or_embedder_dim_is_a_config_error(tmp_path, capsys, top_lev
 
 def _assert_config_error(path, message, capsys):
     """Loading fails with `message`; `validate` and `run` exit 2 without output."""
-    with pytest.raises(MatrixConfigError, match=message):
+    with pytest.raises(ConfigurationError, match=message):
         load_matrix_config(path)
     out = path.parent / "out"
     assert main(["validate", str(path)]) == 2
@@ -673,6 +673,158 @@ def _one_sql_cell_config(tmp_path, fixtures_dir, **paths):
     return write_mini_config(tmp_path, cells, {"toy_sql_demo": spec})
 
 
+_RULE = {"step": 0, "candidates": {"LIST_TABLES|": 1.0}}
+
+
+@pytest.mark.parametrize(
+    "key, script, message",
+    [
+        (
+            "policy_script",
+            {"rules": [_RULE], "apology_txt": "sorry"},
+            r"policy_script: scripted policy: unknown policy keys \['apology_txt'\]",
+        ),
+        (
+            "policy_script",
+            {"rules": [{**_RULE, "mach": "contains:FACTS:"}]},
+            r"policy_script: policy rule 0: unknown rule keys \['mach'\]",
+        ),
+        (
+            "reward_script",
+            {"rules": [], "defualt": 0.2},
+            r"reward_script: reward model: unknown reward keys \['defualt'\]",
+        ),
+        (
+            "reward_script",
+            {"rules": [{"obs_contain": "zzz", "score": 0.9}]},
+            r"reward_script: reward rule 0: unknown rule keys \['obs_contain'\]",
+        ),
+        (
+            "augmentor_script",
+            {"reflections": {}},
+            r"augmentor_script: augmentor model: unknown augmentor keys \['reflections'\]",
+        ),
+        (
+            "augmentor_script",
+            {"reflection": {"rule": []}},
+            r"augmentor_script: reflection: unknown reflection keys \['rule'\]",
+        ),
+        (
+            "augmentor_script",
+            {"reflection": {"rules": [{"contains": "ERROR", "txt": "t"}]}},
+            r"augmentor_script: reflection rule 0: unknown rule keys \['txt'\]",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rule": []}},
+            r"augmentor_script: facts: unknown facts keys \['rule'\]",
+        ),
+        (
+            "augmentor_script",
+            {"facts": {"rules": [{"pattern": "(.+)", "template": "{0}", "splt": ", "}]}},
+            r"augmentor_script: fact rule 0: unknown rule keys \['splt'\]",
+        ),
+        (
+            "policy_script",
+            {**REMOTE_POLICY, "max_retry": 5},
+            r"policy_script: remote policy: unknown policy keys \['max_retry'\]",
+        ),
+    ],
+    ids=[
+        "policy",
+        "policy_rule",
+        "reward",
+        "reward_rule",
+        "augmentor",
+        "reflection",
+        "reflection_rule",
+        "facts",
+        "fact_rule",
+        "remote_policy",
+    ],
+)
+def test_misspelt_script_key_is_a_config_error(
+    tmp_path, fixtures_dir, capsys, key, script, message
+):
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps(script))
+    config = _one_sql_cell_config(tmp_path, fixtures_dir, **{key: path})
+    _assert_config_error(config, rf"benchmark 'toy_sql_demo': {message}", capsys)
+
+
+def _rename(raw, old, new):
+    return {new if key == old else key: value for key, value in raw.items()}
+
+
+def _first_task(change):
+    """A fixture change that applies `change` to the first task only."""
+    return lambda raw: {**raw, "tasks": [change(raw["tasks"][0]), *raw["tasks"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda raw: _rename(raw, "tools", "tool"), r"unknown fixture keys \['tool'\]"),
+        (
+            _first_task(lambda task: _rename(task, "meta", "mta")),
+            r"tasks\[0\]: unknown task keys \['mta'\]",
+        ),
+        (lambda raw: {**raw, "env": "postgres"}, "unknown environment 'postgres'"),
+        (_first_task(lambda task: {**task, "prompt": 5}), r"tasks\[0\]: prompt must be a string"),
+        (lambda raw: {**raw, "tools": "QUERY"}, "tools must be an array, got str"),
+        (lambda raw: {**raw, "tools": ["QUERY", 1]}, "tool must be a string, got 1"),
+        (_first_task(lambda task: {**task, "id": 3}), r"tasks\[0\]: id must be a string, got 3"),
+        (_first_task(lambda task: {**task, "gold": 3}), r"tasks\[0\]: gold must be a string"),
+        (_first_task(lambda task: {**task, "meta": []}), r"tasks\[0\]: meta must be an object"),
+        (_first_task(lambda task: {**task, "world": "x"}), r"tasks\[0\]: world must be an"),
+        (lambda raw: {**raw, "tasks": ["t"]}, r"tasks\[0\] must be an object, got str"),
+        (lambda raw: [raw], "must be an object, got list"),
+        (lambda raw: _rename(raw, "tasks", "task"), r"unknown fixture keys \['task'\]"),
+        (lambda raw: {k: v for k, v in raw.items() if k != "tasks"}, "missing key 'tasks'"),
+    ],
+    ids=[
+        "fixture_key_misspelt",
+        "task_key_misspelt",
+        "unknown_env",
+        "prompt_int",
+        "tools_str",
+        "tool_int",
+        "id_int",
+        "gold_int",
+        "meta_list",
+        "world_str",
+        "task_str",
+        "fixture_array",
+        "tasks_misspelt",
+        "tasks_missing",
+    ],
+)
+def test_bad_fixture_is_a_config_error(tmp_path, fixtures_dir, capsys, change, message):
+    raw = json.loads((fixtures_dir / "tasks" / "toy_sql_demo.json").read_text())
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(change(raw)))
+    config = _one_sql_cell_config(tmp_path, fixtures_dir, fixtures=path)
+    _assert_config_error(config, rf"benchmark 'toy_sql_demo': fixtures: .*{message}", capsys)
+
+
+_PARSERS = {
+    "policy": matrix._parse_policy,
+    "reward": models.ScriptedRewardModel.from_dict,
+    "augmentor": models.ScriptedAugmentorModel.from_dict,
+}
+
+
+def test_every_shipped_script_and_fixture_loads_strictly(fixtures_dir):
+    scripts = sorted((fixtures_dir / "scripts").glob("*.json"))
+    tasks = sorted((fixtures_dir / "tasks").glob("*.json"))
+    assert len(scripts) == 10 and len(tasks) == 4
+    for path in scripts:
+        parse = _PARSERS[path.stem.rpartition("_")[2]]
+        parse(json.loads(path.read_text(encoding="utf-8")))
+    for path in tasks:
+        assert load_benchmark(path).tasks
+
+
 def _remote_policy_config(tmp_path, fixtures_dir):
     script = tmp_path / "remote_policy.json"
     script.write_text(json.dumps(REMOTE_POLICY))
@@ -697,7 +849,7 @@ def test_load_matrix_config_checks_benchmark_identity(tmp_path, fixtures_dir):
     }
     cells = [{"id": "a", "benchmark": "renamed", "search": {"method": "best_of_n"}}]
     path = write_mini_config(tmp_path, cells, benchmarks)
-    with pytest.raises(MatrixConfigError, match="declares benchmark"):
+    with pytest.raises(ConfigurationError, match="declares benchmark"):
         load_matrix_config(path)
 
 
