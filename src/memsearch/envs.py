@@ -342,14 +342,14 @@ class Grader:
     search code never receives one."""
 
     def __init__(self, golds: dict[str, str]):
-        self._golds = dict(golds)
+        self._golds = {task_id: normalize_answer(gold) for task_id, gold in golds.items()}
 
     def grade(self, task_id: str, answer: str | None) -> bool:
         if task_id not in self._golds:
             raise KeyError(f"unknown task id '{task_id}'")
         if answer is None:
             return False
-        return normalize_answer(answer) == normalize_answer(self._golds[task_id])
+        return normalize_answer(answer) == self._golds[task_id]
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,6 @@ byte-identical across runs with identical inputs.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import logging
@@ -134,8 +133,9 @@ class RemotePolicySpec:
 
 @dataclass(frozen=True)
 class BenchmarkSpec:
-    """A benchmark with its scripts parsed once, at load.  The models bill no
-    telemetry; `_build_models` gives each unit copies that bill its own."""
+    """A benchmark with its scripts parsed once, at load.  The runner never
+    calls these models: `_build_models` gives each unit models of its own
+    (`for_unit`) that bill its telemetry and memoize for it alone."""
 
     benchmark: Benchmark
     policy: ScriptedPolicy | RemotePolicySpec
@@ -320,13 +320,6 @@ def task_seed(cell_seed: int, task_id: str) -> int:
     return stable_hash("task_seed", cell_seed, task_id)
 
 
-def _with_telemetry(model, telemetry: Telemetry):
-    """A shallow copy of a parsed scripted model that bills `telemetry`."""
-    model = copy.copy(model)
-    model.telemetry = telemetry
-    return model
-
-
 def _build_models(spec: BenchmarkSpec, telemetry: Telemetry):
     if isinstance(spec.policy, RemotePolicySpec):
         key_env = spec.policy.api_key_env
@@ -339,10 +332,8 @@ def _build_models(spec: BenchmarkSpec, telemetry: Telemetry):
             RemoteChatClient(replace(spec.policy.chat, api_key=api_key), telemetry)
         )
     else:
-        policy = _with_telemetry(spec.policy, telemetry)
-    prm = _with_telemetry(spec.reward, telemetry)
-    aug_model = _with_telemetry(spec.augmentor, telemetry)
-    return policy, prm, aug_model
+        policy = spec.policy.for_unit(telemetry)
+    return policy, spec.reward.for_unit(telemetry), spec.augmentor.for_unit(telemetry)
 
 
 def _run_cell_task(
@@ -437,16 +428,22 @@ class WorkerError(RuntimeError):
 
 def _work(conn, counter, run, units: list[tuple[int, int]]) -> None:
     """A worker's loop: `run` unit after unit, each claimed from the shared
-    counter, and send each (unit index, result) the moment it is made; close
-    `conn` when no unit is left."""
+    counter, keeping the (unit index, result) pairs of one cell until it
+    claims a unit of another cell, or none, and then sending them as one
+    list; close `conn` when no unit is left."""
+    rows: list[tuple[int, _Row | str]] = []
     while True:
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
-        if index >= len(units):
+        done = index >= len(units)
+        if rows and (done or units[index][0] != units[rows[-1][0]][0]):
+            conn.send(rows)
+            rows = []
+        if done:
             conn.close()
             return
-        conn.send((index, run(units[index])))
+        rows.append((index, run(units[index])))
 
 
 def _run_units(run, units: list[tuple[int, int]], jobs: int) -> Iterator[tuple[int, _Row | str]]:
@@ -455,8 +452,10 @@ def _run_units(run, units: list[tuple[int, int]], jobs: int) -> Iterator[tuple[i
     that share one queue.
 
     Each worker claims the next unit index from a shared counter, one lock
-    acquisition per claim, and sends each result down its own pipe as soon
-    as the unit is done, so neither side holds a batch.  A worker that exits
+    acquisition per claim, and sends its results down its own pipe one cell
+    at a time (see `_work`): units are cell-major and claimed in increasing
+    order, so the parent wakes about once per worker per cell, and neither
+    side holds more than a cell's rows.  A worker that exits
     with a nonzero code, or a unit whose result comes back twice or never,
     raises `WorkerError`.  Close the generator (`contextlib.closing`) when
     the consumer stops early: that terminates and joins every live worker.
@@ -489,7 +488,7 @@ def _run_units(run, units: list[tuple[int, int]], jobs: int) -> Iterator[tuple[i
         while live:
             for receiver in wait(live):
                 try:
-                    index, result = receiver.recv()
+                    rows = receiver.recv()
                 except EOFError:
                     live.remove(receiver)
                     worker = workers[receiver]
@@ -499,10 +498,11 @@ def _run_units(run, units: list[tuple[int, int]], jobs: int) -> Iterator[tuple[i
                             f"a worker process exited with code {worker.exitcode}"
                         ) from None
                     continue
-                if seen[index]:
-                    raise WorkerError(f"unit {units[index]} came back twice")
-                seen[index] = True
-                yield index, result
+                for index, result in rows:
+                    if seen[index]:
+                        raise WorkerError(f"unit {units[index]} came back twice")
+                    seen[index] = True
+                    yield index, result
         if not all(seen):
             raise WorkerError(f"unit {units[seen.index(False)]} never came back")
     finally:

@@ -15,7 +15,7 @@ import random
 import re
 import string
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .core import (
@@ -93,6 +93,20 @@ class ScriptedPolicyConfig:
     rules: tuple[PolicyRule, ...]
     apology_text: str = "I cannot find the answer."
     apology_collapse_prob: float = 0.0
+    # step index -> (match kind, match operand, _Choices), in precedence
+    # order: by match kind, then by position in rules; set once here
+    rules_at: dict[int, list[tuple[int, str, _Choices]]] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        ranked = sorted((_match_kind(rule.match), pos, rule) for pos, rule in enumerate(self.rules))
+        rules_at: dict[int, list[tuple[int, str, _Choices]]] = {}
+        for kind, _, rule in ranked:
+            operand = rule.match.partition(":")[2]
+            choices = _Choices.of(rule, default=kind == 2)
+            rules_at.setdefault(rule.step, []).append((kind, operand, choices))
+        object.__setattr__(self, "rules_at", rules_at)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScriptedPolicyConfig":
@@ -121,9 +135,7 @@ class ScriptedPolicyConfig:
                     f"policy rule {i} at step {step}: candidate weights must sum to a "
                     "finite number above 0"
                 )
-            rule = PolicyRule(step=step, match=r.get("match", "*"), candidates=cands)
-            _match_kind(rule.match)  # validate eagerly
-            rules.append(rule)
+            rules.append(PolicyRule(step=step, match=r.get("match", "*"), candidates=cands))
         prob = checked(raw.get("apology_collapse_prob", 0.0), float, "apology_collapse_prob")
         if not 0.0 <= prob <= 1.0:
             raise ConfigurationError(f"apology_collapse_prob {prob} outside [0, 1]")
@@ -163,24 +175,28 @@ class ScriptedPolicy:
     sampling-induced give-up: after an error observation, at temperature
     above zero, a default-matched rule apologizes with probability
     apology_collapse_prob instead of sampling its candidates.
+
+    A draw at temperature <= 0 reads only the step index, the bundle's
+    rendered text and fingerprint, the last observation's content and the
+    task, so the instance memoizes it on the first four, for one Task object
+    at a time: a call with another task starts a new memo.  Every call is
+    billed to the telemetry all the same.  The matrix runner builds one
+    instance per (cell, task) unit with `for_unit`, so no memo outlives its
+    unit.
     """
 
     def __init__(self, config: ScriptedPolicyConfig, telemetry: Telemetry | None = None):
         self.config = config
         self.telemetry = telemetry
-        # step index -> (match kind, match operand, _Choices), in precedence
-        # order: by match kind, then by position in the config
-        ranked = sorted(
-            (_match_kind(rule.match), pos, rule) for pos, rule in enumerate(config.rules)
-        )
-        self._rules_at: dict[int, list[tuple[int, str, _Choices]]] = {}
-        for kind, _, rule in ranked:
-            operand = rule.match.partition(":")[2]
-            choices = _Choices.of(rule, default=kind == 2)
-            self._rules_at.setdefault(rule.step, []).append((kind, operand, choices))
+        self._greedy_task: Task | None = None
+        self._greedy: dict[tuple[int, str, str, str | None], Action] = {}
+
+    def for_unit(self, telemetry: Telemetry) -> "ScriptedPolicy":
+        """A policy on this one's config that bills `telemetry`, with an empty memo."""
+        return ScriptedPolicy(self.config, telemetry)
 
     def _pick_rule(self, step_index: int, bundle: ContextBundle) -> _Choices | None:
-        for kind, operand, choices in self._rules_at.get(step_index, ()):
+        for kind, operand, choices in self.config.rules_at.get(step_index, ()):
             if kind == 0 and operand != bundle.fingerprint:
                 continue
             if kind == 1 and operand not in bundle.rendered:
@@ -205,12 +221,16 @@ class ScriptedPolicy:
     def sample(
         self, task: Task, prefix: Sequence[Step], bundle: ContextBundle, temperature: float, seed: int
     ) -> Action:
-        step_index = len(prefix)
-        rule = self._pick_rule(step_index, bundle)
-        if rule is None:
-            action = self._apology()
+        if temperature > 0.0:
+            action = self._draw(task, prefix, bundle, temperature, seed)
         else:
-            action = self._sample_rule(rule, task, prefix, bundle, temperature, seed, step_index)
+            if task is not self._greedy_task:
+                self._greedy_task, self._greedy = task, {}
+            last = prefix[-1].observation.content if prefix else None
+            key = (len(prefix), bundle.rendered, bundle.fingerprint, last)
+            action = self._greedy.get(key)
+            if action is None:
+                action = self._greedy[key] = self._draw(task, prefix, bundle, temperature, seed)
         if self.telemetry is not None:
             prompt_tokens = (
                 task.prompt_tokens
@@ -220,16 +240,13 @@ class ScriptedPolicy:
             self.telemetry.record("policy", prompt_tokens, action.tokens)
         return action
 
-    def _sample_rule(
-        self,
-        rule: _Choices,
-        task: Task,
-        prefix: Sequence[Step],
-        bundle: ContextBundle,
-        temperature: float,
-        seed: int,
-        step_index: int,
+    def _draw(
+        self, task: Task, prefix: Sequence[Step], bundle: ContextBundle, temperature: float, seed: int
     ) -> Action:
+        step_index = len(prefix)
+        rule = self._pick_rule(step_index, bundle)
+        if rule is None:
+            return self._apology()
         last_errored = bool(prefix) and prefix[-1].observation.is_error
         if (
             temperature > 0.0
@@ -280,7 +297,14 @@ _REWARD_PROBES = {"tool": str, "is_error": bool, "obs_contains": str, "args_cont
 
 
 class ScriptedRewardModel:
-    """Ordered first-match rule list over (tool, error flag, substrings)."""
+    """Ordered first-match rule list over (tool, error flag, substrings).
+
+    A rule reads only the candidate's tool, arguments, error flag and
+    observation content, so the instance memoizes each candidate's value on
+    those four.  Every call is billed to the telemetry all the same.  The
+    matrix runner builds one instance per (cell, task) unit with
+    `for_unit`, so no memo outlives its unit.
+    """
 
     def __init__(self, rules: Sequence[RewardRule], default: float, telemetry: Telemetry | None = None):
         for r in list(rules) + [RewardRule(score=default)]:
@@ -292,6 +316,11 @@ class ScriptedRewardModel:
         # (prompt, its token count) of the last prompt billed: a search scores
         # every step of one task against the same prompt
         self._prompt_tokens = ("", 0)
+        self._values: dict[tuple[str, str, bool, str], float] = {}
+
+    def for_unit(self, telemetry: Telemetry) -> "ScriptedRewardModel":
+        """A reward model with this one's rules that bills `telemetry`, with an empty memo."""
+        return ScriptedRewardModel(self.rules, self.default, telemetry)
 
     @classmethod
     def from_dict(cls, raw: dict, telemetry: Telemetry | None = None) -> "ScriptedRewardModel":
@@ -310,11 +339,12 @@ class ScriptedRewardModel:
         return cls(rules, checked(raw.get("default", 0.5), float, "reward default"), telemetry)
 
     def score(self, task_prompt: str, prefix: Sequence[Step], candidate: Step) -> float:
-        value = self.default
-        for rule in self.rules:
-            if rule.matches(candidate):
-                value = rule.score
-                break
+        action, obs = candidate.action, candidate.observation
+        key = (action.tool_name, action.arguments, obs.is_error, obs.content)
+        value = self._values.get(key)
+        if value is None:
+            rule = next((r for r in self.rules if r.matches(candidate)), None)
+            value = self._values[key] = self.default if rule is None else rule.score
         if self.telemetry is not None:
             prompt, prompt_tokens = self._prompt_tokens
             if task_prompt != prompt:
@@ -404,6 +434,12 @@ class ScriptedAugmentorModel:
         self.fact_patterns = tuple(fact_patterns)
         self._compiled = [(re.compile(p.pattern, re.MULTILINE), p) for p in fact_patterns]
         self.telemetry = telemetry
+
+    def for_unit(self, telemetry: Telemetry) -> "ScriptedAugmentorModel":
+        """An augmentor model with this one's rules that bills `telemetry`."""
+        return ScriptedAugmentorModel(
+            self.reflection_rules, self.reflection_default, self.fact_patterns, telemetry
+        )
 
     @classmethod
     def from_dict(cls, raw: dict, telemetry: Telemetry | None = None) -> "ScriptedAugmentorModel":

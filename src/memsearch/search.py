@@ -32,7 +32,7 @@ from .core import (
     clamp01,
     is_int,
     is_number,
-    stable_hash,
+    stable_hasher,
 )
 from .envs import Environment
 from .models import PolicyModel, RewardModel
@@ -197,11 +197,13 @@ def expand(
             f"{env.env_id} is not serializable; {config.method.value} cannot fork"
         )
     out: list[Candidate] = []
+    # cand_seeds(i) == stable_hash(*seed_salt, "cand", i), the prefix hashed once
+    cand_seeds = stable_hasher(*seed_salt, "cand")
     for i in range(config.n_actions):
         if i == 0 or config.expansion is ExpansionMode.INTERLEAVED:
             bundle = composite.retrieve(sibling_context([c.step for c in out]))
         state = env.fork(parent_state)
-        seed = stable_hash(*seed_salt, "cand", i)
+        seed = cand_seeds(i)
         out.append(
             _take_step(
                 env, task, state, prefix, policy, prm, composite, bundle, config, iteration, seed
@@ -226,10 +228,12 @@ def _linear_rollout(
 ) -> Trajectory:
     state = env.reset(task)
     path: list[Candidate] = []
+    # step_seeds(d) == stable_hash(seed, "bon", iteration, d), the prefix hashed once
+    step_seeds = stable_hasher(seed, "bon", iteration)
     for depth in range(config.max_depth):
         prefix = [c.step for c in path]
         bundle = composite.retrieve()
-        step_seed = stable_hash(seed, "bon", iteration, depth)
+        step_seed = step_seeds(depth)
         cand = _take_step(
             env, task, state, prefix, policy, prm, composite, bundle, config, iteration, step_seed
         )

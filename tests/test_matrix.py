@@ -892,6 +892,30 @@ def test_run_matrix_builds_one_embedder_per_call(tmp_path, demo_config_path, mon
     assert built[0]._memo.keys() == built[1]._memo.keys() == set(first)
 
 
+def test_model_memos_live_for_one_unit(tmp_path, demo_config_path, monkeypatch):
+    built = []  # every unit's (policy, prm), kept alive so no two share an id
+    real_build = matrix._build_models
+
+    def recording_build(spec, telemetry):
+        models_of_unit = real_build(spec, telemetry)
+        built.append(models_of_unit[:2])
+        return models_of_unit
+
+    monkeypatch.setattr(matrix, "_build_models", recording_build)
+    cfg = load_matrix_config(demo_config_path)
+    for out in ("first", "second"):
+        run_matrix(cfg, tmp_path / out, jobs=1)
+    assert len(built) == 2 * 88  # the demo config's units, twice
+    policy_memos = [id(policy._greedy) for policy, _ in built]
+    prm_memos = [id(prm._values) for _, prm in built]
+    assert len(set(policy_memos)) == len(set(prm_memos)) == len(built)
+    assert all(prm._values for _, prm in built)  # every unit scored steps through its memo
+    assert any(policy._greedy for policy, _ in built)  # the cells at temperature 0 drew
+    for spec in cfg.benchmarks.values():
+        assert spec.policy._greedy == {} and spec.policy._greedy_task is None
+        assert spec.reward._values == {}
+
+
 def test_run_matrix_mini_run(tmp_path):
     cells = [
         {
@@ -1067,7 +1091,8 @@ def test_a_cell_without_tasks_gets_an_empty_verdict_file(tmp_path, fixtures_dir)
 
 
 def _work_sending_first(times):
-    """`matrix._work` with unit 0's result sent `times` times."""
+    """`matrix._work` with unit 0's result sent `times` times, each unit's
+    result in a message of its own (a one-element list)."""
 
     def work(conn, counter, run, units):
         while True:
@@ -1079,7 +1104,7 @@ def _work_sending_first(times):
                 return
             result = run(units[index])
             for _ in range(times if index == 0 else 1):
-                conn.send((index, result))
+                conn.send([(index, result)])
 
     return work
 

@@ -16,6 +16,7 @@ from memsearch.core import (
     FINAL_ANSWER,
     Abstraction,
     Action,
+    ContextBundle,
     ContextUnit,
     Observation,
     Scope,
@@ -243,6 +244,99 @@ def test_reward_args_contains_and_telemetry():
     assert model.score("prompt", [], apology) == 0.05
     assert telemetry.supervisor_calls == 1
     assert telemetry.supervisor_tokens_out == 1
+
+
+# two tasks with one id but different meta, and bundles with one rendered text
+# under two fingerprints and one fingerprint over two texts: a memo keyed on
+# the id, the text or the fingerprint alone would answer one with another's
+# action
+_TWIN_TASKS = (TASK, Task("t1", "find the answer", ("QUERY",), "b", "toy_sql", {"table": "cars"}))
+_TWIN_TEXT = "FACTS:\n- table cars"
+_MEMO_BUNDLES = (
+    EMPTY_BUNDLE,
+    ContextBundle((), _TWIN_TEXT, "f00d"),
+    ContextBundle((), _TWIN_TEXT, "beef"),
+    ContextBundle((), "REFLECTIONS:\n- try cars", "cafe"),
+    ContextBundle((), "SIBLINGS:\n- tried", "cafe"),
+)
+_MEMO_POLICY = {
+    "rules": [
+        {"step": 0, "match": "fp:f00d", "candidates": {"QUERY|{table}": 1.0}},
+        {"step": 0, "match": "contains:cars", "candidates": {"QUERY|cars {task_id}": 1.0}},
+        {"step": 0, "candidates": {"LIST|": 1.0, "QUERY|{table}": 2.0}},
+        {"step": 1, "match": "fp:beef", "candidates": {"FINAL_ANSWER|{last_observation}": 1.0}},
+        {"step": 1, "candidates": {"QUERY|{last_observation}": 2.0, "LIST|": 1.0}},
+        {"step": 2, "match": "contains:try", "candidates": {"FINAL_ANSWER|{prompt}": 1.0}},
+    ],
+    "apology_collapse_prob": 0.5,
+}
+_MEMO_STEPS = [_step(content=c, is_error=err) for c in ("row", "cars") for err in (False, True)]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(_TWIN_TASKS),
+            st.lists(st.sampled_from(_MEMO_STEPS), max_size=2),
+            st.sampled_from(_MEMO_BUNDLES),
+            st.sampled_from([0.0, 0.0, -1.0, 0.7]),
+            st.integers(0, 3),
+        ),
+        min_size=8,
+        max_size=30,
+    )
+)
+def test_policy_memo_answers_as_a_fresh_policy_per_call(calls):
+    config = ScriptedPolicyConfig.from_dict(_MEMO_POLICY)
+    memoizing = ScriptedPolicy(config).for_unit(Telemetry())
+    fresh_telemetry = Telemetry()
+    for task, prefix, bundle, temperature, seed in calls:
+        got = memoizing.sample(task, prefix, bundle, temperature, seed)
+        fresh = ScriptedPolicy(config, fresh_telemetry)
+        assert got == fresh.sample(task, prefix, bundle, temperature, seed)
+        assert memoizing.telemetry == fresh_telemetry
+
+
+# every probe alone and all together, ordered so that each can decide a score
+_MEMO_REWARD = {
+    "rules": [
+        {"score": 0.95, "tool": "QUERY", "obs_contains": "cars", "args_contains": "cars"},
+        {"score": 0.1, "args_contains": "x"},
+        {"score": 0.2, "obs_contains": "row"},
+        {"score": 0.3, "tool": "LIST"},
+        {"score": 0.4, "is_error": True},
+        {"score": 0.5, "tool": "QUERY", "is_error": False, "obs_contains": "cars"},
+    ],
+    "default": 0.05,
+}
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(["p", "the prompt"]),
+            st.lists(st.sampled_from(_MEMO_STEPS), max_size=2),
+            st.sampled_from(["QUERY", "LIST", "OTHER"]),
+            st.sampled_from(["x", "cars", "y"]),
+            st.sampled_from(["row", "cars", "z"]),
+            st.booleans(),
+        ),
+        min_size=8,
+        max_size=30,
+    )
+)
+def test_reward_memo_answers_as_a_fresh_model_per_call(calls):
+    model = ScriptedRewardModel.from_dict(_MEMO_REWARD)
+    memoizing = model.for_unit(Telemetry())
+    fresh_telemetry = Telemetry()
+    for prompt, prefix, tool, args, content, is_error in calls:
+        candidate = _step(tool, args, content, is_error)
+        got = memoizing.score(prompt, prefix, candidate)
+        fresh = ScriptedRewardModel(model.rules, model.default, fresh_telemetry)
+        assert got == fresh.score(prompt, prefix, candidate)
+        assert memoizing.telemetry == fresh_telemetry
 
 
 def test_augmentor_reflect_picks_first_matching_rule():
