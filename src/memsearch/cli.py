@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 operational failure (inadmissible cells on
 validate, failed cells or a dead worker process on run, an unknown manifest
-format_version or a missing baseline on analyze), 2 config or usage errors.
+format_version, a torn manifest or verdict file, a verdict file its manifest
+entry does not vouch for or a missing baseline on analyze), 2 config or
+usage errors.
 Remote model credentials are read from the environment variable named in
 the model config (default MEMSEARCH_API_KEY), never from the config file
 itself.
@@ -93,7 +95,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         detail = meta.get("reason") or meta.get("error") or f"{meta.get('n_tasks', 0)} tasks"
         print(f"{cid}: {meta['status']} ({detail})")
     if failed:
-        print(f"error: {len(failed)} cell(s) failed; manifest is partial", file=sys.stderr)
+        print(
+            f"error: {len(failed)} cell(s) failed; the manifest lists each with its error",
+            file=sys.stderr,
+        )
         return EXIT_FAILURE
     return EXIT_OK
 

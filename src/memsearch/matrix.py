@@ -205,9 +205,7 @@ def _parse_policy(raw: dict) -> ScriptedPolicy | RemotePolicySpec:
     key_env, retries = raw.get("api_key_env", "MEMSEARCH_API_KEY"), raw.get("max_retries", 3)
     if not all(isinstance(v, str) for v in (url, model, key_env)):
         raise ConfigurationError("remote policy url, model and api_key_env must be strings")
-    chat = RemoteChatConfig(
-        url=url, model=model, role="policy", max_retries=retries, retry_delay=RETRY_DELAY_S
-    )
+    chat = RemoteChatConfig(url=url, model=model, max_retries=retries, retry_delay=RETRY_DELAY_S)
     return RemotePolicySpec(chat, key_env)
 
 

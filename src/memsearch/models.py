@@ -70,22 +70,43 @@ class Embedder(Protocol):
 # scripted policy
 
 
+# precedence of a policy rule's match kind: exact fingerprint > substring > default
+_FINGERPRINT, _CONTAINS, _DEFAULT = 0, 1, 2
+# what a scripted policy's draw reads of a call: the step index, the bundle's
+# rendered text and fingerprint, and the last observation's content or None
+_Read = tuple[int, str, str, str | None]
+
+
 @dataclass(frozen=True)
 class PolicyRule:
+    """One policy rule, its match spec and candidates split out once, when it is made."""
+
     step: int
     match: str  # "*", "contains:<text>" or "fp:<hex>"
-    candidates: tuple[tuple[str, float], ...]  # (action template, weight)
+    candidates: tuple[tuple[str, float], ...]  # (action template, weight), sorted
+    kind: int = field(init=False, compare=False, repr=False)
+    operand: str = field(init=False, compare=False, repr=False)
+    templates: list[str] = field(init=False, compare=False, repr=False)
+    weights: list[float] = field(init=False, compare=False, repr=False)
+    best: str = field(init=False, compare=False, repr=False)
 
-
-def _match_kind(match: str) -> int:
-    # precedence: exact fingerprint > substring > default
-    if match.startswith("fp:"):
-        return 0
-    if match.startswith("contains:"):
-        return 1
-    if match == "*":
-        return 2
-    raise ConfigurationError(f"bad policy match spec: {match!r}")
+    def __post_init__(self) -> None:
+        if self.match.startswith("fp:"):
+            kind = _FINGERPRINT
+        elif self.match.startswith("contains:"):
+            kind = _CONTAINS
+        elif self.match == "*":
+            kind = _DEFAULT
+        else:
+            raise ConfigurationError(f"bad policy match spec: {self.match!r}")
+        weights = [w for _, w in self.candidates]
+        # argmax weight; candidates are sorted, so ties break lexicographically
+        best = self.candidates[max(range(len(weights)), key=weights.__getitem__)][0]
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "operand", self.match.partition(":")[2])
+        object.__setattr__(self, "templates", [t for t, _ in self.candidates])
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "best", best)
 
 
 @dataclass(frozen=True)
@@ -93,19 +114,14 @@ class ScriptedPolicyConfig:
     rules: tuple[PolicyRule, ...]
     apology_text: str = "I cannot find the answer."
     apology_collapse_prob: float = 0.0
-    # step index -> (match kind, match operand, _Choices), in precedence
-    # order: by match kind, then by position in rules; set once here
-    rules_at: dict[int, list[tuple[int, str, _Choices]]] = field(
-        init=False, compare=False, repr=False
-    )
+    # step index -> its rules in precedence order: by match kind, then by
+    # position in rules; set once here
+    rules_at: dict[int, list[PolicyRule]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        ranked = sorted((_match_kind(rule.match), pos, rule) for pos, rule in enumerate(self.rules))
-        rules_at: dict[int, list[tuple[int, str, _Choices]]] = {}
-        for kind, _, rule in ranked:
-            operand = rule.match.partition(":")[2]
-            choices = _Choices.of(rule, default=kind == 2)
-            rules_at.setdefault(rule.step, []).append((kind, operand, choices))
+        rules_at: dict[int, list[PolicyRule]] = {}
+        for rule in sorted(self.rules, key=lambda rule: rule.kind):
+            rules_at.setdefault(rule.step, []).append(rule)
         object.__setattr__(self, "rules_at", rules_at)
 
     @classmethod
@@ -146,25 +162,6 @@ class ScriptedPolicyConfig:
         )
 
 
-@dataclass(frozen=True)
-class _Choices:
-    """A policy rule's candidates, split once: the templates, their weights
-    and the argmax template, plus whether the rule is the default match."""
-
-    templates: list[str]
-    weights: list[float]
-    best: str
-    default: bool
-
-    @classmethod
-    def of(cls, rule: PolicyRule, default: bool) -> "_Choices":
-        templates = [t for t, _ in rule.candidates]
-        weights = [w for _, w in rule.candidates]
-        # argmax weight; candidates are pre-sorted so ties break lexicographically
-        best = templates[max(range(len(weights)), key=weights.__getitem__)]
-        return cls(templates, weights, best, default)
-
-
 class ScriptedPolicy:
     """Deterministic branch-table policy.
 
@@ -176,39 +173,39 @@ class ScriptedPolicy:
     above zero, a default-matched rule apologizes with probability
     apology_collapse_prob instead of sampling its candidates.
 
-    A draw at temperature <= 0 reads only the step index, the bundle's
-    rendered text and fingerprint, the last observation's content and the
-    task, so the instance memoizes it on the first four, for one Task object
-    at a time: a call with another task starts a new memo.  Every call is
-    billed to the telemetry all the same.  The matrix runner builds one
-    instance per (cell, task) unit with `for_unit`, so no memo outlives its
-    unit.
+    `sample` reads each call once into a `_Read`.  A draw sees only that
+    read, the task and, above temperature 0, the seed and whether the last
+    observation errored, so at temperature <= 0 the instance memoizes it on
+    the read, for one Task object at a time: a call with another task starts
+    a new memo.  Every call is billed to the telemetry all the same.  The
+    matrix runner builds one instance per (cell, task) unit with `for_unit`,
+    so no memo outlives its unit.
     """
 
     def __init__(self, config: ScriptedPolicyConfig, telemetry: Telemetry | None = None):
         self.config = config
         self.telemetry = telemetry
         self._greedy_task: Task | None = None
-        self._greedy: dict[tuple[int, str, str, str | None], Action] = {}
+        self._greedy: dict[_Read, Action] = {}
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedPolicy":
         """A policy on this one's config that bills `telemetry`, with an empty memo."""
         return ScriptedPolicy(self.config, telemetry)
 
-    def _pick_rule(self, step_index: int, bundle: ContextBundle) -> _Choices | None:
-        for kind, operand, choices in self.config.rules_at.get(step_index, ()):
-            if kind == 0 and operand != bundle.fingerprint:
+    def _pick_rule(self, step_index: int, rendered: str, fingerprint: str) -> PolicyRule | None:
+        for rule in self.config.rules_at.get(step_index, ()):
+            if rule.kind == _FINGERPRINT and rule.operand != fingerprint:
                 continue
-            if kind == 1 and operand not in bundle.rendered:
+            if rule.kind == _CONTAINS and rule.operand not in rendered:
                 continue
-            return choices
+            return rule
         return None
 
-    def _fill(self, template: str, task: Task, prefix: Sequence[Step]) -> str:
+    def _fill(self, template: str, task: Task, last: str | None) -> str:
         values = dict(task.meta)
         values.setdefault("prompt", task.prompt)
         values.setdefault("task_id", task.task_id)
-        values["last_observation"] = prefix[-1].observation.content if prefix else ""
+        values["last_observation"] = last or ""
         try:
             return template.format_map(values)
         except KeyError as exc:
@@ -221,16 +218,17 @@ class ScriptedPolicy:
     def sample(
         self, task: Task, prefix: Sequence[Step], bundle: ContextBundle, temperature: float, seed: int
     ) -> Action:
+        last = prefix[-1].observation if prefix else None
+        read = (len(prefix), bundle.rendered, bundle.fingerprint, last and last.content)
+        errored = last is not None and last.is_error
         if temperature > 0.0:
-            action = self._draw(task, prefix, bundle, temperature, seed)
+            action = self._draw(task, read, temperature, seed, errored)
         else:
             if task is not self._greedy_task:
                 self._greedy_task, self._greedy = task, {}
-            last = prefix[-1].observation.content if prefix else None
-            key = (len(prefix), bundle.rendered, bundle.fingerprint, last)
-            action = self._greedy.get(key)
+            action = self._greedy.get(read)
             if action is None:
-                action = self._greedy[key] = self._draw(task, prefix, bundle, temperature, seed)
+                action = self._greedy[read] = self._draw(task, read, temperature, seed, errored)
         if self.telemetry is not None:
             prompt_tokens = (
                 task.prompt_tokens
@@ -240,18 +238,15 @@ class ScriptedPolicy:
             self.telemetry.record("policy", prompt_tokens, action.tokens)
         return action
 
-    def _draw(
-        self, task: Task, prefix: Sequence[Step], bundle: ContextBundle, temperature: float, seed: int
-    ) -> Action:
-        step_index = len(prefix)
-        rule = self._pick_rule(step_index, bundle)
+    def _draw(self, task: Task, read: _Read, temperature: float, seed: int, errored: bool) -> Action:
+        step_index, rendered, fingerprint, last = read
+        rule = self._pick_rule(step_index, rendered, fingerprint)
         if rule is None:
             return self._apology()
-        last_errored = bool(prefix) and prefix[-1].observation.is_error
         if (
             temperature > 0.0
-            and rule.default
-            and last_errored
+            and rule.kind == _DEFAULT
+            and errored
             and self.config.apology_collapse_prob > 0.0
         ):
             coin = random.Random(stable_hash("collapse", seed, step_index))
@@ -261,9 +256,9 @@ class ScriptedPolicy:
         if temperature <= 0.0:
             template = rule.best
         else:
-            rng = random.Random(stable_hash("sample", seed, step_index, bundle.fingerprint))
+            rng = random.Random(stable_hash("sample", seed, step_index, fingerprint))
             template = rng.choices(rule.templates, weights=rule.weights, k=1)[0]
-        filled = self._fill(template, task, prefix)
+        filled = self._fill(template, task, last)
         tool, _, args = filled.partition("|")
         return Action(tool, args, filled)
 
@@ -280,16 +275,17 @@ class RewardRule:
     obs_contains: str | None = None
     args_contains: str | None = None
 
-    def matches(self, step: Step) -> bool:
-        if self.tool is not None and step.action.tool_name != self.tool:
-            return False
-        if self.is_error is not None and step.observation.is_error != self.is_error:
-            return False
-        if self.obs_contains is not None and self.obs_contains not in step.observation.content:
-            return False
-        if self.args_contains is not None and self.args_contains not in step.action.arguments:
-            return False
-        return True
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.score <= 1.0:
+            raise ConfigurationError(f"reward rule score {self.score} outside [0, 1]")
+
+    def matches(self, tool: str, arguments: str, is_error: bool, content: str) -> bool:
+        return (
+            (self.tool is None or tool == self.tool)
+            and (self.is_error is None or is_error == self.is_error)
+            and (self.obs_contains is None or self.obs_contains in content)
+            and (self.args_contains is None or self.args_contains in arguments)
+        )
 
 
 # a reward rule's optional probes and their JSON types; null is the same as absent
@@ -300,16 +296,16 @@ class ScriptedRewardModel:
     """Ordered first-match rule list over (tool, error flag, substrings).
 
     A rule reads only the candidate's tool, arguments, error flag and
-    observation content, so the instance memoizes each candidate's value on
-    those four.  Every call is billed to the telemetry all the same.  The
-    matrix runner builds one instance per (cell, task) unit with
-    `for_unit`, so no memo outlives its unit.
+    observation content, the arguments of `RewardRule.matches`, so the
+    instance memoizes each candidate's value on those four.  Every call is
+    billed to the telemetry all the same.  The matrix runner builds one
+    instance per (cell, task) unit with `for_unit`, so no memo outlives its
+    unit.
     """
 
     def __init__(self, rules: Sequence[RewardRule], default: float, telemetry: Telemetry | None = None):
-        for r in list(rules) + [RewardRule(score=default)]:
-            if not 0.0 <= r.score <= 1.0:
-                raise ConfigurationError(f"reward rule score {r.score} outside [0, 1]")
+        if not 0.0 <= default <= 1.0:
+            raise ConfigurationError(f"reward rule score {default} outside [0, 1]")
         self.rules = tuple(rules)
         self.default = default
         self.telemetry = telemetry
@@ -343,7 +339,7 @@ class ScriptedRewardModel:
         key = (action.tool_name, action.arguments, obs.is_error, obs.content)
         value = self._values.get(key)
         if value is None:
-            rule = next((r for r in self.rules if r.matches(candidate)), None)
+            rule = next((r for r in self.rules if r.matches(*key)), None)
             value = self._values[key] = self.default if rule is None else rule.score
         if self.telemetry is not None:
             prompt, prompt_tokens = self._prompt_tokens
@@ -372,6 +368,10 @@ class FactPattern:
     pattern: str
     template: str
     split: str | None = None
+    regex: re.Pattern[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "regex", re.compile(self.pattern, re.MULTILINE))
 
 
 def _check_fact_rule(where: str, rule: FactPattern) -> None:
@@ -386,7 +386,7 @@ def _check_fact_rule(where: str, rule: FactPattern) -> None:
     """
     if rule.split == "":
         raise ConfigurationError(f"{where}: split must not be empty")
-    groups = re.compile(rule.pattern, re.MULTILINE).groups
+    groups = rule.regex.groups
     if rule.split is not None and groups == 0:
         raise ConfigurationError(f"{where}: a split rule's pattern needs a group to split")
     try:
@@ -432,7 +432,6 @@ class ScriptedAugmentorModel:
         self.reflection_rules = tuple(reflection_rules)
         self.reflection_default = reflection_default
         self.fact_patterns = tuple(fact_patterns)
-        self._compiled = [(re.compile(p.pattern, re.MULTILINE), p) for p in fact_patterns]
         self.telemetry = telemetry
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedAugmentorModel":
@@ -484,8 +483,8 @@ class ScriptedAugmentorModel:
             out = " ".join(out.split())  # exactly one line
         elif instruction == EXTRACT_FACTS:
             facts: list[str] = []
-            for compiled, spec in self._compiled:
-                for m in compiled.finditer(text):
+            for spec in self.fact_patterns:
+                for m in spec.regex.finditer(text):
                     groups = m.groups()
                     if None in groups:
                         continue
@@ -605,7 +604,6 @@ class RemoteChatConfig:
     url: str
     model: str
     api_key: str | None = None
-    role: str = "policy"  # telemetry bucket
     max_retries: int = 3
     timeout: float = 30.0
     retry_delay: float = 0.0
@@ -629,9 +627,9 @@ class RemoteChatClient:
     retry_delay before the second attempt and twice as long before each
     later one.  A 401 is a credential error and any other HTTP error a
     configuration error; neither is retried.  Usage numbers from the
-    response are accumulated into the attached Telemetry.  The HTTP stack
-    (`urllib.request`, `http.client`) is imported by the first request,
-    not with the module.
+    response are billed to the attached Telemetry as policy calls.  The
+    HTTP stack (`urllib.request`, `http.client`) is imported by the first
+    request, not with the module.
     """
 
     def __init__(self, config: RemoteChatConfig, telemetry: Telemetry | None = None):
@@ -682,7 +680,7 @@ class RemoteChatClient:
         except (KeyError, IndexError, TypeError) as exc:
             raise ConfigurationError(f"malformed chat completion response: {body!r}") from exc
         if self.telemetry is not None:
-            self.telemetry.record(self.config.role, tokens_in, tokens_out)
+            self.telemetry.record("policy", tokens_in, tokens_out)
         return text
 
 

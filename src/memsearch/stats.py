@@ -25,7 +25,8 @@ FORMAT_VERSION = 1
 
 
 class PairingError(Exception):
-    """Verdict files cover different task sets."""
+    """Verdict files cover different task sets, or a verdict file holds rows
+    other than the ones its manifest entry vouches for."""
 
 
 class MissingBaselineError(Exception):
@@ -33,7 +34,8 @@ class MissingBaselineError(Exception):
 
 
 class FormatVersionError(Exception):
-    """A run directory's manifest is of a format this version cannot read."""
+    """A manifest or verdict file this version cannot read: an unknown
+    manifest format, or a file that is not whole JSON."""
 
 
 @dataclass(frozen=True)
@@ -216,13 +218,23 @@ def efficiency(rows: list[dict], pricing: PricingTable | None = None) -> Efficie
 # run analysis
 
 
+def _decode(path: Path | str, text: str, line: int = 1) -> dict:
+    """json.loads, raising FormatVersionError at the file's line and column."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatVersionError(
+            f"{path}: not readable JSON at line {line + exc.lineno - 1}, "
+            f"column {exc.colno}: {exc.msg}"
+        ) from exc
+
+
 def load_verdicts(path: str | Path) -> list[dict]:
     rows = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                rows.append(_decode(path, line, number))
     return rows
 
 
@@ -234,15 +246,18 @@ def analyze_run(
 ) -> dict:
     """Aggregate a finished run directory into accuracy, paired tests with
     BH correction, and efficiency metrics.  Raises FormatVersionError when
-    the manifest's format_version is missing or unknown, and
+    the manifest's format_version is missing or unknown or a manifest or
+    verdict file is not whole JSON, PairingError when a verdict file's rows
+    are not the ones its manifest entry vouches for, and
     MissingBaselineError when a (benchmark, method) group has treatment
     cells but no baseline cell."""
     out = Path(out_dir)
-    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    path = out / "manifest.json"
+    manifest = _decode(path, path.read_text(encoding="utf-8"))
     version = manifest.get("format_version")
     if not is_int(version) or version != FORMAT_VERSION:
         raise FormatVersionError(
-            f"{out / 'manifest.json'}: format_version {version!r} is not supported "
+            f"{path}: format_version {version!r} is not supported "
             f"(supported: {FORMAT_VERSION})"
         )
     pricing = PricingTable(**manifest.get("pricing", {}))
@@ -250,8 +265,17 @@ def analyze_run(
 
     verdicts: dict[str, list[dict]] = {}
     for cell_id, meta in cells.items():
-        if meta.get("status") == "ok":
-            verdicts[cell_id] = load_verdicts(out / meta["verdict_file"])
+        if meta.get("status") != "ok":
+            continue
+        path = out / meta["verdict_file"]
+        rows = verdicts[cell_id] = load_verdicts(path)
+        # exactly the rows the entry vouches for: one of this cell per task
+        tasks = {r["task_id"] for r in rows if r.get("cell_id") == cell_id}
+        if not len(rows) == len(tasks) == meta["n_tasks"]:
+            raise PairingError(
+                f"{path}: manifest entry expects {meta['n_tasks']} rows, one per task of cell "
+                f"{cell_id}; found {len(rows)} rows covering {len(tasks)} task(s) of that cell"
+            )
 
     analysis_cells: dict[str, dict] = {}
     for cell_id, meta in sorted(cells.items()):

@@ -129,6 +129,56 @@ def test_analyze_unknown_format_version_exits_1_with_one_line(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "name, size",
+    [("manifest.json", 200), ("toy_sql_demo__best_of_n__none.jsonl", 100)],
+    ids=["manifest", "verdicts"],
+)
+def test_analyze_torn_file_exits_1_with_one_line(tmp_path, capsys, name, size):
+    path = write_mini_config(tmp_path, _cells())
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    torn = out / name
+    torn.write_bytes(torn.read_bytes()[:size])
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {torn}: not readable JSON at line ")
+
+
+def test_analyze_unvouched_verdict_rows_exit_1_with_one_line(tmp_path, capsys):
+    path = write_mini_config(tmp_path, _cells())
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    verdicts = out / "toy_sql_demo__best_of_n__none.jsonl"
+    verdicts.write_text("".join(verdicts.read_text().splitlines(keepends=True)[:2]))
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {verdicts}: manifest entry expects 10 rows, one per task of cell "
+        "toy_sql_demo__best_of_n__none; found 2 rows covering 2 task(s) of that cell"
+    ]
+
+
+def test_run_with_a_failed_cell_exits_1_counting_the_failures(tmp_path, capsys, monkeypatch):
+    path = write_mini_config(tmp_path, _cells() + _cells(memory=["fact"]))
+
+    def failing(cfg, embedder, cell, task, dump_dir):
+        raise ValueError("this task fails")
+
+    monkeypatch.setattr(matrix, "_run_cell_task", failing)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert "toy_sql_demo__best_of_n__none: failed (ValueError: this task fails)" in captured.out
+    assert captured.err.splitlines() == [
+        "error: 2 cell(s) failed; the manifest lists each with its error"
+    ]
+
+
 def test_analyze_selected_rule_and_q(tmp_path, capsys):
     path = write_mini_config(tmp_path, _cells() + _cells(memory=["reflection"]))
     out = tmp_path / "out"

@@ -32,10 +32,13 @@ from memsearch.models import (
     REFLECT,
     ConfigurationError,
     CredentialError,
+    FactPattern,
     HashEmbedder,
+    PolicyRule,
     RemoteChatClient,
     RemoteChatConfig,
     RemotePolicy,
+    RewardRule,
     ScriptedAugmentorModel,
     ScriptedPolicy,
     ScriptedPolicyConfig,
@@ -69,6 +72,21 @@ def test_policy_config_sorts_candidates_and_validates():
         )
     with pytest.raises(ConfigurationError):
         ScriptedPolicyConfig.from_dict({"rules": [], "apology_collapse_prob": 1.5})
+
+
+def test_policy_rule_is_checked_and_split_when_made():
+    with pytest.raises(ConfigurationError, match="bad policy match spec: 'glob:\\*'"):
+        PolicyRule(step=0, match="glob:*", candidates=(("A|a", 1.0),))
+    rule = PolicyRule(step=1, match="contains:FACTS:", candidates=(("A|a", 1.0), ("B|b", 2.0)))
+    assert (rule.operand, rule.templates, rule.weights, rule.best) == (
+        "FACTS:", ["A|a", "B|b"], [1.0, 2.0], "B|b"
+    )
+    # rules_at holds the rules themselves, by step, in precedence order
+    fp = PolicyRule(step=1, match="fp:f00d", candidates=(("C|c", 1.0),))
+    default = PolicyRule(step=1, match="*", candidates=(("D|d", 1.0),))
+    other = PolicyRule(step=0, match="*", candidates=(("E|e", 1.0),))
+    config = ScriptedPolicyConfig(rules=(default, rule, other, fp))
+    assert config.rules_at == {1: [fp, rule, default], 0: [other]}
 
 
 def test_rule_precedence_fingerprint_over_contains_over_default():
@@ -231,6 +249,16 @@ def test_reward_score_out_of_range_is_rejected_not_clamped():
         ScriptedRewardModel.from_dict({"rules": [], "default": -0.1})
 
 
+def test_reward_rule_score_out_of_range_is_refused_when_made():
+    with pytest.raises(ConfigurationError, match=r"reward rule score 1\.5 outside \[0, 1\]"):
+        RewardRule(score=1.5)
+    with pytest.raises(ConfigurationError, match=r"reward rule score -0\.1 outside \[0, 1\]"):
+        ScriptedRewardModel([], -0.1)
+    rule = RewardRule(score=0.9, tool="QUERY", obs_contains="row")
+    assert rule.matches("QUERY", "x", False, "a row")
+    assert not rule.matches("QUERY", "row", False, "none")
+
+
 def test_reward_args_contains_and_telemetry():
     telemetry = Telemetry()
     model = ScriptedRewardModel.from_dict(
@@ -383,6 +411,23 @@ def test_augmentor_extract_facts_split_and_groups():
     assert model.generate(EXTRACT_FACTS, text) == "'games' has Platform, Developer"
     with pytest.raises(ConfigurationError):
         model.generate("SUMMARIZE", "x")
+
+
+def test_augmentor_for_unit_compiles_nothing(monkeypatch):
+    model = ScriptedAugmentorModel.from_dict(
+        {"facts": {"rules": [{"pattern": r"LIST: (.+)", "template": "table {0}", "split": ","}]}}
+    )
+    text = "LIST: games,albums"
+    facts = model.generate(EXTRACT_FACTS, text)
+    assert facts == "table games\ntable albums"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a regex was compiled after load")
+
+    monkeypatch.setattr(models.re, "compile", refuse)
+    assert model.for_unit(Telemetry()).generate(EXTRACT_FACTS, text) == facts
+    with pytest.raises(AssertionError):  # the patch is in force: making a rule compiles
+        FactPattern(r"LIST: (.+)", "table {0}")
 
 
 def test_augmentor_templates_take_automatic_and_repeated_fields():

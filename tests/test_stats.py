@@ -318,6 +318,58 @@ def test_analyze_run_refuses_unknown_format_version(mini_run, tmp_path, version,
         analyze_run(run)
 
 
+def _torn_rows(lines: list[str]) -> list[str]:
+    return lines[:2]
+
+
+def _repeated_row(lines: list[str]) -> list[str]:
+    return lines[:-1] + lines[:1]
+
+
+def _foreign_row(lines: list[str]) -> list[str]:
+    row = json.loads(lines[-1])
+    row["cell_id"] = "toy_sql_demo__mcts__none"
+    return lines[:-1] + [json.dumps(row) + "\n"]
+
+
+@pytest.mark.parametrize(
+    "edit, found",
+    [
+        (_torn_rows, "2 rows covering 2 task(s)"),
+        (_repeated_row, "10 rows covering 9 task(s)"),
+        (_foreign_row, "10 rows covering 9 task(s)"),
+    ],
+    ids=["torn", "repeated", "foreign"],
+)
+def test_analyze_run_refuses_rows_the_manifest_does_not_vouch_for(mini_run, tmp_path, edit, found):
+    # beam has no memory cell to pair with, so only the manifest entry can tell
+    run = tmp_path / "run"
+    shutil.copytree(mini_run, run)
+    path = run / "toy_sql_demo__beam__none.jsonl"
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+    message = (
+        f"{path}: manifest entry expects 10 rows, one per task of cell "
+        f"toy_sql_demo__beam__none; found {found} of that cell"
+    )
+    with pytest.raises(PairingError, match=re.escape(message)):
+        analyze_run(run)
+
+
+@pytest.mark.parametrize(
+    "name, size",
+    [("manifest.json", 200), ("toy_sql_demo__beam__none.jsonl", 100)],
+    ids=["manifest", "verdicts"],
+)
+def test_analyze_run_refuses_a_torn_file_naming_line_and_column(mini_run, tmp_path, name, size):
+    run = tmp_path / "run"
+    shutil.copytree(mini_run, run)
+    path = run / name
+    path.write_bytes(path.read_bytes()[:size])
+    where = re.escape(f"{path}: not readable JSON at line ") + r"\d+, column \d+: \w"
+    with pytest.raises(FormatVersionError, match=where):
+        analyze_run(run)
+
+
 def test_emit_matrix_report_shape(mini_run):
     analysis = analyze_run(mini_run)
     report = emit_matrix_report(analysis)

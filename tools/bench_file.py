@@ -7,8 +7,8 @@ Usage (from the repository root):
 PARENT_RESULTS and CHANGE_RESULTS are directories of result files written by
 ``bench/run.py`` (its ``.bench_run/results/``), one per side, run with the
 same seeds and ``--seconds``.  Each (workload, trace) pair gets one entry
-with both sides' seeds, ``src/`` line counts and number of timed passes, and
-per metric:
+with both sides' seeds, ``src/`` line counts, number of timed passes and
+measured seconds by seed, and per metric:
 
 - ``parent`` and ``change``: median, first and third quartile and the value
   of every seed;
@@ -17,6 +17,11 @@ per metric:
   in which the change reads better, ties counting for neither side;
 - ``verdict``: ``bench/compare.py``'s verdict against the metric's bound
   (null for per-layer metrics, which have no bound).
+
+A result file is named by workload, seed and trace only, so a shorter trial
+run replaces a longer one of the same name.  The tool therefore exits 2,
+naming the shortest and the longest file, when within one (workload, trace)
+pair one run took more than twice as long as another.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ def load(directory: Path) -> dict[tuple[str, bool], list[dict]]:
     runs: dict[tuple[str, bool], list[dict]] = {}
     for path in sorted(directory.glob("*.json")):
         data = json.loads(path.read_text(encoding="utf-8"))
+        data["file"] = str(path)
         meta = data["metadata"]
         runs.setdefault((meta["workload"], bool(meta["trace"])), []).append(data)
     for files in runs.values():
@@ -56,6 +62,7 @@ def summarize(parent: list[dict], change: list[dict], specs: dict[str, dict]) ->
             "seeds": [d["metadata"]["seed"] for d in files],
             "src_lines": sorted({d["metadata"]["src_lines"] for d in files}),
             "passes": [len(d["record"]["pass_s"]) for d in files],
+            "measured_s": {d["metadata"]["seed"]: d["record"]["measured_s"] for d in files},
         }
 
     metrics = {}
@@ -88,6 +95,16 @@ def main(argv: list[str]) -> int:
     for key in sorted(set(parent) & set(change)):
         workload, trace = key
         label = f"{workload} (trace)" if trace else workload
+        files = sorted(parent[key] + change[key], key=lambda d: d["record"]["measured_s"])
+        shortest, longest = files[0], files[-1]
+        if longest["record"]["measured_s"] > 2 * shortest["record"]["measured_s"]:
+            print(
+                f"error: {label}: runs of different lengths do not pair: {shortest['file']} "
+                f"measured {shortest['record']['measured_s']:.1f} s, {longest['file']} "
+                f"{longest['record']['measured_s']:.1f} s",
+                file=sys.stderr,
+            )
+            return 2
         out[label] = summarize(parent[key], change[key], specs)
     sys.stdout.write(dump(out))
     return 0
