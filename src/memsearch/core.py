@@ -199,10 +199,10 @@ class Step:
 def aggregate_score(steps: Iterable[Step]) -> float:
     """Trajectory score: mean of the step rewards that are present.
 
-    With a process reward model every step is scored and this is the plain
-    mean; without one only the final step may carry a score.  A trajectory
-    with no scored steps at all aggregates to 0.0 so that an unscored
-    trajectory counts as failed.
+    A search scores every step or none (`search._take_step`): every step
+    with a process reward model, so this is the plain mean, and none
+    without one.  A trajectory with no scored steps aggregates to 0.0 so
+    that an unscored trajectory counts as failed.
     """
     rewards = [s.reward for s in steps if s.reward is not None]
     if not rewards:
@@ -310,7 +310,7 @@ EMPTY_BUNDLE = ContextBundle(units=(), rendered="", fingerprint=fingerprint(""))
 
 @dataclass
 class Node:
-    """Search tree node.  Mutated only by the search module's backprop."""
+    """Search tree node.  Mutated only by `run_mcts` (children) and `backprop`."""
 
     node_id: int
     state: StateHandle

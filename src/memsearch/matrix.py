@@ -251,6 +251,8 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
             raise ConfigurationError(
                 f"{where}: fixture file declares benchmark '{bench.benchmark_id}'"
             )
+        if not bench.tasks:
+            raise ConfigurationError(f"{where}: fixture file has no tasks")
         discovery_tool = spec.get("discovery_tool")
         tools = sorted({tool for task in bench.tasks for tool in task.tools})
         if discovery_tool is not None and (
@@ -559,7 +561,7 @@ def run_matrix(
         dump_dir.mkdir(exist_ok=True)
 
     entries: dict[str, dict] = {}  # cell id -> its manifest entry, in config order
-    cells: list[ExperimentCell] = []  # the admitted ones that have tasks
+    cells: list[ExperimentCell] = []  # the admitted ones
     pending: list[list | None] = []  # cell index -> its results by task, until it is finished
     for cell in cfg.cells:
         entry = entries[cell.cell_id] = {
@@ -572,11 +574,9 @@ def run_matrix(
         reason = check_admissible(cell)
         if not reason.admissible:
             entry.update(status="inadmissible", reason=reason.value, glyph=reason.glyph)
-        elif n_tasks := len(cfg.benchmarks[cell.benchmark].benchmark.tasks):
+        else:
             cells.append(cell)
-            pending.append([None] * n_tasks)
-        else:  # no unit of it will ever land, so it is finished now
-            _finish_cell(out, cell, entry, [])
+            pending.append([None] * len(cfg.benchmarks[cell.benchmark].benchmark.tasks))
     units = [(c, t) for c, results in enumerate(pending) for t in range(len(results))]
     # one embedder per call, never kept past it: a later call with the same
     # config hashes its lines again, as a fresh `memsearch run` does

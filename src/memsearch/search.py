@@ -349,32 +349,6 @@ def uct_score(q: float, child_visits: int, parent_visits: int, w_exp: float) -> 
     return q + w_exp * math.sqrt(math.log(max(parent_visits, 1)) / child_visits)
 
 
-class _Tree:
-    def __init__(self, root_state: StateHandle):
-        self.nodes: list[Node] = [Node(node_id=0, state=root_state, incoming_action=None)]
-        self.cands: dict[int, Candidate] = {}  # of every node but the root
-        self.parent: dict[int, int] = {}
-
-    def add_child(self, parent_id: int, cand: Candidate) -> None:
-        nid = len(self.nodes)
-        node = Node(
-            node_id=nid,
-            state=cand.state,
-            incoming_action=cand.step.action,
-            is_terminal=cand.step.action.is_final,
-        )
-        self.nodes.append(node)
-        self.nodes[parent_id].children.append(nid)
-        self.cands[nid] = cand
-        self.parent[nid] = parent_id
-
-    def path_to_root(self, nid: int) -> list[int]:
-        path = [nid]
-        while path[-1] != 0:
-            path.append(self.parent[path[-1]])
-        return path
-
-
 def backprop(
     nodes: Sequence[Node],
     path_ids: Sequence[int],
@@ -388,36 +362,26 @@ def backprop(
     up through it.  DECAY sets the leaf q to the value and then folds each
     child's updated q into its parent: q_p <- (1-gamma)*q_p + gamma*q_c.
     """
-    if not path_ids:
-        return
-    if mode is BackpropMode.CUMULATIVE:
-        for nid in path_ids:
-            node = nodes[nid]
-            node.visit_count += 1
+    child_q = value
+    for i, nid in enumerate(path_ids):
+        node = nodes[nid]
+        node.visit_count += 1
+        if mode is BackpropMode.CUMULATIVE:
             node.q_value += (value - node.q_value) / node.visit_count
-    else:
-        leaf = nodes[path_ids[0]]
-        leaf.visit_count += 1
-        leaf.q_value = value
-        child_q = leaf.q_value
-        for nid in path_ids[1:]:
-            node = nodes[nid]
-            node.visit_count += 1
-            node.q_value = (1.0 - gamma) * node.q_value + gamma * child_q
+        else:
+            node.q_value = value if i == 0 else (1.0 - gamma) * node.q_value + gamma * child_q
             child_q = node.q_value
 
 
-def _select_child(tree: _Tree, nid: int, w_exp: float) -> int:
-    kids = tree.nodes[nid].children
-    unvisited = [k for k in kids if tree.nodes[k].visit_count == 0]
+def _select_child(nodes: Sequence[Node], nid: int, w_exp: float) -> int:
+    kids = nodes[nid].children
+    unvisited = [k for k in kids if nodes[k].visit_count == 0]
     if unvisited:
         return unvisited[0]  # creation order
-    parent_visits = tree.nodes[nid].visit_count
+    parent_visits = nodes[nid].visit_count
     return max(
         kids,
-        key=lambda k: uct_score(
-            tree.nodes[k].q_value, tree.nodes[k].visit_count, parent_visits, w_exp
-        ),
+        key=lambda k: uct_score(nodes[k].q_value, nodes[k].visit_count, parent_visits, w_exp),
     )
 
 
@@ -444,21 +408,23 @@ def run_mcts(
     if prm is None:
         raise ValueError("mcts needs a process reward model")
 
-    tree = _Tree(env.reset(task))
+    # index-aligned by node id: each node, and the candidate that made it
+    nodes = [Node(node_id=0, state=env.reset(task), incoming_action=None)]
+    cands: list[Candidate | None] = [None]
     trajectories: list[Trajectory] = []
 
     for it in range(config.n_iters):
-        nid = 0
-        while tree.nodes[nid].children and not tree.nodes[nid].is_terminal:
-            nid = _select_child(tree, nid, config.w_exp)
-        path = [tree.cands[n] for n in reversed(tree.path_to_root(nid)[:-1])]
+        ids = [0]  # the selected path's node ids, root first
+        while nodes[ids[-1]].children and not nodes[ids[-1]].is_terminal:
+            ids.append(_select_child(nodes, ids[-1], config.w_exp))
+        path = [cands[i] for i in ids[1:]]
 
-        leaf = nid
-        if not tree.nodes[nid].is_terminal and len(path) < config.max_depth:
-            cands = expand(
+        nid = ids[-1]
+        if not nodes[nid].is_terminal and len(path) < config.max_depth:
+            expanded = expand(
                 env,
                 task,
-                tree.nodes[nid].state,
+                nodes[nid].state,
                 [c.step for c in path],
                 policy,
                 prm,
@@ -467,11 +433,14 @@ def run_mcts(
                 iteration=it,
                 seed_salt=(seed, "mcts_expand", nid),
             )
-            for c in cands:
-                tree.add_child(nid, c)
-            pick = max(range(len(cands)), key=lambda i: cands[i].step.reward or 0.0)
-            leaf = tree.nodes[nid].children[pick]
-            path.append(cands[pick])
+            for c in expanded:
+                nodes[nid].children.append(len(nodes))
+                action = c.step.action
+                nodes.append(Node(len(nodes), c.state, action, is_terminal=action.is_final))
+                cands.append(c)
+            pick = max(range(len(expanded)), key=lambda i: expanded[i].step.reward or 0.0)
+            ids.append(nodes[nid].children[pick])
+            path.append(expanded[pick])
             depth_cap = min(config.rollout_depth, config.max_depth)
             while not path[-1].step.action.is_final and len(path) < depth_cap:
                 rollout_cands = expand(
@@ -489,8 +458,7 @@ def run_mcts(
                 path.append(max(rollout_cands, key=lambda c: c.step.reward or 0.0))
 
         traj = _trajectory(path, it)
-        ids = tree.path_to_root(leaf)
-        backprop(tree.nodes, ids, traj.trajectory_score, config.backprop, config.decay_gamma)
+        backprop(nodes, ids[::-1], traj.trajectory_score, config.backprop, config.decay_gamma)
         trajectories.append(traj)
         composite.on_trajectory(traj)
 

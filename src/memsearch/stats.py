@@ -248,9 +248,9 @@ def analyze_run(
     BH correction, and efficiency metrics.  Raises FormatVersionError when
     the manifest's format_version is missing or unknown or a manifest or
     verdict file is not whole JSON, PairingError when a verdict file's rows
-    are not the ones its manifest entry vouches for, and
-    MissingBaselineError when a (benchmark, method) group has treatment
-    cells but no baseline cell."""
+    are not the ones its manifest entry vouches for or an ok entry vouches
+    for no task, and MissingBaselineError when a (benchmark, method) group
+    has treatment cells but no baseline cell."""
     out = Path(out_dir)
     path = out / "manifest.json"
     manifest = _decode(path, path.read_text(encoding="utf-8"))
@@ -263,42 +263,37 @@ def analyze_run(
     pricing = PricingTable(**manifest.get("pricing", {}))
     cells = manifest["cells"]
 
+    # one walk in file order: within a (benchmark, method) group the last
+    # cell of a memory label wins
+    analysis_cells: dict[str, dict] = {}
     verdicts: dict[str, list[dict]] = {}
+    by_group: dict[tuple[str, str], dict[str, str]] = {}
     for cell_id, meta in cells.items():
+        info = analysis_cells[cell_id] = dict(meta)
         if meta.get("status") != "ok":
             continue
         path = out / meta["verdict_file"]
         rows = verdicts[cell_id] = load_verdicts(path)
         # exactly the rows the entry vouches for: one of this cell per task
+        n = meta["n_tasks"]
         tasks = {r["task_id"] for r in rows if r.get("cell_id") == cell_id}
-        if not len(rows) == len(tasks) == meta["n_tasks"]:
+        if not len(rows) == len(tasks) == n:
             raise PairingError(
-                f"{path}: manifest entry expects {meta['n_tasks']} rows, one per task of cell "
+                f"{path}: manifest entry expects {n} rows, one per task of cell "
                 f"{cell_id}; found {len(rows)} rows covering {len(tasks)} task(s) of that cell"
             )
-
-    analysis_cells: dict[str, dict] = {}
-    for cell_id, meta in sorted(cells.items()):
-        info = dict(meta)
-        if meta.get("status") == "ok":
-            rows = verdicts[cell_id]
-            n = len(rows)
-            info["accuracy"] = sum(1 for r in rows if _task_verdict(r, rule)) / n
-            info["accuracy_selected"] = sum(1 for r in rows if r["selected_verdict"]) / n
-            info["efficiency"] = asdict(efficiency(rows, pricing))
-            giveups = [r["giveup"] for r in rows if r.get("giveup")]
-            if giveups:
-                info["giveup"] = {
-                    "apology_terminals": sum(g["apology_terminals"] for g in giveups),
-                    "selected_apologies": sum(1 for g in giveups if g["selected_apology"]),
-                    "all_apology_states": sum(g["all_apology_states"] for g in giveups),
-                }
-        analysis_cells[cell_id] = info
-
-    by_group: dict[tuple[str, str], dict[str, str]] = {}
-    for cell_id, meta in cells.items():
-        if meta.get("status") != "ok":
-            continue
+        if n < 1:
+            raise PairingError(f"{path}: manifest entry of ok cell {cell_id} has no tasks")
+        info["accuracy"] = sum(1 for r in rows if _task_verdict(r, rule)) / n
+        info["accuracy_selected"] = sum(1 for r in rows if r["selected_verdict"]) / n
+        info["efficiency"] = asdict(efficiency(rows, pricing))
+        giveups = [r["giveup"] for r in rows if r.get("giveup")]
+        if giveups:
+            info["giveup"] = {
+                "apology_terminals": sum(g["apology_terminals"] for g in giveups),
+                "selected_apologies": sum(1 for g in giveups if g["selected_apology"]),
+                "all_apology_states": sum(g["all_apology_states"] for g in giveups),
+            }
         by_group.setdefault((meta["benchmark"], meta["method"]), {})[meta["memory"]] = cell_id
 
     comparisons: list[dict] = []
@@ -339,7 +334,7 @@ def analyze_run(
         "rule": rule,
         "baseline": baseline,
         "q": q,
-        "cells": analysis_cells,
+        "cells": dict(sorted(analysis_cells.items())),
         "comparisons": comparisons,
         "n_bh_rejected": bh.n_rejected,
     }

@@ -164,6 +164,26 @@ def test_analyze_unvouched_verdict_rows_exit_1_with_one_line(tmp_path, capsys):
     ]
 
 
+def test_analyze_an_ok_cell_without_tasks_exits_1_with_one_line(tmp_path, capsys):
+    # `run` refuses such a benchmark, but a manifest may come from elsewhere
+    path = write_mini_config(tmp_path, _cells())
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    [entry] = manifest["cells"].values()
+    entry["n_tasks"] = 0
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    verdicts = out / entry["verdict_file"]
+    verdicts.write_text("")
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {verdicts}: manifest entry of ok cell toy_sql_demo__best_of_n__none has no tasks"
+    ]
+
+
 def test_run_with_a_failed_cell_exits_1_counting_the_failures(tmp_path, capsys, monkeypatch):
     path = write_mini_config(tmp_path, _cells() + _cells(memory=["fact"]))
 

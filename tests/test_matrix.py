@@ -1077,17 +1077,13 @@ def test_run_matrix_pool_is_sized_to_units_and_reaped(tmp_path, fixtures_dir, mo
     assert multiprocessing.active_children() == []
 
 
-def test_a_cell_without_tasks_gets_an_empty_verdict_file(tmp_path, fixtures_dir):
-    # no unit of it ever lands, so it is complete before the first one does
+def test_a_benchmark_without_tasks_is_a_config_error(tmp_path, fixtures_dir, capsys):
+    # an ok cell over it would vouch for no rows, and no test can pair on it
     tasks_raw = json.loads((fixtures_dir / "tasks" / "toy_sql_demo.json").read_text())
     no_tasks = tmp_path / "no_tasks.json"
     no_tasks.write_text(json.dumps({**tasks_raw, "tasks": []}))
-    cfg = load_matrix_config(_one_sql_cell_config(tmp_path, fixtures_dir, fixtures=no_tasks))
-    for jobs in (1, 2):
-        manifest = run_matrix(cfg, tmp_path / f"out{jobs}", jobs=jobs)
-        assert manifest["cells"]["a"]["status"] == "ok"
-        assert manifest["cells"]["a"]["n_tasks"] == 0
-        assert (tmp_path / f"out{jobs}" / "a.jsonl").read_bytes() == b""
+    config = _one_sql_cell_config(tmp_path, fixtures_dir, fixtures=no_tasks)
+    _assert_config_error(config, r"benchmark 'toy_sql_demo': fixture file has no tasks$", capsys)
 
 
 def _work_sending_first(times):
@@ -1375,3 +1371,46 @@ def test_mixed_expansion_run_with_memory_dumps_is_byte_pinned(tmp_path):
     assert main(argv) == 0
     assert len(list((out / "memory").iterdir())) == 10 * len(cells)
     assert _tree_sha256(out) == MIXED_EXPANSION_RUN_SHA256
+
+
+# The other pins run MCTS at its default knobs only.  These cells set decay
+# backprop, the exploration weight, the rollout depth and the temperature,
+# on the SQL and the KG benchmark, with no memory, with each single memory
+# and with fact plus raw_sibling.
+MCTS_KNOBS_SEARCH = {
+    "method": "mcts",
+    "n_iters": 12,
+    "backprop": "decay",
+    "decay_gamma": 0.3,
+    "w_exp": 0.5,
+    "rollout_depth": 2,
+    "temperature": 0.7,
+}
+MCTS_KNOBS_MEMORIES = [[], ["raw_sibling"], ["fact"], ["reflection"], ["fact", "raw_sibling"]]
+MCTS_KNOBS_RUN_SHA256 = "3566c72e503eafc4598e49bd387b298ad58b27e87d8d7259ed899ec1975cd0fd"
+
+
+def test_mcts_knobs_run_with_memory_dumps_is_byte_pinned(tmp_path, demo_config_path):
+    specs = json.loads(demo_config_path.read_text())["benchmarks"]
+    benchmarks = {
+        name: {
+            key: value if key == "discovery_tool" else str(FIXTURES / value)
+            for key, value in specs[name].items()
+        }
+        for name in ("toy_sql_demo", "toy_kg_demo")
+    }
+    cells = [
+        {
+            "id": f"{bench}__{'+'.join(memory) or 'none'}",
+            "benchmark": bench,
+            "memory": memory,
+            "search": MCTS_KNOBS_SEARCH,
+            "seed": 5,
+        }
+        for bench in benchmarks
+        for memory in MCTS_KNOBS_MEMORIES
+    ]
+    out = tmp_path / "run"
+    argv = ["run", str(write_mini_config(tmp_path, cells, benchmarks)), "--out", str(out)]
+    assert main([*argv, "--dump-memory"]) == 0
+    assert _tree_sha256(out) == MCTS_KNOBS_RUN_SHA256
