@@ -70,8 +70,10 @@ from .search import (
 )
 from .stats import (
     BhResult,
+    CellEntry,
     EfficiencySummary,
     PairedCounts,
+    VerdictRow,
     analyze_run,
     bh_fdr,
     efficiency,

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 operational failure (inadmissible cells on
 validate, failed cells or a dead worker process on run, an unknown manifest
-format_version, a torn manifest or verdict file, a verdict file its manifest
-entry does not vouch for or a missing baseline on analyze), 2 config or
-usage errors.
+format_version, a torn manifest or verdict file, a malformed manifest,
+manifest entry or verdict row, a verdict file its manifest entry does not
+vouch for or a missing baseline on analyze), 2 config or usage errors.
 Remote model credentials are read from the environment variable named in
 the model config (default MEMSEARCH_API_KEY), never from the config file
 itself.
@@ -21,6 +21,7 @@ from pathlib import Path
 from .core import ConfigurationError
 from .matrix import WorkerError, check_admissible, load_matrix_config, run_matrix
 from .stats import (
+    CellEntry,
     FormatVersionError,
     MissingBaselineError,
     PairingError,
@@ -89,11 +90,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
-    manifest = run_matrix(cfg, args.out, jobs=args.jobs, dump_memory=args.dump_memory)
-    failed = [cid for cid, meta in manifest["cells"].items() if meta.get("status") == "failed"]
-    for cid, meta in sorted(manifest["cells"].items()):
-        detail = meta.get("reason") or meta.get("error") or f"{meta.get('n_tasks', 0)} tasks"
-        print(f"{cid}: {meta['status']} ({detail})")
+    cells = run_matrix(cfg, args.out, jobs=args.jobs, dump_memory=args.dump_memory)["cells"]
+    entries = {cid: CellEntry.from_json(raw, cid, "manifest.json") for cid, raw in cells.items()}
+    failed = [cid for cid, entry in entries.items() if entry.status == "failed"]
+    for cid, entry in sorted(entries.items()):
+        detail = entry.reason or entry.error or f"{entry.n_tasks} tasks"
+        print(f"{cid}: {entry.status} ({detail})")
     if failed:
         print(
             f"error: {len(failed)} cell(s) failed; the manifest lists each with its error",

@@ -17,7 +17,8 @@ token.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -115,6 +116,9 @@ def checked(value, kind: type, what: str):
         got = type(value).__name__ if kind in (dict, list) else repr(value)
         raise ConfigurationError(f"{what} must be {_JSON_TYPES[kind]}, got {got}")
     return float(value) if kind is float else value
+
+
+CELL_ID = re.compile(r"[A-Za-z0-9_+.\-]+")  # what a cell id must fullmatch: it names files
 
 
 def known(raw: dict, keys: set[str], what: str, where: str) -> dict:
@@ -334,6 +338,16 @@ class PricingTable:
         for name, value in vars(self).items():
             if not is_number(value) or not value >= 0:
                 raise ValueError(f"{name} must be a non-negative number, got {value!r}")
+
+    @classmethod
+    def from_dict(cls, raw, where: str) -> "PricingTable":
+        """The table of a config's or a manifest's `pricing`, or a ConfigurationError."""
+        what, keys = f"{where}: bad pricing", {f.name for f in fields(cls)}
+        known(checked(raw, dict, f"{what}: pricing"), keys, "pricing", what)
+        try:
+            return cls(**raw)
+        except ValueError as exc:
+            raise ConfigurationError(f"{what}: {exc}") from exc
 
 
 @dataclass

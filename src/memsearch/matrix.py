@@ -30,7 +30,7 @@ from .augmentors import (
     compose,
     normalize_for_method,
 )
-from .core import PricingTable, Task, Telemetry, checked, is_int, known, stable_hash
+from .core import CELL_ID, PricingTable, Task, Telemetry, checked, is_int, known, stable_hash
 from .envs import ENV_CLASSES, Benchmark, EnvError, load_benchmark
 from .models import (
     MIN_EMBED_DIM,
@@ -45,7 +45,7 @@ from .models import (
     ScriptedRewardModel,
 )
 from .search import BackpropMode, ExpansionMode, SearchConfig, SearchMethod, run_search
-from .stats import FORMAT_VERSION
+from .stats import FORMAT_VERSION, CellEntry, VerdictRow
 
 log = logging.getLogger(__name__)
 
@@ -120,7 +120,6 @@ def check_admissible(cell: ExperimentCell) -> AdmissibilityReason:
 
 
 _MEMORY_KINDS = {k.value: k for k in AugmentorKind}
-_CELL_ID = re.compile(r"^[A-Za-z0-9_+.\-]+$")
 
 
 @dataclass(frozen=True)
@@ -274,7 +273,7 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
     for i, entry in enumerate(checked(raw.get("cells", []), list, f"{path}: cells")):
         where = f"{path}: cells[{i}]"
         cell_id = known(checked(entry, dict, where), _CELL_KEYS, "cell", where).get("id")
-        if not isinstance(cell_id, str) or not _CELL_ID.match(cell_id):
+        if not isinstance(cell_id, str) or not CELL_ID.fullmatch(cell_id):
             raise ConfigurationError(f"{where}: missing or unusable cell id {cell_id!r}")
         if cell_id in seen:
             raise ConfigurationError(f"{where}: duplicate cell id '{cell_id}'")
@@ -303,10 +302,7 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
         raise ConfigurationError(
             f"{path}: embedder_dim must be an integer >= {MIN_EMBED_DIM}, got {dim!r}"
         )
-    try:
-        pricing = PricingTable(**raw.get("pricing", {}))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{path}: bad pricing: {exc}") from exc
+    pricing = PricingTable.from_dict(raw.get("pricing", {}), str(path))
     return MatrixConfig(benchmarks, tuple(cells), embedder_dim=dim, pricing=pricing)
 
 
@@ -342,7 +338,7 @@ def _run_cell_task(
     cell: ExperimentCell,
     task: Task,
     dump_dir: Path | None,
-) -> dict:
+) -> VerdictRow:
     spec = cfg.benchmarks[cell.benchmark]
     telemetry = Telemetry()
     policy, prm, aug_model = _build_models(spec, telemetry)
@@ -377,18 +373,18 @@ def _run_cell_task(
     if dump_dir is not None:
         composite.store.dump(dump_dir / f"{cell.cell_id}__{task.task_id}.jsonl")
 
-    return {
-        "task_id": task.task_id,
-        "cell_id": cell.cell_id,
-        "verdicts": verdicts,
-        "selected_verdict": grader.grade(task.task_id, record.final_answer),
-        "final_answer": record.final_answer,
-        "trajectory_lengths": lengths,
-        "terminal_kinds": [t.terminal_kind.value for t in record.trajectories],
-        "discovery_skipped": discovery_skipped,
-        "telemetry": asdict(telemetry),
-        "giveup": asdict(record.giveup) if record.giveup else None,
-    }
+    return VerdictRow(
+        task_id=task.task_id,
+        cell_id=cell.cell_id,
+        verdicts=verdicts,
+        selected_verdict=grader.grade(task.task_id, record.final_answer),
+        final_answer=record.final_answer,
+        trajectory_lengths=lengths,
+        terminal_kinds=[t.terminal_kind.value for t in record.trajectories],
+        discovery_skipped=discovery_skipped,
+        telemetry=telemetry,
+        giveup=record.giveup,
+    )
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -419,7 +415,7 @@ def _run_unit(
         row = _run_cell_task(cfg, embedder, cell, task, dump_dir)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return f"{type(exc).__name__}: {exc}"
-    return row["task_id"], json.dumps(row, sort_keys=True) + "\n"
+    return row.task_id, row.to_json()
 
 
 class WorkerError(RuntimeError):
@@ -513,17 +509,16 @@ def _run_units(run, units: list[tuple[int, int]], jobs: int) -> Iterator[tuple[i
             receiver.close()
 
 
-def _finish_cell(out: Path, cell: ExperimentCell, entry: dict, results: list[_Row | str]) -> None:
-    """Complete a cell's manifest entry from its results by task: failed with
+def _finish_cell(out: Path, cell: ExperimentCell, entry: CellEntry, results: list) -> CellEntry:
+    """A cell's manifest entry completed from its results by task: failed with
     the error of its first failing task in task order, or else ok once its
     verdict file is written."""
     error = next((r for r in results if isinstance(r, str)), None)
     if error is not None:
-        entry.update(status="failed", error=error)
-        return
+        return replace(entry, status="failed", error=error)
     rows = sorted(results)  # by task id, unique within a benchmark
     _atomic_write(out / f"{cell.cell_id}.jsonl", "".join(line for _, line in rows))
-    entry.update(status="ok", verdict_file=f"{cell.cell_id}.jsonl", n_tasks=len(rows))
+    return replace(entry, status="ok", verdict_file=f"{cell.cell_id}.jsonl", n_tasks=len(rows))
 
 
 def run_matrix(
@@ -560,23 +555,19 @@ def run_matrix(
         dump_dir = out / "memory"
         dump_dir.mkdir(exist_ok=True)
 
-    entries: dict[str, dict] = {}  # cell id -> its manifest entry, in config order
+    entries: dict[str, CellEntry] = {}  # cell id -> its manifest entry, in config order
     cells: list[ExperimentCell] = []  # the admitted ones
     pending: list[list | None] = []  # cell index -> its results by task, until it is finished
     for cell in cfg.cells:
-        entry = entries[cell.cell_id] = {
-            "benchmark": cell.benchmark,
-            "env": cell.env,
-            "method": cell.search.method.value,
-            "memory": memory_label(cell.memory),
-            "seed": cell.seed,
-        }
+        label = memory_label(cell.memory)
+        entry = CellEntry(cell.benchmark, cell.env, cell.search.method.value, label, cell.seed)
         reason = check_admissible(cell)
         if not reason.admissible:
-            entry.update(status="inadmissible", reason=reason.value, glyph=reason.glyph)
+            entry = replace(entry, status="inadmissible", reason=reason.value, glyph=reason.glyph)
         else:
             cells.append(cell)
             pending.append([None] * len(cfg.benchmarks[cell.benchmark].benchmark.tasks))
+        entries[cell.cell_id] = entry
     units = [(c, t) for c, results in enumerate(pending) for t in range(len(results))]
     # one embedder per call, never kept past it: a later call with the same
     # config hashes its lines again, as a fresh `memsearch run` does
@@ -586,21 +577,22 @@ def run_matrix(
             c, t = units[index]
             pending[c][t] = result
             if None not in pending[c]:
-                _finish_cell(out, cells[c], entries[cells[c].cell_id], pending[c])
+                cell_id = cells[c].cell_id
+                entries[cell_id] = _finish_cell(out, cells[c], entries[cell_id], pending[c])
                 pending[c] = None
 
     for cell_id, entry in entries.items():
-        if entry["status"] == "inadmissible":
-            log.info("cell %s inadmissible: %s", cell_id, entry["reason"])
-        elif entry["status"] == "failed":
-            log.warning("cell %s failed: %s", cell_id, entry["error"].partition(": ")[2])
+        if entry.status == "inadmissible":
+            log.info("cell %s inadmissible: %s", cell_id, entry.reason)
+        elif entry.status == "failed":
+            log.warning("cell %s failed: %s", cell_id, entry.error.partition(": ")[2])
         else:
-            log.info("cell %s: %d tasks done", cell_id, entry["n_tasks"])
+            log.info("cell %s: %d tasks done", cell_id, entry.n_tasks)
 
     manifest = {
         "format_version": FORMAT_VERSION,
         "pricing": asdict(cfg.pricing),
-        "cells": entries,
+        "cells": {cell_id: entry.to_json() for cell_id, entry in entries.items()},
     }
     _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
-from .core import PricingTable, is_int
+from .core import CELL_ID, ConfigurationError, GiveUpStats, PricingTable, Telemetry, TerminalKind
+from .core import checked, known
 
 PASS_AT_N = "pass_at_n"
 SELECTED = "selected"
@@ -34,8 +35,152 @@ class MissingBaselineError(Exception):
 
 
 class FormatVersionError(Exception):
-    """A manifest or verdict file this version cannot read: an unknown
-    manifest format, or a file that is not whole JSON."""
+    """A manifest or verdict file this version cannot read: an unknown format,
+    a file that is not whole JSON, or a record `run` could not have written."""
+
+
+# ---------------------------------------------------------------------------
+# the run directory's records (each check builds its message only on failure)
+
+
+def _object(raw, keys, what: str, where: str) -> dict:
+    """`raw`, if it is a JSON object with exactly the set of `keys`."""
+    if type(raw) is not dict or raw.keys() != keys:
+        known(checked(raw, dict, f"{where}: {what}"), keys, what, where)
+        raise ConfigurationError(f"{where}: missing {what} keys {sorted(keys - raw.keys())}")
+    return raw
+
+
+def _field(raw: dict, name: str, kind: type, where: str, item: type | None = None):
+    """`raw[name]` if it has JSON type `kind` as `core.checked` reads it (an array of `item`s)."""
+    value = raw[name]
+    if type(value) is not kind or item is not None and not set(map(type, value)) <= {item}:
+        checked(value, kind, f"{where}: {name}")
+        for i, element in enumerate(value):
+            checked(element, item, f"{where}: {name}[{i}]")
+    return value
+
+
+_TELEMETRY_KEYS = frozenset(f.name for f in fields(Telemetry))
+_GIVEUP_TYPES = {"apology_terminals": int, "selected_apology": bool, "all_apology_states": int}
+_TERMINAL_KINDS = frozenset(k.value for k in TerminalKind)
+
+
+@dataclass(frozen=True)
+class VerdictRow:
+    """One task of one cell: one line of the cell's verdict file.
+
+    The length rule: `verdicts`, `trajectory_lengths` and `discovery_skipped` (null
+    when the benchmark has no discovery tool) hold one entry per graded trajectory,
+    `terminal_kinds` one per recorded one.  Beam, the one method with `giveup` stats,
+    grades only its selected trajectory; every other method grades them all.
+    """
+
+    task_id: str
+    cell_id: str
+    verdicts: list[bool]
+    selected_verdict: bool
+    final_answer: str | None
+    trajectory_lengths: list[int]
+    terminal_kinds: list[str]  # TerminalKind values
+    discovery_skipped: list[bool] | None
+    telemetry: Telemetry
+    giveup: GiveUpStats | None
+
+    def verdict(self, rule: str) -> bool:
+        """Whether any trajectory solved the task (PASS_AT_N), or the selected one (SELECTED)."""
+        if rule not in (PASS_AT_N, SELECTED):
+            raise ValueError(f"unknown pairing rule {rule!r}")
+        return any(self.verdicts) if rule == PASS_AT_N else self.selected_verdict
+
+    def to_json(self) -> str:
+        giveup = None if self.giveup is None else vars(self.giveup)
+        raw = {**vars(self), "telemetry": vars(self.telemetry), "giveup": giveup}
+        return json.dumps(raw, sort_keys=True) + "\n"
+
+    @classmethod
+    def from_json(cls, raw, where: str = "verdict row") -> "VerdictRow":
+        """`raw` (parsed JSON) as a row, or a ConfigurationError naming `where` and the field."""
+        row = _object(raw, _ROW_KEYS, "verdict row", where)
+        for name, kind in (("task_id", str), ("cell_id", str), ("selected_verdict", bool)):
+            _field(row, name, kind, where)
+        if row["final_answer"] is not None:
+            _field(row, "final_answer", str, where)
+        telemetry = _object(row["telemetry"], _TELEMETRY_KEYS, "telemetry", where)
+        if not set(map(type, telemetry.values())) <= {int} or min(telemetry.values()) < 0:
+            raise ConfigurationError(f"{where}: telemetry must hold integers >= 0: {telemetry}")
+        giveup = row["giveup"]
+        if giveup is not None:
+            _object(giveup, _GIVEUP_TYPES.keys(), "giveup", where)
+            if any(type(giveup[k]) is not t or giveup[k] < 0 for k, t in _GIVEUP_TYPES.items()):
+                raise ConfigurationError(f"{where}: giveup needs 2 counts >= 0, 1 flag: {giveup}")
+            giveup = GiveUpStats(**giveup)
+        kinds = _field(row, "terminal_kinds", list, where, str)
+        if not _TERMINAL_KINDS.issuperset(kinds):
+            raise ConfigurationError(f"{where}: terminal_kinds {kinds} has a non-TerminalKind")
+        verdicts = _field(row, "verdicts", list, where, bool)
+        lengths = _field(row, "trajectory_lengths", list, where, int)
+        skipped = row["discovery_skipped"]
+        if skipped is not None:
+            _field(row, "discovery_skipped", list, where, bool)
+        graded = len(kinds) if giveup is None else 1
+        flags = lengths if skipped is None else skipped
+        if not len(verdicts) == len(lengths) == len(flags) == graded <= len(kinds):
+            held = f"{len(verdicts)}, {len(lengths)}, {'null' if skipped is None else len(flags)}"
+            raise ConfigurationError(
+                f"{where}: a {'beam ' if giveup else ''}row with {len(kinds)} terminal_kinds "
+                f"grades {graded}, yet verdicts, trajectory_lengths, discovery_skipped hold {held}"
+            )
+        return cls(**{**row, "telemetry": Telemetry(**telemetry), "giveup": giveup})
+
+
+_ROW_KEYS = frozenset(f.name for f in fields(VerdictRow))
+# the fields a manifest entry carries beyond the common ones, by its status
+_ADDED = dict(ok={"verdict_file", "n_tasks"}, failed={"error"}, inadmissible={"reason", "glyph"})
+
+
+@dataclass(frozen=True)
+class CellEntry:
+    """One cell's entry in the run manifest, filed under its cell id.
+
+    `run_matrix` makes it, with no status, when it checks the cell's admission.
+    A status adds its own fields: `ok` a `verdict_file` (always `<cell id>.jsonl`,
+    beside the manifest) and `n_tasks`, `failed` the `error` of its first failing
+    task, and `inadmissible` the `reason` and its report `glyph`.
+    """
+
+    benchmark: str
+    env: str
+    method: str
+    memory: str
+    seed: int
+    status: str | None = None
+    verdict_file: str | None = None
+    n_tasks: int | None = None
+    error: str | None = None
+    reason: str | None = None
+    glyph: str | None = None
+
+    def to_json(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k in _ENTRY_KEYS[self.status]}
+
+    @classmethod
+    def from_json(cls, raw, cell_id: str, where: str) -> "CellEntry":
+        """`raw` as cell `cell_id`'s entry, or a ConfigurationError naming `where` and the field."""
+        status = checked(raw, dict, where).get("status")
+        if not isinstance(status, str) or status not in _ENTRY_KEYS:
+            raise ConfigurationError(f"{where}: status {status!r} is none of {sorted(_ENTRY_KEYS)}")
+        _object(raw, _ENTRY_KEYS[status], "manifest entry", where)
+        for name in raw:
+            _field(raw, name, int if name in ("seed", "n_tasks") else str, where)
+        own = f"{cell_id}.jsonl" if CELL_ID.fullmatch(cell_id) else None  # all run writes
+        if status == "ok" and raw["verdict_file"] != own:
+            raise ConfigurationError(f"{where}: verdict_file is not the <cell id>.jsonl run writes")
+        return cls(**raw)
+
+
+_COMMON_KEYS = {f.name for f in fields(CellEntry)}.difference(*_ADDED.values())
+_ENTRY_KEYS = {status: frozenset(_COMMON_KEYS | added) for status, added in _ADDED.items()}
 
 
 @dataclass(frozen=True)
@@ -51,17 +196,9 @@ class PairedCounts:
     c: int
 
 
-def _task_verdict(row: dict, rule: str) -> bool:
-    if rule == PASS_AT_N:
-        return any(row["verdicts"])
-    if rule == SELECTED:
-        return bool(row["selected_verdict"])
-    raise ValueError(f"unknown pairing rule {rule!r}")
-
-
 def pair_verdicts(
-    baseline_rows: list[dict],
-    treatment_rows: list[dict],
+    baseline_rows: list[VerdictRow],
+    treatment_rows: list[VerdictRow],
     rule: str = PASS_AT_N,
 ) -> PairedCounts:
     """Pair two verdict files task-by-task into discordant counts.
@@ -69,15 +206,15 @@ def pair_verdicts(
     The two files must cover exactly the same task ids; the error lists the
     symmetric difference.
     """
-    base = {r["task_id"]: r for r in baseline_rows}
-    treat = {r["task_id"]: r for r in treatment_rows}
+    base = {r.task_id: r for r in baseline_rows}
+    treat = {r.task_id: r for r in treatment_rows}
     diff = sorted(set(base) ^ set(treat))
     if diff:
         raise PairingError(f"verdict files cover different tasks: {diff}")
     b = c = 0
     for tid in sorted(base):
-        bv = _task_verdict(base[tid], rule)
-        tv = _task_verdict(treat[tid], rule)
+        bv = base[tid].verdict(rule)
+        tv = treat[tid].verdict(rule)
         if tv and not bv:
             b += 1
         elif bv and not tv:
@@ -172,7 +309,7 @@ class EfficiencySummary:
     supervisor_calls: int
 
 
-def efficiency(rows: list[dict], pricing: PricingTable | None = None) -> EfficiencySummary:
+def efficiency(rows: list[VerdictRow], pricing: PricingTable | None = None) -> EfficiencySummary:
     """Efficiency metrics over one cell's verdict records.
 
     mean_steps averages every trajectory length.  skip_rate is the fraction
@@ -182,25 +319,16 @@ def efficiency(rows: list[dict], pricing: PricingTable | None = None) -> Efficie
     """
     if not rows:
         raise ValueError("no verdict rows")
-    lengths = [n for r in rows for n in r["trajectory_lengths"]]
+    lengths = [n for r in rows for n in r.trajectory_lengths]
     mean_steps = sum(lengths) / len(lengths)
-    skipped = total_later = 0
-    have_flags = False
-    for r in rows:
-        flags = r.get("discovery_skipped")
-        if flags is None or len(flags) < 2:
-            continue
-        have_flags = True
-        later = flags[1:]
-        skipped += sum(1 for f in later if f)
-        total_later += len(later)
-    skip_rate = skipped / total_later if have_flags and total_later else None
+    later = [f for r in rows if r.discovery_skipped for f in r.discovery_skipped[1:]]
+    skip_rate = sum(later) / len(later) if later else None
 
     p = pricing or PricingTable()
-    tin = sum(r["telemetry"]["policy_tokens_in"] for r in rows)
-    tout = sum(r["telemetry"]["policy_tokens_out"] for r in rows)
-    sin = sum(r["telemetry"]["supervisor_tokens_in"] for r in rows)
-    sout = sum(r["telemetry"]["supervisor_tokens_out"] for r in rows)
+    tin = sum(r.telemetry.policy_tokens_in for r in rows)
+    tout = sum(r.telemetry.policy_tokens_out for r in rows)
+    sin = sum(r.telemetry.supervisor_tokens_in for r in rows)
+    sout = sum(r.telemetry.supervisor_tokens_out for r in rows)
     policy_cost = (tin * p.policy_in + tout * p.policy_out) / 1e6
     supervisor_cost = (sin * p.supervisor_in + sout * p.supervisor_out) / 1e6
     return EfficiencySummary(
@@ -209,8 +337,8 @@ def efficiency(rows: list[dict], pricing: PricingTable | None = None) -> Efficie
         policy_cost=policy_cost,
         supervisor_cost=supervisor_cost,
         total_cost=policy_cost + supervisor_cost,
-        policy_calls=sum(r["telemetry"]["policy_calls"] for r in rows),
-        supervisor_calls=sum(r["telemetry"]["supervisor_calls"] for r in rows),
+        policy_calls=sum(r.telemetry.policy_calls for r in rows),
+        supervisor_calls=sum(r.telemetry.supervisor_calls for r in rows),
     )
 
 
@@ -246,55 +374,60 @@ def analyze_run(
 ) -> dict:
     """Aggregate a finished run directory into accuracy, paired tests with
     BH correction, and efficiency metrics.  Raises FormatVersionError when
-    the manifest's format_version is missing or unknown or a manifest or
-    verdict file is not whole JSON, PairingError when a verdict file's rows
-    are not the ones its manifest entry vouches for or an ok entry vouches
-    for no task, and MissingBaselineError when a (benchmark, method) group
-    has treatment cells but no baseline cell."""
+    the manifest's format_version is missing or unknown, or a manifest or
+    verdict file is not whole JSON or holds a record `run` cannot write;
+    PairingError when a verdict file's rows are not the ones its manifest
+    entry vouches for or an ok entry vouches for no task; MissingBaselineError
+    when a (benchmark, method) group has treatment cells but no baseline."""
     out = Path(out_dir)
-    path = out / "manifest.json"
-    manifest = _decode(path, path.read_text(encoding="utf-8"))
-    version = manifest.get("format_version")
-    if not is_int(version) or version != FORMAT_VERSION:
-        raise FormatVersionError(
-            f"{path}: format_version {version!r} is not supported "
-            f"(supported: {FORMAT_VERSION})"
-        )
-    pricing = PricingTable(**manifest.get("pricing", {}))
-    cells = manifest["cells"]
-
+    manifest_path = out / "manifest.json"
     # one walk in file order: within a (benchmark, method) group the last
     # cell of a memory label wins
     analysis_cells: dict[str, dict] = {}
-    verdicts: dict[str, list[dict]] = {}
+    verdicts: dict[str, list[VerdictRow]] = {}
     by_group: dict[tuple[str, str], dict[str, str]] = {}
-    for cell_id, meta in cells.items():
-        info = analysis_cells[cell_id] = dict(meta)
-        if meta.get("status") != "ok":
-            continue
-        path = out / meta["verdict_file"]
-        rows = verdicts[cell_id] = load_verdicts(path)
-        # exactly the rows the entry vouches for: one of this cell per task
-        n = meta["n_tasks"]
-        tasks = {r["task_id"] for r in rows if r.get("cell_id") == cell_id}
-        if not len(rows) == len(tasks) == n:
-            raise PairingError(
-                f"{path}: manifest entry expects {n} rows, one per task of cell "
-                f"{cell_id}; found {len(rows)} rows covering {len(tasks)} task(s) of that cell"
+    try:
+        manifest = _decode(manifest_path, manifest_path.read_text(encoding="utf-8"))
+        version = checked(manifest, dict, f"{manifest_path}: the manifest").get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise FormatVersionError(
+                f"{manifest_path}: format_version {version!r} is not supported "
+                f"(supported: {FORMAT_VERSION})"
             )
-        if n < 1:
-            raise PairingError(f"{path}: manifest entry of ok cell {cell_id} has no tasks")
-        info["accuracy"] = sum(1 for r in rows if _task_verdict(r, rule)) / n
-        info["accuracy_selected"] = sum(1 for r in rows if r["selected_verdict"]) / n
-        info["efficiency"] = asdict(efficiency(rows, pricing))
-        giveups = [r["giveup"] for r in rows if r.get("giveup")]
-        if giveups:
-            info["giveup"] = {
-                "apology_terminals": sum(g["apology_terminals"] for g in giveups),
-                "selected_apologies": sum(1 for g in giveups if g["selected_apology"]),
-                "all_apology_states": sum(g["all_apology_states"] for g in giveups),
-            }
-        by_group.setdefault((meta["benchmark"], meta["method"]), {})[meta["memory"]] = cell_id
+        _object(manifest, {"format_version", "pricing", "cells"}, "manifest", str(manifest_path))
+        pricing = PricingTable.from_dict(manifest["pricing"], str(manifest_path))
+        for cell_id, raw in checked(manifest["cells"], dict, f"{manifest_path}: cells").items():
+            entry = CellEntry.from_json(raw, cell_id, f"{manifest_path}: cell {cell_id}")
+            info = analysis_cells[cell_id] = entry.to_json()
+            if entry.status != "ok":
+                continue
+            path = out / entry.verdict_file
+            parsed = enumerate(load_verdicts(path), 1)
+            rows = [VerdictRow.from_json(r, f"{path}: row {i}") for i, r in parsed]
+            verdicts[cell_id] = rows
+            # exactly the rows the entry vouches for: one of this cell per task
+            n = entry.n_tasks
+            tasks = {r.task_id for r in rows if r.cell_id == cell_id}
+            if not len(rows) == len(tasks) == n:
+                raise PairingError(
+                    f"{path}: manifest entry expects {n} rows, one per task of cell "
+                    f"{cell_id}; found {len(rows)} rows covering {len(tasks)} task(s) of that cell"
+                )
+            if n < 1:
+                raise PairingError(f"{path}: manifest entry of ok cell {cell_id} has no tasks")
+            info["accuracy"] = sum(1 for r in rows if r.verdict(rule)) / n
+            info["accuracy_selected"] = sum(1 for r in rows if r.selected_verdict) / n
+            info["efficiency"] = asdict(efficiency(rows, pricing))
+            giveups = [r.giveup for r in rows if r.giveup is not None]
+            if giveups:
+                info["giveup"] = {
+                    "apology_terminals": sum(g.apology_terminals for g in giveups),
+                    "selected_apologies": sum(1 for g in giveups if g.selected_apology),
+                    "all_apology_states": sum(g.all_apology_states for g in giveups),
+                }
+            by_group.setdefault((entry.benchmark, entry.method), {})[entry.memory] = cell_id
+    except ConfigurationError as exc:
+        raise FormatVersionError(str(exc)) from exc
 
     comparisons: list[dict] = []
     for (bench, method), members in sorted(by_group.items()):

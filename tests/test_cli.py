@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import shutil
 
 import pytest
 
@@ -213,3 +214,186 @@ def test_analyze_rejects_q_outside_unit_interval(tmp_path, capsys, q):
     # refused before the run directory is read: a missing one would exit 1
     assert main(["analyze", str(tmp_path / "nowhere"), "--q", q]) == 2
     assert "--q must lie in (0, 1]" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def three_cell_run(tmp_path_factory):
+    """A run with a baseline, a fact cell to pair with it and a beam cell."""
+    tmp = tmp_path_factory.mktemp("three")
+    path = write_mini_config(tmp, _cells() + _cells(memory=["fact"]) + _cells("beam"))
+    assert main(["run", str(path), "--out", str(tmp / "out")]) == 0
+    return tmp / "out"
+
+
+BASELINE = "toy_sql_demo__best_of_n__none"
+
+
+def _rows(edit, cell=BASELINE, first_only=False):
+    """A mutation of the rows of a cell's verdict file; returns that file."""
+
+    def mutate(out):
+        path = out / f"{cell}.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        for row in rows[:1] if first_only else rows:
+            edit(row)
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        return path
+
+    return mutate
+
+
+def _manifest(edit):
+    """A mutation of the parsed manifest; `edit` returns the manifest to write."""
+
+    def mutate(out):
+        path = out / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()), out)))
+        return path
+
+    return mutate
+
+
+def _entry(edit):
+    def change(manifest, out):
+        edit(manifest["cells"][BASELINE], out)
+        return manifest
+
+    return _manifest(change)
+
+
+def _elsewhere(entry, out):
+    # the entry names another run's copy of its verdict file, by absolute path
+    own = out / entry["verdict_file"]
+    other = out.parent / "other_run" / own.name
+    other.parent.mkdir()
+    own.rename(other)
+    entry["verdict_file"] = str(other)
+
+
+def _nul_cell_id(manifest, out):
+    # a cell id `run` cannot write, which no file name may hold
+    entry = manifest["cells"].pop(BASELINE)
+    manifest["cells"]["bad\0id"] = dict(entry, verdict_file="bad\0id.jsonl")
+    return manifest
+
+
+def _telemetry(key, value):
+    return lambda row: row["telemetry"].update({key: value})
+
+
+@pytest.mark.parametrize(
+    "mutate, fragment",
+    [
+        (_rows(lambda r: r.update(verdicts="no")), "row 1: verdicts must be an array, got str"),
+        (_rows(lambda r: r.update(verdicts=["no"])), "row 1: verdicts[0] must be true or false"),
+        (
+            _rows(_telemetry("policy_tokens_in", -10**9), first_only=True),
+            "row 1: telemetry must hold integers >= 0: {'policy_calls': ",
+        ),
+        (
+            _rows(_telemetry("supervisor_calls", 1.5), first_only=True),
+            "'supervisor_calls': 1.5,",
+        ),
+        (_rows(lambda r: r.pop("telemetry")), "row 1: missing verdict row keys ['telemetry']"),
+        (
+            _rows(lambda r: r.pop("selected_verdict")),
+            "row 1: missing verdict row keys ['selected_verdict']",
+        ),
+        (
+            _rows(lambda r: r.update(verdict=True), first_only=True),
+            "row 1: unknown verdict row keys ['verdict']",
+        ),
+        (
+            _rows(lambda r: r["terminal_kinds"].__setitem__(0, "lost"), first_only=True),
+            "row 1: terminal_kinds ['lost', 'answered'] has a non-TerminalKind",
+        ),
+        (
+            _rows(lambda r: r["trajectory_lengths"].pop(), first_only=True),
+            "row 1: a row with 2 terminal_kinds grades 2, yet verdicts, trajectory_lengths, "
+            "discovery_skipped hold 2, 1, 2",
+        ),
+        (
+            _rows(lambda r: r.update(giveup={"x": 1}), "toy_sql_demo__beam__none", True),
+            "row 1: unknown giveup keys ['x']",
+        ),
+        (
+            _rows(lambda r: r["verdicts"].append(False), "toy_sql_demo__beam__none", True),
+            "row 1: a beam row with 3 terminal_kinds grades 1, yet verdicts, trajectory_lengths, "
+            "discovery_skipped hold 2, 1, 1",
+        ),
+        (_manifest(lambda m, out: [m]), "the manifest must be an object, got list"),
+        (_manifest(lambda m, out: m.pop("cells") and m), "missing manifest keys ['cells']"),
+        (
+            _manifest(lambda m, out: m["pricing"].update(policy_inn=1) or m),
+            "bad pricing: unknown pricing keys ['policy_inn']",
+        ),
+        (
+            _manifest(lambda m, out: m["pricing"].update(policy_in=-1.0) or m),
+            "bad pricing: policy_in must be a non-negative number, got -1.0",
+        ),
+        (
+            _entry(lambda e, out: e.pop("verdict_file")),
+            f"cell {BASELINE}: missing manifest entry keys ['verdict_file']",
+        ),
+        (
+            _entry(lambda e, out: e.pop("benchmark")),
+            f"cell {BASELINE}: missing manifest entry keys ['benchmark']",
+        ),
+        (
+            _entry(lambda e, out: e.pop("memory")),
+            f"cell {BASELINE}: missing manifest entry keys ['memory']",
+        ),
+        (
+            _entry(lambda e, out: e.update(status="okay")),
+            f"cell {BASELINE}: status 'okay' is none of ['failed', 'inadmissible', 'ok']",
+        ),
+        (_entry(lambda e, out: e.update(seed="5")), f"cell {BASELINE}: seed must be an integer"),
+        (_entry(_elsewhere), f"cell {BASELINE}: verdict_file is not the <cell id>.jsonl"),
+        (
+            _manifest(_nul_cell_id),
+            ": verdict_file is not the <cell id>.jsonl run writes",
+        ),
+        (
+            _entry(lambda e, out: e.update(verdict_file=f"../{e['verdict_file']}")),
+            f"cell {BASELINE}: verdict_file is not the <cell id>.jsonl run writes",
+        ),
+    ],
+    ids=[
+        "verdicts_string",
+        "verdicts_of_strings",
+        "negative_tokens",
+        "fractional_calls",
+        "no_telemetry",
+        "no_selected_verdict",
+        "unknown_row_field",
+        "unknown_terminal_kind",
+        "lengths_short",
+        "giveup_unknown_key",
+        "beam_two_verdicts",
+        "manifest_array",
+        "manifest_without_cells",
+        "pricing_unknown_key",
+        "pricing_negative",
+        "entry_without_verdict_file",
+        "entry_without_benchmark",
+        "entry_without_memory",
+        "entry_status_okay",
+        "entry_seed_string",
+        "verdict_file_elsewhere",
+        "verdict_file_outside",
+        "cell_id_with_a_nul",
+    ],
+)
+def test_analyze_malformed_run_file_exits_1_with_one_line(
+    three_cell_run, tmp_path, capsys, mutate, fragment
+):
+    out = tmp_path / "run"
+    shutil.copytree(three_cell_run, out)
+    named = mutate(out)
+    capsys.readouterr()
+    assert main(["analyze", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {named}: ")
+    assert fragment in line

@@ -36,7 +36,7 @@ from memsearch.core import (
     step_text,
     trajectory_text,
 )
-from memsearch.stats import efficiency
+from memsearch.stats import VerdictRow, efficiency
 
 
 def _step(tool="QUERY", args="x", content="row", is_error=False, reward=None):
@@ -282,7 +282,8 @@ def test_telemetry_accounting_and_cost():
     assert d["policy_tokens_in"] == 1000
     assert d["supervisor_calls"] == 1
     # the cost formula lives in stats.efficiency, which prices telemetry rows
-    cost = efficiency([{"trajectory_lengths": [1], "telemetry": d}], PricingTable())
+    row = VerdictRow("a", "cell", [True], True, None, [1], ["answered"], None, t, None)
+    cost = efficiency([row], PricingTable())
     # 1000 in at 0.80/M plus 500 out at 4.00/M
     assert cost.policy_cost == pytest.approx(0.0008 + 0.002)
     # 2000 in at 3.00/M plus 10 out at 15.00/M

@@ -5,8 +5,10 @@ import json
 import logging
 import multiprocessing
 import os
+import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,6 +35,7 @@ from memsearch.matrix import (
 )
 from memsearch.models import ConfigurationError, HashEmbedder
 from memsearch.search import SearchConfig, SearchMethod
+from memsearch.stats import VerdictRow
 
 from conftest import FIXTURES, write_mini_config
 
@@ -129,6 +132,8 @@ def test_load_matrix_config_validates_cells(tmp_path, fixtures_dir):
         attempt([base, base])
     with pytest.raises(ConfigurationError, match="unusable cell id"):
         attempt([dict(base, id="has space")])
+    with pytest.raises(ConfigurationError, match="unusable cell id"):
+        attempt([dict(base, id="ends_in_a_newline\n")])
     with pytest.raises(ConfigurationError, match="unknown benchmark"):
         attempt([dict(base, benchmark="nope")])
     with pytest.raises(ConfigurationError, match="unknown memory kind"):
@@ -946,18 +951,7 @@ def test_run_matrix_mini_run(tmp_path):
     ]
     assert [r["task_id"] for r in rows] == sorted(r["task_id"] for r in rows)
     row = rows[0]
-    assert set(row) >= {
-        "task_id",
-        "cell_id",
-        "verdicts",
-        "selected_verdict",
-        "final_answer",
-        "trajectory_lengths",
-        "terminal_kinds",
-        "discovery_skipped",
-        "telemetry",
-        "giveup",
-    }
+    assert set(row) == {f.name for f in fields(VerdictRow)}
     assert len(row["verdicts"]) == 2
     assert (out / "memory" / "sql__bon__none__sql-001.jsonl").exists()
 
@@ -1345,6 +1339,20 @@ def test_demo_run_directory_and_report_are_byte_pinned(tmp_path, demo_config_pat
     assert main(argv) == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == DEMO_REPORT_SHA256
     assert hashlib.sha256(analysis.read_bytes()).hexdigest() == DEMO_ANALYSIS_SHA256
+
+
+def test_run_tree_tool_writes_the_pinned_demo_outputs_at_every_jobs(tmp_path):
+    root = FIXTURES.parents[2]
+    trees = {}
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        argv = [str(root), "demo", "1", str(jobs), str(out)]
+        subprocess.run([sys.executable, str(root / "tools" / "run_tree.py"), *argv], check=True)
+        trees[jobs] = _tree_bytes(out)
+    assert trees[1] == trees[2]
+    assert hashlib.sha256(trees[1]["report.txt"]).hexdigest() == DEMO_REPORT_SHA256
+    assert hashlib.sha256(trees[1]["analysis.json"]).hexdigest() == DEMO_ANALYSIS_SHA256
+    assert any(rel.startswith("run/memory/") for rel in trees[1])
 
 
 # The demo pin covers no incremental fact extraction under expansion.  These

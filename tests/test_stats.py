@@ -4,18 +4,22 @@ import json
 import math
 import re
 import shutil
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsearch.core import Telemetry
 from memsearch.matrix import load_matrix_config, run_matrix
 from memsearch.stats import (
     FORMAT_VERSION,
+    CellEntry,
     FormatVersionError,
     MissingBaselineError,
     PairingError,
+    VerdictRow,
     analyze_run,
     bh_fdr,
     efficiency,
@@ -41,22 +45,18 @@ GOLDEN = [
 
 
 def _row(task_id, verdicts, selected=None, lengths=None, skipped=None, telemetry=None):
-    return {
-        "task_id": task_id,
-        "verdicts": verdicts,
-        "selected_verdict": verdicts[0] if selected is None else selected,
-        "trajectory_lengths": lengths or [1 for _ in verdicts],
-        "discovery_skipped": skipped,
-        "telemetry": telemetry
-        or {
-            "policy_calls": 0,
-            "policy_tokens_in": 0,
-            "policy_tokens_out": 0,
-            "supervisor_calls": 0,
-            "supervisor_tokens_in": 0,
-            "supervisor_tokens_out": 0,
-        },
-    }
+    return VerdictRow(
+        task_id=task_id,
+        cell_id="cell",
+        verdicts=verdicts,
+        selected_verdict=verdicts[0] if selected is None else selected,
+        final_answer=None,
+        trajectory_lengths=lengths or [1 for _ in verdicts],
+        terminal_kinds=["answered" for _ in verdicts],
+        discovery_skipped=skipped,
+        telemetry=telemetry or Telemetry(),
+        giveup=None,
+    )
 
 
 def test_pair_verdicts_counts_rescues_and_regressions():
@@ -189,14 +189,14 @@ def test_bh_fdr_qvalues_monotone_in_rank():
 
 def test_efficiency_example():
     """One discovery attempt of 8 steps then four short attempts that skip."""
-    telemetry = {
-        "policy_calls": 5,
-        "policy_tokens_in": 1000,
-        "policy_tokens_out": 100,
-        "supervisor_calls": 5,
-        "supervisor_tokens_in": 2000,
-        "supervisor_tokens_out": 5,
-    }
+    telemetry = Telemetry(
+        policy_calls=5,
+        policy_tokens_in=1000,
+        policy_tokens_out=100,
+        supervisor_calls=5,
+        supervisor_tokens_in=2000,
+        supervisor_tokens_out=5,
+    )
     rows = [
         _row(
             "a",
@@ -213,7 +213,7 @@ def test_efficiency_example():
     assert summary.policy_cost == pytest.approx((1000 * 0.80 + 100 * 4.00) / 1e6)
     assert summary.supervisor_cost == pytest.approx((2000 * 3.00 + 5 * 15.00) / 1e6)
     # partial skips count per attempt
-    rows[0]["discovery_skipped"] = [False, True, False, True, False]
+    rows = [replace(rows[0], discovery_skipped=[False, True, False, True, False])]
     assert efficiency(rows).skip_rate == pytest.approx(0.5)
 
 
@@ -276,6 +276,17 @@ def mini_run(tmp_path_factory):
     out = tmp / "out"
     run_matrix(cfg, out)
     return out
+
+
+def test_run_records_round_trip_every_line_of_a_demo_run(tmp_path, demo_config_path):
+    out = tmp_path / "run"
+    manifest = run_matrix(load_matrix_config(demo_config_path), out)
+    lines = [line for path in sorted(out.glob("*.jsonl")) for line in path.open()]
+    assert len(lines) == sum(e.get("n_tasks", 0) for e in manifest["cells"].values())
+    for line in lines:
+        assert VerdictRow.from_json(json.loads(line)).to_json() == line
+    for cell_id, raw in manifest["cells"].items():
+        assert CellEntry.from_json(raw, cell_id, "manifest.json").to_json() == raw
 
 
 def test_analyze_run_aggregates(mini_run):
