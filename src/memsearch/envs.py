@@ -30,6 +30,10 @@ class ForkUnsupported(Exception):
 
 
 class Environment(Protocol):
+    """A tool world.  `serializable` means its states can be forked, and also
+    that `step` is a pure function of (state handle, action): the search's
+    step trie replays a step of such an env instead of taking it again."""
+
     env_id: str
     serializable: bool
 
@@ -274,7 +278,12 @@ class ToyKgEnv(_ReadOnlyWorldEnv):
 
 
 class ScriptedShellEnv(_WorldEnv):
-    """Mutable key-value shell.  State lives server-side; fork is unsupported."""
+    """Mutable key-value shell.  State lives server-side; fork is unsupported.
+
+    Only the session of the last reset is open: a reset drops the one before
+    it, so an env holds one copy of its task's files, and a handle of a
+    dropped session is stale.
+    """
 
     env_id = "scripted_shell"
     serializable = False
@@ -287,7 +296,7 @@ class ScriptedShellEnv(_WorldEnv):
     def _open(self, task_id: str) -> StateHandle:
         self._counter += 1
         session = f"{self.env_id}/{task_id}#{self._counter}"
-        self._sessions[session] = dict(self._worlds[task_id]["files"])
+        self._sessions = {session: dict(self._worlds[task_id]["files"])}
         return StateHandle(env_id=session, snapshot_token=None, depth=0)
 
     def _world(self, state: StateHandle) -> dict[str, str]:

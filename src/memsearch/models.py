@@ -72,9 +72,6 @@ class Embedder(Protocol):
 
 # precedence of a policy rule's match kind: exact fingerprint > substring > default
 _FINGERPRINT, _CONTAINS, _DEFAULT = 0, 1, 2
-# what a scripted policy's draw reads of a call: the step index, the bundle's
-# rendered text and fingerprint, and the last observation's content or None
-_Read = tuple[int, str, str, str | None]
 
 
 @dataclass(frozen=True)
@@ -173,24 +170,30 @@ class ScriptedPolicy:
     above zero, a default-matched rule apologizes with probability
     apology_collapse_prob instead of sampling its candidates.
 
-    `sample` reads each call once into a `_Read`.  A draw sees only that
-    read, the task and, above temperature 0, the seed and whether the last
-    observation errored, so at temperature <= 0 the instance memoizes it on
-    the read, for one Task object at a time: a call with another task starts
-    a new memo.  Every call is billed to the telemetry all the same.  The
-    matrix runner builds one instance per (cell, task) unit with `for_unit`,
-    so no memo outlives its unit.
+    A draw reads the task, the step index, the bundle's rendered text and
+    fingerprint, the last observation and, above temperature 0, the seed.
+    So the class declares itself `deterministic_at_zero`: at temperature <=
+    0 a call's action, and what it bills, are functions of the task and of
+    the content of its prefix and of its bundle's text and fingerprint.
+    `billed` is what the last call billed (None without telemetry), and
+    `rebill` bills it again: the search's step trie replays a repeated call
+    with these two (see `search._take_step`).
     """
+
+    deterministic_at_zero = True
 
     def __init__(self, config: ScriptedPolicyConfig, telemetry: Telemetry | None = None):
         self.config = config
         self.telemetry = telemetry
-        self._greedy_task: Task | None = None
-        self._greedy: dict[_Read, Action] = {}
+        self.billed: tuple[int, int] | None = None
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedPolicy":
-        """A policy on this one's config that bills `telemetry`, with an empty memo."""
+        """A policy on this one's config that bills `telemetry`."""
         return ScriptedPolicy(self.config, telemetry)
+
+    def rebill(self, billed: tuple[int, int]) -> None:
+        """Bill a replayed call as its computation billed: `billed` (tokens in, out)."""
+        self.telemetry.record("policy", *billed)
 
     def _pick_rule(self, step_index: int, rendered: str, fingerprint: str) -> PolicyRule | None:
         for rule in self.config.rules_at.get(step_index, ()):
@@ -218,35 +221,30 @@ class ScriptedPolicy:
     def sample(
         self, task: Task, prefix: Sequence[Step], bundle: ContextBundle, temperature: float, seed: int
     ) -> Action:
-        last = prefix[-1].observation if prefix else None
-        read = (len(prefix), bundle.rendered, bundle.fingerprint, last and last.content)
-        errored = last is not None and last.is_error
-        if temperature > 0.0:
-            action = self._draw(task, read, temperature, seed, errored)
-        else:
-            if task is not self._greedy_task:
-                self._greedy_task, self._greedy = task, {}
-            action = self._greedy.get(read)
-            if action is None:
-                action = self._greedy[read] = self._draw(task, read, temperature, seed, errored)
+        action = self._draw(task, prefix, bundle, temperature, seed)
         if self.telemetry is not None:
             prompt_tokens = (
                 task.prompt_tokens
                 + bundle.tokens
                 + sum(s.action.tokens + s.observation.tokens for s in prefix)
             )
+            self.billed = (prompt_tokens, action.tokens)
             self.telemetry.record("policy", prompt_tokens, action.tokens)
         return action
 
-    def _draw(self, task: Task, read: _Read, temperature: float, seed: int, errored: bool) -> Action:
-        step_index, rendered, fingerprint, last = read
-        rule = self._pick_rule(step_index, rendered, fingerprint)
+    def _draw(
+        self, task: Task, prefix: Sequence[Step], bundle: ContextBundle, temperature: float, seed: int
+    ) -> Action:
+        step_index, fingerprint = len(prefix), bundle.fingerprint
+        last = prefix[-1].observation if prefix else None
+        rule = self._pick_rule(step_index, bundle.rendered, fingerprint)
         if rule is None:
             return self._apology()
         if (
             temperature > 0.0
             and rule.kind == _DEFAULT
-            and errored
+            and last is not None
+            and last.is_error
             and self.config.apology_collapse_prob > 0.0
         ):
             coin = random.Random(stable_hash("collapse", seed, step_index))
@@ -258,7 +256,7 @@ class ScriptedPolicy:
         else:
             rng = random.Random(stable_hash("sample", seed, step_index, fingerprint))
             template = rng.choices(rule.templates, weights=rule.weights, k=1)[0]
-        filled = self._fill(template, task, last)
+        filled = self._fill(template, task, last and last.content)
         tool, _, args = filled.partition("|")
         return Action(tool, args, filled)
 
@@ -300,8 +298,13 @@ class ScriptedRewardModel:
     instance memoizes each candidate's value on those four.  Every call is
     billed to the telemetry all the same.  The matrix runner builds one
     instance per (cell, task) unit with `for_unit`, so no memo outlives its
-    unit.
+    unit.  A score, and what it bills, are functions of the prompt and of
+    the content of the prefix and the candidate, so the class declares
+    itself `deterministic_at_zero`, with `billed` and `rebill` as on
+    `ScriptedPolicy`.
     """
+
+    deterministic_at_zero = True
 
     def __init__(self, rules: Sequence[RewardRule], default: float, telemetry: Telemetry | None = None):
         if not 0.0 <= default <= 1.0:
@@ -313,10 +316,15 @@ class ScriptedRewardModel:
         # every step of one task against the same prompt
         self._prompt_tokens = ("", 0)
         self._values: dict[tuple[str, str, bool, str], float] = {}
+        self.billed: tuple[int, int] | None = None
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedRewardModel":
         """A reward model with this one's rules that bills `telemetry`, with an empty memo."""
         return ScriptedRewardModel(self.rules, self.default, telemetry)
+
+    def rebill(self, billed: tuple[int, int]) -> None:
+        """Bill a replayed call as its computation billed: `billed` (tokens in, out)."""
+        self.telemetry.record("supervisor", *billed)
 
     @classmethod
     def from_dict(cls, raw: dict, telemetry: Telemetry | None = None) -> "ScriptedRewardModel":
@@ -352,6 +360,7 @@ class ScriptedRewardModel:
                 + candidate.action.tokens
                 + candidate.observation.tokens
             )
+            self.billed = (tokens_in, 1)
             self.telemetry.record("supervisor", tokens_in, 1)
         return value
 

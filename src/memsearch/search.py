@@ -5,15 +5,17 @@ the active memory bundle is rendered into the prompt (policy prompts only;
 reward model inputs never see bundle text).  Expansion of a node samples
 n_actions candidates either in batch (identical prompts, i.i.d. draws) or
 interleaved (candidate i's prompt carries the records of the i already
-executed siblings).  Every run is a pure function of its seed.
+executed siblings).  Every run is a pure function of its seed.  At
+temperature 0 a run computes each distinct step once and replays, and
+bills, every repeat of it (the step trie, see `_take_step`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .augmentors import CompositeAugmentor, sibling_context
 from .core import (
@@ -22,6 +24,7 @@ from .core import (
     ContextBundle,
     GiveUpStats,
     Node,
+    Observation,
     SearchRecord,
     StateHandle,
     Step,
@@ -111,19 +114,72 @@ def is_apology(action: Action) -> bool:
     return any(m in text for m in APOLOGY_MARKERS)
 
 
+class _StepNode:
+    """One distinct executed prefix of one unit's steps: a node of its step trie.
+
+    The root is the empty prefix, at `env.reset(task)`.  `entries` maps a
+    bundle, as (fingerprint, rendered text), to the step computed from this
+    prefix under it: its Candidate, whose `node` is the child it leads to,
+    and the (tokens in, tokens out) the policy and the PRM billed for it
+    (None for a model that billed nothing).  `children` maps what a step
+    executed, its (action, observation), to that child, so bundles that lead
+    to the same step share what follows it.
+    """
+
+    __slots__ = ("entries", "children")
+
+    def __init__(self) -> None:
+        self.entries: dict[tuple[str, str], tuple[Candidate, tuple | None, tuple | None]] = {}
+        self.children: dict[tuple[Action, Observation], _StepNode] = {}
+
+
+def _step_trie(
+    env: Environment, policy: PolicyModel, prm: RewardModel | None, config: SearchConfig
+) -> _StepNode | None:
+    """The root of a unit's step trie, or None where every step must be computed.
+
+    Steps are replayed only at temperature <= 0, in a serializable env, and
+    when the classes of the policy and of the PRM (if any) both declare
+    `deterministic_at_zero` (a wrapper class declares nothing): then a step,
+    and what it bills, are functions of its prefix and its bundle.
+    """
+    models = [policy] if prm is None else [policy, prm]
+    declared = all(getattr(type(m), "deterministic_at_zero", False) is True for m in models)
+    return _StepNode() if declared and env.serializable and config.temperature <= 0.0 else None
+
+
+def _lazy_hasher(*prefix: object) -> Callable[[object], int]:
+    """`stable_hasher(*prefix)`, built on its first call: a replayed step derives no seed."""
+    hasher = None
+
+    def seeds(part: object) -> int:
+        nonlocal hasher
+        if hasher is None:
+            hasher = stable_hasher(*prefix)
+        return hasher(part)
+
+    return seeds
+
+
 @dataclass(frozen=True)
 class Candidate:
-    """An executed step, the state it leads to and its bundle's fingerprint."""
+    """An executed step, the state it leads to and its bundle's fingerprint.
+
+    `steps` is the path up to and including the step, and `node` the step
+    trie node it leads to (None when the unit has no trie).
+    """
 
     step: Step
     state: StateHandle
     bundle_fp: str
+    steps: tuple[Step, ...] = field(compare=False, repr=False)
+    node: _StepNode | None = field(compare=False, repr=False)
 
 
 def _trajectory(path: Sequence[Candidate], iteration: int) -> Trajectory:
     """The one place a trajectory's terminal kind is decided: a last action
     that is not FINAL_ANSWER means the depth cap ended it."""
-    steps = tuple([c.step for c in path])
+    steps = path[-1].steps
     last = steps[-1].action
     if not last.is_final:
         kind = TerminalKind.MAX_DEPTH
@@ -146,6 +202,7 @@ def _record(
 def _take_step(
     env: Environment,
     task: Task,
+    node: _StepNode | None,
     state: StateHandle,
     prefix: Sequence[Step],
     policy: PolicyModel,
@@ -154,18 +211,43 @@ def _take_step(
     bundle: ContextBundle,
     config: SearchConfig,
     iteration: int,
-    seed: int,
+    seeds: Callable[[object], int],
+    index: int,
 ) -> Candidate:
-    """The one step every method takes: sample an action from `bundle`,
+    """The one step every method takes from `node`, the trie node of `prefix`
+    (None: no trie): sample an action from `bundle` with seed `seeds(index)`,
     execute it from `state`, score it with the PRM (clamped into [0, 1];
-    unscored without a PRM) and hand it to the composite's on_step."""
-    action = policy.sample(task, prefix, bundle, config.temperature, seed)
+    unscored without a PRM) and hand it to the composite's on_step.
+
+    A step the trie already holds under this bundle is replayed instead: the
+    composite gets it all the same, and each model bills again what it
+    billed for it, but nothing is sampled, executed, scored or seeded.
+    """
+    if node is not None:
+        key = (bundle.fingerprint, bundle.rendered)
+        replay = node.entries.get(key)
+        if replay is not None:
+            cand, policy_bill, prm_bill = replay
+            if policy_bill is not None:
+                policy.rebill(policy_bill)
+            if prm_bill is not None:
+                prm.rebill(prm_bill)
+            composite.on_step(cand.step, iteration)
+            return cand
+    action = policy.sample(task, prefix, bundle, config.temperature, seeds(index))
     state, obs = env.step(state, action)
     step = Step(action, obs)
     if prm is not None:
         step = Step(action, obs, clamp01(prm.score(task.prompt, prefix, step)))
     composite.on_step(step, iteration)
-    return Candidate(step, state, bundle.fingerprint)
+    if node is None:
+        return Candidate(step, state, bundle.fingerprint, (*prefix, step), None)
+    child = node.children.get((action, obs))
+    if child is None:
+        child = node.children[action, obs] = _StepNode()
+    cand = Candidate(step, state, bundle.fingerprint, (*prefix, step), child)
+    node.entries[key] = (cand, policy.billed, None if prm is None else prm.billed)
+    return cand
 
 
 def expand(
@@ -179,6 +261,7 @@ def expand(
     config: SearchConfig,
     iteration: int,
     seed_salt: tuple,
+    parent: _StepNode | None = None,
 ) -> list[Candidate]:
     """Sample and execute n_actions sibling candidates of one node.
 
@@ -188,9 +271,11 @@ def expand(
     all prompts are byte-identical.  INTERLEAVED: candidate i's bundle is
     retrieved for it and carries exactly the i records of its already
     executed siblings.  Each candidate executes in its own fork of the
-    parent state.  This is the library's one fork guard: a non-serializable
-    environment raises AdmissibilityError here, before any model call (the
-    matrix runner refuses such cells earlier still, in check_admissible).
+    parent state.  `parent` is the step trie node of `prefix`: without one,
+    every candidate is computed.  This is the library's one fork guard: a
+    non-serializable environment raises AdmissibilityError here, before any
+    model call (the matrix runner refuses such cells earlier still, in
+    check_admissible).
     """
     if not env.serializable:
         raise AdmissibilityError(
@@ -198,15 +283,15 @@ def expand(
         )
     out: list[Candidate] = []
     # cand_seeds(i) == stable_hash(*seed_salt, "cand", i), the prefix hashed once
-    cand_seeds = stable_hasher(*seed_salt, "cand")
+    cand_seeds = _lazy_hasher(*seed_salt, "cand")
     for i in range(config.n_actions):
         if i == 0 or config.expansion is ExpansionMode.INTERLEAVED:
             bundle = composite.retrieve(sibling_context([c.step for c in out]))
         state = env.fork(parent_state)
-        seed = cand_seeds(i)
         out.append(
             _take_step(
-                env, task, state, prefix, policy, prm, composite, bundle, config, iteration, seed
+                env, task, parent, state, prefix, policy, prm, composite, bundle, config,
+                iteration, cand_seeds, i,
             )
         )
     return out
@@ -219,6 +304,7 @@ def expand(
 def _linear_rollout(
     env: Environment,
     task: Task,
+    root: _StepNode | None,
     policy: PolicyModel,
     prm: RewardModel | None,
     composite: CompositeAugmentor,
@@ -226,19 +312,18 @@ def _linear_rollout(
     iteration: int,
     seed: int,
 ) -> Trajectory:
-    state = env.reset(task)
+    state, prefix, node = env.reset(task), (), root
     path: list[Candidate] = []
     # step_seeds(d) == stable_hash(seed, "bon", iteration, d), the prefix hashed once
-    step_seeds = stable_hasher(seed, "bon", iteration)
+    step_seeds = _lazy_hasher(seed, "bon", iteration)
     for depth in range(config.max_depth):
-        prefix = [c.step for c in path]
         bundle = composite.retrieve()
-        step_seed = step_seeds(depth)
         cand = _take_step(
-            env, task, state, prefix, policy, prm, composite, bundle, config, iteration, step_seed
+            env, task, node, state, prefix, policy, prm, composite, bundle, config, iteration,
+            step_seeds, depth,
         )
         path.append(cand)
-        state = cand.state
+        state, prefix, node = cand.state, cand.steps, cand.node
         if cand.step.action.is_final:
             break
     return _trajectory(path, iteration)
@@ -261,9 +346,10 @@ def run_best_of_n(
     """
     if config.method is not SearchMethod.BEST_OF_N:
         raise ValueError(f"config method {config.method} is not best_of_n")
+    root = _step_trie(env, policy, prm, config)
     trajectories: list[Trajectory] = []
     for i in range(config.n_budget):
-        traj = _linear_rollout(env, task, policy, prm, composite, config, i, seed)
+        traj = _linear_rollout(env, task, root, policy, prm, composite, config, i, seed)
         trajectories.append(traj)
         composite.on_trajectory(traj)
     best = max(trajectories, key=lambda t: t.trajectory_score)  # ties: earliest attempt
@@ -296,7 +382,7 @@ def run_beam(
     if prm is None:
         raise ValueError("beam search needs a process reward model")
 
-    root = env.reset(task)
+    root, trie = env.reset(task), _step_trie(env, policy, prm, config)
     actives: list[tuple[Candidate, ...]] = [()]
     completed: list[Trajectory] = []
     apology_terminals = 0
@@ -307,17 +393,19 @@ def run_beam(
             break
         pool: list[tuple[Candidate, ...]] = []
         for b_idx, path in enumerate(actives):
+            last = path[-1] if path else None
             cands = expand(
                 env,
                 task,
-                path[-1].state if path else root,
-                [c.step for c in path],
+                last.state if last else root,
+                last.steps if last else (),
                 policy,
                 prm,
                 composite,
                 config,
                 iteration=0,
                 seed_salt=(seed, "beam", depth, b_idx),
+                parent=last.node if last else trie,
             )
             if all(is_apology(c.step.action) for c in cands):
                 all_apology_states += 1
@@ -408,6 +496,7 @@ def run_mcts(
     if prm is None:
         raise ValueError("mcts needs a process reward model")
 
+    trie = _step_trie(env, policy, prm, config)
     # index-aligned by node id: each node, and the candidate that made it
     nodes = [Node(node_id=0, state=env.reset(task), incoming_action=None)]
     cands: list[Candidate | None] = [None]
@@ -425,13 +514,14 @@ def run_mcts(
                 env,
                 task,
                 nodes[nid].state,
-                [c.step for c in path],
+                path[-1].steps if path else (),
                 policy,
                 prm,
                 composite,
                 config,
                 iteration=it,
                 seed_salt=(seed, "mcts_expand", nid),
+                parent=path[-1].node if path else trie,
             )
             for c in expanded:
                 nodes[nid].children.append(len(nodes))
@@ -447,13 +537,14 @@ def run_mcts(
                     env,
                     task,
                     path[-1].state,
-                    [c.step for c in path],
+                    path[-1].steps,
                     policy,
                     prm,
                     composite,
                     config,
                     iteration=it,
                     seed_salt=(seed, "mcts_roll", it, len(path)),
+                    parent=path[-1].node,
                 )
                 path.append(max(rollout_cands, key=lambda c: c.step.reward or 0.0))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,6 +59,16 @@ def _field(raw: dict, name: str, kind: type, where: str, item: type | None = Non
         for i, element in enumerate(value):
             checked(element, item, f"{where}: {name}[{i}]")
     return value
+
+
+def _record(cls: type, values: dict):
+    """The frozen dataclass `cls` holding `values`, one for each of its fields,
+    every one checked already: set in one dict update, not one
+    `object.__setattr__` a field as its `__init__` does.  The fields go in
+    their declared order, so the instance keeps its class's shared keys."""
+    record = object.__new__(cls)
+    vars(record).update([(name, values[name]) for name in cls.__dataclass_fields__])
+    return record
 
 
 _TELEMETRY_KEYS = frozenset(f.name for f in fields(Telemetry))
@@ -131,7 +141,7 @@ class VerdictRow:
                 f"{where}: a {'beam ' if giveup else ''}row with {len(kinds)} terminal_kinds "
                 f"grades {graded}, yet verdicts, trajectory_lengths, discovery_skipped hold {held}"
             )
-        return cls(**{**row, "telemetry": Telemetry(**telemetry), "giveup": giveup})
+        return _record(cls, {**row, "telemetry": Telemetry(**telemetry), "giveup": giveup})
 
 
 _ROW_KEYS = frozenset(f.name for f in fields(VerdictRow))
@@ -176,10 +186,11 @@ class CellEntry:
         own = f"{cell_id}.jsonl" if CELL_ID.fullmatch(cell_id) else None  # all run writes
         if status == "ok" and raw["verdict_file"] != own:
             raise ConfigurationError(f"{where}: verdict_file is not the <cell id>.jsonl run writes")
-        return cls(**raw)
+        return _record(cls, {**_ENTRY_DEFAULTS, **raw})
 
 
 _COMMON_KEYS = {f.name for f in fields(CellEntry)}.difference(*_ADDED.values())
+_ENTRY_DEFAULTS = {f.name: f.default for f in fields(CellEntry) if f.default is not MISSING}
 _ENTRY_KEYS = {status: frozenset(_COMMON_KEYS | added) for status, added in _ADDED.items()}
 
 
@@ -417,7 +428,7 @@ def analyze_run(
                 raise PairingError(f"{path}: manifest entry of ok cell {cell_id} has no tasks")
             info["accuracy"] = sum(1 for r in rows if r.verdict(rule)) / n
             info["accuracy_selected"] = sum(1 for r in rows if r.selected_verdict) / n
-            info["efficiency"] = asdict(efficiency(rows, pricing))
+            info["efficiency"] = dict(vars(efficiency(rows, pricing)))  # flat: no asdict recursion
             giveups = [r.giveup for r in rows if r.giveup is not None]
             if giveups:
                 info["giveup"] = {

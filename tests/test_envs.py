@@ -240,6 +240,13 @@ class TestScriptedShell:
         _, obs = self.env.step(two, _act("RUN", "cat scratch.txt"))
         assert obs.is_error
 
+    def test_reset_drops_the_previous_session(self):
+        one = self.env.reset(self.task)
+        self.env.reset(self.task)
+        with pytest.raises(EnvError, match="stale state handle"):
+            self.env.step(one, _act("RUN", "ls"))
+        assert len(self.env._sessions) == 1
+
     def test_fork_unsupported(self):
         state = self.env.reset(self.task)
         with pytest.raises(ForkUnsupported):

@@ -911,14 +911,14 @@ def test_model_memos_live_for_one_unit(tmp_path, demo_config_path, monkeypatch):
     for out in ("first", "second"):
         run_matrix(cfg, tmp_path / out, jobs=1)
     assert len(built) == 2 * 88  # the demo config's units, twice
-    policy_memos = [id(policy._greedy) for policy, _ in built]
+    policies = [id(policy) for policy, _ in built]
     prm_memos = [id(prm._values) for _, prm in built]
-    assert len(set(policy_memos)) == len(set(prm_memos)) == len(built)
+    assert len(set(policies)) == len(set(prm_memos)) == len(built)
     assert all(prm._values for _, prm in built)  # every unit scored steps through its memo
-    assert any(policy._greedy for policy, _ in built)  # the cells at temperature 0 drew
+    assert all(policy.billed for policy, _ in built)  # each billed its own unit's telemetry
     for spec in cfg.benchmarks.values():
-        assert spec.policy._greedy == {} and spec.policy._greedy_task is None
-        assert spec.reward._values == {}
+        assert spec.policy.billed is None and spec.policy.telemetry is None
+        assert spec.reward._values == {} and spec.reward.billed is None
 
 
 def test_run_matrix_mini_run(tmp_path):
@@ -1266,6 +1266,25 @@ def test_run_tree_is_the_same_at_every_jobs(tmp_path_factory, cell_picks, n_task
         run_matrix(cfg, root / f"jobs{jobs}", jobs=jobs, dump_memory=True)
         assert _tree_bytes(root / f"jobs{jobs}") == serial, jobs
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("model", ["ScriptedPolicy", "ScriptedRewardModel"])
+def test_demo_run_tree_is_the_same_without_the_step_trie(
+    tmp_path, demo_config_path, monkeypatch, model
+):
+    # a model that does not declare itself deterministic turns the trie off:
+    # every step is then computed, and every byte, memory dumps included, stays
+    cfg = load_matrix_config(demo_config_path)
+    run_matrix(cfg, tmp_path / "trie", jobs=1, dump_memory=True)
+    monkeypatch.setattr(getattr(models, model), "deterministic_at_zero", False)
+    scored = []
+    real_score = models.ScriptedRewardModel.score
+    monkeypatch.setattr(
+        models.ScriptedRewardModel, "score", lambda *a: scored.append(a) or real_score(*a)
+    )
+    run_matrix(cfg, tmp_path / "computed", jobs=1, dump_memory=True)
+    assert len(scored) == 1969  # every step of the demo computed, none replayed
+    assert _tree_bytes(tmp_path / "computed") == _tree_bytes(tmp_path / "trie")
 
 
 def _tree_bytes(root) -> dict[str, bytes]:

@@ -316,14 +316,26 @@ _MEMO_STEPS = [_step(content=c, is_error=err) for c in ("row", "cars") for err i
     )
 )
 def test_policy_memo_answers_as_a_fresh_policy_per_call(calls):
+    """What the step trie keeps of a greedy call (`search._take_step`), keyed on
+    the task and the content of the prefix and the bundle, never the seed, and
+    replayed with `rebill`, answers and bills as a fresh policy per call."""
     config = ScriptedPolicyConfig.from_dict(_MEMO_POLICY)
-    memoizing = ScriptedPolicy(config).for_unit(Telemetry())
+    unit = ScriptedPolicy(config).for_unit(Telemetry())
+    kept: dict[tuple, tuple[Action, tuple[int, int]]] = {}
     fresh_telemetry = Telemetry()
     for task, prefix, bundle, temperature, seed in calls:
-        got = memoizing.sample(task, prefix, bundle, temperature, seed)
+        key = (id(task), tuple(prefix), bundle.fingerprint, bundle.rendered)
+        if temperature <= 0.0 and key in kept:
+            got, billed = kept[key]
+            unit.rebill(billed)
+        else:
+            got = unit.sample(task, prefix, bundle, temperature, seed)
+            if temperature <= 0.0:
+                kept[key] = (got, unit.billed)
         fresh = ScriptedPolicy(config, fresh_telemetry)
         assert got == fresh.sample(task, prefix, bundle, temperature, seed)
-        assert memoizing.telemetry == fresh_telemetry
+        assert unit.telemetry == fresh_telemetry
+    assert ScriptedPolicy.deterministic_at_zero is True
 
 
 # every probe alone and all together, ordered so that each can decide a score

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memsearch.augmentors import AugmentorConfig, AugmentorKind, FactMode, compose
+from memsearch.augmentors import (
+    AugmentorConfig,
+    AugmentorKind,
+    FactMode,
+    compose,
+    normalize_for_method,
+)
 from memsearch.core import (
     FINAL_ANSWER,
     Action,
@@ -16,7 +22,9 @@ from memsearch.core import (
     StateHandle,
     Step,
     Task,
+    Telemetry,
     TerminalKind,
+    fingerprint,
 )
 from memsearch.envs import ScriptedShellEnv, ToySqlEnv
 from memsearch.models import (
@@ -459,3 +467,206 @@ def test_prm_never_sees_memory_bundles():
     run_mcts(TASK, env, _policy(STRAIGHT_POLICY), spy, composite, cfg, seed=2)
     assert spy.calls > 0
     assert len(composite.store) > 0  # memory was active, and still hidden from the PRM
+
+
+# ---------------------------------------------------------------------------
+# the step trie: a replayed step answers and bills as its computation did
+
+
+class Undeclared:
+    """Passes every call to `inner` but declares no determinism, so a search
+    with it computes every step."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def sample(self, task, prefix, bundle, temperature, seed):
+        return self.inner.sample(task, prefix, bundle, temperature, seed)
+
+    def score(self, task_prompt, prefix, candidate):
+        return self.inner.score(task_prompt, prefix, candidate)
+
+
+_TRIE_TEMPLATES = [
+    "LIST_TABLES|",
+    "SCHEMA|games",
+    "SCHEMA|nope",
+    "QUERY|(project Platform games)",
+    "QUERY|(project Missing games)",
+    "FINAL_ANSWER|{last_observation}",
+    "FINAL_ANSWER|I cannot find the answer.",
+]
+_TRIE_MATCHES = [
+    "contains:FACTS:",
+    "contains:REFLECTIONS:",
+    "contains:tried",
+    "contains:games",
+    "contains:has",
+    "contains:error]",
+    "contains:approach",
+    f"fp:{fingerprint('')}",
+]
+_TRIE_AUGMENTOR = {
+    "reflection": {"rules": [{"contains": "ERROR", "text": "avoid the error"}]},
+    "facts": {
+        "rules": [
+            {"pattern": r"\[LIST_TABLES\]: (.+)", "template": "table {0}", "split": ", "},
+            {"pattern": r"SCHEMA\|(.+)\nOBSERVATION\[SCHEMA\]: (.+)", "template": "{0} has {1}"},
+        ]
+    },
+}
+_TRIE_MEMORIES = {
+    "none": (AugmentorConfig(AugmentorKind.NONE),),
+    "raw_sibling": (AugmentorConfig(AugmentorKind.RAW_SIBLING),),
+    "reflection": (AugmentorConfig(AugmentorKind.REFLECTION, reflection_threshold=0.6),),
+    "fact": (AugmentorConfig(AugmentorKind.FACT),),
+}
+# raw_sibling is inadmissible under best-of-N, which never expands siblings
+_TRIE_CELLS = [
+    (method, memory)
+    for method in (SearchMethod.BEST_OF_N, SearchMethod.MCTS)
+    for memory in _TRIE_MEMORIES
+    if (method, memory) != (SearchMethod.BEST_OF_N, "raw_sibling")
+]
+
+
+def _trie_run(method, memory, script, reward, search, wrap):
+    """One unit as the matrix runner builds it: (record, telemetry, store units)."""
+    telemetry = Telemetry()
+    policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(script), telemetry)
+    prm = ScriptedRewardModel.from_dict(reward, telemetry)
+    aug_model = ScriptedAugmentorModel.from_dict(_TRIE_AUGMENTOR, telemetry)
+    configs = normalize_for_method(_TRIE_MEMORIES[memory], method.value)
+    composite = compose(configs, model=aug_model, embedder=HashEmbedder())
+    interleaved = composite.wants_siblings and method is not SearchMethod.BEST_OF_N
+    expansion = ExpansionMode.INTERLEAVED if interleaved else ExpansionMode.BATCH
+    cfg = SearchConfig(method=method, expansion=expansion, **search)
+    policy = Undeclared(policy) if wrap else policy
+    record = run_search(TASK, ToySqlEnv(WORLD), policy, composite, cfg, seed=7, prm=prm)
+    return record, telemetry, composite.store.units
+
+
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(
+    cell=st.sampled_from(_TRIE_CELLS),
+    defaults=st.lists(st.sampled_from(_TRIE_TEMPLATES), min_size=4, max_size=4),
+    rules=st.lists(
+        st.tuples(
+            st.integers(0, 4), st.sampled_from(_TRIE_MATCHES), st.sampled_from(_TRIE_TEMPLATES)
+        ),
+        max_size=8,
+    ),
+    scores=st.lists(
+        st.tuples(
+            st.floats(0.0, 1.0),
+            st.sampled_from(["tool", "is_error", "obs_contains", "args_contains"]),
+            st.sampled_from(["LIST_TABLES", "SCHEMA", "QUERY", "FINAL_ANSWER", "games", "PSP"]),
+        ),
+        max_size=4,
+    ),
+    default=st.floats(0.0, 1.0),
+    sizes=st.tuples(st.integers(2, 6), st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)),
+)
+def test_trie_gives_the_same_record_telemetry_and_store_as_computing_every_step(
+    cell, defaults, rules, scores, default, sizes
+):
+    # a default rule at each of steps 0-3, then rules that match on the bundle
+    rules = [(step, "*", template) for step, template in enumerate(defaults)] + rules
+    script = {
+        "rules": [
+            {"step": step, "match": match, "candidates": {template: 1.0}}
+            for step, match, template in rules
+        ]
+    }
+    reward = {
+        "rules": [
+            {"score": score, probe: True if probe == "is_error" else operand}
+            for score, probe, operand in scores
+        ],
+        "default": default,
+    }
+    budget, n_actions, max_depth, rollout_depth = sizes
+    search = dict(
+        n_budget=budget,
+        n_iters=budget,
+        n_actions=n_actions,
+        max_depth=max_depth,
+        rollout_depth=rollout_depth,
+    )
+    replayed = _trie_run(*cell, script, reward, search, wrap=False)
+    computed = _trie_run(*cell, script, reward, search, wrap=True)
+    assert replayed == computed
+
+
+class CountingEnv(ToySqlEnv):
+    """Counts the steps it executes."""
+
+    def __init__(self, worlds):
+        super().__init__(worlds)
+        self.steps = 0
+
+    def step(self, state, action):
+        self.steps += 1
+        return super().step(state, action)
+
+
+def _counted_run(method, policy_wrap=lambda p: p, prm=True, temperature=0.0):
+    """(env steps, policy draws, telemetry) of one unit of STRAIGHT_POLICY."""
+    telemetry = Telemetry()
+    scripted = ScriptedPolicy(ScriptedPolicyConfig.from_dict(STRAIGHT_POLICY), telemetry)
+    draws = []
+    real_sample = scripted.sample
+    scripted.sample = lambda *a: draws.append(a) or real_sample(*a)  # the class still declares
+    reward = ScriptedRewardModel.from_dict({"default": 0.5}, telemetry) if prm else None
+    cfg = SearchConfig(method=method, n_budget=5, n_iters=5, n_actions=3, temperature=temperature)
+    env = CountingEnv(WORLD)
+    run_search(TASK, env, policy_wrap(scripted), _none_composite(), cfg, seed=4, prm=reward)
+    return env.steps, len(draws), telemetry
+
+
+@pytest.mark.parametrize("method", [SearchMethod.BEST_OF_N, SearchMethod.BEAM, SearchMethod.MCTS])
+def test_trie_computes_fewer_steps_and_bills_every_one(method):
+    steps, draws, telemetry = _counted_run(method)
+    all_steps, all_draws, all_telemetry = _counted_run(method, policy_wrap=Undeclared)
+    assert steps == draws < all_steps == all_draws
+    assert telemetry == all_telemetry
+    assert telemetry.policy_calls == telemetry.supervisor_calls == all_draws
+    if method is SearchMethod.BEST_OF_N:
+        assert (steps, all_steps) == (3, 15)  # the first attempt's 3 steps, then only replays
+
+
+@pytest.mark.parametrize("method", [SearchMethod.BEST_OF_N, SearchMethod.BEAM, SearchMethod.MCTS])
+def test_trie_replays_nothing_above_temperature_zero(method):
+    steps, draws, telemetry = _counted_run(method, temperature=0.7)
+    computed = _counted_run(method, policy_wrap=Undeclared, temperature=0.7)
+    assert (steps, draws, telemetry) == computed
+    assert steps == draws == telemetry.policy_calls
+
+
+def test_trie_replays_nothing_in_a_shell_env():
+    world = {"t1": {"files": {"a.txt": "PSP"}}}
+    task = Task("t1", "p", ("RUN", FINAL_ANSWER), "b", "scripted_shell", {})
+    script = {
+        "rules": [
+            {"step": 0, "candidates": {"RUN|cat a.txt": 1.0}},
+            {"step": 1, "candidates": {"FINAL_ANSWER|{last_observation}": 1.0}},
+        ]
+    }
+    env, telemetry = ScriptedShellEnv(world), Telemetry()
+    policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(script), telemetry)
+    steps = []
+    real_step = env.step
+    env.step = lambda *a: steps.append(a) or real_step(*a)
+    cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=4)
+    prm = ScriptedRewardModel.from_dict({}, telemetry)
+    record = run_best_of_n(task, env, policy, _none_composite(), cfg, seed=1, prm=prm)
+    assert record.final_answer == "PSP"
+    assert len(steps) == telemetry.policy_calls == telemetry.supervisor_calls == 8
+
+
+def test_trie_replay_without_a_prm_bills_no_supervisor_call():
+    steps, draws, telemetry = _counted_run(SearchMethod.BEST_OF_N, prm=False)
+    assert (steps, draws) == (3, 3)
+    assert telemetry.policy_calls == 15
+    assert telemetry.supervisor_calls == telemetry.supervisor_tokens_in == 0
+    assert telemetry == _counted_run(SearchMethod.BEST_OF_N, Undeclared, prm=False)[2]
