@@ -24,6 +24,7 @@ from .core import (
     Scope,
     Step,
     Trajectory,
+    atomic_write,
     is_number,
     render_bundle,
     step_text,
@@ -234,21 +235,21 @@ class MemoryStore:
         self._facts.append(unit)
 
     def dump(self, path: str | Path) -> None:
-        """Write one structured record per unit, line-delimited."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for u in self._units:
-                fh.write(
-                    json.dumps(
-                        {
-                            "scope": u.scope.value,
-                            "abstraction": u.abstraction.value,
-                            "body": u.body,
-                            "source_iteration": u.source_iteration,
-                        },
-                        sort_keys=True,
-                    )
-                )
-                fh.write("\n")
+        """Write one structured record per unit, line-delimited, with `atomic_write`."""
+        lines = [
+            json.dumps(
+                {
+                    "scope": u.scope.value,
+                    "abstraction": u.abstraction.value,
+                    "body": u.body,
+                    "source_iteration": u.source_iteration,
+                },
+                sort_keys=True,
+            )
+            + "\n"
+            for u in self._units
+        ]
+        atomic_write(Path(path), "".join(lines))
 
 
 def sibling_context(prior_siblings: Sequence[Step]) -> list[ContextUnit]:

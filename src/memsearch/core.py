@@ -17,10 +17,12 @@ token.
 from __future__ import annotations
 
 import hashlib
+import os
 import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Iterable, Mapping, Sequence
+from pathlib import Path
+from typing import Iterable, Mapping, Sequence
 
 MAX_DEPTH = 15
 
@@ -44,43 +46,15 @@ class Abstraction(str, Enum):
     FACT = "fact"
 
 
-def _encoded(*parts: object) -> bytes:
-    """What the parts feed a stable_hash digest: each one's repr and a 0x1f separator, in UTF-8.
-
-    repr escapes lone surrogates, so the encoding never fails, and the
-    encoding of a sequence of parts is the concatenation of theirs.
-    """
-    return "\x1f".join([*map(repr, parts), ""]).encode("utf-8")
-
-
-def _first64(state: hashlib._Hash) -> int:
-    return int.from_bytes(state.digest()[:8], "big")
-
-
 def stable_hash(*parts: object) -> int:
     """Deterministic 64-bit hash of the given parts, stable across processes.
 
-    The digest is sha256 over each part's repr followed by a 0x1f separator;
+    The digest is sha256 over each part's repr followed by a 0x1f separator,
+    in UTF-8 (repr escapes lone surrogates, so the encoding never fails);
     the hash is its first 8 bytes, big-endian.
     """
-    return _first64(hashlib.sha256(_encoded(*parts)))
-
-
-def stable_hasher(*prefix: object) -> Callable[[object], int]:
-    """`h` with h(part) == stable_hash(*prefix, part).
-
-    The prefix is hashed once: each call copies that sha256 state and feeds
-    it only the part, so hashing many parts under one prefix skips the
-    prefix's repr, encoding and compression every time.
-    """
-    state = hashlib.sha256(_encoded(*prefix))
-
-    def h(part: object) -> int:
-        copy = state.copy()
-        copy.update(_encoded(part))
-        return _first64(copy)
-
-    return h
+    encoded = "\x1f".join([*map(repr, parts), ""]).encode("utf-8")
+    return int.from_bytes(hashlib.sha256(encoded).digest()[:8], "big")
 
 
 def is_int(value: object) -> bool:
@@ -141,6 +115,14 @@ def fingerprint(text: str) -> str:
 
 def clamp01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def atomic_write(path: Path, content: str) -> None:
+    """Write `content` to `path` in UTF-8 through a temporary sibling and a
+    rename, so the path holds either its old bytes or all of the new ones."""
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(content, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 @dataclass(frozen=True)

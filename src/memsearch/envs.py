@@ -14,6 +14,7 @@ gold and no grading hook.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -59,28 +60,16 @@ _FINAL_OBSERVATION = Observation(content="", is_error=False, tool_name=FINAL_ANS
 # s-expression mini query language for the tabular world
 
 
+# a paren, a quoted string, a bare token (it may hold a quote, but not open
+# with one) or a lone quote, which opens a string that never closes; every
+# character but whitespace (str.isspace, which is what \s matches) is in one
+_TOKEN = re.compile(r'[()]|"[^"]*"|[^\s()"][^\s()]*|"')
+
+
 def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch == '"':
-            j = text.find('"', i + 1)
-            if j < 0:
-                raise ValueError("unterminated string literal")
-            tokens.append(text[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
+    tokens = _TOKEN.findall(text)
+    if '"' in tokens:
+        raise ValueError("unterminated string literal")
     return tokens
 
 

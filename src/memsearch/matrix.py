@@ -30,7 +30,8 @@ from .augmentors import (
     compose,
     normalize_for_method,
 )
-from .core import CELL_ID, PricingTable, Task, Telemetry, checked, is_int, known, stable_hash
+from .core import CELL_ID, PricingTable, Task, Telemetry, atomic_write, checked, is_int, known
+from .core import stable_hash
 from .envs import ENV_CLASSES, Benchmark, EnvError, load_benchmark
 from .models import (
     MIN_EMBED_DIM,
@@ -387,12 +388,6 @@ def _run_cell_task(
     )
 
 
-def _atomic_write(path: Path, content: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 # a unit's task id and its verdict file line
 _Row = tuple[str, str]
 
@@ -517,7 +512,7 @@ def _finish_cell(out: Path, cell: ExperimentCell, entry: CellEntry, results: lis
     if error is not None:
         return replace(entry, status="failed", error=error)
     rows = sorted(results)  # by task id, unique within a benchmark
-    _atomic_write(out / f"{cell.cell_id}.jsonl", "".join(line for _, line in rows))
+    atomic_write(out / f"{cell.cell_id}.jsonl", "".join(line for _, line in rows))
     return replace(entry, status="ok", verdict_file=f"{cell.cell_id}.jsonl", n_tasks=len(rows))
 
 
@@ -594,5 +589,5 @@ def run_matrix(
         "pricing": asdict(cfg.pricing),
         "cells": {cell_id: entry.to_json() for cell_id, entry in entries.items()},
     }
-    _atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

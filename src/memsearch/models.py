@@ -32,7 +32,6 @@ from .core import (
     is_number,
     known,
     stable_hash,
-    stable_hasher,
     trajectory_text,
 )
 
@@ -312,9 +311,6 @@ class ScriptedRewardModel:
         self.rules = tuple(rules)
         self.default = default
         self.telemetry = telemetry
-        # (prompt, its token count) of the last prompt billed: a search scores
-        # every step of one task against the same prompt
-        self._prompt_tokens = ("", 0)
         self._values: dict[tuple[str, str, bool, str], float] = {}
         self.billed: tuple[int, int] | None = None
 
@@ -350,12 +346,8 @@ class ScriptedRewardModel:
             rule = next((r for r in self.rules if r.matches(*key)), None)
             value = self._values[key] = self.default if rule is None else rule.score
         if self.telemetry is not None:
-            prompt, prompt_tokens = self._prompt_tokens
-            if task_prompt != prompt:
-                prompt_tokens = _count_tokens(task_prompt)
-                self._prompt_tokens = (task_prompt, prompt_tokens)
             tokens_in = (
-                prompt_tokens
+                _count_tokens(task_prompt)
                 + sum(s.action.tokens for s in prefix)
                 + candidate.action.tokens
                 + candidate.observation.tokens
@@ -529,18 +521,14 @@ def hash_embed(text: str, dim: int = 64) -> np.ndarray:
     return _feature_hash(text, dim, {})
 
 
-# stable_hash("embed", gram), with the prefix's sha256 state computed once
-_hash_gram = stable_hasher("embed")
-
-
 def _feature_hash(text: str, dim: int, features: dict[str, tuple[int, float]]) -> np.ndarray:
     """hash_embed, with `features` as the memo of each n-gram's (index, sign) at this dim.
 
-    An n-gram is hashed on its first sighting in the memo only, from a copy
-    of the sha256 state of the "embed" prefix.  Every coordinate is a sum of
-    +-1.0 terms, exact in float64, so the vector is the same bits whatever
-    the memo holds, and its squared norm v.v is exact: the norm is its
-    square root, which is what `np.linalg.norm` computes.
+    An n-gram is hashed, as `stable_hash("embed", gram)`, on its first
+    sighting in the memo only.  Every coordinate is a sum of +-1.0 terms,
+    exact in float64, so the vector is the same bits whatever the memo
+    holds, and its squared norm v.v is exact: the norm is its square root,
+    which is what `np.linalg.norm` computes.
     """
     import numpy as np
 
@@ -551,7 +539,7 @@ def _feature_hash(text: str, dim: int, features: dict[str, tuple[int, float]]) -
     for gram in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
         feature = features.get(gram)
         if feature is None:
-            h = _hash_gram(gram)
+            h = stable_hash("embed", gram)
             feature = features[gram] = (h % dim, 1.0 if (h >> 32) & 1 else -1.0)
         acc[feature[0]] += feature[1]
     vec = np.array(acc, dtype=np.float64)
@@ -572,13 +560,12 @@ class HashEmbedder:
     fills its own copy.  The memo is bounded by the run's distinct fact
     lines.  The n-grams of new lines are memoized the same way: fact lines
     share most of their words, and each distinct n-gram is hashed once per
-    instance, from a copy of the one precomputed sha256 state of the
-    "embed" prefix rather than from scratch.  Sharing is exact:
-    `_feature_hash` gives the same bits whatever the memo holds, and
-    memoized arrays are read-only, so a caller cannot change what later
-    callers receive.  numpy is imported by the first embedding, not with the
-    module, so code that never embeds (config loading, admissibility,
-    analysis, runs without fact memory) never loads it.
+    instance.  Sharing is exact: `_feature_hash` gives the same bits
+    whatever the memo holds, and memoized arrays are read-only, so a caller
+    cannot change what later callers receive.  numpy is imported by the
+    first embedding, not with the module, so code that never embeds (config
+    loading, admissibility, analysis, runs without fact memory) never loads
+    it.
     """
 
     def __init__(self, dim: int = 64):

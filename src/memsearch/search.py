@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .augmentors import CompositeAugmentor, sibling_context
 from .core import (
@@ -35,7 +35,7 @@ from .core import (
     clamp01,
     is_int,
     is_number,
-    stable_hasher,
+    stable_hash,
 )
 from .envs import Environment
 from .models import PolicyModel, RewardModel
@@ -148,19 +148,6 @@ def _step_trie(
     return _StepNode() if declared and env.serializable and config.temperature <= 0.0 else None
 
 
-def _lazy_hasher(*prefix: object) -> Callable[[object], int]:
-    """`stable_hasher(*prefix)`, built on its first call: a replayed step derives no seed."""
-    hasher = None
-
-    def seeds(part: object) -> int:
-        nonlocal hasher
-        if hasher is None:
-            hasher = stable_hasher(*prefix)
-        return hasher(part)
-
-    return seeds
-
-
 @dataclass(frozen=True)
 class Candidate:
     """An executed step, the state it leads to and its bundle's fingerprint.
@@ -211,13 +198,13 @@ def _take_step(
     bundle: ContextBundle,
     config: SearchConfig,
     iteration: int,
-    seeds: Callable[[object], int],
-    index: int,
+    seed_salt: tuple,
 ) -> Candidate:
     """The one step every method takes from `node`, the trie node of `prefix`
-    (None: no trie): sample an action from `bundle` with seed `seeds(index)`,
-    execute it from `state`, score it with the PRM (clamped into [0, 1];
-    unscored without a PRM) and hand it to the composite's on_step.
+    (None: no trie): sample an action from `bundle` with seed
+    `stable_hash(*seed_salt)`, execute it from `state`, score it with the
+    PRM (clamped into [0, 1]; unscored without a PRM) and hand it to the
+    composite's on_step.
 
     A step the trie already holds under this bundle is replayed instead: the
     composite gets it all the same, and each model bills again what it
@@ -234,7 +221,7 @@ def _take_step(
                 prm.rebill(prm_bill)
             composite.on_step(cand.step, iteration)
             return cand
-    action = policy.sample(task, prefix, bundle, config.temperature, seeds(index))
+    action = policy.sample(task, prefix, bundle, config.temperature, stable_hash(*seed_salt))
     state, obs = env.step(state, action)
     step = Step(action, obs)
     if prm is not None:
@@ -282,8 +269,6 @@ def expand(
             f"{env.env_id} is not serializable; {config.method.value} cannot fork"
         )
     out: list[Candidate] = []
-    # cand_seeds(i) == stable_hash(*seed_salt, "cand", i), the prefix hashed once
-    cand_seeds = _lazy_hasher(*seed_salt, "cand")
     for i in range(config.n_actions):
         if i == 0 or config.expansion is ExpansionMode.INTERLEAVED:
             bundle = composite.retrieve(sibling_context([c.step for c in out]))
@@ -291,7 +276,7 @@ def expand(
         out.append(
             _take_step(
                 env, task, parent, state, prefix, policy, prm, composite, bundle, config,
-                iteration, cand_seeds, i,
+                iteration, (*seed_salt, "cand", i),
             )
         )
     return out
@@ -314,13 +299,11 @@ def _linear_rollout(
 ) -> Trajectory:
     state, prefix, node = env.reset(task), (), root
     path: list[Candidate] = []
-    # step_seeds(d) == stable_hash(seed, "bon", iteration, d), the prefix hashed once
-    step_seeds = _lazy_hasher(seed, "bon", iteration)
     for depth in range(config.max_depth):
         bundle = composite.retrieve()
         cand = _take_step(
             env, task, node, state, prefix, policy, prm, composite, bundle, config, iteration,
-            step_seeds, depth,
+            (seed, "bon", iteration, depth),
         )
         path.append(cand)
         state, prefix, node = cand.state, cand.steps, cand.node

@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,6 +135,24 @@ def test_store_dump_format(tmp_path):
         "source_iteration": 2,
     }
     assert list(first) == sorted(first)
+
+
+def test_a_dump_that_raises_leaves_no_file(tmp_path, monkeypatch):
+    store = MemoryStore()
+    store.add(_fact_unit("a fact"))
+    store.add(_fact_unit("another fact"))
+    calls = []
+
+    def dumps(obj, **kwargs):
+        calls.append(obj)
+        if len(calls) == 2:
+            raise TypeError("cannot encode the second unit")
+        return json.dumps(obj, **kwargs)
+
+    monkeypatch.setattr(augmentors, "json", SimpleNamespace(dumps=dumps))
+    with pytest.raises(TypeError, match="second unit"):
+        store.dump(tmp_path / "mem.jsonl")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sibling_context_format_and_no_model_calls():

@@ -32,7 +32,6 @@ from memsearch.core import (
     known,
     render_bundle,
     stable_hash,
-    stable_hasher,
     step_text,
     trajectory_text,
 )
@@ -70,31 +69,13 @@ def test_stable_hash_is_deterministic_and_type_sensitive():
         ((7, "beam", 3, 0), 17308579068964310044),
         (("héllo wörld ✓",), 15472204422001109104),
         ((None, 2.5, ("x",), b"y"), 17701386521239516443),
+        # a lone surrogate, and the 0x1f separator inside a part
+        (("\ud800", "a\x1fb"), 13268479100963406479),
     ],
 )
 def test_stable_hash_pinned_values(parts, expected):
     # every seed in a run derives from stable_hash; these values must never move
     assert stable_hash(*parts) == expected
-
-
-# any code point, lone surrogates included, with quotes, backslashes, the
-# 0x1f separator and non-ASCII text made likely
-_TEXT = st.text(
-    st.one_of(
-        st.characters(exclude_categories=()),
-        st.sampled_from(["'", '"', "\\", "\x1f", "é", "✓", "\ud800", "\udfff"]),
-    )
-)
-_PARTS = st.lists(st.one_of(_TEXT, st.integers(), st.none(), st.floats()), max_size=3)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(text=_TEXT, prefix=_PARTS)
-def test_stable_hasher_equals_stable_hash_with_the_prefix(text, prefix):
-    assert stable_hasher("embed")(text) == stable_hash("embed", text)
-    h = stable_hasher(*prefix)
-    assert h(text) == stable_hash(*prefix, text)
-    assert h(text) == h(text)  # the prefix state is copied, never consumed
 
 
 def test_fingerprint_shape():

@@ -54,6 +54,20 @@ def test_parse_sexpr():
         parse_sexpr("(a (b)")
     with pytest.raises(ValueError):
         parse_sexpr("a) b")
+    # a quote inside a bare token is part of it; a quoted atom keeps its parens
+    assert parse_sexpr('a"b') == 'a"b'
+    assert parse_sexpr('"(a b)"') == "(a b)"
+    assert parse_sexpr('(a "")') == ["a", ""]
+    with pytest.raises(ValueError, match="^unterminated string literal$"):
+        parse_sexpr('"a b')
+    with pytest.raises(ValueError, match="^empty expression$"):
+        parse_sexpr("")
+    with pytest.raises(ValueError, match="^trailing tokens"):
+        parse_sexpr("a b")
+    # tokens split on Unicode whitespace (str.isspace), and only on it
+    assert parse_sexpr("(x\x85y)") == ["x", "y"]
+    assert parse_sexpr("(a\x1cb)") == ["a", "b"]
+    assert parse_sexpr("(x\u200by)") == ["x\u200by"]
 
 
 class TestToySql:

@@ -1160,7 +1160,7 @@ def test_a_failing_verdict_write_propagates_and_leaves_no_child(tmp_path, monkey
     def failing_write(path, content):
         raise OSError(f"cannot write {path.name}")
 
-    monkeypatch.setattr(matrix, "_atomic_write", failing_write)
+    monkeypatch.setattr(matrix, "atomic_write", failing_write)
     monkeypatch.setattr(matrix, "_run_unit", _stalling_last_cell(matrix._run_unit))
     # the caller keeps the exception, and with it run_matrix's frame
     with pytest.raises(OSError, match="cannot write first.jsonl") as raised:
