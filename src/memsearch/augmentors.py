@@ -28,7 +28,6 @@ from .core import (
     is_number,
     render_bundle,
     step_text,
-    trajectory_text,
 )
 from .models import EXTRACT_FACTS, REFLECT, AugmentorModel, Embedder, cosine
 
@@ -283,9 +282,8 @@ def maybe_reflect(
     """Produce one reflection unit iff the trajectory scored strictly below threshold."""
     if trajectory.trajectory_score >= threshold:
         return None
-    text = trajectory_text(trajectory.steps, trajectory.terminal_kind)
     try:
-        body = model.generate(REFLECT, text)
+        body = model.generate(REFLECT, trajectory.text)
     except Exception as exc:
         raise AugmentorError(f"reflection model call failed: {exc}") from exc
     return ContextUnit(
@@ -368,6 +366,10 @@ class CompositeAugmentor:
                 raise ValueError(f"{kind.value} augmentor needs an augmentor model")
         if AugmentorKind.FACT in self.configs and self.embedder is None:
             raise ValueError("fact augmentor needs an embedder")
+        fact_cfg = self.configs.get(AugmentorKind.FACT)
+        # whether on_step can write memory; if not, the bundle cannot change
+        # before the trajectory ends
+        self.writes_on_step = fact_cfg is not None and fact_cfg.fact_mode is FactMode.INCREMENTAL
 
     @property
     def wants_siblings(self) -> bool:
@@ -377,16 +379,16 @@ class CompositeAugmentor:
         return retrieve(self.store, ephemeral)
 
     def on_step(self, step: Step, iteration: int) -> None:
-        cfg = self.configs.get(AugmentorKind.FACT)
-        if cfg is None or cfg.fact_mode is not FactMode.INCREMENTAL:
+        if not self.writes_on_step:
             return
         extract_facts(step_text(step), iteration, self.model, self.embedder, self.store)
 
     def on_trajectory(self, trajectory: Trajectory) -> None:
         fact_cfg = self.configs.get(AugmentorKind.FACT)
         if fact_cfg is not None and fact_cfg.fact_mode is FactMode.BATCH:
-            text = trajectory_text(trajectory.steps, trajectory.terminal_kind)
-            extract_facts(text, trajectory.iteration_index, self.model, self.embedder, self.store)
+            extract_facts(
+                trajectory.text, trajectory.iteration_index, self.model, self.embedder, self.store
+            )
         refl_cfg = self.configs.get(AugmentorKind.REFLECTION)
         if refl_cfg is not None:
             unit = maybe_reflect(trajectory, self.model, refl_cfg.reflection_threshold)

@@ -18,7 +18,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .core import ConfigurationError
+from .core import ConfigurationError, atomic_write
 from .matrix import WorkerError, check_admissible, load_matrix_config, run_matrix
 from .stats import (
     CellEntry,
@@ -86,10 +86,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_matrix_config(args.config)
     if args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return EXIT_CONFIG
+    cfg = load_matrix_config(args.config)
     cells = run_matrix(cfg, args.out, jobs=args.jobs, dump_memory=args.dump_memory)["cells"]
     entries = {cid: CellEntry.from_json(raw, cid, "manifest.json") for cid, raw in cells.items()}
     failed = [cid for cid, entry in entries.items() if entry.status == "failed"]
@@ -111,12 +111,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
     analysis = analyze_run(args.out_dir, baseline=args.baseline, q=args.q, rule=args.rule)
     report = emit_matrix_report(analysis)
+    # both texts are made before either file is written, so a failure leaves neither
+    outputs = []
     if args.report_out:
-        Path(args.report_out).write_text(report, encoding="utf-8")
+        outputs.append((args.report_out, report))
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(analysis, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        outputs.append((args.json_out, json.dumps(analysis, indent=2, sort_keys=True) + "\n"))
+    for path, text in outputs:
+        atomic_write(Path(path), text)
     print(report, end="")
     return EXIT_OK
 

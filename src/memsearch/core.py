@@ -119,10 +119,15 @@ def clamp01(x: float) -> float:
 
 def atomic_write(path: Path, content: str) -> None:
     """Write `content` to `path` in UTF-8 through a temporary sibling and a
-    rename, so the path holds either its old bytes or all of the new ones."""
+    rename, so the path holds either its old bytes or all of the new ones;
+    a write that fails removes the sibling."""
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(content, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass(frozen=True)
@@ -203,12 +208,23 @@ class Trajectory:
     trajectory_score: float
     iteration_index: int
     bundle_fingerprints: tuple[str, ...] = ()
+    # `text`, when the maker rendered it already (the search's step trie
+    # renders each finished path once); None: rendered on each read
+    rendering: str | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 1 <= len(self.steps) <= MAX_DEPTH:
             raise ValueError(f"trajectory has {len(self.steps)} steps, expected 1..{MAX_DEPTH}")
         if not 0.0 <= self.trajectory_score <= 1.0:
             raise ValueError(f"trajectory score {self.trajectory_score} outside [0, 1]")
+
+    @property
+    def text(self) -> str:
+        """The trajectory as analysis models read it: `trajectory_text` of
+        its steps and terminal kind."""
+        if self.rendering is not None:
+            return self.rendering
+        return trajectory_text(self.steps, self.terminal_kind)
 
     @property
     def final_action(self) -> Action:

@@ -354,22 +354,28 @@ def _run_cell_task(
     seed = task_seed(cell.seed, task.task_id)
     record = run_search(task, env, policy, composite, search_cfg, seed=seed, prm=prm)
 
-    grader = spec.benchmark.grader()  # grading happens offline, after the search
+    # grading happens offline, after the search, once per distinct answer
+    grade = functools.cache(functools.partial(spec.benchmark.grader().grade, task.task_id))
     if search_cfg.method is SearchMethod.BEAM:
         skip_src = [record.selected] if record.selected else list(record.trajectories[:1])
-        verdicts = [grader.grade(task.task_id, record.final_answer)]
+        verdicts = [grade(record.final_answer)]
         lengths = [len(t.steps) for t in skip_src]
     else:
-        verdicts = [grader.grade(task.task_id, t.answer()) for t in record.trajectories]
+        verdicts = [grade(t.answer()) for t in record.trajectories]
         lengths = [len(t.steps) for t in record.trajectories]
         skip_src = list(record.trajectories)
 
     if spec.discovery_tool is None:
         discovery_skipped = None
     else:
-        discovery_skipped = [
-            spec.discovery_tool not in {s.action.tool_name for s in t.steps} for t in skip_src
-        ]
+        # once per distinct path: on the trie every repeat of a path shares
+        # its steps tuple, so paths are told apart by its id
+        paths = {id(t.steps): t.steps for t in skip_src}
+        skips = {
+            key: spec.discovery_tool not in {s.action.tool_name for s in steps}
+            for key, steps in paths.items()
+        }
+        discovery_skipped = [skips[id(t.steps)] for t in skip_src]
 
     if dump_dir is not None:
         composite.store.dump(dump_dir / f"{cell.cell_id}__{task.task_id}.jsonl")
@@ -378,7 +384,7 @@ def _run_cell_task(
         task_id=task.task_id,
         cell_id=cell.cell_id,
         verdicts=verdicts,
-        selected_verdict=grader.grade(task.task_id, record.final_answer),
+        selected_verdict=grade(record.final_answer),
         final_answer=record.final_answer,
         trajectory_lengths=lengths,
         terminal_kinds=[t.terminal_kind.value for t in record.trajectories],

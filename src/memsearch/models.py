@@ -421,6 +421,12 @@ class ScriptedAugmentorModel:
     `split`-separated piece of the first group), newline-separated.  A match
     in which some group did not take part, such as a skipped optional
     `(...)?` group, emits no fact.
+
+    An answer reads only (instruction, text), so the instance memoizes each
+    answer, with its token counts, on that pair, as the reward model
+    memoizes its values; every call is billed all the same.  The matrix
+    runner builds one instance per (cell, task) unit with `for_unit`, so no
+    memo outlives its unit.
     """
 
     def __init__(
@@ -434,9 +440,11 @@ class ScriptedAugmentorModel:
         self.reflection_default = reflection_default
         self.fact_patterns = tuple(fact_patterns)
         self.telemetry = telemetry
+        # (instruction, text) -> (answer, tokens in, tokens out)
+        self._answers: dict[tuple[str, str], tuple[str, int, int]] = {}
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedAugmentorModel":
-        """An augmentor model with this one's rules that bills `telemetry`."""
+        """An augmentor model with this one's rules that bills `telemetry`, with an empty memo."""
         return ScriptedAugmentorModel(
             self.reflection_rules, self.reflection_default, self.fact_patterns, telemetry
         )
@@ -475,14 +483,24 @@ class ScriptedAugmentorModel:
         )
 
     def generate(self, instruction: str, text: str) -> str:
+        answer = self._answers.get((instruction, text))
+        if answer is None:
+            out = self._compute(instruction, text)
+            answer = (out, _count_tokens(text), _count_tokens(out))
+            self._answers[instruction, text] = answer
+        if self.telemetry is not None:
+            self.telemetry.record("supervisor", answer[1], answer[2])
+        return answer[0]
+
+    def _compute(self, instruction: str, text: str) -> str:
         if instruction == REFLECT:
             out = self.reflection_default
             for probe, reflection in self.reflection_rules:
                 if probe in text:
                     out = reflection
                     break
-            out = " ".join(out.split())  # exactly one line
-        elif instruction == EXTRACT_FACTS:
+            return " ".join(out.split())  # exactly one line
+        if instruction == EXTRACT_FACTS:
             facts: list[str] = []
             for spec in self.fact_patterns:
                 for m in spec.regex.finditer(text):
@@ -496,12 +514,8 @@ class ScriptedAugmentorModel:
                                 facts.append(spec.template.format(piece, *groups[1:]))
                     else:
                         facts.append(spec.template.format(*groups))
-            out = "\n".join(facts)
-        else:
-            raise ConfigurationError(f"unknown augmentor instruction: {instruction!r}")
-        if self.telemetry is not None:
-            self.telemetry.record("supervisor", _count_tokens(text), _count_tokens(out))
-        return out
+            return "\n".join(facts)
+        raise ConfigurationError(f"unknown augmentor instruction: {instruction!r}")
 
 
 # ---------------------------------------------------------------------------

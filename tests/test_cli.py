@@ -4,10 +4,11 @@ import json
 import multiprocessing
 import os
 import shutil
+from types import SimpleNamespace
 
 import pytest
 
-from memsearch import matrix
+from memsearch import cli, matrix
 from memsearch.cli import main
 
 from conftest import write_mini_config
@@ -85,6 +86,36 @@ def test_run_then_analyze_roundtrip(tmp_path, capsys):
 def test_run_rejects_bad_jobs(tmp_path, capsys):
     path = write_mini_config(tmp_path, _cells())
     assert main(["run", str(path), "--out", str(tmp_path / "o"), "--jobs", "0"]) == 2
+    capsys.readouterr()
+
+
+def test_run_checks_jobs_before_loading_the_config(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["run", str(missing), "--out", str(tmp_path / "o"), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+
+
+@pytest.mark.parametrize("failure", ["json", "report"])
+def test_analyze_outputs_that_fail_to_write_leave_no_file(tmp_path, capsys, monkeypatch, failure):
+    path = write_mini_config(tmp_path, _cells())
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    if failure == "json":
+
+        def dumps(obj, **kwargs):
+            raise TypeError("cannot encode the analysis")
+
+        monkeypatch.setattr(cli, "json", SimpleNamespace(dumps=dumps))
+        expected = TypeError
+    else:  # the report cannot be encoded in UTF-8, so its write fails part way
+        monkeypatch.setattr(cli, "emit_matrix_report", lambda analysis: "report \ud800\n")
+        expected = UnicodeEncodeError
+    written = tmp_path / "written"
+    written.mkdir()
+    args = ["--report-out", str(written / "r.txt"), "--json-out", str(written / "a.json")]
+    with pytest.raises(expected):
+        main(["analyze", str(out), *args])
+    assert list(written.iterdir()) == []
     capsys.readouterr()
 
 

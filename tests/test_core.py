@@ -26,6 +26,7 @@ from memsearch.core import (
     TerminalKind,
     Trajectory,
     aggregate_score,
+    atomic_write,
     checked,
     clamp01,
     fingerprint,
@@ -285,6 +286,24 @@ def test_trajectory_text_format():
     assert lines[-1] == "TERMINAL: answered"
     err = _step("QUERY", "(q)", "ERROR: no such table 'x'", True)
     assert "OBSERVATION[ERROR]:" in step_text(err)
+
+
+def test_trajectory_text_is_its_rendering_or_rendered_on_read():
+    steps = (_step("QUERY", "(q)", "row1", False, 0.9), _final("done"))
+    plain = Trajectory(steps, TerminalKind.ANSWERED, 0.5, 0)
+    assert plain.text == trajectory_text(steps, TerminalKind.ANSWERED)
+    made = Trajectory(steps, TerminalKind.ANSWERED, 0.5, 0, rendering=plain.text)
+    assert made.text is made.rendering
+    assert made == plain and repr(made) == repr(plain)  # the rendering is no part of the value
+
+
+def test_a_failing_atomic_write_keeps_the_old_bytes_and_leaves_no_sibling(tmp_path):
+    path = tmp_path / "out.txt"
+    atomic_write(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write(path, "new \ud800\n")  # a lone surrogate fails part way through the write
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_search_record_defaults():

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from memsearch import matrix, models
+from memsearch import envs, matrix, models
 from memsearch.augmentors import AugmentorConfig, AugmentorKind
 from memsearch.cli import main
 from memsearch.core import Telemetry
@@ -898,12 +898,13 @@ def test_run_matrix_builds_one_embedder_per_call(tmp_path, demo_config_path, mon
 
 
 def test_model_memos_live_for_one_unit(tmp_path, demo_config_path, monkeypatch):
-    built = []  # every unit's (policy, prm), kept alive so no two share an id
+    built = []  # every unit's (policy, prm, augmentor model), kept alive so no two share an id
     real_build = matrix._build_models
 
     def recording_build(spec, telemetry):
         models_of_unit = real_build(spec, telemetry)
-        built.append(models_of_unit[:2])
+        assert models_of_unit[2]._answers == {}  # each unit's augmentor memo starts empty
+        built.append(models_of_unit)
         return models_of_unit
 
     monkeypatch.setattr(matrix, "_build_models", recording_build)
@@ -911,14 +912,38 @@ def test_model_memos_live_for_one_unit(tmp_path, demo_config_path, monkeypatch):
     for out in ("first", "second"):
         run_matrix(cfg, tmp_path / out, jobs=1)
     assert len(built) == 2 * 88  # the demo config's units, twice
-    policies = [id(policy) for policy, _ in built]
-    prm_memos = [id(prm._values) for _, prm in built]
-    assert len(set(policies)) == len(set(prm_memos)) == len(built)
-    assert all(prm._values for _, prm in built)  # every unit scored steps through its memo
-    assert all(policy.billed for policy, _ in built)  # each billed its own unit's telemetry
+    policies = [id(policy) for policy, _, _ in built]
+    prm_memos = [id(prm._values) for _, prm, _ in built]
+    augmentor_memos = [id(aug._answers) for _, _, aug in built]
+    assert len(set(policies)) == len(set(prm_memos)) == len(set(augmentor_memos)) == len(built)
+    assert all(prm._values for _, prm, _ in built)  # every unit scored steps through its memo
+    assert all(policy.billed for policy, _, _ in built)  # each billed its own unit's telemetry
+    assert any(aug._answers for _, _, aug in built)  # the memory cells' units answered
     for spec in cfg.benchmarks.values():
         assert spec.policy.billed is None and spec.policy.telemetry is None
         assert spec.reward._values == {} and spec.reward.billed is None
+        assert spec.augmentor._answers == {} and spec.augmentor.telemetry is None
+
+
+def test_a_unit_grades_each_distinct_answer_once(tmp_path, monkeypatch):
+    graded = []
+    real_grade = envs.Grader.grade
+    monkeypatch.setattr(
+        envs.Grader, "grade", lambda self, *a: graded.append(a) or real_grade(self, *a)
+    )
+    cells = [
+        {
+            "id": "sql__bon__none",
+            "benchmark": "toy_sql_demo",
+            "search": {"method": "best_of_n", "n_budget": 5},
+            "seed": 3,
+        }
+    ]
+    run_matrix(load_matrix_config(write_mini_config(tmp_path, cells)), tmp_path / "out")
+    lines = (tmp_path / "out" / "sql__bon__none.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert [len(row["verdicts"]) for row in rows] == [5] * 10
+    assert len(graded) == len(set(graded)) == len(rows)  # each task's 5 answers are one answer
 
 
 def test_run_matrix_mini_run(tmp_path):

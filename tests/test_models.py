@@ -425,6 +425,31 @@ def test_augmentor_extract_facts_split_and_groups():
         model.generate("SUMMARIZE", "x")
 
 
+def test_augmentor_memo_answers_and_bills_as_a_fresh_model_per_call():
+    model = ScriptedAugmentorModel.from_dict(
+        {
+            "reflection": {
+                "rules": [{"contains": "ERROR", "text": "Check the  table\nname."}],
+                "default": "Keep going.",
+            },
+            "facts": {"rules": [{"pattern": r"LIST: (.+)", "template": "table {0}", "split": ","}]},
+        }
+    )
+    memoizing, fresh_telemetry = model.for_unit(Telemetry()), Telemetry()
+    texts = ["LIST: games,albums", "OBSERVATION[ERROR]: no table", "LIST: cars", ""]
+    calls = [(instruction, text) for instruction in (REFLECT, EXTRACT_FACTS) for text in texts]
+    for instruction, text in calls * 3:  # every pair repeated, after other pairs
+        got = memoizing.generate(instruction, text)
+        assert got == model.for_unit(fresh_telemetry).generate(instruction, text)
+        assert memoizing.telemetry == fresh_telemetry
+    assert len(memoizing._answers) == len(calls)  # each pair computed once
+    assert fresh_telemetry.supervisor_calls == 3 * len(calls)
+    assert model._answers == {}  # the loaded model answered nothing
+    with pytest.raises(ConfigurationError):
+        memoizing.generate("SUMMARIZE", "x")
+    assert memoizing.telemetry == fresh_telemetry  # an unknown instruction bills nothing
+
+
 def test_augmentor_for_unit_compiles_nothing(monkeypatch):
     model = ScriptedAugmentorModel.from_dict(
         {"facts": {"rules": [{"pattern": r"LIST: (.+)", "template": "table {0}", "split": ","}]}}

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsearch import search
 from memsearch.augmentors import (
     AugmentorConfig,
     AugmentorKind,
@@ -475,10 +476,15 @@ def test_prm_never_sees_memory_bundles():
 
 class Undeclared:
     """Passes every call to `inner` but declares no determinism, so a search
-    with it computes every step."""
+    with it computes every step.  An augmentor model's `generate` goes to a
+    fresh copy of `inner` each time, so its answers are computed, not
+    recalled from a memo, and billed to the same telemetry."""
 
     def __init__(self, inner):
         self.inner = inner
+
+    def generate(self, instruction, text):
+        return self.inner.for_unit(self.inner.telemetry).generate(instruction, text)
 
     def sample(self, task, prefix, bundle, temperature, seed):
         return self.inner.sample(task, prefix, bundle, temperature, seed)
@@ -520,30 +526,46 @@ _TRIE_MEMORIES = {
     "raw_sibling": (AugmentorConfig(AugmentorKind.RAW_SIBLING),),
     "reflection": (AugmentorConfig(AugmentorKind.REFLECTION, reflection_threshold=0.6),),
     "fact": (AugmentorConfig(AugmentorKind.FACT),),
+    "fact+reflection": (
+        AugmentorConfig(AugmentorKind.FACT),
+        AugmentorConfig(AugmentorKind.REFLECTION, reflection_threshold=0.6),
+    ),
+    # composed as it is, not pinned by normalize_for_method: under best-of-N
+    # its facts change the bundle in the middle of an attempt
+    "incremental_fact": (AugmentorConfig(AugmentorKind.FACT, fact_mode=FactMode.INCREMENTAL),),
 }
-# raw_sibling is inadmissible under best-of-N, which never expands siblings
+# raw_sibling is inadmissible under best-of-N, which never expands siblings;
+# incremental_fact is fact under MCTS
 _TRIE_CELLS = [
     (method, memory)
     for method in (SearchMethod.BEST_OF_N, SearchMethod.MCTS)
     for memory in _TRIE_MEMORIES
     if (method, memory) != (SearchMethod.BEST_OF_N, "raw_sibling")
+    and (method, memory) != (SearchMethod.MCTS, "incremental_fact")
 ]
 
 
 def _trie_run(method, memory, script, reward, search, wrap):
-    """One unit as the matrix runner builds it: (record, telemetry, store units)."""
+    """One unit as the matrix runner builds it: (record, each trajectory's
+    text, telemetry, store units).  `wrap` wraps the policy and the
+    augmentor model in `Undeclared`, so every step and every augmentor
+    answer is computed."""
     telemetry = Telemetry()
     policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(script), telemetry)
     prm = ScriptedRewardModel.from_dict(reward, telemetry)
     aug_model = ScriptedAugmentorModel.from_dict(_TRIE_AUGMENTOR, telemetry)
-    configs = normalize_for_method(_TRIE_MEMORIES[memory], method.value)
+    configs = _TRIE_MEMORIES[memory]
+    if memory != "incremental_fact":
+        configs = normalize_for_method(configs, method.value)
+    if wrap:
+        policy, aug_model = Undeclared(policy), Undeclared(aug_model)
     composite = compose(configs, model=aug_model, embedder=HashEmbedder())
     interleaved = composite.wants_siblings and method is not SearchMethod.BEST_OF_N
     expansion = ExpansionMode.INTERLEAVED if interleaved else ExpansionMode.BATCH
     cfg = SearchConfig(method=method, expansion=expansion, **search)
-    policy = Undeclared(policy) if wrap else policy
     record = run_search(TASK, ToySqlEnv(WORLD), policy, composite, cfg, seed=7, prm=prm)
-    return record, telemetry, composite.store.units
+    texts = [t.text for t in record.trajectories]
+    return record, texts, telemetry, composite.store.units
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -670,3 +692,44 @@ def test_trie_replay_without_a_prm_bills_no_supervisor_call():
     assert telemetry.policy_calls == 15
     assert telemetry.supervisor_calls == telemetry.supervisor_tokens_in == 0
     assert telemetry == _counted_run(SearchMethod.BEST_OF_N, Undeclared, prm=False)[2]
+
+
+def test_best_of_n_walks_each_repeated_attempt_with_one_retrieve(monkeypatch):
+    taken, retrieved = [], []
+    real_take = search._take_step
+    monkeypatch.setattr(search, "_take_step", lambda *a: taken.append(a) or real_take(*a))
+    composite = _none_composite()
+    real_retrieve = composite.retrieve
+    composite.retrieve = lambda *a: retrieved.append(a) or real_retrieve(*a)
+    telemetry = Telemetry()
+    policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(STRAIGHT_POLICY), telemetry)
+    prm = ScriptedRewardModel.from_dict({"default": 0.5}, telemetry)
+    cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=5)
+    env = CountingEnv(WORLD)
+    record = run_best_of_n(TASK, env, policy, composite, cfg, seed=4, prm=prm)
+    assert env.steps == len(taken) == 3  # the first attempt's steps; the other 4 walk the trie
+    assert len(retrieved) == 5  # once per attempt
+    assert telemetry.policy_calls == telemetry.supervisor_calls == 15
+    assert [len(t.steps) for t in record.trajectories] == [3] * 5
+
+
+@pytest.mark.parametrize("method", [SearchMethod.BEST_OF_N, SearchMethod.BEAM, SearchMethod.MCTS])
+def test_each_distinct_finished_path_is_rendered_once(monkeypatch, method):
+    rendered = []
+    real_render = search.trajectory_text
+    monkeypatch.setattr(search, "trajectory_text", lambda *a: rendered.append(a) or real_render(*a))
+    telemetry = Telemetry()
+    aug_model = ScriptedAugmentorModel.from_dict(_TRIE_AUGMENTOR, telemetry)
+    kind = AugmentorKind.NONE if method is SearchMethod.BEAM else AugmentorKind.REFLECTION
+    composite = compose((AugmentorConfig(kind, reflection_threshold=0.6),), model=aug_model)
+    policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(STRAIGHT_POLICY), telemetry)
+    prm = ScriptedRewardModel.from_dict({"default": 0.5}, telemetry)
+    cfg = SearchConfig(method=method, n_budget=5, n_iters=5, n_actions=2)
+    record = run_search(TASK, ToySqlEnv(WORLD), policy, composite, cfg, seed=4, prm=prm)
+    paths = {t.steps for t in record.trajectories}
+    assert len(rendered) == len(paths) < len(record.trajectories)
+    for t in record.trajectories:
+        assert t.text == real_render(t.steps, t.terminal_kind)
+    if kind is AugmentorKind.REFLECTION:  # every trajectory scored 0.5 < 0.6: one reflection each
+        assert len(composite.store) == telemetry.supervisor_calls - telemetry.policy_calls
+        assert len(aug_model._answers) == len(paths)
