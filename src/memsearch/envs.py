@@ -31,9 +31,11 @@ class ForkUnsupported(Exception):
 
 
 class Environment(Protocol):
-    """A tool world.  `serializable` means its states can be forked, and also
-    that `step` is a pure function of (state handle, action): the search's
-    step trie replays a step of such an env instead of taking it again."""
+    """A tool world.  `serializable` means its states can be forked, that
+    `step` is a pure function of (state handle, action), and that a state
+    handle is a value, valid in every env its benchmark makes: the search's
+    step trie replays a step of such an env instead of taking it again, in
+    whichever env of the benchmark computed it."""
 
     env_id: str
     serializable: bool
@@ -192,7 +194,10 @@ class _ReadOnlyWorldEnv(_WorldEnv):
     arguments); each is computed once per env instance, errors included, and
     shared after that (observations are immutable).  The matrix runner builds
     one env per (cell, task) unit, so the memo holds that unit's distinct
-    calls and goes away with it.
+    calls and goes away with it.  A handle names only the env, the task and
+    the depth, so it is valid in every env made from the same worlds: the
+    runner's step trie, which the units of a task share, holds handles that
+    other units' envs made.
     """
 
     world_key: str

@@ -45,7 +45,7 @@ from .models import (
     ScriptedPolicyConfig,
     ScriptedRewardModel,
 )
-from .search import BackpropMode, ExpansionMode, SearchConfig, SearchMethod, run_search
+from .search import BackpropMode, ExpansionMode, SearchConfig, SearchMethod, _StepNode, run_search
 from .stats import FORMAT_VERSION, CellEntry, VerdictRow
 
 log = logging.getLogger(__name__)
@@ -339,6 +339,7 @@ def _run_cell_task(
     cell: ExperimentCell,
     task: Task,
     dump_dir: Path | None,
+    trie: _StepNode,
 ) -> VerdictRow:
     spec = cfg.benchmarks[cell.benchmark]
     telemetry = Telemetry()
@@ -352,7 +353,7 @@ def _run_cell_task(
     search_cfg = replace(cell.search, expansion=expansion)
 
     seed = task_seed(cell.seed, task.task_id)
-    record = run_search(task, env, policy, composite, search_cfg, seed=seed, prm=prm)
+    record = run_search(task, env, policy, composite, search_cfg, seed=seed, prm=prm, trie=trie)
 
     # grading happens offline, after the search, once per distinct answer
     grade = functools.cache(functools.partial(spec.benchmark.grader().grade, task.task_id))
@@ -398,9 +399,42 @@ def _run_cell_task(
 _Row = tuple[str, str]
 
 
+class _StepForest:
+    """The step trie roots of one run, one per (benchmark, task), each handed
+    to every unit of its task in turn (see `search._step_trie`), so a unit
+    replays the steps that earlier units of its task computed.
+
+    Units are claimed in increasing (cell index, task index) order, so once
+    a unit past the last unit of a (benchmark, task) is claimed, that root
+    is never asked for again, and it is dropped.  A forked worker fills and
+    drops its own copy.
+    """
+
+    def __init__(self, cells: tuple[ExperimentCell, ...], units: list[tuple[int, int]]):
+        self._cells = cells
+        last = {(cells[c].benchmark, t): (c, t) for c, t in units}
+        self._ends = sorted((end, key) for key, end in last.items())  # by last unit
+        self._dropped = 0  # how many of `_ends` have been passed
+        self._roots: dict[tuple[str, int], _StepNode] = {}
+
+    def root(self, unit: tuple[int, int]) -> _StepNode:
+        """The root of `unit`'s (benchmark, task), after dropping every root
+        whose last unit comes before `unit`."""
+        ends = self._ends
+        while self._dropped < len(ends) and ends[self._dropped][0] < unit:
+            self._roots.pop(ends[self._dropped][1], None)
+            self._dropped += 1
+        key = (self._cells[unit[0]].benchmark, unit[1])
+        root = self._roots.get(key)
+        if root is None:
+            root = self._roots[key] = _StepNode()
+        return root
+
+
 def _run_unit(
     cfg: MatrixConfig,
     embedder: HashEmbedder,
+    forest: _StepForest,
     cells: tuple[ExperimentCell, ...],
     dump_dir: Path | None,
     unit: tuple[int, int],
@@ -412,8 +446,9 @@ def _run_unit(
     cell_index, task_index = unit
     cell = cells[cell_index]
     task = cfg.benchmarks[cell.benchmark].benchmark.tasks[task_index]
+    trie = forest.root(unit)
     try:
-        row = _run_cell_task(cfg, embedder, cell, task, dump_dir)
+        row = _run_cell_task(cfg, embedder, cell, task, dump_dir, trie)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         return f"{type(exc).__name__}: {exc}"
     return row.task_id, row.to_json()
@@ -570,9 +605,12 @@ def run_matrix(
             pending.append([None] * len(cfg.benchmarks[cell.benchmark].benchmark.tasks))
         entries[cell.cell_id] = entry
     units = [(c, t) for c, results in enumerate(pending) for t in range(len(results))]
-    # one embedder per call, never kept past it: a later call with the same
-    # config hashes its lines again, as a fresh `memsearch run` does
-    run = functools.partial(_run_unit, cfg, HashEmbedder(cfg.embedder_dim), tuple(cells), dump_dir)
+    # one embedder and one step forest per call, never kept past it: a later
+    # call with the same config hashes its lines and computes its steps
+    # again, as a fresh `memsearch run` does
+    admitted = tuple(cells)
+    embedder, forest = HashEmbedder(cfg.embedder_dim), _StepForest(admitted, units)
+    run = functools.partial(_run_unit, cfg, embedder, forest, admitted, dump_dir)
     with closing(_run_units(run, units, jobs)) as finished:
         for index, result in finished:
             c, t = units[index]

@@ -187,7 +187,9 @@ class ScriptedPolicy:
         self.billed: tuple[int, int] | None = None
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedPolicy":
-        """A policy on this one's config that bills `telemetry`."""
+        """A policy on this one's config that bills `telemetry`.  Policies on
+        one config draw and bill alike, so the units of a task can share a
+        step trie."""
         return ScriptedPolicy(self.config, telemetry)
 
     def rebill(self, billed: tuple[int, int]) -> None:
@@ -300,7 +302,9 @@ class ScriptedRewardModel:
     unit.  A score, and what it bills, are functions of the prompt and of
     the content of the prefix and the candidate, so the class declares
     itself `deterministic_at_zero`, with `billed` and `rebill` as on
-    `ScriptedPolicy`.
+    `ScriptedPolicy`.  So a unit scores, through its memo, only the steps
+    that no earlier unit of its task computed: the rest it replays from the
+    run's step trie, which bills them with `rebill`.
     """
 
     deterministic_at_zero = True
@@ -315,7 +319,9 @@ class ScriptedRewardModel:
         self.billed: tuple[int, int] | None = None
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedRewardModel":
-        """A reward model with this one's rules that bills `telemetry`, with an empty memo."""
+        """A reward model with this one's rules that bills `telemetry`, with an
+        empty memo.  Models on the same rules score and bill alike, so the
+        units of a task can share a step trie."""
         return ScriptedRewardModel(self.rules, self.default, telemetry)
 
     def rebill(self, billed: tuple[int, int]) -> None:
@@ -426,7 +432,8 @@ class ScriptedAugmentorModel:
     answer, with its token counts, on that pair, as the reward model
     memoizes its values; every call is billed all the same.  The matrix
     runner builds one instance per (cell, task) unit with `for_unit`, so no
-    memo outlives its unit.
+    memo outlives its unit.  Unlike the step trie, which the units of a task
+    share for the whole run, each unit answers every distinct pair again.
     """
 
     def __init__(

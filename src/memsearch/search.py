@@ -7,12 +7,15 @@ n_actions candidates either in batch (identical prompts, i.i.d. draws) or
 interleaved (candidate i's prompt carries the records of the i already
 executed siblings).  Every run is a pure function of its seed.  At
 temperature 0 a run computes each distinct step once and replays, and
-bills, every repeat of it (the step trie, see `_take_step`).  A best-of-N
-attempt whose bundle cannot change before it ends walks the trie in one
-pass (`_linear_rollout`), and each finished path's terminal kind, score and
-text are made once, at its end node (`_trajectory`).  On `grid` seed 1 a
-pass calls `_take_step` 29,355 times, not 50,745, and renders 1,578
-trajectory texts, not 8,229.
+bills, every repeat of it (the step trie, see `_take_step`).  A caller may
+hand runs of one task a shared trie root, as the matrix runner does for
+every unit of a (benchmark, task): each run then replays what earlier runs
+computed.  A best-of-N attempt whose bundle cannot change before it ends
+walks the trie in one pass (`_linear_rollout`), and each finished path's
+terminal kind, score and text are made once, at its end node
+(`_trajectory`).  On `grid` seed 1 a matrix pass at `jobs` 1 bills 50,745
+steps, calls `_take_step` 25,999 times, computes 8,146 steps and renders
+65 path endings.
 """
 
 from __future__ import annotations
@@ -121,7 +124,7 @@ def is_apology(action: Action) -> bool:
 
 
 class _StepNode:
-    """One distinct executed prefix of one unit's steps: a node of its step trie.
+    """One distinct executed prefix of a task's steps: a node of a step trie.
 
     The root is the empty prefix, at `env.reset(task)`.  `entries` maps a
     bundle, as (fingerprint, rendered text), to the step computed from this
@@ -135,8 +138,8 @@ class _StepNode:
     until then) and read by every later one.  A best-of-N attempt under a
     fixed bundle walks `entries` from the root down in one pass, so a
     repeated attempt only bills its steps again and reads its end node's
-    `ending`: on `grid` seed 1, 7,443 of 10,920 attempts are such walks,
-    and 738 endings serve 20,790 trajectories.
+    `ending`.  The matrix runner keeps one trie per (benchmark, task) for a
+    whole run, so on `grid` seed 1 65 endings serve its 20,790 trajectories.
     """
 
     __slots__ = ("entries", "children", "ending")
@@ -148,18 +151,29 @@ class _StepNode:
 
 
 def _step_trie(
-    env: Environment, policy: PolicyModel, prm: RewardModel | None, config: SearchConfig
+    env: Environment,
+    policy: PolicyModel,
+    prm: RewardModel | None,
+    config: SearchConfig,
+    root: _StepNode | None = None,
 ) -> _StepNode | None:
-    """The root of a unit's step trie, or None where every step must be computed.
+    """The root a search run takes its steps through, or None where every
+    step must be computed: `root` if given, else a fresh node.
 
     Steps are replayed only at temperature <= 0, in a serializable env, and
     when the classes of the policy and of the PRM (if any) both declare
     `deterministic_at_zero` (a wrapper class declares nothing): then a step,
-    and what it bills, are functions of its prefix and its bundle.
+    and what it bills, are functions of its prefix and its bundle.  A root
+    may serve several runs of one task, as the matrix runner's do (one per
+    benchmark and task), if their envs are of one benchmark and their
+    models answer and bill alike: a state handle is then valid in each env.
     """
+    if config.temperature > 0.0 or not env.serializable:
+        return None
     models = [policy] if prm is None else [policy, prm]
-    declared = all(getattr(type(m), "deterministic_at_zero", False) is True for m in models)
-    return _StepNode() if declared and env.serializable and config.temperature <= 0.0 else None
+    if not all(getattr(type(m), "deterministic_at_zero", False) is True for m in models):
+        return None
+    return _StepNode() if root is None else root
 
 
 @dataclass(frozen=True)
@@ -238,16 +252,18 @@ def _take_step(
     config: SearchConfig,
     iteration: int,
     seed_salt: tuple,
+    fork: bool = False,
 ) -> Candidate:
     """The one step every method takes from `node`, the trie node of `prefix`
     (None: no trie): sample an action from `bundle` with seed
-    `stable_hash(*seed_salt)`, execute it from `state`, score it with the
-    PRM (clamped into [0, 1]; unscored without a PRM) and hand it to the
-    composite's on_step.
+    `stable_hash(*seed_salt)`, execute it from `state` (from a fork of it
+    if `fork`), score it with the PRM (clamped into [0, 1]; unscored
+    without a PRM) and hand it to the composite's on_step.
 
     A step the trie already holds under this bundle is replayed instead: the
     composite gets it all the same, and each model bills again what it
-    billed for it, but nothing is sampled, executed, scored or seeded.
+    billed for it, but nothing is sampled, forked, executed, scored or
+    seeded.
     """
     if node is not None:
         key = (bundle.fingerprint, bundle.rendered)
@@ -256,7 +272,7 @@ def _take_step(
             composite.on_step(cand.step, iteration)
             return cand
     action = policy.sample(task, prefix, bundle, config.temperature, stable_hash(*seed_salt))
-    state, obs = env.step(state, action)
+    state, obs = env.step(env.fork(state) if fork else state, action)
     step = Step(action, obs)
     if prm is not None:
         step = Step(action, obs, clamp01(prm.score(task.prompt, prefix, step)))
@@ -291,12 +307,12 @@ def expand(
     candidate is sampled from the one bundle retrieved before the first, so
     all prompts are byte-identical.  INTERLEAVED: candidate i's bundle is
     retrieved for it and carries exactly the i records of its already
-    executed siblings.  Each candidate executes in its own fork of the
-    parent state.  `parent` is the step trie node of `prefix`: without one,
-    every candidate is computed.  This is the library's one fork guard: a
-    non-serializable environment raises AdmissibilityError here, before any
-    model call (the matrix runner refuses such cells earlier still, in
-    check_admissible).
+    executed siblings.  Each computed candidate executes in its own fork of
+    the parent state.  `parent` is the step trie node of `prefix`: without
+    one, every candidate is computed.  This is the library's one fork
+    guard: a non-serializable environment raises AdmissibilityError here,
+    before any model call (the matrix runner refuses such cells earlier
+    still, in check_admissible).
     """
     if not env.serializable:
         raise AdmissibilityError(
@@ -306,11 +322,10 @@ def expand(
     for i in range(config.n_actions):
         if i == 0 or config.expansion is ExpansionMode.INTERLEAVED:
             bundle = composite.retrieve(sibling_context([c.step for c in out]))
-        state = env.fork(parent_state)
         out.append(
             _take_step(
-                env, task, parent, state, prefix, policy, prm, composite, bundle, config,
-                iteration, (*seed_salt, "cand", i),
+                env, task, parent, parent_state, prefix, policy, prm, composite, bundle, config,
+                iteration, (*seed_salt, "cand", i), fork=True,
             )
         )
     return out
@@ -373,16 +388,18 @@ def run_best_of_n(
     config: SearchConfig,
     seed: int = 0,
     prm: RewardModel | None = None,
+    trie: _StepNode | None = None,
 ) -> SearchRecord:
     """Sequential independent attempts under a fixed budget.
 
     Always runs exactly n_budget attempts; there is no stop-on-correct
     (grading is offline).  Persistent memory written by attempt i is visible
-    to attempts i+1.. through the composite's store.
+    to attempts i+1.. through the composite's store.  `trie` is a step trie
+    root to share (see `_step_trie`); without one the run makes its own.
     """
     if config.method is not SearchMethod.BEST_OF_N:
         raise ValueError(f"config method {config.method} is not best_of_n")
-    root = _step_trie(env, policy, prm, config)
+    root = _step_trie(env, policy, prm, config, trie)
     trajectories: list[Trajectory] = []
     for i in range(config.n_budget):
         traj = _linear_rollout(env, task, root, policy, prm, composite, config, i, seed)
@@ -404,6 +421,7 @@ def run_beam(
     composite: CompositeAugmentor,
     config: SearchConfig,
     seed: int = 0,
+    trie: _StepNode | None = None,
 ) -> SearchRecord:
     """Single-round beam search with PRM top-B retention.
 
@@ -418,7 +436,7 @@ def run_beam(
     if prm is None:
         raise ValueError("beam search needs a process reward model")
 
-    root, trie = env.reset(task), _step_trie(env, policy, prm, config)
+    root, trie = env.reset(task), _step_trie(env, policy, prm, config, trie)
     actives: list[tuple[Candidate, ...]] = [()]
     completed: list[Trajectory] = []
     apology_terminals = 0
@@ -470,7 +488,12 @@ def run_beam(
 
 
 def uct_score(q: float, child_visits: int, parent_visits: int, w_exp: float) -> float:
-    return q + w_exp * math.sqrt(math.log(max(parent_visits, 1)) / child_visits)
+    return _uct(q, child_visits, math.log(max(parent_visits, 1)), w_exp)
+
+
+def _uct(q: float, child_visits: int, log_parent_visits: float, w_exp: float) -> float:
+    """`uct_score`, given the log of the parent's visits (at least 1)."""
+    return q + w_exp * math.sqrt(log_parent_visits / child_visits)
 
 
 def backprop(
@@ -498,15 +521,20 @@ def backprop(
 
 
 def _select_child(nodes: Sequence[Node], nid: int, w_exp: float) -> int:
+    """The first unvisited child in creation order, else the first child of
+    highest `uct_score`, with the log of the parent's visits taken once."""
     kids = nodes[nid].children
-    unvisited = [k for k in kids if nodes[k].visit_count == 0]
-    if unvisited:
-        return unvisited[0]  # creation order
-    parent_visits = nodes[nid].visit_count
-    return max(
-        kids,
-        key=lambda k: uct_score(nodes[k].q_value, nodes[k].visit_count, parent_visits, w_exp),
-    )
+    for k in kids:
+        if nodes[k].visit_count == 0:
+            return k
+    log_parent = math.log(max(nodes[nid].visit_count, 1))
+    best, best_score = -1, -math.inf
+    for k in kids:
+        child = nodes[k]
+        score = _uct(child.q_value, child.visit_count, log_parent, w_exp)
+        if score > best_score:
+            best, best_score = k, score
+    return best
 
 
 def run_mcts(
@@ -517,6 +545,7 @@ def run_mcts(
     composite: CompositeAugmentor,
     config: SearchConfig,
     seed: int = 0,
+    trie: _StepNode | None = None,
 ) -> SearchRecord:
     """UCT tree search with a fixed iteration budget.
 
@@ -532,7 +561,7 @@ def run_mcts(
     if prm is None:
         raise ValueError("mcts needs a process reward model")
 
-    trie = _step_trie(env, policy, prm, config)
+    trie = _step_trie(env, policy, prm, config, trie)
     # index-aligned by node id: each node, and the candidate that made it
     nodes = [Node(node_id=0, state=env.reset(task), incoming_action=None)]
     cands: list[Candidate | None] = [None]
@@ -606,12 +635,16 @@ def run_search(
     config: SearchConfig,
     seed: int = 0,
     prm: RewardModel | None = None,
+    trie: _StepNode | None = None,
 ) -> SearchRecord:
+    """Run `config`'s method.  `trie` is a step trie root to take the steps
+    through, shared with earlier runs of the task (see `_step_trie`); a run
+    given none makes its own, which lives as long as the run."""
     if config.method is SearchMethod.BEST_OF_N:
-        return run_best_of_n(task, env, policy, composite, config, seed, prm)
+        return run_best_of_n(task, env, policy, composite, config, seed, prm, trie)
     if config.method is SearchMethod.BEAM:
-        return run_beam(task, env, policy, prm, composite, config, seed)
+        return run_beam(task, env, policy, prm, composite, config, seed, trie)
     if config.method is SearchMethod.MCTS:
-        return run_mcts(task, env, policy, prm, composite, config, seed)
+        return run_mcts(task, env, policy, prm, composite, config, seed, trie)
     raise ValueError(f"unknown search method {config.method!r}")
 

@@ -124,10 +124,10 @@ def test_run_with_a_dead_worker_exits_1_with_one_line(tmp_path, capsys, monkeypa
     out = tmp_path / "out"
     parent, real_run_unit = os.getpid(), matrix._run_unit
 
-    def dying(cfg, embedder, cells, dump_dir, unit):
+    def dying(cfg, embedder, forest, cells, dump_dir, unit):
         if os.getpid() != parent:
             os._exit(3)
-        return real_run_unit(cfg, embedder, cells, dump_dir, unit)
+        return real_run_unit(cfg, embedder, forest, cells, dump_dir, unit)
 
     monkeypatch.setattr(matrix, "_run_unit", dying)
     assert main(["run", str(path), "--out", str(out), "--jobs", "2"]) == 1
@@ -219,7 +219,7 @@ def test_analyze_an_ok_cell_without_tasks_exits_1_with_one_line(tmp_path, capsys
 def test_run_with_a_failed_cell_exits_1_counting_the_failures(tmp_path, capsys, monkeypatch):
     path = write_mini_config(tmp_path, _cells() + _cells(memory=["fact"]))
 
-    def failing(cfg, embedder, cell, task, dump_dir):
+    def failing(cfg, embedder, cell, task, dump_dir, trie):
         raise ValueError("this task fails")
 
     monkeypatch.setattr(matrix, "_run_cell_task", failing)

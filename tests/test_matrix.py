@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import collections
+import gc
 import hashlib
 import json
 import logging
@@ -14,8 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from memsearch import envs, matrix, models
-from memsearch.augmentors import AugmentorConfig, AugmentorKind
+from memsearch import envs, matrix, models, search
+from memsearch.augmentors import AugmentorConfig, AugmentorKind, compose
 from memsearch.cli import main
 from memsearch.core import Telemetry
 from memsearch.envs import load_benchmark
@@ -897,28 +899,71 @@ def test_run_matrix_builds_one_embedder_per_call(tmp_path, demo_config_path, mon
     assert built[0]._memo.keys() == built[1]._memo.keys() == set(first)
 
 
+def _trie_entries(root) -> int:
+    """How many steps the step trie below `root` holds: one per computed step."""
+    nodes, entries = [root], 0
+    while nodes:
+        node = nodes.pop()
+        entries += len(node.entries)
+        nodes.extend(node.children.values())
+    return entries
+
+
 def test_model_memos_live_for_one_unit(tmp_path, demo_config_path, monkeypatch):
-    built = []  # every unit's (policy, prm, augmentor model), kept alive so no two share an id
+    built = []  # every unit's (policy, prm, augmentor model, telemetry), kept alive
     real_build = matrix._build_models
 
     def recording_build(spec, telemetry):
         models_of_unit = real_build(spec, telemetry)
         assert models_of_unit[2]._answers == {}  # each unit's augmentor memo starts empty
-        built.append(models_of_unit)
+        built.append((*models_of_unit, telemetry))
         return models_of_unit
 
+    roots = {}  # id of a unit's PRM -> the step trie root its search ran on, or None
+    real_step_trie = search._step_trie
+
+    def recording_step_trie(env, policy, prm, config, root=None):
+        roots[id(prm)] = real_step_trie(env, policy, prm, config, root)
+        return roots[id(prm)]
+
+    scored = collections.Counter()  # id of a unit's PRM -> its computed scores
+    real_score = models.ScriptedRewardModel.score
+
+    def counting_score(self, *args):
+        scored[id(self)] += 1
+        return real_score(self, *args)
+
     monkeypatch.setattr(matrix, "_build_models", recording_build)
+    monkeypatch.setattr(search, "_step_trie", recording_step_trie)
+    monkeypatch.setattr(models.ScriptedRewardModel, "score", counting_score)
     cfg = load_matrix_config(demo_config_path)
     for out in ("first", "second"):
         run_matrix(cfg, tmp_path / out, jobs=1)
     assert len(built) == 2 * 88  # the demo config's units, twice
-    policies = [id(policy) for policy, _, _ in built]
-    prm_memos = [id(prm._values) for _, prm, _ in built]
-    augmentor_memos = [id(aug._answers) for _, _, aug in built]
+    policies = [id(policy) for policy, *_ in built]
+    prm_memos = [id(prm._values) for _, prm, *_ in built]
+    augmentor_memos = [id(aug._answers) for _, _, aug, _ in built]
     assert len(set(policies)) == len(set(prm_memos)) == len(set(augmentor_memos)) == len(built)
-    assert all(prm._values for _, prm, _ in built)  # every unit scored steps through its memo
-    assert all(policy.billed for policy, _, _ in built)  # each billed its own unit's telemetry
-    assert any(aug._answers for _, _, aug in built)  # the memory cells' units answered
+    # a unit scores only the steps that no earlier unit of its task computed,
+    # and each through its own memo; the rest it replays from the run's trie
+    assert all(bool(prm._values) == (scored[id(prm)] > 0) for _, prm, *_ in built)
+    assert all(telemetry.policy_calls > 0 for *_, telemetry in built)  # replays bill too
+    assert any(aug._answers for _, _, aug, _ in built)  # the memory cells' units answered
+    # each root holds one entry per step its units computed: one (benchmark,
+    # task) root per call, shared by every eligible unit of the task
+    shared = {id(root): root for root in roots.values() if root is not None}
+    on_trie = [prm for _, prm, *_ in built if roots[id(prm)] is not None]
+    assert len(shared) == 2 * (10 + 6)  # toy_sql_demo's and toy_kg_demo's tasks, twice
+    for root in shared.values():
+        units = [prm for prm in on_trie if roots[id(prm)] is root]
+        assert sum(scored[id(prm)] for prm in units) == _trie_entries(root) > 0
+    # a unit without a trie (beam at T 0.7, the shell) computes every step
+    assert all(
+        scored[id(prm)] == telemetry.policy_calls
+        for _, prm, _, telemetry in built
+        if roots[id(prm)] is None
+    )
+    assert sum(scored.values()) == 2 * 360  # the demo's computed steps per run
     for spec in cfg.benchmarks.values():
         assert spec.policy.billed is None and spec.policy.telemetry is None
         assert spec.reward._values == {} and spec.reward.billed is None
@@ -1039,11 +1084,11 @@ def test_run_matrix_logs_one_record_per_cell_in_config_order(tmp_path, monkeypat
     cfg = load_matrix_config(write_mini_config(tmp_path, cells))
     real_run_cell_task = matrix._run_cell_task
 
-    def failing(cfg, embedder, cell, task, dump_dir):
+    def failing(cfg, embedder, cell, task, dump_dir, trie):
         if cell.cell_id == "failing" and task.task_id == "sql-003":
             time.sleep(0.2)
             raise ValueError("task sql-003 fails")
-        return real_run_cell_task(cfg, embedder, cell, task, dump_dir)
+        return real_run_cell_task(cfg, embedder, cell, task, dump_dir, trie)
 
     monkeypatch.setattr(matrix, "_run_cell_task", failing)
     with caplog.at_level(logging.INFO, logger="memsearch.matrix"):
@@ -1155,10 +1200,10 @@ def _stalling_last_cell(real_run_unit):
     long enough that a worker that reaches one is still alive when the runner
     stops: only the runner's own clean-up can then end it in time."""
 
-    def run_unit(cfg, embedder, cells, dump_dir, unit):
+    def run_unit(cfg, embedder, forest, cells, dump_dir, unit):
         if unit[0] == len(cells) - 1:
             time.sleep(20)
-        return real_run_unit(cfg, embedder, cells, dump_dir, unit)
+        return real_run_unit(cfg, embedder, forest, cells, dump_dir, unit)
 
     return run_unit
 
@@ -1167,10 +1212,10 @@ def test_a_dead_worker_raises_worker_error_and_leaves_no_child(tmp_path, monkeyp
     cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "last")))
     parent, real_run_unit = os.getpid(), _stalling_last_cell(matrix._run_unit)
 
-    def dying(cfg, embedder, cells, dump_dir, unit):
+    def dying(cfg, embedder, forest, cells, dump_dir, unit):
         if unit == (0, 1) and os.getpid() != parent:
             os._exit(3)
-        return real_run_unit(cfg, embedder, cells, dump_dir, unit)
+        return real_run_unit(cfg, embedder, forest, cells, dump_dir, unit)
 
     monkeypatch.setattr(matrix, "_run_unit", dying)
     with pytest.raises(WorkerError, match="a worker process exited with code 3"):
@@ -1202,13 +1247,13 @@ def test_a_failed_cell_reports_its_first_failing_task_at_every_jobs(tmp_path, mo
     first, second = (t.task_id for t in cfg.benchmarks["toy_sql_demo"].benchmark.tasks[:2])
     real_run_cell_task = matrix._run_cell_task
 
-    def failing(cfg, embedder, cell, task, dump_dir):
+    def failing(cfg, embedder, cell, task, dump_dir, trie):
         if task.task_id == first:
             time.sleep(0.3)
             raise ValueError("the first task fails")
         if task.task_id == second:
             raise ValueError("the second task fails")
-        return real_run_cell_task(cfg, embedder, cell, task, dump_dir)
+        return real_run_cell_task(cfg, embedder, cell, task, dump_dir, trie)
 
     monkeypatch.setattr(matrix, "_run_cell_task", failing)
     errors = {
@@ -1225,7 +1270,7 @@ def test_a_cell_verdict_file_is_written_when_its_last_unit_lands(tmp_path, monke
     cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "middle", "last")))
     parent, real_run_cell_task = os.getpid(), matrix._run_cell_task
 
-    def waiting(cfg, embedder, cell, task, dump_dir):
+    def waiting(cfg, embedder, cell, task, dump_dir, trie):
         if cell.cell_id == "last":
             first_file = dump_dir.parent / "first.jsonl"
             # in this process the file must be there already; a worker may wait
@@ -1234,7 +1279,7 @@ def test_a_cell_verdict_file_is_written_when_its_last_unit_lands(tmp_path, monke
                 if time.monotonic() >= deadline:
                     raise AssertionError("the first cell's verdict file is not written")
                 time.sleep(0.005)
-        return real_run_cell_task(cfg, embedder, cell, task, dump_dir)
+        return real_run_cell_task(cfg, embedder, cell, task, dump_dir, trie)
 
     monkeypatch.setattr(matrix, "_run_cell_task", waiting)
     for jobs in (1, 2):
@@ -1310,6 +1355,88 @@ def test_demo_run_tree_is_the_same_without_the_step_trie(
     run_matrix(cfg, tmp_path / "computed", jobs=1, dump_memory=True)
     assert len(scored) == 1969  # every step of the demo computed, none replayed
     assert _tree_bytes(tmp_path / "computed") == _tree_bytes(tmp_path / "trie")
+
+
+def test_the_run_tree_is_the_same_whatever_unit_computed_a_shared_step(tmp_path):
+    # a unit replays what earlier units of its task computed, so reversing
+    # the cells changes which unit computes each shared step, as do more
+    # workers; no byte of any cell may change
+    picks = list(range(len(DEMO_CONFIG["cells"])))
+    trees = []
+    for order, cells in (("forward", picks), ("reversed", picks[::-1])):
+        (tmp_path / order).mkdir()
+        cfg = load_matrix_config(_mini_demo_config(tmp_path / order, cells, 3, [7] * len(cells)))
+        for jobs in (1, 2):
+            run_matrix(cfg, tmp_path / order / f"jobs{jobs}", jobs=jobs, dump_memory=True)
+            trees.append(_tree_bytes(tmp_path / order / f"jobs{jobs}"))
+    admitted = sum(check_admissible(cell).admissible for cell in cfg.cells)
+    assert sum(name.endswith(".jsonl") and "/" not in name for name in trees[0]) == admitted
+    assert all(tree == trees[0] for tree in trees[1:])
+    assert multiprocessing.active_children() == []
+
+
+def test_the_step_forest_drops_a_root_once_its_last_unit_is_passed(demo_config_path):
+    demo = load_matrix_config(demo_config_path)
+    first = {}  # benchmark -> its first cell
+    for cell in demo.cells:
+        first.setdefault(cell.benchmark, cell)
+    sql, kg = first["toy_sql_demo"], first["toy_kg_demo"]
+    cells = (sql, kg, sql)
+    units = [(c, t) for c, cell in enumerate(cells) for t in range(10 if cell is sql else 6)]
+    forest = matrix._StepForest(cells, units)
+    sql_roots = {("toy_sql_demo", t) for t in range(10)}
+    roots = {unit: forest.root(unit) for unit in units[:16]}  # the first two cells
+    assert len({id(root) for root in roots.values()}) == 16  # one per (benchmark, task)
+    # cell 1 is toy_kg_demo's last: each of its roots went at the next claim
+    assert set(forest._roots) == sql_roots | {("toy_kg_demo", 5)}
+    assert forest.root((2, 0)) is roots[0, 0]  # the same task of the same benchmark
+    assert set(forest._roots) == sql_roots
+    assert forest.root((2, 1)) is roots[0, 1]
+    assert set(forest._roots) == {("toy_sql_demo", t) for t in range(1, 10)}
+    assert forest.root((2, 9)) is roots[0, 9]
+    assert set(forest._roots) == {("toy_sql_demo", 9)}
+
+
+def _live_step_nodes() -> int:
+    gc.collect()
+    return sum(isinstance(o, search._StepNode) for o in gc.get_objects())
+
+
+def test_no_step_trie_outlives_run_matrix(tmp_path, demo_config_path, monkeypatch):
+    cfg = load_matrix_config(demo_config_path)
+    live = _live_step_nodes()
+    made = []
+    real_init = search._StepNode.__init__
+    monkeypatch.setattr(search._StepNode, "__init__", lambda node: made.append(real_init(node)))
+    run_matrix(cfg, tmp_path / "out", jobs=1)
+    assert len(made) > 100  # the roots, and the nodes that the run's steps added
+    assert _live_step_nodes() == live
+
+
+def test_a_library_search_after_a_run_computes_its_own_steps(
+    tmp_path, demo_config_path, monkeypatch
+):
+    cfg = load_matrix_config(demo_config_path)
+    spec = cfg.benchmarks["toy_sql_demo"]
+    task = spec.benchmark.tasks[0]
+    config = SearchConfig(method=SearchMethod.MCTS, n_iters=3)
+    sampled = []
+    real_sample = models.ScriptedPolicy.sample
+    monkeypatch.setattr(
+        models.ScriptedPolicy, "sample", lambda *a: sampled.append(a) or real_sample(*a)
+    )
+
+    def library_search() -> tuple[int, Telemetry]:
+        """Computed draws and billed telemetry of one search given no trie."""
+        telemetry, start = Telemetry(), len(sampled)
+        policy, prm = spec.policy.for_unit(telemetry), spec.reward.for_unit(telemetry)
+        composite = compose((AugmentorConfig(AugmentorKind.NONE),))
+        search.run_search(task, spec.benchmark.make_env(), policy, composite, config, 1, prm)
+        return len(sampled) - start, telemetry
+
+    before = library_search()
+    run_matrix(cfg, tmp_path / "out", jobs=1)
+    assert library_search() == before and before[0] > 0
 
 
 def _tree_bytes(root) -> dict[str, bytes]:

@@ -313,6 +313,46 @@ def test_uct_score_formula():
     assert uct_score(0.4, 1, 0, 1.0) == pytest.approx(0.4)  # max(parent,1) guard
 
 
+def _old_select_child(nodes, nid, w_exp):
+    """MCTS selection as it was written before it took the log once per scan."""
+    kids = nodes[nid].children
+    unvisited = [k for k in kids if nodes[k].visit_count == 0]
+    if unvisited:
+        return unvisited[0]
+    parent_visits = nodes[nid].visit_count
+    return max(
+        kids,
+        key=lambda k: uct_score(nodes[k].q_value, nodes[k].visit_count, parent_visits, w_exp),
+    )
+
+
+# few distinct q values and visit counts, so that exact ties are common
+_Q = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    children=st.lists(st.tuples(_Q, st.integers(0, 6)), min_size=1, max_size=6),
+    parent_visits=st.integers(0, 40),
+    w_exp=st.one_of(st.sampled_from([0.0, 1.0, math.sqrt(2)]), st.floats(0.0, 5.0)),
+    order=st.randoms(use_true_random=False),
+)
+def test_select_child_picks_what_max_over_uct_score_picked(children, parent_visits, w_exp, order):
+    nodes = _chain_nodes(len(children) + 1)
+    nodes[0].visit_count = parent_visits
+    for node, (q, visits) in zip(nodes[1:], children):
+        node.q_value, node.visit_count = q, visits
+    nodes[0].children = list(range(1, len(nodes)))
+    order.shuffle(nodes[0].children)
+    assert search._select_child(nodes, 0, w_exp) == _old_select_child(nodes, 0, w_exp)
+    log_parent = math.log(max(parent_visits, 1))
+    for q, visits in children:
+        if visits:  # the same bits, not just close
+            assert search._uct(q, visits, log_parent, w_exp) == uct_score(
+                q, visits, parent_visits, w_exp
+            )
+
+
 def _chain_nodes(n):
     state = StateHandle("e", None, 0)
     return [Node(node_id=i, state=state, incoming_action=None) for i in range(n)]
