@@ -360,14 +360,19 @@ class Telemetry:
     supervisor_tokens_out: int = 0
 
     def record(self, role: str, tokens_in: int, tokens_out: int) -> None:
-        if tokens_in < 0 or tokens_out < 0:
-            raise ValueError("token counts are non-negative")
+        self.add(role, 1, tokens_in, tokens_out)
+
+    def add(self, role: str, calls: int, tokens_in: int, tokens_out: int) -> None:
+        """Bill `calls` calls of `role` that took `tokens_in` and gave
+        `tokens_out` tokens between them."""
+        if calls < 0 or tokens_in < 0 or tokens_out < 0:
+            raise ValueError("call and token counts are non-negative")
         if role == "policy":
-            self.policy_calls += 1
+            self.policy_calls += calls
             self.policy_tokens_in += tokens_in
             self.policy_tokens_out += tokens_out
         elif role == "supervisor":
-            self.supervisor_calls += 1
+            self.supervisor_calls += calls
             self.supervisor_tokens_in += tokens_in
             self.supervisor_tokens_out += tokens_out
         else:

@@ -18,11 +18,12 @@ import logging
 import os
 import re
 import sys
+from collections import Counter
 from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .augmentors import (
     AugmentorConfig,
@@ -30,8 +31,18 @@ from .augmentors import (
     compose,
     normalize_for_method,
 )
-from .core import CELL_ID, PricingTable, Task, Telemetry, atomic_write, checked, is_int, known
-from .core import stable_hash
+from .core import (
+    CELL_ID,
+    PricingTable,
+    SearchRecord,
+    Task,
+    Telemetry,
+    atomic_write,
+    checked,
+    is_int,
+    known,
+    stable_hash,
+)
 from .envs import ENV_CLASSES, Benchmark, EnvError, load_benchmark
 from .models import (
     MIN_EMBED_DIM,
@@ -45,7 +56,15 @@ from .models import (
     ScriptedPolicyConfig,
     ScriptedRewardModel,
 )
-from .search import BackpropMode, ExpansionMode, SearchConfig, SearchMethod, _StepNode, run_search
+from .search import (
+    BackpropMode,
+    ExpansionMode,
+    SearchConfig,
+    SearchMethod,
+    _StepNode,
+    replays_steps,
+    run_search,
+)
 from .stats import FORMAT_VERSION, CellEntry, VerdictRow
 
 log = logging.getLogger(__name__)
@@ -333,14 +352,63 @@ def _build_models(spec: BenchmarkSpec, telemetry: Telemetry):
     return policy, spec.reward.for_unit(telemetry), spec.augmentor.for_unit(telemetry)
 
 
+def _budget(search: SearchConfig) -> int:
+    """A best-of-N or MCTS search's budget: its attempts or its iterations."""
+    return search.n_budget if search.method is SearchMethod.BEST_OF_N else search.n_iters
+
+
+def _ladders(cfg: MatrixConfig, cells: tuple[ExperimentCell, ...]) -> list[tuple[int, ...]]:
+    """The indices of `cells` grouped into budget ladders, each in increasing
+    budget order, and the ladders in the order of their first cell.
+
+    A ladder is cells of one benchmark, env, memory and method, best-of-N or
+    MCTS, whose search configs differ only in the budget, each budget once
+    (a repeated budget starts another ladder).  A run at the largest budget
+    has, after its first k trajectories, made exactly what a run at budget
+    k makes (see `search._iterate`), so `_run_cell_task` runs it once and
+    reads each smaller budget's row off its prefix.  A ladder's cells may
+    have different seeds, so it forms only where a unit reads no seed,
+    which is exactly where its steps go through a step trie
+    (`search.replays_steps`).  Every other cell is a ladder of one.
+    """
+    ladders: dict[tuple, list[int]] = {}
+    repeats: Counter = Counter()
+    for c, cell in enumerate(cells):
+        key: tuple = (c,)
+        spec = cfg.benchmarks[cell.benchmark]
+        method = cell.search.method
+        if method is not SearchMethod.BEAM and replays_steps(
+            ENV_CLASSES[cell.env], spec.policy, spec.reward, cell.search
+        ):
+            # the search config's field values, its budget blanked
+            rung = "n_budget" if method is SearchMethod.BEST_OF_N else "n_iters"
+            search = tuple({**vars(cell.search), rung: None}.values())
+            key = (cell.benchmark, cell.env, cell.memory, search)
+            repeats[key, _budget(cell.search)] += 1
+            key += (repeats[key, _budget(cell.search)],)
+        ladders.setdefault(key, []).append(c)
+    return [
+        tuple(sorted(ladder, key=lambda c: _budget(cells[c].search)))
+        for ladder in ladders.values()
+    ]
+
+
 def _run_cell_task(
     cfg: MatrixConfig,
     embedder: HashEmbedder,
-    cell: ExperimentCell,
+    ladder: tuple[ExperimentCell, ...],
     task: Task,
     dump_dir: Path | None,
     trie: _StepNode,
-) -> VerdictRow:
+    emit: Callable[[VerdictRow], object],
+) -> None:
+    """Run the search of `ladder`'s last cell, its largest budget, on `task`
+    and `emit` each cell's verdict row in ladder order: a smaller budget's
+    from the search's prefix of that many trajectories, as soon as it is
+    made (see `_ladders`).  The row carries the telemetry billed so far (a
+    prefix's row a copy of it), and with `dump_dir` the store is dumped for
+    it then.  An exception stops the rows that are not yet emitted."""
+    cell = ladder[-1]
     spec = cfg.benchmarks[cell.benchmark]
     telemetry = Telemetry()
     policy, prm, aug_model = _build_models(spec, telemetry)
@@ -351,48 +419,58 @@ def _run_cell_task(
     interleaved = composite.wants_siblings and cell.search.method is not SearchMethod.BEST_OF_N
     expansion = ExpansionMode.INTERLEAVED if interleaved else ExpansionMode.BATCH
     search_cfg = replace(cell.search, expansion=expansion)
+    # grading happens offline, once per distinct answer of the whole ladder
+    grade = functools.cache(functools.partial(spec.benchmark.grader().grade, task.task_id))
+    cells = iter(ladder)
+
+    def emit_row(record: SearchRecord, telemetry: Telemetry) -> None:
+        cell = next(cells)
+        if search_cfg.method is SearchMethod.BEAM:
+            skip_src = [record.selected] if record.selected else list(record.trajectories[:1])
+            verdicts = [grade(record.final_answer)]
+            lengths = [len(t.steps) for t in skip_src]
+        else:
+            verdicts = [grade(t.answer()) for t in record.trajectories]
+            lengths = [len(t.steps) for t in record.trajectories]
+            skip_src = list(record.trajectories)
+
+        if spec.discovery_tool is None:
+            discovery_skipped = None
+        else:
+            # once per distinct path: on the trie every repeat of a path shares
+            # its steps tuple, so paths are told apart by its id
+            paths = {id(t.steps): t.steps for t in skip_src}
+            skips = {
+                key: spec.discovery_tool not in {s.action.tool_name for s in steps}
+                for key, steps in paths.items()
+            }
+            discovery_skipped = [skips[id(t.steps)] for t in skip_src]
+
+        if dump_dir is not None:
+            composite.store.dump(dump_dir / f"{cell.cell_id}__{task.task_id}.jsonl")
+
+        emit(
+            VerdictRow(
+                task_id=task.task_id,
+                cell_id=cell.cell_id,
+                verdicts=verdicts,
+                selected_verdict=grade(record.final_answer),
+                final_answer=record.final_answer,
+                trajectory_lengths=lengths,
+                terminal_kinds=[t.terminal_kind.value for t in record.trajectories],
+                discovery_skipped=discovery_skipped,
+                telemetry=telemetry,
+                giveup=record.giveup,
+            )
+        )
 
     seed = task_seed(cell.seed, task.task_id)
-    record = run_search(task, env, policy, composite, search_cfg, seed=seed, prm=prm, trie=trie)
-
-    # grading happens offline, after the search, once per distinct answer
-    grade = functools.cache(functools.partial(spec.benchmark.grader().grade, task.task_id))
-    if search_cfg.method is SearchMethod.BEAM:
-        skip_src = [record.selected] if record.selected else list(record.trajectories[:1])
-        verdicts = [grade(record.final_answer)]
-        lengths = [len(t.steps) for t in skip_src]
-    else:
-        verdicts = [grade(t.answer()) for t in record.trajectories]
-        lengths = [len(t.steps) for t in record.trajectories]
-        skip_src = list(record.trajectories)
-
-    if spec.discovery_tool is None:
-        discovery_skipped = None
-    else:
-        # once per distinct path: on the trie every repeat of a path shares
-        # its steps tuple, so paths are told apart by its id
-        paths = {id(t.steps): t.steps for t in skip_src}
-        skips = {
-            key: spec.discovery_tool not in {s.action.tool_name for s in steps}
-            for key, steps in paths.items()
-        }
-        discovery_skipped = [skips[id(t.steps)] for t in skip_src]
-
-    if dump_dir is not None:
-        composite.store.dump(dump_dir / f"{cell.cell_id}__{task.task_id}.jsonl")
-
-    return VerdictRow(
-        task_id=task.task_id,
-        cell_id=cell.cell_id,
-        verdicts=verdicts,
-        selected_verdict=grade(record.final_answer),
-        final_answer=record.final_answer,
-        trajectory_lengths=lengths,
-        terminal_kinds=[t.terminal_kind.value for t in record.trajectories],
-        discovery_skipped=discovery_skipped,
-        telemetry=telemetry,
-        giveup=record.giveup,
+    prefixes = [_budget(c.search) for c in ladder[:-1]]
+    record = run_search(
+        task, env, policy, composite, search_cfg, seed, prm, trie, prefixes,
+        lambda prefix: emit_row(prefix, replace(telemetry)),  # the search bills on
     )
+    emit_row(record, telemetry)
 
 
 # a unit's task id and its verdict file line
@@ -401,30 +479,30 @@ _Row = tuple[str, str]
 
 class _StepForest:
     """The step trie roots of one run, one per (benchmark, task), each handed
-    to every unit of its task in turn (see `search._step_trie`), so a unit
-    replays the steps that earlier units of its task computed.
+    to every job of its task in turn (see `search._step_trie`), so a job
+    replays the steps that earlier jobs of its task computed.
 
-    Units are claimed in increasing (cell index, task index) order, so once
-    a unit past the last unit of a (benchmark, task) is claimed, that root
-    is never asked for again, and it is dropped.  A forked worker fills and
-    drops its own copy.
+    A job is one (ladder index, task index), and jobs are claimed in
+    increasing order, so once a job past the last job of a (benchmark,
+    task) is claimed, that root is never asked for again, and it is
+    dropped.  A forked worker fills and drops its own copy.
     """
 
-    def __init__(self, cells: tuple[ExperimentCell, ...], units: list[tuple[int, int]]):
-        self._cells = cells
-        last = {(cells[c].benchmark, t): (c, t) for c, t in units}
-        self._ends = sorted((end, key) for key, end in last.items())  # by last unit
+    def __init__(self, benchmarks: list[str], jobs: list[tuple[int, int]]):
+        self._benchmarks = benchmarks  # by ladder index
+        last = {(benchmarks[ladder], t): (ladder, t) for ladder, t in jobs}
+        self._ends = sorted((end, key) for key, end in last.items())  # by last job
         self._dropped = 0  # how many of `_ends` have been passed
         self._roots: dict[tuple[str, int], _StepNode] = {}
 
-    def root(self, unit: tuple[int, int]) -> _StepNode:
-        """The root of `unit`'s (benchmark, task), after dropping every root
-        whose last unit comes before `unit`."""
+    def root(self, job: tuple[int, int]) -> _StepNode:
+        """The root of `job`'s (benchmark, task), after dropping every root
+        whose last job comes before `job`."""
         ends = self._ends
-        while self._dropped < len(ends) and ends[self._dropped][0] < unit:
+        while self._dropped < len(ends) and ends[self._dropped][0] < job:
             self._roots.pop(ends[self._dropped][1], None)
             self._dropped += 1
-        key = (self._cells[unit[0]].benchmark, unit[1])
+        key = (self._benchmarks[job[0]], job[1])
         root = self._roots.get(key)
         if root is None:
             root = self._roots[key] = _StepNode()
@@ -435,66 +513,73 @@ def _run_unit(
     cfg: MatrixConfig,
     embedder: HashEmbedder,
     forest: _StepForest,
-    cells: tuple[ExperimentCell, ...],
+    ladders: tuple[tuple[ExperimentCell, ...], ...],
     dump_dir: Path | None,
-    unit: tuple[int, int],
-) -> _Row | str:
-    """One (cell index, task index) unit: its task id and verdict line, or
-    its error as a string.  Both are made here, on the worker that ran the
-    unit, so no exception object has to cross a process and the runner only
-    joins lines."""
-    cell_index, task_index = unit
-    cell = cells[cell_index]
-    task = cfg.benchmarks[cell.benchmark].benchmark.tasks[task_index]
-    trie = forest.root(unit)
+    job: tuple[int, int],
+) -> list[_Row | str]:
+    """One (ladder index, task index) job: for each of the ladder's cells,
+    in order, the task's id and verdict line, or the error that stopped the
+    job as a string, for every cell whose row it stopped.  Both are made
+    here, on the worker that ran the job, so no exception object has to
+    cross a process and the runner only joins lines."""
+    ladder = ladders[job[0]]
+    task = cfg.benchmarks[ladder[0].benchmark].benchmark.tasks[job[1]]
+    trie = forest.root(job)
+    results: list[_Row | str] = []
     try:
-        row = _run_cell_task(cfg, embedder, cell, task, dump_dir, trie)
+        _run_cell_task(
+            cfg, embedder, ladder, task, dump_dir, trie,
+            lambda row: results.append((row.task_id, row.to_json())),
+        )
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        return f"{type(exc).__name__}: {exc}"
-    return row.task_id, row.to_json()
+        results += [f"{type(exc).__name__}: {exc}"] * (len(ladder) - len(results))
+    return results
 
 
 class WorkerError(RuntimeError):
     """A worker process died, or a unit's result came back twice or never."""
 
 
-def _work(conn, counter, run, units: list[tuple[int, int]]) -> None:
-    """A worker's loop: `run` unit after unit, each claimed from the shared
-    counter, keeping the (unit index, result) pairs of one cell until it
-    claims a unit of another cell, or none, and then sending them as one
-    list; close `conn` when no unit is left."""
-    rows: list[tuple[int, _Row | str]] = []
+def _work(conn, counter, run, queue: list[tuple[int, int]]) -> None:
+    """A worker's loop: `run` job after job, each claimed from the shared
+    counter, keeping the (job index, results) pairs of one ladder until it
+    claims a job of another ladder, or none, and then sending them as one
+    list; close `conn` when no job is left."""
+    rows: list[tuple[int, list]] = []
     while True:
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
-        done = index >= len(units)
-        if rows and (done or units[index][0] != units[rows[-1][0]][0]):
+        done = index >= len(queue)
+        if rows and (done or queue[index][0] != queue[rows[-1][0]][0]):
             conn.send(rows)
             rows = []
         if done:
             conn.close()
             return
-        rows.append((index, run(units[index])))
+        rows.append((index, run(queue[index])))
 
 
-def _run_units(run, units: list[tuple[int, int]], jobs: int) -> Iterator[tuple[int, _Row | str]]:
-    """Yield (unit index, `run(unit)`) for every unit as it finishes: in order
-    in this process for jobs <= 1, else from up to `jobs` worker processes
+def _run_units(
+    run, queue: list[tuple[int, int]], units: list[list[tuple[int, int]]], jobs: int
+) -> Iterator[tuple[tuple[int, int], _Row | str]]:
+    """Yield (unit, result) for every unit as its job finishes, where
+    `run(queue[i])` gives the results of the units `units[i]`, in order: in
+    this process for jobs <= 1, else from up to `jobs` worker processes
     that share one queue.
 
-    Each worker claims the next unit index from a shared counter, one lock
-    acquisition per claim, and sends its results down its own pipe one cell
-    at a time (see `_work`): units are cell-major and claimed in increasing
-    order, so the parent wakes about once per worker per cell, and neither
-    side holds more than a cell's rows.  A worker that exits
+    Each worker claims the next job index from a shared counter, one lock
+    acquisition per claim, and sends its results down its own pipe one
+    ladder at a time (see `_work`): jobs are ladder-major and claimed in
+    increasing order, so the parent wakes about once per worker per ladder,
+    and neither side holds more than a ladder's rows.  A worker that exits
     with a nonzero code, or a unit whose result comes back twice or never,
     raises `WorkerError`.  Close the generator (`contextlib.closing`) when
     the consumer stops early: that terminates and joins every live worker.
     """
-    if jobs <= 1 or not units:
-        for index, unit in enumerate(units):
-            yield index, run(unit)
+    if jobs <= 1 or not queue:
+        for job, job_units in zip(queue, units):
+            yield from zip(job_units, run(job))
         return
     # imported here, so that loading a config or analysing a run does not pay
     # for the process machinery
@@ -506,11 +591,11 @@ def _run_units(run, units: list[tuple[int, int]], jobs: int) -> Iterator[tuple[i
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     counter = context.Value("q", 0)
     workers = {}  # receiving end -> its worker
-    seen = [False] * len(units)
+    seen: set[tuple[int, int]] = set()
     try:
-        for _ in range(min(jobs, len(units))):
+        for _ in range(min(jobs, len(queue))):
             receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_work, args=(sender, counter, run, units))
+            worker = context.Process(target=_work, args=(sender, counter, run, queue))
             worker.start()
             # only the worker holds the sending end now: its exit is our EOF,
             # and no later worker inherits it
@@ -530,13 +615,15 @@ def _run_units(run, units: list[tuple[int, int]], jobs: int) -> Iterator[tuple[i
                             f"a worker process exited with code {worker.exitcode}"
                         ) from None
                     continue
-                for index, result in rows:
-                    if seen[index]:
-                        raise WorkerError(f"unit {units[index]} came back twice")
-                    seen[index] = True
-                    yield index, result
-        if not all(seen):
-            raise WorkerError(f"unit {units[seen.index(False)]} never came back")
+                for index, results in rows:
+                    for unit, result in zip(units[index], results):
+                        if unit in seen:
+                            raise WorkerError(f"unit {unit} came back twice")
+                        seen.add(unit)
+                        yield unit, result
+        missing = next((u for job_units in units for u in job_units if u not in seen), None)
+        if missing is not None:
+            raise WorkerError(f"unit {missing} never came back")
     finally:
         for receiver, worker in workers.items():
             if worker.is_alive():
@@ -569,10 +656,13 @@ def run_matrix(
     marked FAILED in the manifest and does not stop the others.  Output
     bytes depend only on the config and seeds, never on `jobs`.
 
-    The admissible cells' (cell, task) units form one queue.  With jobs <= 1
-    it runs in this process; with jobs > 1 each of up to `jobs` worker
-    processes claims the next unit from it until it is empty and sends each
-    result back as the unit finishes (see `_run_units`).  Each cell's
+    The admissible cells are grouped into budget ladders (`_ladders`; most
+    cells are a ladder of one), and the (ladder, task) jobs form one queue,
+    in the order of their first (cell, task) unit.  A job runs one search
+    and gives one result per unit of its ladder.  With jobs <= 1 the queue
+    runs in this process; with jobs > 1 each of up to `jobs` worker
+    processes claims the next job from it until it is empty and sends the
+    results back as the job finishes (see `_run_units`).  Each cell's
     manifest entry is made when its admission is checked, and is final when
     its verdict file is written, as soon as its last unit lands; its rows are
     then dropped.  The manifest is written once, after the last cell.  A
@@ -604,16 +694,19 @@ def run_matrix(
             cells.append(cell)
             pending.append([None] * len(cfg.benchmarks[cell.benchmark].benchmark.tasks))
         entries[cell.cell_id] = entry
-    units = [(c, t) for c, results in enumerate(pending) for t in range(len(results))]
+    admitted = tuple(cells)
+    ladders = _ladders(cfg, admitted)
+    queue = [(i, t) for i, ladder in enumerate(ladders) for t in range(len(pending[ladder[0]]))]
+    units = [[(c, t) for c in ladders[i]] for i, t in queue]
     # one embedder and one step forest per call, never kept past it: a later
     # call with the same config hashes its lines and computes its steps
     # again, as a fresh `memsearch run` does
-    admitted = tuple(cells)
-    embedder, forest = HashEmbedder(cfg.embedder_dim), _StepForest(admitted, units)
-    run = functools.partial(_run_unit, cfg, embedder, forest, admitted, dump_dir)
-    with closing(_run_units(run, units, jobs)) as finished:
-        for index, result in finished:
-            c, t = units[index]
+    embedder = HashEmbedder(cfg.embedder_dim)
+    forest = _StepForest([admitted[ladder[0]].benchmark for ladder in ladders], queue)
+    ladder_cells = tuple(tuple(admitted[c] for c in ladder) for ladder in ladders)
+    run = functools.partial(_run_unit, cfg, embedder, forest, ladder_cells, dump_dir)
+    with closing(_run_units(run, queue, units, jobs)) as finished:
+        for (c, t), result in finished:
             pending[c][t] = result
             if None not in pending[c]:
                 cell_id = cells[c].cell_id

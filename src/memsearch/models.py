@@ -192,9 +192,10 @@ class ScriptedPolicy:
         step trie."""
         return ScriptedPolicy(self.config, telemetry)
 
-    def rebill(self, billed: tuple[int, int]) -> None:
-        """Bill a replayed call as its computation billed: `billed` (tokens in, out)."""
-        self.telemetry.record("policy", *billed)
+    def rebill(self, calls: int, tokens_in: int, tokens_out: int) -> None:
+        """Bill `calls` replayed calls as their computations billed, with
+        `tokens_in` and `tokens_out` their summed `billed` counts."""
+        self.telemetry.add("policy", calls, tokens_in, tokens_out)
 
     def _pick_rule(self, step_index: int, rendered: str, fingerprint: str) -> PolicyRule | None:
         for rule in self.config.rules_at.get(step_index, ()):
@@ -324,9 +325,10 @@ class ScriptedRewardModel:
         units of a task can share a step trie."""
         return ScriptedRewardModel(self.rules, self.default, telemetry)
 
-    def rebill(self, billed: tuple[int, int]) -> None:
-        """Bill a replayed call as its computation billed: `billed` (tokens in, out)."""
-        self.telemetry.record("supervisor", *billed)
+    def rebill(self, calls: int, tokens_in: int, tokens_out: int) -> None:
+        """Bill `calls` replayed calls as their computations billed, with
+        `tokens_in` and `tokens_out` their summed `billed` counts."""
+        self.telemetry.add("supervisor", calls, tokens_in, tokens_out)
 
     @classmethod
     def from_dict(cls, raw: dict, telemetry: Telemetry | None = None) -> "ScriptedRewardModel":

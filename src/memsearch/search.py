@@ -13,9 +13,13 @@ every unit of a (benchmark, task): each run then replays what earlier runs
 computed.  A best-of-N attempt whose bundle cannot change before it ends
 walks the trie in one pass (`_linear_rollout`), and each finished path's
 terminal kind, score and text are made once, at its end node
-(`_trajectory`).  On `grid` seed 1 a matrix pass at `jobs` 1 bills 50,745
-steps, calls `_take_step` 25,999 times, computes 8,146 steps and renders
-65 path endings.
+(`_trajectory`).  Best-of-N and MCTS also hand back the record of each
+requested prefix of their trajectories (`_iterate`), which is what a run at
+that smaller budget returns, so the matrix runner runs a budget ladder once.
+On `grid` seed 1 a matrix pass at `jobs` 1 runs 290 searches for its 686
+verdict rows, which bill 50,745 steps; the searches bill 34,594 of them,
+call `_take_step` 16,252 times, compute 8,146 steps and render 65 path
+endings.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Collection, Iterator, Sequence
 
 from .augmentors import CompositeAugmentor, sibling_context
 from .core import (
@@ -139,7 +143,7 @@ class _StepNode:
     fixed bundle walks `entries` from the root down in one pass, so a
     repeated attempt only bills its steps again and reads its end node's
     `ending`.  The matrix runner keeps one trie per (benchmark, task) for a
-    whole run, so on `grid` seed 1 65 endings serve its 20,790 trajectories.
+    whole run, so on `grid` seed 1 65 endings serve its 15,840 trajectories.
     """
 
     __slots__ = ("entries", "children", "ending")
@@ -150,6 +154,20 @@ class _StepNode:
         self.ending: tuple[TerminalKind, float, str] | None = None
 
 
+def replays_steps(env, policy, prm, config: SearchConfig) -> bool:
+    """Whether a run takes its steps through a step trie: at temperature <=
+    0, in a serializable env (an instance or its class), and when the
+    classes of the policy and of the PRM (if any) both declare
+    `deterministic_at_zero` (a wrapper class declares nothing).  Then a
+    step, and what it bills, are functions of its prefix and its bundle,
+    and the run reads its seed nowhere.
+    """
+    if config.temperature > 0.0 or not env.serializable:
+        return False
+    models = [policy] if prm is None else [policy, prm]
+    return all(getattr(type(m), "deterministic_at_zero", False) is True for m in models)
+
+
 def _step_trie(
     env: Environment,
     policy: PolicyModel,
@@ -158,20 +176,15 @@ def _step_trie(
     root: _StepNode | None = None,
 ) -> _StepNode | None:
     """The root a search run takes its steps through, or None where every
-    step must be computed: `root` if given, else a fresh node.
+    step must be computed (see `replays_steps`): `root` if given, else a
+    fresh node.
 
-    Steps are replayed only at temperature <= 0, in a serializable env, and
-    when the classes of the policy and of the PRM (if any) both declare
-    `deterministic_at_zero` (a wrapper class declares nothing): then a step,
-    and what it bills, are functions of its prefix and its bundle.  A root
-    may serve several runs of one task, as the matrix runner's do (one per
-    benchmark and task), if their envs are of one benchmark and their
-    models answer and bill alike: a state handle is then valid in each env.
+    A root may serve several runs of one task, as the matrix runner's do
+    (one per benchmark and task), if their envs are of one benchmark and
+    their models answer and bill alike: a state handle is then valid in
+    each env.
     """
-    if config.temperature > 0.0 or not env.serializable:
-        return None
-    models = [policy] if prm is None else [policy, prm]
-    if not all(getattr(type(m), "deterministic_at_zero", False) is True for m in models):
+    if not replays_steps(env, policy, prm, config):
         return None
     return _StepNode() if root is None else root
 
@@ -223,20 +236,47 @@ def _record(
     return SearchRecord(tuple(trajectories), selected, giveup)
 
 
-def _replay(
-    node: _StepNode, key: tuple[str, str], policy: PolicyModel, prm: RewardModel | None
-) -> Candidate | None:
-    """The step `node` holds under the bundle `key`, billed again by each
-    model as its computation billed; None if the node holds no such step."""
-    replay = node.entries.get(key)
-    if replay is None:
-        return None
-    cand, policy_bill, prm_bill = replay
-    if policy_bill is not None:
-        policy.rebill(policy_bill)
-    if prm_bill is not None:
-        prm.rebill(prm_bill)
-    return cand
+def _iterate(
+    made: Iterator[Trajectory],
+    composite: CompositeAugmentor,
+    finished_only: bool,
+    prefixes: Collection[int],
+    on_prefix: Callable[[SearchRecord], object] | None,
+) -> SearchRecord:
+    """The loop of best-of-N and MCTS: take each trajectory from `made`,
+    which makes the next only when asked, and hand it to the composite's
+    on_trajectory first.  The best-scored trajectory so far (only finished
+    ones if `finished_only`; ties: the earliest) is kept as it goes, so the
+    record of the first k trajectories is the one a run with budget k
+    returns.  For each k in `prefixes` that record goes to `on_prefix` as
+    soon as trajectory k - 1's on_trajectory has run; the record of them all
+    is returned.  Nothing before trajectory i reads the budget, and what
+    memory it writes reaches only later ones.
+    """
+    trajectories: list[Trajectory] = []
+    best = None
+    for traj in made:
+        trajectories.append(traj)
+        composite.on_trajectory(traj)
+        if (not finished_only or traj.terminal_kind is not TerminalKind.MAX_DEPTH) and (
+            best is None or traj.trajectory_score > best.trajectory_score
+        ):
+            best = traj
+        if len(trajectories) in prefixes:
+            on_prefix(_record(trajectories, best))
+    return _record(trajectories, best)
+
+
+def _rebill(replays: Sequence[tuple], policy: PolicyModel, prm: RewardModel | None) -> None:
+    """Bill the trie entries that a walk replayed (`replays`) again, as
+    their computations billed, with one telemetry update per model that
+    billed for them; counts are integers, so the sums are exact."""
+    policy_bills = [r[1] for r in replays if r[1] is not None]
+    if policy_bills:
+        policy.rebill(len(policy_bills), *map(sum, zip(*policy_bills)))
+    prm_bills = [r[2] for r in replays if r[2] is not None]
+    if prm_bills:
+        prm.rebill(len(prm_bills), *map(sum, zip(*prm_bills)))
 
 
 def _take_step(
@@ -267,8 +307,13 @@ def _take_step(
     """
     if node is not None:
         key = (bundle.fingerprint, bundle.rendered)
-        cand = _replay(node, key, policy, prm)
-        if cand is not None:
+        replay = node.entries.get(key)
+        if replay is not None:
+            cand, policy_bill, prm_bill = replay
+            if policy_bill is not None:
+                policy.rebill(1, *policy_bill)
+            if prm_bill is not None:
+                prm.rebill(1, *prm_bill)
             composite.on_step(cand.step, iteration)
             return cand
     action = policy.sample(task, prefix, bundle, config.temperature, stable_hash(*seed_salt))
@@ -350,23 +395,29 @@ def _linear_rollout(
 
     A composite that cannot write on a step cannot change the bundle before
     the attempt ends, so the attempt retrieves it once.  On a trie it then
-    walks down the steps held under that bundle, each billed again as
-    `_take_step` bills a replay (its on_step would do nothing), and takes
-    steps with `_take_step` from the first one the trie lacks.
+    walks down the steps held under that bundle (their on_step would do
+    nothing), bills them again with one telemetry update per model, and
+    takes steps with `_take_step` from the first one the trie lacks.
     """
     state, prefix, node = env.reset(task), (), root
     path: list[Candidate] = []
     bundle = None if composite.writes_on_step else composite.retrieve()
     if node is not None and bundle is not None:
         key = (bundle.fingerprint, bundle.rendered)
+        walked = []
         while len(path) < config.max_depth:
-            cand = _replay(node, key, policy, prm)
-            if cand is None:
+            replay = node.entries.get(key)
+            if replay is None:
                 break
+            walked.append(replay)
+            cand = replay[0]
             path.append(cand)
             if cand.step.action.is_final:
-                return _trajectory(path, iteration)
+                break
             state, prefix, node = cand.state, cand.steps, cand.node
+        _rebill(walked, policy, prm)
+        if path and path[-1].step.action.is_final:
+            return _trajectory(path, iteration)
     for depth in range(len(path), config.max_depth):
         cand = _take_step(
             env, task, node, state, prefix, policy, prm, composite,
@@ -389,24 +440,27 @@ def run_best_of_n(
     seed: int = 0,
     prm: RewardModel | None = None,
     trie: _StepNode | None = None,
+    prefixes: Collection[int] = (),
+    on_prefix: Callable[[SearchRecord], object] | None = None,
 ) -> SearchRecord:
     """Sequential independent attempts under a fixed budget.
 
     Always runs exactly n_budget attempts; there is no stop-on-correct
     (grading is offline).  Persistent memory written by attempt i is visible
-    to attempts i+1.. through the composite's store.  `trie` is a step trie
-    root to share (see `_step_trie`); without one the run makes its own.
+    to attempts i+1.. through the composite's store.  The best-scored
+    attempt is submitted (ties: the earliest).  `trie` is a step trie root
+    to share (see `_step_trie`); without one the run makes its own.  For
+    each budget k in `prefixes`, `on_prefix` gets the record a run at
+    n_budget k returns, once its last attempt is done (see `_iterate`).
     """
     if config.method is not SearchMethod.BEST_OF_N:
         raise ValueError(f"config method {config.method} is not best_of_n")
     root = _step_trie(env, policy, prm, config, trie)
-    trajectories: list[Trajectory] = []
-    for i in range(config.n_budget):
-        traj = _linear_rollout(env, task, root, policy, prm, composite, config, i, seed)
-        trajectories.append(traj)
-        composite.on_trajectory(traj)
-    best = max(trajectories, key=lambda t: t.trajectory_score)  # ties: earliest attempt
-    return _record(trajectories, best)
+    made = (
+        _linear_rollout(env, task, root, policy, prm, composite, config, i, seed)
+        for i in range(config.n_budget)
+    )
+    return _iterate(made, composite, False, prefixes, on_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -537,35 +591,20 @@ def _select_child(nodes: Sequence[Node], nid: int, w_exp: float) -> int:
     return best
 
 
-def run_mcts(
+def _mcts_iterations(
     task: Task,
     env: Environment,
     policy: PolicyModel,
     prm: RewardModel,
     composite: CompositeAugmentor,
     config: SearchConfig,
-    seed: int = 0,
-    trie: _StepNode | None = None,
-) -> SearchRecord:
-    """UCT tree search with a fixed iteration budget.
-
-    Each iteration: select a leaf (unvisited children first, then UCT),
-    expand it, simulate from the best-scored new child with per-step argmax
-    over n_actions sampled continuations (the MAX strategy), and backprop
-    the simulated trajectory's score.  Exactly n_iters trajectories are
-    recorded; per-trajectory augmentors fire after every iteration, so
-    memory written by iteration i is in the bundle from iteration i+1 on.
-    """
-    if config.method is not SearchMethod.MCTS:
-        raise ValueError(f"config method {config.method} is not mcts")
-    if prm is None:
-        raise ValueError("mcts needs a process reward model")
-
-    trie = _step_trie(env, policy, prm, config, trie)
+    seed: int,
+    trie: _StepNode | None,
+) -> Iterator[Trajectory]:
+    """Each MCTS iteration's trajectory, made when asked for (see `run_mcts`)."""
     # index-aligned by node id: each node, and the candidate that made it
     nodes = [Node(node_id=0, state=env.reset(task), incoming_action=None)]
     cands: list[Candidate | None] = [None]
-    trajectories: list[Trajectory] = []
 
     for it in range(config.n_iters):
         ids = [0]  # the selected path's node ids, root first
@@ -615,12 +654,40 @@ def run_mcts(
 
         traj = _trajectory(path, it)
         backprop(nodes, ids[::-1], traj.trajectory_score, config.backprop, config.decay_gamma)
-        trajectories.append(traj)
-        composite.on_trajectory(traj)
+        yield traj
 
-    finished = [t for t in trajectories if t.terminal_kind is not TerminalKind.MAX_DEPTH]
-    best = max(finished, key=lambda t: t.trajectory_score) if finished else None
-    return _record(trajectories, best)
+
+def run_mcts(
+    task: Task,
+    env: Environment,
+    policy: PolicyModel,
+    prm: RewardModel,
+    composite: CompositeAugmentor,
+    config: SearchConfig,
+    seed: int = 0,
+    trie: _StepNode | None = None,
+    prefixes: Collection[int] = (),
+    on_prefix: Callable[[SearchRecord], object] | None = None,
+) -> SearchRecord:
+    """UCT tree search with a fixed iteration budget.
+
+    Each iteration: select a leaf (unvisited children first, then UCT),
+    expand it, simulate from the best-scored new child with per-step argmax
+    over n_actions sampled continuations (the MAX strategy), and backprop
+    the simulated trajectory's score.  Exactly n_iters trajectories are
+    recorded; per-trajectory augmentors fire after every iteration, so
+    memory written by iteration i is in the bundle from iteration i+1 on.
+    The best-scored finished trajectory is submitted (ties: the earliest).
+    For each k in `prefixes`, `on_prefix` gets the record a run at n_iters
+    k returns, once its last iteration is done (see `_iterate`).
+    """
+    if config.method is not SearchMethod.MCTS:
+        raise ValueError(f"config method {config.method} is not mcts")
+    if prm is None:
+        raise ValueError("mcts needs a process reward model")
+    trie = _step_trie(env, policy, prm, config, trie)
+    made = _mcts_iterations(task, env, policy, prm, composite, config, seed, trie)
+    return _iterate(made, composite, True, prefixes, on_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -636,15 +703,23 @@ def run_search(
     seed: int = 0,
     prm: RewardModel | None = None,
     trie: _StepNode | None = None,
+    prefixes: Collection[int] = (),
+    on_prefix: Callable[[SearchRecord], object] | None = None,
 ) -> SearchRecord:
     """Run `config`'s method.  `trie` is a step trie root to take the steps
     through, shared with earlier runs of the task (see `_step_trie`); a run
-    given none makes its own, which lives as long as the run."""
+    given none makes its own, which lives as long as the run.  For each
+    budget k in `prefixes` (best-of-N attempts or MCTS iterations; beam has
+    none), `on_prefix` gets the record of the run's first k trajectories,
+    which is what a run at budget k returns."""
     if config.method is SearchMethod.BEST_OF_N:
-        return run_best_of_n(task, env, policy, composite, config, seed, prm, trie)
+        return run_best_of_n(
+            task, env, policy, composite, config, seed, prm, trie, prefixes, on_prefix
+        )
     if config.method is SearchMethod.BEAM:
+        if prefixes:
+            raise ValueError("beam search has no budget prefixes")
         return run_beam(task, env, policy, prm, composite, config, seed, trie)
     if config.method is SearchMethod.MCTS:
-        return run_mcts(task, env, policy, prm, composite, config, seed, trie)
+        return run_mcts(task, env, policy, prm, composite, config, seed, trie, prefixes, on_prefix)
     raise ValueError(f"unknown search method {config.method!r}")
-

@@ -219,7 +219,7 @@ def test_analyze_an_ok_cell_without_tasks_exits_1_with_one_line(tmp_path, capsys
 def test_run_with_a_failed_cell_exits_1_counting_the_failures(tmp_path, capsys, monkeypatch):
     path = write_mini_config(tmp_path, _cells() + _cells(memory=["fact"]))
 
-    def failing(cfg, embedder, cell, task, dump_dir, trie):
+    def failing(cfg, embedder, ladder, task, dump_dir, trie, emit):
         raise ValueError("this task fails")
 
     monkeypatch.setattr(matrix, "_run_cell_task", failing)

@@ -1084,11 +1084,11 @@ def test_run_matrix_logs_one_record_per_cell_in_config_order(tmp_path, monkeypat
     cfg = load_matrix_config(write_mini_config(tmp_path, cells))
     real_run_cell_task = matrix._run_cell_task
 
-    def failing(cfg, embedder, cell, task, dump_dir, trie):
-        if cell.cell_id == "failing" and task.task_id == "sql-003":
+    def failing(cfg, embedder, ladder, task, dump_dir, trie, emit):
+        if ladder[0].cell_id == "failing" and task.task_id == "sql-003":
             time.sleep(0.2)
             raise ValueError("task sql-003 fails")
-        return real_run_cell_task(cfg, embedder, cell, task, dump_dir, trie)
+        return real_run_cell_task(cfg, embedder, ladder, task, dump_dir, trie, emit)
 
     monkeypatch.setattr(matrix, "_run_cell_task", failing)
     with caplog.at_level(logging.INFO, logger="memsearch.matrix"):
@@ -1247,13 +1247,13 @@ def test_a_failed_cell_reports_its_first_failing_task_at_every_jobs(tmp_path, mo
     first, second = (t.task_id for t in cfg.benchmarks["toy_sql_demo"].benchmark.tasks[:2])
     real_run_cell_task = matrix._run_cell_task
 
-    def failing(cfg, embedder, cell, task, dump_dir, trie):
+    def failing(cfg, embedder, ladder, task, dump_dir, trie, emit):
         if task.task_id == first:
             time.sleep(0.3)
             raise ValueError("the first task fails")
         if task.task_id == second:
             raise ValueError("the second task fails")
-        return real_run_cell_task(cfg, embedder, cell, task, dump_dir, trie)
+        return real_run_cell_task(cfg, embedder, ladder, task, dump_dir, trie, emit)
 
     monkeypatch.setattr(matrix, "_run_cell_task", failing)
     errors = {
@@ -1270,8 +1270,8 @@ def test_a_cell_verdict_file_is_written_when_its_last_unit_lands(tmp_path, monke
     cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "middle", "last")))
     parent, real_run_cell_task = os.getpid(), matrix._run_cell_task
 
-    def waiting(cfg, embedder, cell, task, dump_dir, trie):
-        if cell.cell_id == "last":
+    def waiting(cfg, embedder, ladder, task, dump_dir, trie, emit):
+        if ladder[0].cell_id == "last":
             first_file = dump_dir.parent / "first.jsonl"
             # in this process the file must be there already; a worker may wait
             deadline = time.monotonic() + (0 if os.getpid() == parent else 30)
@@ -1279,7 +1279,7 @@ def test_a_cell_verdict_file_is_written_when_its_last_unit_lands(tmp_path, monke
                 if time.monotonic() >= deadline:
                     raise AssertionError("the first cell's verdict file is not written")
                 time.sleep(0.005)
-        return real_run_cell_task(cfg, embedder, cell, task, dump_dir, trie)
+        return real_run_cell_task(cfg, embedder, ladder, task, dump_dir, trie, emit)
 
     monkeypatch.setattr(matrix, "_run_cell_task", waiting)
     for jobs in (1, 2):
@@ -1375,20 +1375,37 @@ def test_the_run_tree_is_the_same_whatever_unit_computed_a_shared_step(tmp_path)
     assert multiprocessing.active_children() == []
 
 
-def test_the_step_forest_drops_a_root_once_its_last_unit_is_passed(demo_config_path):
-    demo = load_matrix_config(demo_config_path)
-    first = {}  # benchmark -> its first cell
-    for cell in demo.cells:
-        first.setdefault(cell.benchmark, cell)
-    sql, kg = first["toy_sql_demo"], first["toy_kg_demo"]
-    cells = (sql, kg, sql)
-    units = [(c, t) for c, cell in enumerate(cells) for t in range(10 if cell is sql else 6)]
-    forest = matrix._StepForest(cells, units)
+def test_the_step_forest_drops_a_root_once_its_last_unit_is_passed(tmp_path):
+    # ladder 0 is toy_sql_demo's best_of_n budgets 1 and 2, ladder 1 a
+    # toy_kg_demo cell, ladder 2 toy_sql_demo's mcts cell; jobs are claimed
+    # ladder by ladder, each ladder task by task
+    search = {"method": "best_of_n", "n_budget": 1}
+    cells = [
+        {"id": "sql_1", "benchmark": "toy_sql_demo", "search": search},
+        {"id": "kg", "benchmark": "toy_kg_demo", "search": search},
+        {"id": "sql_2", "benchmark": "toy_sql_demo", "search": {**search, "n_budget": 2}},
+        {"id": "sql_mcts", "benchmark": "toy_sql_demo", "search": {"method": "mcts"}},
+    ]
+    benchmarks = {
+        name: {
+            key: value if key == "discovery_tool" else str(FIXTURES / value)
+            for key, value in spec.items()
+        }
+        for name, spec in DEMO_CONFIG["benchmarks"].items()
+    }
+    cfg = load_matrix_config(write_mini_config(tmp_path, cells, benchmarks))
+    ladders = matrix._ladders(cfg, cfg.cells)
+    assert ladders == [(0, 2), (1,), (3,)]
+    by_ladder = [cfg.cells[ladder[0]].benchmark for ladder in ladders]
+    n_tasks = {name: len(spec.benchmark.tasks) for name, spec in cfg.benchmarks.items()}
+    jobs = [(i, t) for i, bench in enumerate(by_ladder) for t in range(n_tasks[bench])]
+    n_kg = n_tasks["toy_kg_demo"]
+    forest = matrix._StepForest(by_ladder, jobs)
     sql_roots = {("toy_sql_demo", t) for t in range(10)}
-    roots = {unit: forest.root(unit) for unit in units[:16]}  # the first two cells
-    assert len({id(root) for root in roots.values()}) == 16  # one per (benchmark, task)
-    # cell 1 is toy_kg_demo's last: each of its roots went at the next claim
-    assert set(forest._roots) == sql_roots | {("toy_kg_demo", 5)}
+    roots = {job: forest.root(job) for job in jobs[: 10 + n_kg]}  # the first two ladders
+    assert len({id(root) for root in roots.values()}) == 10 + n_kg  # one per (benchmark, task)
+    # ladder 1 is toy_kg_demo's last: each of its roots went at the next claim
+    assert set(forest._roots) == sql_roots | {("toy_kg_demo", n_kg - 1)}
     assert forest.root((2, 0)) is roots[0, 0]  # the same task of the same benchmark
     assert set(forest._roots) == sql_roots
     assert forest.root((2, 1)) is roots[0, 1]

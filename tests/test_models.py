@@ -327,7 +327,7 @@ def test_policy_memo_answers_as_a_fresh_policy_per_call(calls):
         key = (id(task), tuple(prefix), bundle.fingerprint, bundle.rendered)
         if temperature <= 0.0 and key in kept:
             got, billed = kept[key]
-            unit.rebill(billed)
+            unit.rebill(1, *billed)
         else:
             got = unit.sample(task, prefix, bundle, temperature, seed)
             if temperature <= 0.0:

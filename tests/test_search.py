@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -585,11 +586,11 @@ _TRIE_CELLS = [
 ]
 
 
-def _trie_run(method, memory, script, reward, search, wrap):
+def _trie_run(method, memory, script, reward, search, wrap, prefixes=(), temperature=0.0):
     """One unit as the matrix runner builds it: (record, each trajectory's
-    text, telemetry, store units).  `wrap` wraps the policy and the
-    augmentor model in `Undeclared`, so every step and every augmentor
-    answer is computed."""
+    text, telemetry, store units) after each budget in `prefixes`, then at
+    its end.  `wrap` wraps the policy and the augmentor model in
+    `Undeclared`, so every step and every augmentor answer is computed."""
     telemetry = Telemetry()
     policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(script), telemetry)
     prm = ScriptedRewardModel.from_dict(reward, telemetry)
@@ -602,10 +603,19 @@ def _trie_run(method, memory, script, reward, search, wrap):
     composite = compose(configs, model=aug_model, embedder=HashEmbedder())
     interleaved = composite.wants_siblings and method is not SearchMethod.BEST_OF_N
     expansion = ExpansionMode.INTERLEAVED if interleaved else ExpansionMode.BATCH
-    cfg = SearchConfig(method=method, expansion=expansion, **search)
-    record = run_search(TASK, ToySqlEnv(WORLD), policy, composite, cfg, seed=7, prm=prm)
-    texts = [t.text for t in record.trajectories]
-    return record, texts, telemetry, composite.store.units
+    cfg = SearchConfig(method=method, expansion=expansion, temperature=temperature, **search)
+    snapshots = []
+
+    def snapshot(record):
+        texts = [t.text for t in record.trajectories]
+        snapshots.append((record, texts, replace(telemetry), composite.store.units))
+
+    snapshot(
+        run_search(
+            TASK, ToySqlEnv(WORLD), policy, composite, cfg, 7, prm, None, prefixes, snapshot
+        )
+    )
+    return snapshots
 
 
 @settings(max_examples=120, derandomize=True, deadline=None)
@@ -658,6 +668,71 @@ def test_trie_gives_the_same_record_telemetry_and_store_as_computing_every_step(
     replayed = _trie_run(*cell, script, reward, search, wrap=False)
     computed = _trie_run(*cell, script, reward, search, wrap=True)
     assert replayed == computed
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    cell=st.sampled_from(_TRIE_CELLS),
+    defaults=st.lists(st.sampled_from(_TRIE_TEMPLATES), min_size=4, max_size=4),
+    rules=st.lists(
+        st.tuples(
+            st.integers(0, 4), st.sampled_from(_TRIE_MATCHES), st.sampled_from(_TRIE_TEMPLATES)
+        ),
+        max_size=8,
+    ),
+    budgets=st.lists(st.integers(1, 7), min_size=1, max_size=3, unique=True),
+    temperature=st.sampled_from([0.0, 0.7]),
+)
+def test_each_prefix_record_is_what_a_run_at_that_budget_returns(
+    cell, defaults, rules, budgets, temperature
+):
+    # memory written by a trajectory reaches only later ones, so a run's
+    # first k trajectories, its telemetry and its store then are those of a
+    # run at budget k, at any temperature; the submitted trajectory too
+    rules = [(step, "*", template) for step, template in enumerate(defaults)] + rules
+    script = {
+        "rules": [
+            {"step": step, "match": match, "candidates": {template: 1.0}}
+            for step, match, template in rules
+        ]
+    }
+    reward = {"rules": [{"score": 0.9, "tool": "SCHEMA"}], "default": 0.4}
+    *smaller, largest = sorted(budgets)
+    ladder = _trie_run(
+        *cell, script, reward, dict(n_budget=largest, n_iters=largest), False, smaller, temperature
+    )
+    alone = [
+        _trie_run(*cell, script, reward, dict(n_budget=k, n_iters=k), False, (), temperature)[0]
+        for k in (*smaller, largest)
+    ]
+    assert ladder == alone
+    assert [len(record.trajectories) for record, *_ in ladder] == [*smaller, largest]
+
+
+@pytest.mark.parametrize("method", [SearchMethod.BEST_OF_N, SearchMethod.MCTS])
+def test_ties_submit_the_earliest_trajectory_at_every_prefix(method):
+    # every trajectory scores the PRM default, and the draws answer A or B
+    script = {"rules": [{"step": 0, "candidates": {"FINAL_ANSWER|A": 1.0, "FINAL_ANSWER|B": 1.0}}]}
+    cfg = SearchConfig(method=method, n_budget=6, n_iters=6, n_actions=2, temperature=0.7)
+    env, records = ToySqlEnv(WORLD), []
+    record = run_search(
+        TASK, env, _policy(script), _none_composite(), cfg, 5, _prm(), None, range(1, 6),
+        records.append,
+    )
+    records.append(record)
+    assert len({t.answer() for t in records[-1].trajectories}) == 2
+    assert len({t.trajectory_score for t in records[-1].trajectories}) == 1
+    assert [len(r.trajectories) for r in records] == list(range(1, 7))
+    assert all(r.selected is r.trajectories[0] for r in records)
+
+
+def test_beam_has_no_budget_prefixes():
+    cfg = SearchConfig(method=SearchMethod.BEAM)
+    with pytest.raises(ValueError, match="beam search has no budget prefixes"):
+        run_search(
+            TASK, ToySqlEnv(WORLD), _policy(STRAIGHT_POLICY), _none_composite(), cfg, 0, _prm(),
+            None, [1], print,
+        )
 
 
 class CountingEnv(ToySqlEnv):
