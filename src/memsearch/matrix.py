@@ -369,7 +369,8 @@ def _ladders(cfg: MatrixConfig, cells: tuple[ExperimentCell, ...]) -> list[tuple
     reads each smaller budget's row off its prefix.  A ladder's cells may
     have different seeds, so it forms only where a unit reads no seed,
     which is exactly where its steps go through a step trie
-    (`search.replays_steps`).  Every other cell is a ladder of one.
+    (`search.replays_steps`), in any env (one that is not serializable
+    still executes each step).  Every other cell is a ladder of one.
     """
     ladders: dict[tuple, list[int]] = {}
     repeats: Counter = Counter()
@@ -377,9 +378,7 @@ def _ladders(cfg: MatrixConfig, cells: tuple[ExperimentCell, ...]) -> list[tuple
         key: tuple = (c,)
         spec = cfg.benchmarks[cell.benchmark]
         method = cell.search.method
-        if method is not SearchMethod.BEAM and replays_steps(
-            ENV_CLASSES[cell.env], spec.policy, spec.reward, cell.search
-        ):
+        if method is not SearchMethod.BEAM and replays_steps(spec.policy, spec.reward, cell.search):
             # the search config's field values, its budget blanked
             rung = "n_budget" if method is SearchMethod.BEST_OF_N else "n_iters"
             search = tuple({**vars(cell.search), rung: None}.values())
@@ -393,6 +392,15 @@ def _ladders(cfg: MatrixConfig, cells: tuple[ExperimentCell, ...]) -> list[tuple
     ]
 
 
+# a unit's task id and its verdict file line
+_Row = tuple[str, str]
+
+
+def _error(exc: Exception) -> str:
+    """How a failed unit's exception is recorded: as its cell's error."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _run_cell_task(
     cfg: MatrixConfig,
     embedder: HashEmbedder,
@@ -400,14 +408,16 @@ def _run_cell_task(
     task: Task,
     dump_dir: Path | None,
     trie: _StepNode,
-    emit: Callable[[VerdictRow], object],
+    emit: Callable[[_Row | str], object],
 ) -> None:
     """Run the search of `ladder`'s last cell, its largest budget, on `task`
-    and `emit` each cell's verdict row in ladder order: a smaller budget's
-    from the search's prefix of that many trajectories, as soon as it is
-    made (see `_ladders`).  The row carries the telemetry billed so far (a
-    prefix's row a copy of it), and with `dump_dir` the store is dumped for
-    it then.  An exception stops the rows that are not yet emitted."""
+    and `emit` each cell's result in ladder order: the task's id and the
+    cell's verdict line, a smaller budget's made from the search's prefix
+    of that many trajectories as soon as it is done (see `_ladders`).  The
+    row carries the telemetry billed so far (a prefix's row a copy of it),
+    and with `dump_dir` the store is dumped for it then.  An exception in
+    making one row is emitted as that cell's error (`_error`) and the
+    search goes on; one from the search stops the rows not yet emitted."""
     cell = ladder[-1]
     spec = cfg.benchmarks[cell.benchmark]
     telemetry = Telemetry()
@@ -423,8 +433,7 @@ def _run_cell_task(
     grade = functools.cache(functools.partial(spec.benchmark.grader().grade, task.task_id))
     cells = iter(ladder)
 
-    def emit_row(record: SearchRecord, telemetry: Telemetry) -> None:
-        cell = next(cells)
+    def row_line(cell: ExperimentCell, record: SearchRecord, telemetry: Telemetry) -> str:
         if search_cfg.method is SearchMethod.BEAM:
             skip_src = [record.selected] if record.selected else list(record.trajectories[:1])
             verdicts = [grade(record.final_answer)]
@@ -449,20 +458,25 @@ def _run_cell_task(
         if dump_dir is not None:
             composite.store.dump(dump_dir / f"{cell.cell_id}__{task.task_id}.jsonl")
 
-        emit(
-            VerdictRow(
-                task_id=task.task_id,
-                cell_id=cell.cell_id,
-                verdicts=verdicts,
-                selected_verdict=grade(record.final_answer),
-                final_answer=record.final_answer,
-                trajectory_lengths=lengths,
-                terminal_kinds=[t.terminal_kind.value for t in record.trajectories],
-                discovery_skipped=discovery_skipped,
-                telemetry=telemetry,
-                giveup=record.giveup,
-            )
-        )
+        return VerdictRow(
+            task_id=task.task_id,
+            cell_id=cell.cell_id,
+            verdicts=verdicts,
+            selected_verdict=grade(record.final_answer),
+            final_answer=record.final_answer,
+            trajectory_lengths=lengths,
+            terminal_kinds=[t.terminal_kind.value for t in record.trajectories],
+            discovery_skipped=discovery_skipped,
+            telemetry=telemetry,
+            giveup=record.giveup,
+        ).to_json()
+
+    def emit_row(record: SearchRecord, telemetry: Telemetry) -> None:
+        try:
+            result: _Row | str = (task.task_id, row_line(next(cells), record, telemetry))
+        except Exception as exc:  # noqa: BLE001 - a row that fails fails its cell alone
+            result = _error(exc)
+        emit(result)
 
     seed = task_seed(cell.seed, task.task_id)
     prefixes = [_budget(c.search) for c in ladder[:-1]]
@@ -471,10 +485,6 @@ def _run_cell_task(
         lambda prefix: emit_row(prefix, replace(telemetry)),  # the search bills on
     )
     emit_row(record, telemetry)
-
-
-# a unit's task id and its verdict file line
-_Row = tuple[str, str]
 
 
 class _StepForest:
@@ -518,8 +528,8 @@ def _run_unit(
     job: tuple[int, int],
 ) -> list[_Row | str]:
     """One (ladder index, task index) job: for each of the ladder's cells,
-    in order, the task's id and verdict line, or the error that stopped the
-    job as a string, for every cell whose row it stopped.  Both are made
+    in order, the task's id and verdict line, or as a string the error that
+    failed its row, or that stopped the job before it.  Both are made
     here, on the worker that ran the job, so no exception object has to
     cross a process and the runner only joins lines."""
     ladder = ladders[job[0]]
@@ -527,12 +537,9 @@ def _run_unit(
     trie = forest.root(job)
     results: list[_Row | str] = []
     try:
-        _run_cell_task(
-            cfg, embedder, ladder, task, dump_dir, trie,
-            lambda row: results.append((row.task_id, row.to_json())),
-        )
+        _run_cell_task(cfg, embedder, ladder, task, dump_dir, trie, results.append)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
-        results += [f"{type(exc).__name__}: {exc}"] * (len(ladder) - len(results))
+        results += [_error(exc)] * (len(ladder) - len(results))
     return results
 
 

@@ -7,7 +7,8 @@ n_actions candidates either in batch (identical prompts, i.i.d. draws) or
 interleaved (candidate i's prompt carries the records of the i already
 executed siblings).  Every run is a pure function of its seed.  At
 temperature 0 a run computes each distinct step once and replays, and
-bills, every repeat of it (the step trie, see `_take_step`).  A caller may
+bills, every repeat of it (the step trie, see `_take_step`); in an env that
+is not serializable a replayed step is still executed.  A caller may
 hand runs of one task a shared trie root, as the matrix runner does for
 every unit of a (benchmark, task): each run then replays what earlier runs
 computed.  A best-of-N attempt whose bundle cannot change before it ends
@@ -16,9 +17,9 @@ terminal kind, score and text are made once, at its end node
 (`_trajectory`).  Best-of-N and MCTS also hand back the record of each
 requested prefix of their trajectories (`_iterate`), which is what a run at
 that smaller budget returns, so the matrix runner runs a budget ladder once.
-On `grid` seed 1 a matrix pass at `jobs` 1 runs 290 searches for its 686
-verdict rows, which bill 50,745 steps; the searches bill 34,594 of them,
-call `_take_step` 16,252 times, compute 8,146 steps and render 65 path
+On `grid` seed 1 a matrix pass at `jobs` 1 runs 258 searches for its 686
+verdict rows, which bill 50,745 steps; the searches bill 33,394 of them,
+call `_take_step` 11,224 times, compute 3,118 steps and render 69 path
 endings.
 """
 
@@ -132,18 +133,19 @@ class _StepNode:
 
     The root is the empty prefix, at `env.reset(task)`.  `entries` maps a
     bundle, as (fingerprint, rendered text), to the step computed from this
-    prefix under it: its Candidate, whose `node` is the child it leads to,
-    and the (tokens in, tokens out) the policy and the PRM billed for it
-    (None for a model that billed nothing).  `children` maps what a step
-    executed, its (action, observation), to that child, so bundles that lead
-    to the same step share what follows it.  `ending` is what a trajectory
+    prefix under it: its Candidate, whose `node` is the child it leads to
+    (and whose `state` is read only in a serializable env), and the (tokens
+    in, tokens out) the policy and the PRM billed for it (None for a model
+    that billed nothing).  `children` maps what a step executed, its
+    (action, observation), to that child, so bundles that lead to the same
+    step share what follows it.  `ending` is what a trajectory
     that ends here is, a function of the prefix alone: its (terminal kind,
     score, `trajectory_text`), made by the first path that ends here (None
     until then) and read by every later one.  A best-of-N attempt under a
     fixed bundle walks `entries` from the root down in one pass, so a
     repeated attempt only bills its steps again and reads its end node's
     `ending`.  The matrix runner keeps one trie per (benchmark, task) for a
-    whole run, so on `grid` seed 1 65 endings serve its 15,840 trajectories.
+    whole run, so on `grid` seed 1 69 endings serve its 17,120 trajectories.
     """
 
     __slots__ = ("entries", "children", "ending")
@@ -154,22 +156,22 @@ class _StepNode:
         self.ending: tuple[TerminalKind, float, str] | None = None
 
 
-def replays_steps(env, policy, prm, config: SearchConfig) -> bool:
+def replays_steps(policy, prm, config: SearchConfig) -> bool:
     """Whether a run takes its steps through a step trie: at temperature <=
-    0, in a serializable env (an instance or its class), and when the
-    classes of the policy and of the PRM (if any) both declare
+    0, when the classes of the policy and of the PRM (if any) both declare
     `deterministic_at_zero` (a wrapper class declares nothing).  Then a
-    step, and what it bills, are functions of its prefix and its bundle,
-    and the run reads its seed nowhere.
+    policy draw and a PRM score, and what each bills, are functions of the
+    prefix and the bundle, and the run reads its seed nowhere.  The env
+    does not enter: on one that is not serializable a replayed step is
+    still executed (see `_take_step`).
     """
-    if config.temperature > 0.0 or not env.serializable:
+    if config.temperature > 0.0:
         return False
     models = [policy] if prm is None else [policy, prm]
     return all(getattr(type(m), "deterministic_at_zero", False) is True for m in models)
 
 
 def _step_trie(
-    env: Environment,
     policy: PolicyModel,
     prm: RewardModel | None,
     config: SearchConfig,
@@ -181,10 +183,11 @@ def _step_trie(
 
     A root may serve several runs of one task, as the matrix runner's do
     (one per benchmark and task), if their envs are of one benchmark and
-    their models answer and bill alike: a state handle is then valid in
-    each env.
+    their models answer and bill alike.  A state handle the trie holds is
+    read only in a serializable env, where it is valid in each env of the
+    benchmark.
     """
-    if not replays_steps(env, policy, prm, config):
+    if not replays_steps(policy, prm, config):
         return None
     return _StepNode() if root is None else root
 
@@ -279,6 +282,53 @@ def _rebill(replays: Sequence[tuple], policy: PolicyModel, prm: RewardModel | No
         prm.rebill(len(prm_bills), *map(sum, zip(*prm_bills)))
 
 
+def _stepped(
+    task: Task,
+    node: _StepNode | None,
+    state: StateHandle,
+    prefix: Sequence[Step],
+    prm: RewardModel | None,
+    bundle_fp: str,
+    action: Action,
+    obs: Observation,
+) -> Candidate:
+    """The Candidate of `action`, executed from `prefix` into `state` with
+    `obs`: its step scored by the PRM (clamped into [0, 1]; unscored without
+    a PRM), leading to the child of trie node `node` that (action, obs)
+    keys, made if missing (None without a trie)."""
+    step = Step(action, obs)
+    if prm is not None:
+        step = Step(action, obs, clamp01(prm.score(task.prompt, prefix, step)))
+    child = None
+    if node is not None:
+        child = node.children.get((action, obs))
+        if child is None:
+            child = node.children[action, obs] = _StepNode()
+    return Candidate(step, state, bundle_fp, (*prefix, step), child)
+
+
+def _replay_live(
+    env: Environment,
+    task: Task,
+    node: _StepNode,
+    state: StateHandle,
+    prefix: Sequence[Step],
+    prm: RewardModel | None,
+    cand: Candidate,
+) -> Candidate:
+    """A step of trie node `node` replayed in an env that is not
+    serializable, whose stored states are stale: its action is executed
+    from the live `state`.  If the env answers as the trie holds, that is
+    `cand` at the new state; else it is the step the env made, scored by
+    the PRM as a computed step is (see `_stepped`), and its node is not
+    `cand.node`."""
+    action = cand.step.action
+    state, obs = env.step(state, action)
+    if obs == cand.step.observation:
+        return Candidate(cand.step, state, cand.bundle_fp, cand.steps, cand.node)
+    return _stepped(task, node, state, prefix, prm, cand.bundle_fp, action, obs)
+
+
 def _take_step(
     env: Environment,
     task: Task,
@@ -302,8 +352,11 @@ def _take_step(
 
     A step the trie already holds under this bundle is replayed instead: the
     composite gets it all the same, and each model bills again what it
-    billed for it, but nothing is sampled, forked, executed, scored or
-    seeded.
+    billed for it, but nothing is sampled, forked, scored or seeded.  In a
+    serializable env nothing is executed either; in any other env the
+    action is (`_replay_live`), so the env sees the calls a run without a
+    trie makes, and a step it answers otherwise is scored and billed as
+    computed.
     """
     if node is not None:
         key = (bundle.fingerprint, bundle.rendered)
@@ -312,23 +365,20 @@ def _take_step(
             cand, policy_bill, prm_bill = replay
             if policy_bill is not None:
                 policy.rebill(1, *policy_bill)
+            if not env.serializable:
+                cand = _replay_live(env, task, node, state, prefix, prm, cand)
+                if cand.node is not replay[0].node:
+                    prm_bill = None
             if prm_bill is not None:
                 prm.rebill(1, *prm_bill)
             composite.on_step(cand.step, iteration)
             return cand
     action = policy.sample(task, prefix, bundle, config.temperature, stable_hash(*seed_salt))
     state, obs = env.step(env.fork(state) if fork else state, action)
-    step = Step(action, obs)
-    if prm is not None:
-        step = Step(action, obs, clamp01(prm.score(task.prompt, prefix, step)))
-    composite.on_step(step, iteration)
-    if node is None:
-        return Candidate(step, state, bundle.fingerprint, (*prefix, step), None)
-    child = node.children.get((action, obs))
-    if child is None:
-        child = node.children[action, obs] = _StepNode()
-    cand = Candidate(step, state, bundle.fingerprint, (*prefix, step), child)
-    node.entries[key] = (cand, policy.billed, None if prm is None else prm.billed)
+    cand = _stepped(task, node, state, prefix, prm, bundle.fingerprint, action, obs)
+    composite.on_step(cand.step, iteration)
+    if node is not None:
+        node.entries[key] = (cand, policy.billed, None if prm is None else prm.billed)
     return cand
 
 
@@ -397,20 +447,27 @@ def _linear_rollout(
     the attempt ends, so the attempt retrieves it once.  On a trie it then
     walks down the steps held under that bundle (their on_step would do
     nothing), bills them again with one telemetry update per model, and
-    takes steps with `_take_step` from the first one the trie lacks.
+    takes steps with `_take_step` from the first one the trie lacks.  In an
+    env that is not serializable the walk executes each step it replays
+    from its own live state, as `_take_step` does.
     """
     state, prefix, node = env.reset(task), (), root
     path: list[Candidate] = []
     bundle = None if composite.writes_on_step else composite.retrieve()
     if node is not None and bundle is not None:
         key = (bundle.fingerprint, bundle.rendered)
+        live = not env.serializable
         walked = []
         while len(path) < config.max_depth:
             replay = node.entries.get(key)
             if replay is None:
                 break
-            walked.append(replay)
             cand = replay[0]
+            if live:
+                cand = _replay_live(env, task, node, state, prefix, prm, cand)
+                if cand.node is not replay[0].node:  # scored and billed as computed
+                    replay = (cand, replay[1], None)
+            walked.append(replay)
             path.append(cand)
             if cand.step.action.is_final:
                 break
@@ -455,7 +512,7 @@ def run_best_of_n(
     """
     if config.method is not SearchMethod.BEST_OF_N:
         raise ValueError(f"config method {config.method} is not best_of_n")
-    root = _step_trie(env, policy, prm, config, trie)
+    root = _step_trie(policy, prm, config, trie)
     made = (
         _linear_rollout(env, task, root, policy, prm, composite, config, i, seed)
         for i in range(config.n_budget)
@@ -490,7 +547,7 @@ def run_beam(
     if prm is None:
         raise ValueError("beam search needs a process reward model")
 
-    root, trie = env.reset(task), _step_trie(env, policy, prm, config, trie)
+    root, trie = env.reset(task), _step_trie(policy, prm, config, trie)
     actives: list[tuple[Candidate, ...]] = [()]
     completed: list[Trajectory] = []
     apology_terminals = 0
@@ -685,7 +742,7 @@ def run_mcts(
         raise ValueError(f"config method {config.method} is not mcts")
     if prm is None:
         raise ValueError("mcts needs a process reward model")
-    trie = _step_trie(env, policy, prm, config, trie)
+    trie = _step_trie(policy, prm, config, trie)
     made = _mcts_iterations(task, env, policy, prm, composite, config, seed, trie)
     return _iterate(made, composite, True, prefixes, on_prefix)
 

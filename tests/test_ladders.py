@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -66,10 +67,13 @@ def _cell(bench, method, memory, budget, **extra):
 
 
 def _ladder_cells():
+    # toy_shell is not serializable: it has no MCTS, and its ladders still
+    # execute every step
     return [
         _cell(bench, method, memory, budget)
-        for bench in ("toy_sql_demo", "toy_kg_demo")
+        for bench in ("toy_sql_demo", "toy_kg_demo", "toy_shell_demo")
         for method, memories in LADDER_MEMORIES.items()
+        if (bench, method) != ("toy_shell_demo", "mcts")
         for memory in memories
         for budget in BUDGETS
     ]
@@ -170,6 +174,33 @@ def test_a_ladder_that_fails_mid_way_fails_as_its_cells_alone(tmp_path, monkeypa
     _assert_each_cell_as_alone(_tree(tmp_path / "ladders"), alone)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_row_that_fails_to_be_made_fails_only_its_own_cell(tmp_path, jobs):
+    # a directory where the budget-2 cell's first memory dump goes: that row
+    # fails to be made, and the search goes on to the budget-9 row
+    benchmarks = _benchmarks(tmp_path, n_tasks=2)
+    cells = [_cell("toy_sql_demo", "best_of_n", ["reflection"], budget) for budget in (2, 9)]
+    cfg = load_matrix_config(write_mini_config(tmp_path, cells, benchmarks))
+    assert matrix._ladders(cfg, cfg.cells) == [(0, 1)]
+    task = cfg.benchmarks["toy_sql_demo"].benchmark.tasks[0].task_id
+    out = tmp_path / "out"  # one path for every run, so the errors name one file
+
+    def run(run_cells):
+        shutil.rmtree(out, ignore_errors=True)
+        (out / "memory" / f"{cells[0]['id']}__{task}.jsonl").mkdir(parents=True)
+        config = load_matrix_config(write_mini_config(tmp_path, run_cells, benchmarks))
+        manifest = run_matrix(config, out, jobs=jobs, dump_memory=True)
+        return manifest, _tree(out)
+
+    alone = {}
+    for cell in cells:
+        manifest, tree = run([cell])
+        alone[cell["id"]] = (manifest["cells"][cell["id"]], tree)
+    assert [entry["status"] for entry, _ in alone.values()] == ["failed", "ok"]
+    assert alone[cells[0]["id"]][0]["error"].startswith("IsADirectoryError: ")
+    _assert_each_cell_as_alone(run(cells)[1], alone)
+
+
 class UndeclaredPolicy:
     """A scripted policy behind a wrapper that declares no determinism."""
 
@@ -197,7 +228,6 @@ NEVER_CHAINED = {
     "best_of_n_above_temperature_0": _pair(
         _cell("toy_sql_demo", "best_of_n", [], 2, temperature=0.7)
     ),
-    "toy_shell_best_of_n": _pair(_cell("toy_shell_demo", "best_of_n", [], 2)),
     "undeclared_policy": _pair(_cell("toy_sql_demo", "best_of_n", [], 2)),
     "w_exp": _pair(_cell("toy_sql_demo", "mcts", [], 2), w_exp=0.5),
     "rollout_depth": _pair(_cell("toy_sql_demo", "mcts", [], 2), rollout_depth=3),
@@ -233,6 +263,19 @@ def test_cells_that_differ_only_in_budget_share_one_search(tmp_path, monkeypatch
     runs = _counting_searches(monkeypatch)
     run_matrix(cfg, tmp_path / "out", jobs=1)
     assert len(runs) == 2
+
+
+def test_toy_shell_best_of_n_cells_that_differ_only_in_budget_share_one_search(
+    tmp_path, monkeypatch
+):
+    # an env that is not serializable chains too: it executes every step
+    cells = _pair(_cell("toy_shell_demo", "best_of_n", [], 2))
+    cfg = load_matrix_config(write_mini_config(tmp_path, cells, _benchmarks(tmp_path, 2)))
+    assert matrix._ladders(cfg, cfg.cells) == [(0, 1)]
+    runs = _counting_searches(monkeypatch)
+    manifest = run_matrix(cfg, tmp_path / "out", jobs=1)
+    assert {entry["status"] for entry in manifest["cells"].values()} == {"ok"}
+    assert len(runs) == 2  # one search per task
 
 
 def test_a_repeated_budget_starts_a_ladder_of_its_own(tmp_path):

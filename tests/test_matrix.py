@@ -922,8 +922,8 @@ def test_model_memos_live_for_one_unit(tmp_path, demo_config_path, monkeypatch):
     roots = {}  # id of a unit's PRM -> the step trie root its search ran on, or None
     real_step_trie = search._step_trie
 
-    def recording_step_trie(env, policy, prm, config, root=None):
-        roots[id(prm)] = real_step_trie(env, policy, prm, config, root)
+    def recording_step_trie(policy, prm, config, root=None):
+        roots[id(prm)] = real_step_trie(policy, prm, config, root)
         return roots[id(prm)]
 
     scored = collections.Counter()  # id of a unit's PRM -> its computed scores
@@ -953,17 +953,18 @@ def test_model_memos_live_for_one_unit(tmp_path, demo_config_path, monkeypatch):
     # task) root per call, shared by every eligible unit of the task
     shared = {id(root): root for root in roots.values() if root is not None}
     on_trie = [prm for _, prm, *_ in built if roots[id(prm)] is not None]
-    assert len(shared) == 2 * (10 + 6)  # toy_sql_demo's and toy_kg_demo's tasks, twice
+    # toy_sql_demo's, toy_kg_demo's and toy_shell_demo's tasks, twice
+    assert len(shared) == 2 * (10 + 6 + 4)
     for root in shared.values():
         units = [prm for prm in on_trie if roots[id(prm)] is root]
         assert sum(scored[id(prm)] for prm in units) == _trie_entries(root) > 0
-    # a unit without a trie (beam at T 0.7, the shell) computes every step
+    # a unit without a trie (beam at T 0.7) computes every step
     assert all(
         scored[id(prm)] == telemetry.policy_calls
         for _, prm, _, telemetry in built
         if roots[id(prm)] is None
     )
-    assert sum(scored.values()) == 2 * 360  # the demo's computed steps per run
+    assert sum(scored.values()) == 2 * 312  # the demo's computed steps per run
     for spec in cfg.benchmarks.values():
         assert spec.policy.billed is None and spec.policy.telemetry is None
         assert spec.reward._values == {} and spec.reward.billed is None

@@ -780,7 +780,7 @@ def test_trie_replays_nothing_above_temperature_zero(method):
     assert steps == draws == telemetry.policy_calls
 
 
-def test_trie_replays_nothing_in_a_shell_env():
+def test_trie_executes_every_step_in_a_shell_env():
     world = {"t1": {"files": {"a.txt": "PSP"}}}
     task = Task("t1", "p", ("RUN", FINAL_ANSWER), "b", "scripted_shell", {})
     script = {
@@ -799,6 +799,94 @@ def test_trie_replays_nothing_in_a_shell_env():
     record = run_best_of_n(task, env, policy, _none_composite(), cfg, seed=1, prm=prm)
     assert record.final_answer == "PSP"
     assert len(steps) == telemetry.policy_calls == telemetry.supervisor_calls == 8
+
+
+class DriftingShellEnv(ScriptedShellEnv):
+    """A shell that is not deterministic: `a.txt` reads differently after
+    every reset, so a replayed `cat a.txt` meets an observation the step
+    trie does not hold."""
+
+    def _open(self, task_id):
+        state = super()._open(task_id)
+        self._sessions[state.env_id]["a.txt"] = f"draft {self._counter}"
+        return state
+
+
+SHELL_WORLD = {"t1": {"files": {"a.txt": "PSP"}}}
+SHELL_TASK = Task("t1", "p", ("RUN", FINAL_ANSWER), "b", "scripted_shell", {})
+# the first attempt errs and is reflected on; "avoid" in the bundle then
+# writes the file that step 2 reads, in the live session
+SHELL_POLICY = {
+    "rules": [
+        {"step": 0, "match": "contains:avoid", "candidates": {"RUN|write b.txt done": 1.0}},
+        {"step": 0, "candidates": {"RUN|cat missing.txt": 1.0}},
+        {"step": 1, "candidates": {"RUN|cat a.txt": 1.0}},
+        {"step": 2, "candidates": {"RUN|cat b.txt": 1.0}},
+        {"step": 3, "candidates": {"FINAL_ANSWER|{last_observation}": 1.0}},
+    ]
+}
+SHELL_AUGMENTOR = {
+    "reflection": {"rules": [{"contains": "ERROR", "text": "avoid the error"}]},
+    "facts": {"rules": [{"pattern": r"no such file '(.+)'", "template": "{0} is missing"}]},
+}
+
+
+def _shell_run(env_cls, memory, wrap):
+    """One best-of-N unit on a shell env, as `_trie_run` runs one: ((record,
+    each trajectory and its text, telemetry, store units, the env's reset
+    and step calls in order), the computed policy draws after each
+    attempt).  `wrap` wraps the policy and the augmentor model in
+    `Undeclared`, so the run has no trie."""
+    telemetry = Telemetry()
+    scripted = ScriptedPolicy(ScriptedPolicyConfig.from_dict(SHELL_POLICY), telemetry)
+    draws = []
+    real_sample = scripted.sample
+    scripted.sample = lambda *a: draws.append(a) or real_sample(*a)  # the class still declares
+    reward = {"rules": [{"score": 0.2, "is_error": True}], "default": 0.8}
+    prm = ScriptedRewardModel.from_dict(reward, telemetry)
+    aug_model = ScriptedAugmentorModel.from_dict(SHELL_AUGMENTOR, telemetry)
+    policy = scripted
+    if wrap:
+        policy, aug_model = Undeclared(scripted), Undeclared(aug_model)
+    composite = compose(_TRIE_MEMORIES[memory], model=aug_model, embedder=HashEmbedder())
+    env, calls = env_cls(SHELL_WORLD), []
+    real_reset, real_step = env.reset, env.step
+    env.reset = lambda task: calls.append(("reset", task.task_id)) or real_reset(task)
+    env.step = lambda *a: calls.append(("step", *a)) or real_step(*a)
+    cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=5)
+    drawn = []
+    record = run_best_of_n(
+        SHELL_TASK, env, policy, composite, cfg, 3, prm, None, range(1, 5),
+        lambda _: drawn.append(len(draws)),
+    )
+    texts = [(t, t.text) for t in record.trajectories]
+    return (record, texts, telemetry, composite.store.units, calls), [*drawn, len(draws)]
+
+
+@pytest.mark.parametrize(
+    "env_cls, memory, drawn",
+    [
+        (ScriptedShellEnv, "none", [4, 4, 4, 4, 4]),  # every draw is the first attempt's
+        (ScriptedShellEnv, "reflection", [4, 8, 8, 8, 8]),  # one reflection, one new bundle
+        (ScriptedShellEnv, "incremental_fact", [4, 7, 7, 7, 7]),
+        # `cat a.txt` answers otherwise in every attempt: what follows it is computed
+        (DriftingShellEnv, "none", [4, 6, 8, 10, 12]),
+        (DriftingShellEnv, "reflection", [4, 8, 10, 12, 14]),
+        (DriftingShellEnv, "incremental_fact", [4, 8, 10, 12, 14]),
+    ],
+)
+def test_trie_on_a_shell_env_makes_the_env_calls_of_a_run_without_one(env_cls, memory, drawn):
+    # the trie replays only the policy draws and the PRM scores: every reset
+    # and step still runs, in order, and a step the env answers otherwise is
+    # scored as computed; incremental_fact replays single steps (`_take_step`)
+    replayed, replayed_drawn = _shell_run(env_cls, memory, wrap=False)
+    computed, computed_drawn = _shell_run(env_cls, memory, wrap=True)
+    assert replayed == computed
+    assert replayed_drawn == drawn
+    assert computed_drawn == [4, 8, 12, 16, 20]
+    _, _, telemetry, _, calls = replayed
+    assert [call[0] for call in calls].count("reset") == 5
+    assert [call[0] for call in calls].count("step") == telemetry.policy_calls == 20
 
 
 def test_trie_replay_without_a_prm_bills_no_supervisor_call():
