@@ -7,20 +7,21 @@ n_actions candidates either in batch (identical prompts, i.i.d. draws) or
 interleaved (candidate i's prompt carries the records of the i already
 executed siblings).  Every run is a pure function of its seed.  At
 temperature 0 a run computes each distinct step once and replays, and
-bills, every repeat of it (the step trie, see `_take_step`); in an env that
-is not serializable a replayed step is still executed.  A caller may
-hand runs of one task a shared trie root, as the matrix runner does for
-every unit of a (benchmark, task): each run then replays what earlier runs
-computed.  A best-of-N attempt whose bundle cannot change before it ends
-walks the trie in one pass (`_linear_rollout`), and each finished path's
-terminal kind, score and text are made once, at its end node
-(`_trajectory`).  Best-of-N and MCTS also hand back the record of each
-requested prefix of their trajectories (`_iterate`), which is what a run at
-that smaller budget returns, so the matrix runner runs a budget ladder once.
-On `grid` seed 1 a matrix pass at `jobs` 1 runs 258 searches for its 686
-verdict rows, which bill 50,745 steps; the searches bill 33,394 of them,
-call `_take_step` 11,224 times, compute 3,118 steps and render 69 path
-endings.
+bills, every repeat of it (the step trie); in an env that is not
+serializable a replayed step is still executed.  Every step, computed or
+replayed, is taken by `_take_step`, the one reader of the trie's entries.
+A caller may hand runs of one task a shared trie root, as the matrix
+runner does for every unit of a (benchmark, task): each run then replays
+what earlier runs computed.  A best-of-N attempt whose bundle cannot
+change before it ends lets one `_take_step` walk as far down the trie as
+it holds steps (`_linear_rollout`), and each finished path's terminal
+kind, score and text are made once, at its end node (`_trajectory`).
+Best-of-N and MCTS also hand back the record of each requested prefix of
+their trajectories (`_iterate`), which is what a run at that smaller
+budget returns, so the matrix runner runs a budget ladder once.  On `grid`
+seed 1 a matrix pass at `jobs` 1 runs 258 searches for its 686 verdict
+rows, which bill 50,745 steps; the searches bill 33,394 of them, call
+`_take_step` 18,862 times, compute 3,118 steps and render 69 path endings.
 """
 
 from __future__ import annotations
@@ -141,11 +142,12 @@ class _StepNode:
     step share what follows it.  `ending` is what a trajectory
     that ends here is, a function of the prefix alone: its (terminal kind,
     score, `trajectory_text`), made by the first path that ends here (None
-    until then) and read by every later one.  A best-of-N attempt under a
-    fixed bundle walks `entries` from the root down in one pass, so a
-    repeated attempt only bills its steps again and reads its end node's
-    `ending`.  The matrix runner keeps one trie per (benchmark, task) for a
-    whole run, so on `grid` seed 1 69 endings serve its 17,120 trajectories.
+    until then) and read by every later one.  `_take_step` alone reads and
+    writes `entries`; a best-of-N attempt under a fixed bundle walks them
+    from the root down in one call, so a repeated attempt only bills its
+    steps again and reads its end node's `ending`.  The matrix runner
+    keeps one trie per (benchmark, task) for a whole run, so on `grid` seed
+    1 69 endings serve its 17,120 trajectories.
     """
 
     __slots__ = ("entries", "children", "ending")
@@ -243,6 +245,7 @@ def _iterate(
     made: Iterator[Trajectory],
     composite: CompositeAugmentor,
     finished_only: bool,
+    budget: int,
     prefixes: Collection[int],
     on_prefix: Callable[[SearchRecord], object] | None,
 ) -> SearchRecord:
@@ -254,8 +257,14 @@ def _iterate(
     returns.  For each k in `prefixes` that record goes to `on_prefix` as
     soon as trajectory k - 1's on_trajectory has run; the record of them all
     is returned.  Nothing before trajectory i reads the budget, and what
-    memory it writes reaches only later ones.
+    memory it writes reaches only later ones.  Prefixes outside [1,
+    `budget`], or without `on_prefix`, raise ValueError before `made` is
+    first asked.
     """
+    if prefixes and on_prefix is None:
+        raise ValueError("budget prefixes need an on_prefix callback")
+    if any(not 1 <= k <= budget for k in prefixes):
+        raise ValueError(f"budget prefixes {sorted(prefixes)} not all in [1, {budget}]")
     trajectories: list[Trajectory] = []
     best = None
     for traj in made:
@@ -268,18 +277,6 @@ def _iterate(
         if len(trajectories) in prefixes:
             on_prefix(_record(trajectories, best))
     return _record(trajectories, best)
-
-
-def _rebill(replays: Sequence[tuple], policy: PolicyModel, prm: RewardModel | None) -> None:
-    """Bill the trie entries that a walk replayed (`replays`) again, as
-    their computations billed, with one telemetry update per model that
-    billed for them; counts are integers, so the sums are exact."""
-    policy_bills = [r[1] for r in replays if r[1] is not None]
-    if policy_bills:
-        policy.rebill(len(policy_bills), *map(sum, zip(*policy_bills)))
-    prm_bills = [r[2] for r in replays if r[2] is not None]
-    if prm_bills:
-        prm.rebill(len(prm_bills), *map(sum, zip(*prm_bills)))
 
 
 def _stepped(
@@ -307,28 +304,6 @@ def _stepped(
     return Candidate(step, state, bundle_fp, (*prefix, step), child)
 
 
-def _replay_live(
-    env: Environment,
-    task: Task,
-    node: _StepNode,
-    state: StateHandle,
-    prefix: Sequence[Step],
-    prm: RewardModel | None,
-    cand: Candidate,
-) -> Candidate:
-    """A step of trie node `node` replayed in an env that is not
-    serializable, whose stored states are stale: its action is executed
-    from the live `state`.  If the env answers as the trie holds, that is
-    `cand` at the new state; else it is the step the env made, scored by
-    the PRM as a computed step is (see `_stepped`), and its node is not
-    `cand.node`."""
-    action = cand.step.action
-    state, obs = env.step(state, action)
-    if obs == cand.step.observation:
-        return Candidate(cand.step, state, cand.bundle_fp, cand.steps, cand.node)
-    return _stepped(task, node, state, prefix, prm, cand.bundle_fp, action, obs)
-
-
 def _take_step(
     env: Environment,
     task: Task,
@@ -343,43 +318,62 @@ def _take_step(
     iteration: int,
     seed_salt: tuple,
     fork: bool = False,
-) -> Candidate:
-    """The one step every method takes from `node`, the trie node of `prefix`
-    (None: no trie): sample an action from `bundle` with seed
-    `stable_hash(*seed_salt)`, execute it from `state` (from a fork of it
-    if `fork`), score it with the PRM (clamped into [0, 1]; unscored
-    without a PRM) and hand it to the composite's on_step.
+    limit: int = 1,
+) -> list[Candidate]:
+    """The steps every method takes from `node`, the trie node of `prefix`
+    (None: no trie), under `bundle`, each handed to the composite's on_step.
 
-    A step the trie already holds under this bundle is replayed instead: the
-    composite gets it all the same, and each model bills again what it
-    billed for it, but nothing is sampled, forked, scored or seeded.  In a
-    serializable env nothing is executed either; in any other env the
-    action is (`_replay_live`), so the env sees the calls a run without a
-    trie makes, and a step it answers otherwise is scored and billed as
-    computed.
+    Where the trie holds no step under this bundle, this is one computed
+    step: an action sampled from `bundle` with seed `stable_hash(*seed_salt)`,
+    executed from `state` (from a fork of it if `fork`), scored by the PRM
+    and stored.  Else it is the steps the trie holds under this bundle from
+    `node` down, at most `limit` of them, up to the first final action or
+    the first node that holds none.  Nothing is sampled, forked, scored or
+    seeded for them; each model bills again what it billed for them, with
+    one telemetry update per model per call.  In a serializable env nothing
+    is executed either; in any other env each action is executed from the
+    live state, so the env sees the calls a run without a trie makes, and a
+    step it answers otherwise than the trie holds is scored as computed,
+    without its stored PRM bill, and the walk goes on from the child it
+    leads to.
     """
-    if node is not None:
-        key = (bundle.fingerprint, bundle.rendered)
-        replay = node.entries.get(key)
-        if replay is not None:
-            cand, policy_bill, prm_bill = replay
-            if policy_bill is not None:
-                policy.rebill(1, *policy_bill)
-            if not env.serializable:
-                cand = _replay_live(env, task, node, state, prefix, prm, cand)
-                if cand.node is not replay[0].node:
-                    prm_bill = None
-            if prm_bill is not None:
-                prm.rebill(1, *prm_bill)
-            composite.on_step(cand.step, iteration)
-            return cand
-    action = policy.sample(task, prefix, bundle, config.temperature, stable_hash(*seed_salt))
-    state, obs = env.step(env.fork(state) if fork else state, action)
-    cand = _stepped(task, node, state, prefix, prm, bundle.fingerprint, action, obs)
-    composite.on_step(cand.step, iteration)
-    if node is not None:
-        node.entries[key] = (cand, policy.billed, None if prm is None else prm.billed)
-    return cand
+    key = (bundle.fingerprint, bundle.rendered)
+    entry = None if node is None else node.entries.get(key)
+    if entry is None:
+        action = policy.sample(task, prefix, bundle, config.temperature, stable_hash(*seed_salt))
+        state, obs = env.step(env.fork(state) if fork else state, action)
+        cand = _stepped(task, node, state, prefix, prm, bundle.fingerprint, action, obs)
+        composite.on_step(cand.step, iteration)
+        if node is not None:
+            node.entries[key] = (cand, policy.billed, None if prm is None else prm.billed)
+        return [cand]
+    taken: list[Candidate] = []
+    policy_bills, prm_bills = [], []
+    while entry is not None:
+        cand, policy_bill, prm_bill = entry
+        if not env.serializable:  # its stored states are stale: execute from the live one
+            state, obs = env.step(state, cand.step.action)
+            if obs == cand.step.observation:
+                cand = Candidate(cand.step, state, cand.bundle_fp, cand.steps, cand.node)
+            else:
+                action, prm_bill = cand.step.action, None
+                cand = _stepped(task, node, state, prefix, prm, cand.bundle_fp, action, obs)
+        composite.on_step(cand.step, iteration)
+        taken.append(cand)
+        if policy_bill is not None:
+            policy_bills.append(policy_bill)
+        if prm_bill is not None:
+            prm_bills.append(prm_bill)
+        if len(taken) == limit or cand.step.action.is_final:
+            break
+        state, prefix, node = cand.state, cand.steps, cand.node
+        entry = node.entries.get(key)
+    for model, billed in ((policy, policy_bills), (prm, prm_bills)):
+        if len(billed) == 1:  # most calls take one step: no sums to make
+            model.rebill(1, *billed[0])
+        elif billed:  # counts are integers, so the sums are exact
+            model.rebill(len(billed), *map(sum, zip(*billed)))
+    return taken
 
 
 def expand(
@@ -417,11 +411,9 @@ def expand(
     for i in range(config.n_actions):
         if i == 0 or config.expansion is ExpansionMode.INTERLEAVED:
             bundle = composite.retrieve(sibling_context([c.step for c in out]))
-        out.append(
-            _take_step(
-                env, task, parent, parent_state, prefix, policy, prm, composite, bundle, config,
-                iteration, (*seed_salt, "cand", i), fork=True,
-            )
+        out += _take_step(
+            env, task, parent, parent_state, prefix, policy, prm, composite, bundle, config,
+            iteration, (*seed_salt, "cand", i), fork=True,
         )
     return out
 
@@ -441,50 +433,28 @@ def _linear_rollout(
     iteration: int,
     seed: int,
 ) -> Trajectory:
-    """One attempt from `env.reset(task)`.
+    """One attempt from `env.reset(task)`, its steps taken by `_take_step`.
 
     A composite that cannot write on a step cannot change the bundle before
-    the attempt ends, so the attempt retrieves it once.  On a trie it then
-    walks down the steps held under that bundle (their on_step would do
-    nothing), bills them again with one telemetry update per model, and
-    takes steps with `_take_step` from the first one the trie lacks.  In an
-    env that is not serializable the walk executes each step it replays
-    from its own live state, as `_take_step` does.
+    the attempt ends, so the attempt retrieves it once, and each
+    `_take_step` may walk the trie under it to the depth cap: a repeated
+    attempt is one call, with one telemetry update per model.  Otherwise
+    the bundle is retrieved for each step, which is taken alone.
     """
     state, prefix, node = env.reset(task), (), root
     path: list[Candidate] = []
     bundle = None if composite.writes_on_step else composite.retrieve()
-    if node is not None and bundle is not None:
-        key = (bundle.fingerprint, bundle.rendered)
-        live = not env.serializable
-        walked = []
-        while len(path) < config.max_depth:
-            replay = node.entries.get(key)
-            if replay is None:
-                break
-            cand = replay[0]
-            if live:
-                cand = _replay_live(env, task, node, state, prefix, prm, cand)
-                if cand.node is not replay[0].node:  # scored and billed as computed
-                    replay = (cand, replay[1], None)
-            walked.append(replay)
-            path.append(cand)
-            if cand.step.action.is_final:
-                break
-            state, prefix, node = cand.state, cand.steps, cand.node
-        _rebill(walked, policy, prm)
-        if path and path[-1].step.action.is_final:
-            return _trajectory(path, iteration)
-    for depth in range(len(path), config.max_depth):
-        cand = _take_step(
+    while len(path) < config.max_depth:
+        path += _take_step(
             env, task, node, state, prefix, policy, prm, composite,
             composite.retrieve() if bundle is None else bundle, config, iteration,
-            (seed, "bon", iteration, depth),
+            (seed, "bon", iteration, len(path)),
+            limit=1 if bundle is None else config.max_depth - len(path),
         )
-        path.append(cand)
-        state, prefix, node = cand.state, cand.steps, cand.node
-        if cand.step.action.is_final:
+        last = path[-1]
+        if last.step.action.is_final:
             break
+        state, prefix, node = last.state, last.steps, last.node
     return _trajectory(path, iteration)
 
 
@@ -517,7 +487,7 @@ def run_best_of_n(
         _linear_rollout(env, task, root, policy, prm, composite, config, i, seed)
         for i in range(config.n_budget)
     )
-    return _iterate(made, composite, False, prefixes, on_prefix)
+    return _iterate(made, composite, False, config.n_budget, prefixes, on_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +714,7 @@ def run_mcts(
         raise ValueError("mcts needs a process reward model")
     trie = _step_trie(policy, prm, config, trie)
     made = _mcts_iterations(task, env, policy, prm, composite, config, seed, trie)
-    return _iterate(made, composite, True, prefixes, on_prefix)
+    return _iterate(made, composite, True, config.n_iters, prefixes, on_prefix)
 
 
 # ---------------------------------------------------------------------------

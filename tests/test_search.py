@@ -735,6 +735,28 @@ def test_beam_has_no_budget_prefixes():
         )
 
 
+@pytest.mark.parametrize(
+    "method, prefixes, on_prefix, match",
+    [
+        (SearchMethod.BEST_OF_N, [0, 7, -1], print, r"prefixes \[-1, 0, 7\] not all in \[1, 5\]"),
+        (SearchMethod.MCTS, [5], print, r"prefixes \[5\] not all in \[1, 3\]"),
+        (SearchMethod.BEST_OF_N, [2], None, "budget prefixes need an on_prefix callback"),
+        (SearchMethod.MCTS, [2], None, "budget prefixes need an on_prefix callback"),
+    ],
+    ids=["best_of_n_outside", "mcts_outside", "best_of_n_no_callback", "mcts_no_callback"],
+)
+def test_budget_prefixes_are_refused_before_any_model_call(method, prefixes, on_prefix, match):
+    telemetry = Telemetry()
+    policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(STRAIGHT_POLICY), telemetry)
+    prm = ScriptedRewardModel.from_dict({"default": 0.5}, telemetry)
+    cfg = SearchConfig(method=method, n_budget=5, n_iters=3)
+    env = CountingEnv(WORLD)
+    with pytest.raises(ValueError, match=match):
+        run_search(TASK, env, policy, _none_composite(), cfg, 0, prm, None, prefixes, on_prefix)
+    assert telemetry == Telemetry()
+    assert env.steps == 0
+
+
 class CountingEnv(ToySqlEnv):
     """Counts the steps it executes."""
 
@@ -878,7 +900,8 @@ def _shell_run(env_cls, memory, wrap):
 def test_trie_on_a_shell_env_makes_the_env_calls_of_a_run_without_one(env_cls, memory, drawn):
     # the trie replays only the policy draws and the PRM scores: every reset
     # and step still runs, in order, and a step the env answers otherwise is
-    # scored as computed; incremental_fact replays single steps (`_take_step`)
+    # scored as computed; incremental_fact writes on every step, so it takes
+    # them one at a time, and the other memories walk whole attempts
     replayed, replayed_drawn = _shell_run(env_cls, memory, wrap=False)
     computed, computed_drawn = _shell_run(env_cls, memory, wrap=True)
     assert replayed == computed
@@ -900,7 +923,9 @@ def test_trie_replay_without_a_prm_bills_no_supervisor_call():
 def test_best_of_n_walks_each_repeated_attempt_with_one_retrieve(monkeypatch):
     taken, retrieved = [], []
     real_take = search._take_step
-    monkeypatch.setattr(search, "_take_step", lambda *a: taken.append(a) or real_take(*a))
+    monkeypatch.setattr(
+        search, "_take_step", lambda *a, **k: taken.append(a) or real_take(*a, **k)
+    )
     composite = _none_composite()
     real_retrieve = composite.retrieve
     composite.retrieve = lambda *a: retrieved.append(a) or real_retrieve(*a)
@@ -910,10 +935,25 @@ def test_best_of_n_walks_each_repeated_attempt_with_one_retrieve(monkeypatch):
     cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=5)
     env = CountingEnv(WORLD)
     record = run_best_of_n(TASK, env, policy, composite, cfg, seed=4, prm=prm)
-    assert env.steps == len(taken) == 3  # the first attempt's steps; the other 4 walk the trie
+    assert env.steps == 3  # the first attempt's steps; the other 4 walk the trie
+    assert len(taken) == 3 + 4  # a step per call, then one call per repeated attempt
     assert len(retrieved) == 5  # once per attempt
     assert telemetry.policy_calls == telemetry.supervisor_calls == 15
     assert [len(t.steps) for t in record.trajectories] == [3] * 5
+
+
+def test_a_best_of_n_walk_bills_once_per_model():
+    telemetry, adds = Telemetry(), []
+    real_add = telemetry.add
+    telemetry.add = lambda *a: adds.append(a) or real_add(*a)
+    policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(STRAIGHT_POLICY), telemetry)
+    prm = ScriptedRewardModel.from_dict({"default": 0.5}, telemetry)
+    cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=5)
+    run_best_of_n(TASK, ToySqlEnv(WORLD), policy, _none_composite(), cfg, seed=4, prm=prm)
+    computed = [("policy", 1), ("supervisor", 1)] * 3  # the first attempt, step by step
+    walked = [("policy", 3), ("supervisor", 3)] * 4  # each repeat: its 3 steps, once per model
+    assert [a[:2] for a in adds] == computed + walked
+    assert telemetry.policy_calls == telemetry.supervisor_calls == 15
 
 
 @pytest.mark.parametrize("method", [SearchMethod.BEST_OF_N, SearchMethod.BEAM, SearchMethod.MCTS])
