@@ -92,7 +92,7 @@ def checked(value, kind: type, what: str):
     return float(value) if kind is float else value
 
 
-CELL_ID = re.compile(r"[A-Za-z0-9_+.\-]+")  # what a cell id must fullmatch: it names files
+CELL_ID = re.compile(r"[A-Za-z0-9_+.\-]+")  # what cell and task ids must fullmatch: they name files
 
 
 def known(raw: dict, keys: set[str], what: str, where: str) -> dict:

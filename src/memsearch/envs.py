@@ -19,7 +19,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-from .core import FINAL_ANSWER, Action, Observation, StateHandle, Task, checked, known
+from .core import (
+    CELL_ID,
+    FINAL_ANSWER,
+    Action,
+    ConfigurationError,
+    Observation,
+    StateHandle,
+    Task,
+    checked,
+    known,
+)
 
 
 class EnvError(Exception):
@@ -378,7 +388,8 @@ def load_benchmark(path: str | Path) -> Benchmark:
     """Load a benchmark fixture file: tasks, per-task worlds, gold answers.
 
     A duplicate task id is a ValueError, an unknown env an EnvError and any
-    other fault in the file's shape or keys a ConfigurationError."""
+    other fault in the file's shape, keys or task ids (which name files, so
+    must fullmatch `CELL_ID`) a ConfigurationError."""
     raw = checked(json.loads(Path(path).read_text(encoding="utf-8")), dict, str(path))
     known(raw, {"benchmark", "env", "tools", "tasks"}, "fixture", str(path))
     benchmark_id = raw["benchmark"]
@@ -392,6 +403,8 @@ def load_benchmark(path: str | Path) -> Benchmark:
         where = f"{path}: tasks[{i}]"
         known(checked(entry, dict, where), {"id", "prompt", "gold", "meta", "world"}, "task", where)
         task_id = checked(entry["id"], str, f"{where}: id")
+        if not CELL_ID.fullmatch(task_id):
+            raise ConfigurationError(f"{where}: unusable task id {task_id!r}")
         if task_id in worlds:
             raise ValueError(f"duplicate task id '{task_id}' in {path}")
         meta = checked(entry.get("meta", {}), dict, f"{where}: meta")

@@ -3,8 +3,9 @@
 Scripted models make whole search runs reproducible from a seed: the policy
 is a branch table keyed on (step index, rendered-context match), the reward
 model is an ordered rule list, and the augmentor model is a template/regex
-engine.  All of them report deterministic whitespace token counts into
-Telemetry so cost accounting can be exercised without a network.
+engine.  They bill deterministic whitespace token counts, so cost
+accounting runs without a network.  Every model bills every call, to the
+Telemetry it is given or else to one of its own.
 """
 
 from __future__ import annotations
@@ -174,22 +175,19 @@ class ScriptedPolicy:
     So the class declares itself `deterministic_at_zero`: at temperature <=
     0 a call's action, and what it bills, are functions of the task and of
     the content of its prefix and of its bundle's text and fingerprint.
-    `billed` is what the last call billed (None without telemetry), and
-    `rebill` bills it again: the search's step trie replays a repeated call
-    with these two (see `search._take_step`).
+    `billed` is what the last call billed and `rebill` bills it again, so
+    the search's step trie can replay a repeated call (`search._take_step`).
     """
 
     deterministic_at_zero = True
 
     def __init__(self, config: ScriptedPolicyConfig, telemetry: Telemetry | None = None):
         self.config = config
-        self.telemetry = telemetry
-        self.billed: tuple[int, int] | None = None
+        self.telemetry = Telemetry() if telemetry is None else telemetry
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedPolicy":
         """A policy on this one's config that bills `telemetry`.  Policies on
-        one config draw and bill alike, so the units of a task can share a
-        step trie."""
+        one config draw and bill alike, so a task's units can share a trie."""
         return ScriptedPolicy(self.config, telemetry)
 
     def rebill(self, calls: int, tokens_in: int, tokens_out: int) -> None:
@@ -224,14 +222,13 @@ class ScriptedPolicy:
         self, task: Task, prefix: Sequence[Step], bundle: ContextBundle, temperature: float, seed: int
     ) -> Action:
         action = self._draw(task, prefix, bundle, temperature, seed)
-        if self.telemetry is not None:
-            prompt_tokens = (
-                task.prompt_tokens
-                + bundle.tokens
-                + sum(s.action.tokens + s.observation.tokens for s in prefix)
-            )
-            self.billed = (prompt_tokens, action.tokens)
-            self.telemetry.record("policy", prompt_tokens, action.tokens)
+        prompt_tokens = (
+            task.prompt_tokens
+            + bundle.tokens
+            + sum(s.action.tokens + s.observation.tokens for s in prefix)
+        )
+        self.billed = (prompt_tokens, action.tokens)
+        self.telemetry.record("policy", prompt_tokens, action.tokens)
         return action
 
     def _draw(
@@ -297,15 +294,14 @@ class ScriptedRewardModel:
 
     A rule reads only the candidate's tool, arguments, error flag and
     observation content, the arguments of `RewardRule.matches`, so the
-    instance memoizes each candidate's value on those four.  Every call is
-    billed to the telemetry all the same.  The matrix runner builds one
-    instance per (cell, task) unit with `for_unit`, so no memo outlives its
-    unit.  A score, and what it bills, are functions of the prompt and of
-    the content of the prefix and the candidate, so the class declares
-    itself `deterministic_at_zero`, with `billed` and `rebill` as on
-    `ScriptedPolicy`.  So a unit scores, through its memo, only the steps
-    that no earlier unit of its task computed: the rest it replays from the
-    run's step trie, which bills them with `rebill`.
+    instance memoizes each candidate's value on those four.  The matrix
+    runner builds one instance per (cell, task) unit with `for_unit`, so no
+    memo outlives its unit.  A score, and what it bills, are functions of
+    the prompt and of the content of the prefix and the candidate, so the
+    class declares itself `deterministic_at_zero`, with `billed` and
+    `rebill` as on `ScriptedPolicy`.  So a unit scores, through its memo,
+    only the steps that no earlier unit of its task computed: the rest it
+    replays from the run's step trie, which bills them with `rebill`.
     """
 
     deterministic_at_zero = True
@@ -315,9 +311,8 @@ class ScriptedRewardModel:
             raise ConfigurationError(f"reward rule score {default} outside [0, 1]")
         self.rules = tuple(rules)
         self.default = default
-        self.telemetry = telemetry
+        self.telemetry = Telemetry() if telemetry is None else telemetry
         self._values: dict[tuple[str, str, bool, str], float] = {}
-        self.billed: tuple[int, int] | None = None
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedRewardModel":
         """A reward model with this one's rules that bills `telemetry`, with an
@@ -326,8 +321,7 @@ class ScriptedRewardModel:
         return ScriptedRewardModel(self.rules, self.default, telemetry)
 
     def rebill(self, calls: int, tokens_in: int, tokens_out: int) -> None:
-        """Bill `calls` replayed calls as their computations billed, with
-        `tokens_in` and `tokens_out` their summed `billed` counts."""
+        """As `ScriptedPolicy.rebill`, for supervisor calls."""
         self.telemetry.add("supervisor", calls, tokens_in, tokens_out)
 
     @classmethod
@@ -353,15 +347,14 @@ class ScriptedRewardModel:
         if value is None:
             rule = next((r for r in self.rules if r.matches(*key)), None)
             value = self._values[key] = self.default if rule is None else rule.score
-        if self.telemetry is not None:
-            tokens_in = (
-                _count_tokens(task_prompt)
-                + sum(s.action.tokens for s in prefix)
-                + candidate.action.tokens
-                + candidate.observation.tokens
-            )
-            self.billed = (tokens_in, 1)
-            self.telemetry.record("supervisor", tokens_in, 1)
+        tokens_in = (
+            _count_tokens(task_prompt)
+            + sum(s.action.tokens for s in prefix)
+            + candidate.action.tokens
+            + candidate.observation.tokens
+        )
+        self.billed = (tokens_in, 1)
+        self.telemetry.record("supervisor", tokens_in, 1)
         return value
 
 
@@ -432,10 +425,10 @@ class ScriptedAugmentorModel:
 
     An answer reads only (instruction, text), so the instance memoizes each
     answer, with its token counts, on that pair, as the reward model
-    memoizes its values; every call is billed all the same.  The matrix
-    runner builds one instance per (cell, task) unit with `for_unit`, so no
-    memo outlives its unit.  Unlike the step trie, which the units of a task
-    share for the whole run, each unit answers every distinct pair again.
+    memoizes its values; it bills a hit as a miss.  The matrix runner builds
+    one instance per (cell, task) unit with `for_unit`, so no memo outlives
+    its unit.  Unlike the step trie, which the units of a task share for the
+    whole run, each unit answers every distinct pair again.
     """
 
     def __init__(
@@ -448,7 +441,7 @@ class ScriptedAugmentorModel:
         self.reflection_rules = tuple(reflection_rules)
         self.reflection_default = reflection_default
         self.fact_patterns = tuple(fact_patterns)
-        self.telemetry = telemetry
+        self.telemetry = Telemetry() if telemetry is None else telemetry
         # (instruction, text) -> (answer, tokens in, tokens out)
         self._answers: dict[tuple[str, str], tuple[str, int, int]] = {}
 
@@ -497,8 +490,7 @@ class ScriptedAugmentorModel:
             out = self._compute(instruction, text)
             answer = (out, _count_tokens(text), _count_tokens(out))
             self._answers[instruction, text] = answer
-        if self.telemetry is not None:
-            self.telemetry.record("supervisor", answer[1], answer[2])
+        self.telemetry.record("supervisor", answer[1], answer[2])
         return answer[0]
 
     def _compute(self, instruction: str, text: str) -> str:
@@ -646,14 +638,14 @@ class RemoteChatClient:
     retry_delay before the second attempt and twice as long before each
     later one.  A 401 is a credential error and any other HTTP error a
     configuration error; neither is retried.  Usage numbers from the
-    response are billed to the attached Telemetry as policy calls.  The
+    response are billed to its Telemetry as policy calls.  The
     HTTP stack (`urllib.request`, `http.client`) is imported by the first
     request, not with the module.
     """
 
     def __init__(self, config: RemoteChatConfig, telemetry: Telemetry | None = None):
         self.config = config
-        self.telemetry = telemetry
+        self.telemetry = Telemetry() if telemetry is None else telemetry
 
     def complete(self, messages: list[dict[str, str]], temperature: float = 0.0) -> str:
         import urllib.error
@@ -698,8 +690,7 @@ class RemoteChatClient:
             tokens_out = int(usage.get("completion_tokens", 0))
         except (KeyError, IndexError, TypeError) as exc:
             raise ConfigurationError(f"malformed chat completion response: {body!r}") from exc
-        if self.telemetry is not None:
-            self.telemetry.record("policy", tokens_in, tokens_out)
+        self.telemetry.record("policy", tokens_in, tokens_out)
         return text
 
 

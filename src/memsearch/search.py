@@ -18,10 +18,7 @@ it holds steps (`_linear_rollout`), and each finished path's terminal
 kind, score and text are made once, at its end node (`_trajectory`).
 Best-of-N and MCTS also hand back the record of each requested prefix of
 their trajectories (`_iterate`), which is what a run at that smaller
-budget returns, so the matrix runner runs a budget ladder once.  On `grid`
-seed 1 a matrix pass at `jobs` 1 runs 258 searches for its 686 verdict
-rows, which bill 50,745 steps; the searches bill 33,394 of them, call
-`_take_step` 18,862 times, compute 3,118 steps and render 69 path endings.
+budget returns, so the matrix runner runs a budget ladder once.
 """
 
 from __future__ import annotations
@@ -136,24 +133,23 @@ class _StepNode:
     bundle, as (fingerprint, rendered text), to the step computed from this
     prefix under it: its Candidate, whose `node` is the child it leads to
     (and whose `state` is read only in a serializable env), and the (tokens
-    in, tokens out) the policy and the PRM billed for it (None for a model
-    that billed nothing).  `children` maps what a step executed, its
-    (action, observation), to that child, so bundles that lead to the same
-    step share what follows it.  `ending` is what a trajectory
-    that ends here is, a function of the prefix alone: its (terminal kind,
-    score, `trajectory_text`), made by the first path that ends here (None
-    until then) and read by every later one.  `_take_step` alone reads and
-    writes `entries`; a best-of-N attempt under a fixed bundle walks them
-    from the root down in one call, so a repeated attempt only bills its
-    steps again and reads its end node's `ending`.  The matrix runner
-    keeps one trie per (benchmark, task) for a whole run, so on `grid` seed
-    1 69 endings serve its 17,120 trajectories.
+    in, tokens out) the policy and the PRM billed for it (None without a
+    PRM).  `children` maps what a step executed, its (action, observation),
+    to that child, so bundles that lead to the same step share what follows
+    it.  `ending` is what a trajectory that ends here is, a function of the
+    prefix alone: its (terminal kind, score, `trajectory_text`), made by the
+    first path that ends here (None until then) and read by every later
+    one.  `_take_step` alone reads and writes `entries`; a best-of-N attempt
+    under a fixed bundle walks them from the root down in one call, so a
+    repeated attempt only bills its steps again and reads its end node's
+    `ending`.  The matrix runner keeps one trie per (benchmark, task) for a
+    whole run, so an ending serves every trajectory of the task ending there.
     """
 
     __slots__ = ("entries", "children", "ending")
 
     def __init__(self) -> None:
-        self.entries: dict[tuple[str, str], tuple[Candidate, tuple | None, tuple | None]] = {}
+        self.entries: dict[tuple[str, str], tuple[Candidate, tuple, tuple | None]] = {}
         self.children: dict[tuple[Action, Observation], _StepNode] = {}
         self.ending: tuple[TerminalKind, float, str] | None = None
 
@@ -360,8 +356,7 @@ def _take_step(
                 cand = _stepped(task, node, state, prefix, prm, cand.bundle_fp, action, obs)
         composite.on_step(cand.step, iteration)
         taken.append(cand)
-        if policy_bill is not None:
-            policy_bills.append(policy_bill)
+        policy_bills.append(policy_bill)
         if prm_bill is not None:
             prm_bills.append(prm_bill)
         if len(taken) == limit or cand.step.action.is_final:

@@ -781,6 +781,10 @@ def _first_task(change):
         (lambda raw: {**raw, "tools": "QUERY"}, "tools must be an array, got str"),
         (lambda raw: {**raw, "tools": ["QUERY", 1]}, "tool must be a string, got 1"),
         (_first_task(lambda task: {**task, "id": 3}), r"tasks\[0\]: id must be a string, got 3"),
+        (
+            _first_task(lambda task: {**task, "id": "csv/204-csv/590.csv"}),
+            r"tasks\[0\]: unusable task id 'csv/204-csv/590.csv'",
+        ),
         (_first_task(lambda task: {**task, "gold": 3}), r"tasks\[0\]: gold must be a string"),
         (_first_task(lambda task: {**task, "meta": []}), r"tasks\[0\]: meta must be an object"),
         (_first_task(lambda task: {**task, "world": "x"}), r"tasks\[0\]: world must be an"),
@@ -797,6 +801,7 @@ def _first_task(change):
         "tools_str",
         "tool_int",
         "id_int",
+        "id_names_no_file",
         "gold_int",
         "meta_list",
         "world_str",
@@ -965,10 +970,10 @@ def test_model_memos_live_for_one_unit(tmp_path, demo_config_path, monkeypatch):
         if roots[id(prm)] is None
     )
     assert sum(scored.values()) == 2 * 312  # the demo's computed steps per run
-    for spec in cfg.benchmarks.values():
-        assert spec.policy.billed is None and spec.policy.telemetry is None
-        assert spec.reward._values == {} and spec.reward.billed is None
-        assert spec.augmentor._answers == {} and spec.augmentor.telemetry is None
+    for spec in cfg.benchmarks.values():  # the models parsed at load are never called
+        assert spec.policy.telemetry == Telemetry()
+        assert spec.reward._values == {} and spec.reward.telemetry == Telemetry()
+        assert spec.augmentor._answers == {} and spec.augmentor.telemetry == Telemetry()
 
 
 def test_a_unit_grades_each_distinct_answer_once(tmp_path, monkeypatch):

@@ -956,6 +956,23 @@ def test_a_best_of_n_walk_bills_once_per_model():
     assert telemetry.policy_calls == telemetry.supervisor_calls == 15
 
 
+@pytest.mark.parametrize("billing_first", [True, False], ids=["telemetry_first", "telemetry_last"])
+def test_a_shared_root_bills_what_a_fresh_one_bills(billing_first):
+    def run(root, telemetry):
+        policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(STRAIGHT_POLICY), telemetry)
+        prm = ScriptedRewardModel.from_dict({"default": 0.5}, telemetry)
+        cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=3)
+        run_best_of_n(TASK, ToySqlEnv(WORLD), policy, _none_composite(), cfg, 1, prm, root)
+
+    fresh = Telemetry()
+    run(search._StepNode(), fresh)
+    assert fresh == Telemetry(9, 39, 12, 9, 48, 9)
+    shared, telemetry = search._StepNode(), Telemetry()
+    for given in (telemetry, None) if billing_first else (None, telemetry):
+        run(shared, given)  # a model given no telemetry bills one of its own
+    assert telemetry == fresh
+
+
 @pytest.mark.parametrize("method", [SearchMethod.BEST_OF_N, SearchMethod.BEAM, SearchMethod.MCTS])
 def test_each_distinct_finished_path_is_rendered_once(monkeypatch, method):
     rendered = []
