@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 operational failure (inadmissible cells on
 validate, failed cells or a dead worker process on run, an unknown manifest
 format_version, a torn manifest or verdict file, a malformed manifest,
 manifest entry or verdict row, a verdict file its manifest entry does not
-vouch for or a missing baseline on analyze), 2 config or usage errors.
+vouch for or a missing baseline on analyze, a path either cannot use), 2
+config or usage errors.
 Remote model credentials are read from the environment variable named in
 the model config (default MEMSEARCH_API_KEY), never from the config file
 itself.
@@ -51,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes over all (cell, task) units (default 1: run in this process)",
+        help="worker processes that run the (ladder, task) jobs (default 1: run in this process)",
     )
     p_run.add_argument(
         "--dump-memory", action="store_true", help="write per-task memory store dumps"
@@ -144,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         FormatVersionError,
         MissingBaselineError,
         PairingError,
-        FileNotFoundError,
+        OSError,
         WorkerError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,7 +23,7 @@ from contextlib import closing
 from dataclasses import asdict, dataclass, fields, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .augmentors import (
     AugmentorConfig,
@@ -144,7 +144,7 @@ _MEMORY_KINDS = {k.value: k for k in AugmentorKind}
 
 @dataclass(frozen=True)
 class RemotePolicySpec:
-    """A remote policy endpoint; its API key is read from `api_key_env` when a unit runs."""
+    """A remote policy endpoint; its API key is read from `api_key_env` when a job runs."""
 
     chat: RemoteChatConfig
     api_key_env: str
@@ -153,7 +153,7 @@ class RemotePolicySpec:
 @dataclass(frozen=True)
 class BenchmarkSpec:
     """A benchmark with its scripts parsed once, at load.  The runner never
-    calls these models: `_build_models` gives each unit models of its own
+    calls these models: `_build_models` gives each job models of its own
     (`for_unit`) that bill its telemetry and memoize for it alone."""
 
     benchmark: Benchmark
@@ -367,7 +367,7 @@ def _ladders(cfg: MatrixConfig, cells: tuple[ExperimentCell, ...]) -> list[tuple
     has, after its first k trajectories, made exactly what a run at budget
     k makes (see `search._iterate`), so `_run_cell_task` runs it once and
     reads each smaller budget's row off its prefix.  A ladder's cells may
-    have different seeds, so it forms only where a unit reads no seed,
+    have different seeds, so it forms only where a search reads no seed,
     which is exactly where its steps go through a step trie
     (`search.replays_steps`), in any env (one that is not serializable
     still executes each step).  Every other cell is a ladder of one.
@@ -392,99 +392,13 @@ def _ladders(cfg: MatrixConfig, cells: tuple[ExperimentCell, ...]) -> list[tuple
     ]
 
 
-# a unit's task id and its verdict file line
+# a job's task id and one cell's verdict file line
 _Row = tuple[str, str]
 
 
 def _error(exc: Exception) -> str:
-    """How a failed unit's exception is recorded: as its cell's error."""
+    """How a failed job's exception is recorded: as its cell's error."""
     return f"{type(exc).__name__}: {exc}"
-
-
-def _run_cell_task(
-    cfg: MatrixConfig,
-    embedder: HashEmbedder,
-    ladder: tuple[ExperimentCell, ...],
-    task: Task,
-    dump_dir: Path | None,
-    trie: _StepNode,
-    emit: Callable[[_Row | str], object],
-) -> None:
-    """Run the search of `ladder`'s last cell, its largest budget, on `task`
-    and `emit` each cell's result in ladder order: the task's id and the
-    cell's verdict line, a smaller budget's made from the search's prefix
-    of that many trajectories as soon as it is done (see `_ladders`).  The
-    row carries the telemetry billed so far (a prefix's row a copy of it),
-    and with `dump_dir` the store is dumped for it then.  An exception in
-    making one row is emitted as that cell's error (`_error`) and the
-    search goes on; one from the search stops the rows not yet emitted."""
-    cell = ladder[-1]
-    spec = cfg.benchmarks[cell.benchmark]
-    telemetry = Telemetry()
-    policy, prm, aug_model = _build_models(spec, telemetry)
-    env = spec.benchmark.make_env()
-    memory = normalize_for_method(cell.memory, cell.search.method.value)
-    composite = compose(memory, model=aug_model, embedder=embedder)
-    # the memory alone decides the expansion, so the memory label says what prompts carried
-    interleaved = composite.wants_siblings and cell.search.method is not SearchMethod.BEST_OF_N
-    expansion = ExpansionMode.INTERLEAVED if interleaved else ExpansionMode.BATCH
-    search_cfg = replace(cell.search, expansion=expansion)
-    # grading happens offline, once per distinct answer of the whole ladder
-    grade = functools.cache(functools.partial(spec.benchmark.grader().grade, task.task_id))
-    cells = iter(ladder)
-
-    def row_line(cell: ExperimentCell, record: SearchRecord, telemetry: Telemetry) -> str:
-        if search_cfg.method is SearchMethod.BEAM:
-            skip_src = [record.selected] if record.selected else list(record.trajectories[:1])
-            verdicts = [grade(record.final_answer)]
-            lengths = [len(t.steps) for t in skip_src]
-        else:
-            verdicts = [grade(t.answer()) for t in record.trajectories]
-            lengths = [len(t.steps) for t in record.trajectories]
-            skip_src = list(record.trajectories)
-
-        if spec.discovery_tool is None:
-            discovery_skipped = None
-        else:
-            # once per distinct path: on the trie every repeat of a path shares
-            # its steps tuple, so paths are told apart by its id
-            paths = {id(t.steps): t.steps for t in skip_src}
-            skips = {
-                key: spec.discovery_tool not in {s.action.tool_name for s in steps}
-                for key, steps in paths.items()
-            }
-            discovery_skipped = [skips[id(t.steps)] for t in skip_src]
-
-        if dump_dir is not None:
-            composite.store.dump(dump_dir / f"{cell.cell_id}__{task.task_id}.jsonl")
-
-        return VerdictRow(
-            task_id=task.task_id,
-            cell_id=cell.cell_id,
-            verdicts=verdicts,
-            selected_verdict=grade(record.final_answer),
-            final_answer=record.final_answer,
-            trajectory_lengths=lengths,
-            terminal_kinds=[t.terminal_kind.value for t in record.trajectories],
-            discovery_skipped=discovery_skipped,
-            telemetry=telemetry,
-            giveup=record.giveup,
-        ).to_json()
-
-    def emit_row(record: SearchRecord, telemetry: Telemetry) -> None:
-        try:
-            result: _Row | str = (task.task_id, row_line(next(cells), record, telemetry))
-        except Exception as exc:  # noqa: BLE001 - a row that fails fails its cell alone
-            result = _error(exc)
-        emit(result)
-
-    seed = task_seed(cell.seed, task.task_id)
-    prefixes = [_budget(c.search) for c in ladder[:-1]]
-    record = run_search(
-        task, env, policy, composite, search_cfg, seed, prm, trie, prefixes,
-        lambda prefix: emit_row(prefix, replace(telemetry)),  # the search bills on
-    )
-    emit_row(record, telemetry)
 
 
 class _StepForest:
@@ -519,7 +433,7 @@ class _StepForest:
         return root
 
 
-def _run_unit(
+def _run_cell_task(
     cfg: MatrixConfig,
     embedder: HashEmbedder,
     forest: _StepForest,
@@ -527,24 +441,93 @@ def _run_unit(
     dump_dir: Path | None,
     job: tuple[int, int],
 ) -> list[_Row | str]:
-    """One (ladder index, task index) job: for each of the ladder's cells,
-    in order, the task's id and verdict line, or as a string the error that
-    failed its row, or that stopped the job before it.  Both are made
-    here, on the worker that ran the job, so no exception object has to
-    cross a process and the runner only joins lines."""
+    """One (ladder index, task index) job: run the search of the ladder's
+    last cell, its largest budget, on the task, and return one result per
+    cell of the ladder, in order: the task's id and the cell's verdict line,
+    or as a string the error that failed that row (`_error`).  A smaller
+    budget's row is made from the search's prefix of that many trajectories
+    as soon as it is done (see `_ladders`), carrying the telemetry billed so
+    far, and with `dump_dir` the store is dumped for it then.  An exception
+    in making one row fails that cell alone and the search goes on; one from
+    the search fails every row not yet made.  Both are made here, on the
+    worker that ran the job, so no exception object has to cross a process
+    and the runner only joins lines."""
     ladder = ladders[job[0]]
-    task = cfg.benchmarks[ladder[0].benchmark].benchmark.tasks[job[1]]
+    cell = ladder[-1]
+    spec = cfg.benchmarks[cell.benchmark]
+    task = spec.benchmark.tasks[job[1]]
     trie = forest.root(job)
     results: list[_Row | str] = []
     try:
-        _run_cell_task(cfg, embedder, ladder, task, dump_dir, trie, results.append)
+        telemetry = Telemetry()
+        policy, prm, aug_model = _build_models(spec, telemetry)
+        env = spec.benchmark.make_env()
+        memory = normalize_for_method(cell.memory, cell.search.method.value)
+        composite = compose(memory, model=aug_model, embedder=embedder)
+        # the memory alone decides the expansion, so the memory label says what prompts carried
+        interleaved = composite.wants_siblings and cell.search.method is not SearchMethod.BEST_OF_N
+        expansion = ExpansionMode.INTERLEAVED if interleaved else ExpansionMode.BATCH
+        search_cfg = replace(cell.search, expansion=expansion)
+        # grading happens offline, once per distinct answer of the whole ladder
+        grade = functools.cache(functools.partial(spec.benchmark.grader().grade, task.task_id))
+
+        def row_line(cell: ExperimentCell, record: SearchRecord) -> str:
+            if search_cfg.method is SearchMethod.BEAM:
+                skip_src = [record.selected] if record.selected else list(record.trajectories[:1])
+                verdicts = [grade(record.final_answer)]
+                lengths = [len(t.steps) for t in skip_src]
+            else:
+                verdicts = [grade(t.answer()) for t in record.trajectories]
+                lengths = [len(t.steps) for t in record.trajectories]
+                skip_src = list(record.trajectories)
+
+            if spec.discovery_tool is None:
+                discovery_skipped = None
+            else:
+                # once per distinct path: on the trie every repeat of a path
+                # shares its steps tuple, so paths are told apart by its id
+                paths = {id(t.steps): t.steps for t in skip_src}
+                skips = {
+                    key: spec.discovery_tool not in {s.action.tool_name for s in steps}
+                    for key, steps in paths.items()
+                }
+                discovery_skipped = [skips[id(t.steps)] for t in skip_src]
+
+            if dump_dir is not None:
+                composite.store.dump(dump_dir / f"{cell.cell_id}__{task.task_id}.jsonl")
+
+            return VerdictRow(
+                task_id=task.task_id,
+                cell_id=cell.cell_id,
+                verdicts=verdicts,
+                selected_verdict=grade(record.final_answer),
+                final_answer=record.final_answer,
+                trajectory_lengths=lengths,
+                terminal_kinds=[t.terminal_kind.value for t in record.trajectories],
+                discovery_skipped=discovery_skipped,
+                # a copy: CPython drops the inline attribute values of an object
+                # whose __dict__ is read (`to_json`), which slows every later bill
+                telemetry=replace(telemetry),
+                giveup=record.giveup,
+            ).to_json()
+
+        def add_row(cell: ExperimentCell, record: SearchRecord) -> None:
+            try:
+                results.append((task.task_id, row_line(cell, record)))
+            except Exception as exc:  # noqa: BLE001 - a row that fails fails its cell alone
+                results.append(_error(exc))
+
+        seed = task_seed(cell.seed, task.task_id)
+        on_prefix = {_budget(c.search): functools.partial(add_row, c) for c in ladder[:-1]}
+        record = run_search(task, env, policy, composite, search_cfg, seed, prm, trie, on_prefix)
+        add_row(cell, record)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the contract
         results += [_error(exc)] * (len(ladder) - len(results))
     return results
 
 
 class WorkerError(RuntimeError):
-    """A worker process died, or a unit's result came back twice or never."""
+    """A worker process died, or a job's results came back twice or never."""
 
 
 def _work(conn, counter, run, queue: list[tuple[int, int]]) -> None:
@@ -567,12 +550,11 @@ def _work(conn, counter, run, queue: list[tuple[int, int]]) -> None:
         rows.append((index, run(queue[index])))
 
 
-def _run_units(
-    run, queue: list[tuple[int, int]], units: list[list[tuple[int, int]]], jobs: int
-) -> Iterator[tuple[tuple[int, int], _Row | str]]:
-    """Yield (unit, result) for every unit as its job finishes, where
-    `run(queue[i])` gives the results of the units `units[i]`, in order: in
-    this process for jobs <= 1, else from up to `jobs` worker processes
+def _run_jobs(
+    run, queue: list[tuple[int, int]], jobs: int
+) -> Iterator[tuple[int, list[_Row | str]]]:
+    """Yield (i, `run(queue[i])`) for every job index i as its job finishes:
+    in this process for jobs <= 1, else from up to `jobs` worker processes
     that share one queue.
 
     Each worker claims the next job index from a shared counter, one lock
@@ -580,13 +562,13 @@ def _run_units(
     ladder at a time (see `_work`): jobs are ladder-major and claimed in
     increasing order, so the parent wakes about once per worker per ladder,
     and neither side holds more than a ladder's rows.  A worker that exits
-    with a nonzero code, or a unit whose result comes back twice or never,
+    with a nonzero code, or a job whose results come back twice or never,
     raises `WorkerError`.  Close the generator (`contextlib.closing`) when
     the consumer stops early: that terminates and joins every live worker.
     """
     if jobs <= 1 or not queue:
-        for job, job_units in zip(queue, units):
-            yield from zip(job_units, run(job))
+        for index, job in enumerate(queue):
+            yield index, run(job)
         return
     # imported here, so that loading a config or analysing a run does not pay
     # for the process machinery
@@ -598,7 +580,7 @@ def _run_units(
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     counter = context.Value("q", 0)
     workers = {}  # receiving end -> its worker
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # the job indices whose results came back
     try:
         for _ in range(min(jobs, len(queue))):
             receiver, sender = context.Pipe(duplex=False)
@@ -623,14 +605,13 @@ def _run_units(
                         ) from None
                     continue
                 for index, results in rows:
-                    for unit, result in zip(units[index], results):
-                        if unit in seen:
-                            raise WorkerError(f"unit {unit} came back twice")
-                        seen.add(unit)
-                        yield unit, result
-        missing = next((u for job_units in units for u in job_units if u not in seen), None)
-        if missing is not None:
-            raise WorkerError(f"unit {missing} never came back")
+                    if index in seen:
+                        raise WorkerError(f"job {queue[index]} came back twice")
+                    seen.add(index)
+                    yield index, results
+        if len(seen) < len(queue):
+            missing = next(i for i in range(len(queue)) if i not in seen)
+            raise WorkerError(f"job {queue[missing]} never came back")
     finally:
         for receiver, worker in workers.items():
             if worker.is_alive():
@@ -639,7 +620,7 @@ def _run_units(
             receiver.close()
 
 
-def _finish_cell(out: Path, cell: ExperimentCell, entry: CellEntry, results: list) -> CellEntry:
+def _finish_cell(out: Path, cell: ExperimentCell, entry: CellEntry, results: tuple) -> CellEntry:
     """A cell's manifest entry completed from its results by task: failed with
     the error of its first failing task in task order, or else ok once its
     verdict file is written."""
@@ -665,33 +646,28 @@ def run_matrix(
 
     The admissible cells are grouped into budget ladders (`_ladders`; most
     cells are a ladder of one), and the (ladder, task) jobs form one queue,
-    in the order of their first (cell, task) unit.  A job runs one search
-    and gives one result per unit of its ladder.  With jobs <= 1 the queue
-    runs in this process; with jobs > 1 each of up to `jobs` worker
-    processes claims the next job from it until it is empty and sends the
-    results back as the job finishes (see `_run_units`).  Each cell's
-    manifest entry is made when its admission is checked, and is final when
-    its verdict file is written, as soon as its last unit lands; its rows are
-    then dropped.  The manifest is written once, after the last cell.  A
-    worker that dies raises `WorkerError` with no worker left running,
-    leaving the verdict files of the cells finished so far and no manifest.
-    On Linux the workers are forked, so no other Python thread of the caller
-    may hold a lock at that moment (native threads such as OpenBLAS's are
-    fork-safe through their atfork handlers); Python 3.12+ warns on such
-    forks.  Elsewhere they start with the platform default.  Only Linux on
-    Python 3.11 has been run.
+    in the order of their first (cell, task).  A job runs one search and
+    gives one result per cell of its ladder (`_run_cell_task`).  With jobs
+    <= 1 the queue runs in this process; with jobs > 1 each of up to `jobs`
+    worker processes claims the next job from it until it is empty and
+    sends the results back as the job finishes (see `_run_jobs`).  Each
+    cell's manifest entry is made when its admission is checked, and is
+    final when its verdict file is written, as soon as its ladder's last job
+    lands; the ladder's results are then dropped.  The manifest is written
+    once, after the last cell.  A benchmark with no tasks is refused with a
+    ConfigurationError before anything runs.  A worker that dies raises
+    `WorkerError` with no worker left running, leaving the verdict files of
+    the cells finished so far and no manifest.  On Linux the workers are
+    forked, so no other Python thread of the caller may hold a lock at that
+    moment (native threads such as OpenBLAS's are fork-safe through their
+    atfork handlers); Python 3.12+ warns on such forks.  Elsewhere they
+    start with the platform default.  Only Linux on Python 3.11 has been run.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    dump_dir = None
-    if dump_memory:
-        dump_dir = out / "memory"
-        dump_dir.mkdir(exist_ok=True)
-
     entries: dict[str, CellEntry] = {}  # cell id -> its manifest entry, in config order
     cells: list[ExperimentCell] = []  # the admitted ones
-    pending: list[list | None] = []  # cell index -> its results by task, until it is finished
     for cell in cfg.cells:
+        if not cfg.benchmarks[cell.benchmark].benchmark.tasks:
+            raise ConfigurationError(f"benchmark '{cell.benchmark}' has no tasks")
         label = memory_label(cell.memory)
         entry = CellEntry(cell.benchmark, cell.env, cell.search.method.value, label, cell.seed)
         reason = check_admissible(cell)
@@ -699,26 +675,36 @@ def run_matrix(
             entry = replace(entry, status="inadmissible", reason=reason.value, glyph=reason.glyph)
         else:
             cells.append(cell)
-            pending.append([None] * len(cfg.benchmarks[cell.benchmark].benchmark.tasks))
         entries[cell.cell_id] = entry
-    admitted = tuple(cells)
-    ladders = _ladders(cfg, admitted)
-    queue = [(i, t) for i, ladder in enumerate(ladders) for t in range(len(pending[ladder[0]]))]
-    units = [[(c, t) for c in ladders[i]] for i, t in queue]
+    ladders = tuple(tuple(cells[c] for c in ladder) for ladder in _ladders(cfg, tuple(cells)))
+    benchmarks = [ladder[0].benchmark for ladder in ladders]
+    # ladder index -> its jobs' results by task, until its cells are finished
+    pending: list[list | None] = [
+        [None] * len(cfg.benchmarks[name].benchmark.tasks) for name in benchmarks
+    ]
+    queue = [(i, t) for i, results in enumerate(pending) for t in range(len(results))]
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    dump_dir = None
+    if dump_memory:
+        dump_dir = out / "memory"
+        dump_dir.mkdir(exist_ok=True)
     # one embedder and one step forest per call, never kept past it: a later
     # call with the same config hashes its lines and computes its steps
     # again, as a fresh `memsearch run` does
     embedder = HashEmbedder(cfg.embedder_dim)
-    forest = _StepForest([admitted[ladder[0]].benchmark for ladder in ladders], queue)
-    ladder_cells = tuple(tuple(admitted[c] for c in ladder) for ladder in ladders)
-    run = functools.partial(_run_unit, cfg, embedder, forest, ladder_cells, dump_dir)
-    with closing(_run_units(run, queue, units, jobs)) as finished:
-        for (c, t), result in finished:
-            pending[c][t] = result
-            if None not in pending[c]:
-                cell_id = cells[c].cell_id
-                entries[cell_id] = _finish_cell(out, cells[c], entries[cell_id], pending[c])
-                pending[c] = None
+    forest = _StepForest(benchmarks, queue)
+    run = functools.partial(_run_cell_task, cfg, embedder, forest, ladders, dump_dir)
+    with closing(_run_jobs(run, queue, jobs)) as finished:
+        for index, results in finished:
+            i, t = queue[index]
+            pending[i][t] = results
+            if None not in pending[i]:
+                # one column per cell, its results already in task order
+                for cell, column in zip(ladders[i], zip(*pending[i])):
+                    entries[cell.cell_id] = _finish_cell(out, cell, entries[cell.cell_id], column)
+                pending[i] = None
 
     for cell_id, entry in entries.items():
         if entry.status == "inadmissible":

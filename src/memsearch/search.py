@@ -11,7 +11,7 @@ bills, every repeat of it (the step trie); in an env that is not
 serializable a replayed step is still executed.  Every step, computed or
 replayed, is taken by `_take_step`, the one reader of the trie's entries.
 A caller may hand runs of one task a shared trie root, as the matrix
-runner does for every unit of a (benchmark, task): each run then replays
+runner does for every job of a (benchmark, task): each run then replays
 what earlier runs computed.  A best-of-N attempt whose bundle cannot
 change before it ends lets one `_take_step` walk as far down the trie as
 it holds steps (`_linear_rollout`), and each finished path's terminal
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Collection, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .augmentors import CompositeAugmentor, sibling_context
 from .core import (
@@ -195,7 +195,7 @@ class Candidate:
     """An executed step, the state it leads to and its bundle's fingerprint.
 
     `steps` is the path up to and including the step, and `node` the step
-    trie node it leads to (None when the unit has no trie).
+    trie node it leads to (None when the run has no trie).
     """
 
     step: Step
@@ -242,25 +242,21 @@ def _iterate(
     composite: CompositeAugmentor,
     finished_only: bool,
     budget: int,
-    prefixes: Collection[int],
-    on_prefix: Callable[[SearchRecord], object] | None,
+    on_prefix: Mapping[int, Callable[[SearchRecord], object]],
 ) -> SearchRecord:
     """The loop of best-of-N and MCTS: take each trajectory from `made`,
     which makes the next only when asked, and hand it to the composite's
     on_trajectory first.  The best-scored trajectory so far (only finished
     ones if `finished_only`; ties: the earliest) is kept as it goes, so the
     record of the first k trajectories is the one a run with budget k
-    returns.  For each k in `prefixes` that record goes to `on_prefix` as
-    soon as trajectory k - 1's on_trajectory has run; the record of them all
-    is returned.  Nothing before trajectory i reads the budget, and what
-    memory it writes reaches only later ones.  Prefixes outside [1,
-    `budget`], or without `on_prefix`, raise ValueError before `made` is
-    first asked.
+    returns.  `on_prefix` maps each budget k to its callback, which gets
+    that record as soon as trajectory k - 1's on_trajectory has run; the
+    record of them all is returned.  Nothing before trajectory i reads the
+    budget, and what memory it writes reaches only later ones.  A budget
+    outside [1, `budget`] raises ValueError before `made` is first asked.
     """
-    if prefixes and on_prefix is None:
-        raise ValueError("budget prefixes need an on_prefix callback")
-    if any(not 1 <= k <= budget for k in prefixes):
-        raise ValueError(f"budget prefixes {sorted(prefixes)} not all in [1, {budget}]")
+    if any(not 1 <= k <= budget for k in on_prefix):
+        raise ValueError(f"budget prefixes {sorted(on_prefix)} not all in [1, {budget}]")
     trajectories: list[Trajectory] = []
     best = None
     for traj in made:
@@ -270,8 +266,9 @@ def _iterate(
             best is None or traj.trajectory_score > best.trajectory_score
         ):
             best = traj
-        if len(trajectories) in prefixes:
-            on_prefix(_record(trajectories, best))
+        callback = on_prefix.get(len(trajectories))
+        if callback is not None:
+            callback(_record(trajectories, best))
     return _record(trajectories, best)
 
 
@@ -462,8 +459,7 @@ def run_best_of_n(
     seed: int = 0,
     prm: RewardModel | None = None,
     trie: _StepNode | None = None,
-    prefixes: Collection[int] = (),
-    on_prefix: Callable[[SearchRecord], object] | None = None,
+    on_prefix: Mapping[int, Callable[[SearchRecord], object]] = {},
 ) -> SearchRecord:
     """Sequential independent attempts under a fixed budget.
 
@@ -471,9 +467,9 @@ def run_best_of_n(
     (grading is offline).  Persistent memory written by attempt i is visible
     to attempts i+1.. through the composite's store.  The best-scored
     attempt is submitted (ties: the earliest).  `trie` is a step trie root
-    to share (see `_step_trie`); without one the run makes its own.  For
-    each budget k in `prefixes`, `on_prefix` gets the record a run at
-    n_budget k returns, once its last attempt is done (see `_iterate`).
+    to share (see `_step_trie`); without one the run makes its own.
+    `on_prefix` maps each budget k to a callback that gets the record a run
+    at n_budget k returns, once its last attempt is done (see `_iterate`).
     """
     if config.method is not SearchMethod.BEST_OF_N:
         raise ValueError(f"config method {config.method} is not best_of_n")
@@ -482,7 +478,7 @@ def run_best_of_n(
         _linear_rollout(env, task, root, policy, prm, composite, config, i, seed)
         for i in range(config.n_budget)
     )
-    return _iterate(made, composite, False, config.n_budget, prefixes, on_prefix)
+    return _iterate(made, composite, False, config.n_budget, on_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +684,7 @@ def run_mcts(
     config: SearchConfig,
     seed: int = 0,
     trie: _StepNode | None = None,
-    prefixes: Collection[int] = (),
-    on_prefix: Callable[[SearchRecord], object] | None = None,
+    on_prefix: Mapping[int, Callable[[SearchRecord], object]] = {},
 ) -> SearchRecord:
     """UCT tree search with a fixed iteration budget.
 
@@ -700,8 +695,8 @@ def run_mcts(
     recorded; per-trajectory augmentors fire after every iteration, so
     memory written by iteration i is in the bundle from iteration i+1 on.
     The best-scored finished trajectory is submitted (ties: the earliest).
-    For each k in `prefixes`, `on_prefix` gets the record a run at n_iters
-    k returns, once its last iteration is done (see `_iterate`).
+    `on_prefix` maps each budget k to a callback that gets the record a run
+    at n_iters k returns, once its last iteration is done (see `_iterate`).
     """
     if config.method is not SearchMethod.MCTS:
         raise ValueError(f"config method {config.method} is not mcts")
@@ -709,7 +704,7 @@ def run_mcts(
         raise ValueError("mcts needs a process reward model")
     trie = _step_trie(policy, prm, config, trie)
     made = _mcts_iterations(task, env, policy, prm, composite, config, seed, trie)
-    return _iterate(made, composite, True, config.n_iters, prefixes, on_prefix)
+    return _iterate(made, composite, True, config.n_iters, on_prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -725,23 +720,20 @@ def run_search(
     seed: int = 0,
     prm: RewardModel | None = None,
     trie: _StepNode | None = None,
-    prefixes: Collection[int] = (),
-    on_prefix: Callable[[SearchRecord], object] | None = None,
+    on_prefix: Mapping[int, Callable[[SearchRecord], object]] = {},
 ) -> SearchRecord:
     """Run `config`'s method.  `trie` is a step trie root to take the steps
     through, shared with earlier runs of the task (see `_step_trie`); a run
-    given none makes its own, which lives as long as the run.  For each
-    budget k in `prefixes` (best-of-N attempts or MCTS iterations; beam has
-    none), `on_prefix` gets the record of the run's first k trajectories,
-    which is what a run at budget k returns."""
+    given none makes its own, which lives as long as the run.  `on_prefix`
+    maps each budget k (best-of-N attempts or MCTS iterations; beam has
+    none) to a callback that gets the record of the run's first k
+    trajectories, which is what a run at budget k returns."""
     if config.method is SearchMethod.BEST_OF_N:
-        return run_best_of_n(
-            task, env, policy, composite, config, seed, prm, trie, prefixes, on_prefix
-        )
+        return run_best_of_n(task, env, policy, composite, config, seed, prm, trie, on_prefix)
     if config.method is SearchMethod.BEAM:
-        if prefixes:
+        if on_prefix:
             raise ValueError("beam search has no budget prefixes")
         return run_beam(task, env, policy, prm, composite, config, seed, trie)
     if config.method is SearchMethod.MCTS:
-        return run_mcts(task, env, policy, prm, composite, config, seed, trie, prefixes, on_prefix)
+        return run_mcts(task, env, policy, prm, composite, config, seed, trie, on_prefix)
     raise ValueError(f"unknown search method {config.method!r}")

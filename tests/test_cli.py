@@ -122,14 +122,14 @@ def test_analyze_outputs_that_fail_to_write_leave_no_file(tmp_path, capsys, monk
 def test_run_with_a_dead_worker_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
     path = write_mini_config(tmp_path, _cells())
     out = tmp_path / "out"
-    parent, real_run_unit = os.getpid(), matrix._run_unit
+    parent, real_run_cell_task = os.getpid(), matrix._run_cell_task
 
-    def dying(cfg, embedder, forest, cells, dump_dir, unit):
+    def dying(cfg, embedder, forest, ladders, dump_dir, job):
         if os.getpid() != parent:
             os._exit(3)
-        return real_run_unit(cfg, embedder, forest, cells, dump_dir, unit)
+        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
 
-    monkeypatch.setattr(matrix, "_run_unit", dying)
+    monkeypatch.setattr(matrix, "_run_cell_task", dying)
     assert main(["run", str(path), "--out", str(out), "--jobs", "2"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -143,6 +143,30 @@ def test_run_with_a_dead_worker_exits_1_with_one_line(tmp_path, capsys, monkeypa
 def test_analyze_missing_dir_exits_1(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "nowhere")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "CONFIG", "--out", "FILE"],
+        ["analyze", "FILE"],
+        ["analyze", "RUN", "--report-out", "FILE/x.txt"],
+    ],
+    ids=["run_out_is_a_file", "analyze_a_file", "report_out_under_a_file"],
+)
+def test_path_errors_exit_1_with_one_line(tmp_path, capsys, command):
+    path = write_mini_config(tmp_path, _cells())
+    out, file = tmp_path / "out", tmp_path / "file"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    file.write_text("not a directory\n")
+    capsys.readouterr()
+    names = {"CONFIG": str(path), "RUN": str(out), "FILE": str(file)}
+    argv = [names.get(arg, arg.replace("FILE", str(file))) for arg in command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: [Errno ") and str(file) in line
 
 
 def test_analyze_unknown_format_version_exits_1_with_one_line(tmp_path, capsys):
@@ -219,10 +243,10 @@ def test_analyze_an_ok_cell_without_tasks_exits_1_with_one_line(tmp_path, capsys
 def test_run_with_a_failed_cell_exits_1_counting_the_failures(tmp_path, capsys, monkeypatch):
     path = write_mini_config(tmp_path, _cells() + _cells(memory=["fact"]))
 
-    def failing(cfg, embedder, ladder, task, dump_dir, trie, emit):
+    def failing(*args):
         raise ValueError("this task fails")
 
-    monkeypatch.setattr(matrix, "_run_cell_task", failing)
+    monkeypatch.setattr(matrix, "run_search", failing)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert "toy_sql_demo__best_of_n__none: failed (ValueError: this task fails)" in captured.out

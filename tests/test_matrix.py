@@ -10,7 +10,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -1090,11 +1090,13 @@ def test_run_matrix_logs_one_record_per_cell_in_config_order(tmp_path, monkeypat
     cfg = load_matrix_config(write_mini_config(tmp_path, cells))
     real_run_cell_task = matrix._run_cell_task
 
-    def failing(cfg, embedder, ladder, task, dump_dir, trie, emit):
+    def failing(cfg, embedder, forest, ladders, dump_dir, job):
+        ladder = ladders[job[0]]
+        task = cfg.benchmarks[ladder[0].benchmark].benchmark.tasks[job[1]]
         if ladder[0].cell_id == "failing" and task.task_id == "sql-003":
             time.sleep(0.2)
-            raise ValueError("task sql-003 fails")
-        return real_run_cell_task(cfg, embedder, ladder, task, dump_dir, trie, emit)
+            return [matrix._error(ValueError("task sql-003 fails"))]
+        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
 
     monkeypatch.setattr(matrix, "_run_cell_task", failing)
     with caplog.at_level(logging.INFO, logger="memsearch.matrix"):
@@ -1156,19 +1158,31 @@ def test_a_benchmark_without_tasks_is_a_config_error(tmp_path, fixtures_dir, cap
     _assert_config_error(config, r"benchmark 'toy_sql_demo': fixture file has no tasks$", capsys)
 
 
-def _work_sending_first(times):
-    """`matrix._work` with unit 0's result sent `times` times, each unit's
-    result in a message of its own (a one-element list)."""
+def test_run_matrix_refuses_a_benchmark_without_tasks(tmp_path, monkeypatch):
+    # a config built in code skips the loader's check, so run_matrix makes it
+    cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first",)))
+    spec = cfg.benchmarks["toy_sql_demo"]
+    no_tasks = replace(spec, benchmark=replace(spec.benchmark, tasks=()))
+    cfg = replace(cfg, benchmarks={"toy_sql_demo": no_tasks})
+    monkeypatch.setattr(matrix, "_build_models", None)  # no model may be built
+    with pytest.raises(ConfigurationError, match=r"^benchmark 'toy_sql_demo' has no tasks$"):
+        run_matrix(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
-    def work(conn, counter, run, units):
+
+def _work_sending_first(times):
+    """`matrix._work` with job 0's results sent `times` times, each job's
+    results in a message of its own (a one-element list)."""
+
+    def work(conn, counter, run, queue):
         while True:
             with counter.get_lock():
                 index = counter.value
                 counter.value = index + 1
-            if index >= len(units):
+            if index >= len(queue):
                 conn.close()
                 return
-            result = run(units[index])
+            result = run(queue[index])
             for _ in range(times if index == 0 else 1):
                 conn.send([(index, result)])
 
@@ -1178,14 +1192,14 @@ def _work_sending_first(times):
 @pytest.mark.parametrize(
     "times, message",
     [
-        (2, r"unit \(0, \d\) came back twice"),
-        (0, r"unit \(0, \d\) never came back"),
+        (2, r"job \(0, \d\) came back twice"),
+        (0, r"job \(0, \d\) never came back"),
     ],
     ids=["twice", "never"],
 )
 def test_run_units_refuses_a_unit_back_twice_or_never(tmp_path, monkeypatch, times, message):
-    # a lost update on the shared counter runs a unit twice or skips one; a
-    # unit run twice writes the same bytes, so only this check can see it
+    # a lost update on the shared counter runs a job twice or skips one; a
+    # job run twice writes the same bytes, so only this check can see it
     cell = {**_sql_cell(), "search": {"method": "best_of_n", "n_budget": 1}}
     cfg = load_matrix_config(write_mini_config(tmp_path, [cell]))
     monkeypatch.setattr(matrix, "_work", _work_sending_first(times))
@@ -1201,29 +1215,29 @@ def _sql_cells_config(tmp_path, ids):
     return write_mini_config(tmp_path, cells)
 
 
-def _stalling_last_cell(real_run_unit):
-    """`matrix._run_unit` with each unit of the config's last cell stalled for
-    long enough that a worker that reaches one is still alive when the runner
-    stops: only the runner's own clean-up can then end it in time."""
+def _stalling_last_cell(real_run_cell_task):
+    """`matrix._run_cell_task` with each job of the config's last cell stalled
+    for long enough that a worker that reaches one is still alive when the
+    runner stops: only the runner's own clean-up can then end it in time."""
 
-    def run_unit(cfg, embedder, forest, cells, dump_dir, unit):
-        if unit[0] == len(cells) - 1:
+    def run_cell_task(cfg, embedder, forest, ladders, dump_dir, job):
+        if job[0] == len(ladders) - 1:
             time.sleep(20)
-        return real_run_unit(cfg, embedder, forest, cells, dump_dir, unit)
+        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
 
-    return run_unit
+    return run_cell_task
 
 
 def test_a_dead_worker_raises_worker_error_and_leaves_no_child(tmp_path, monkeypatch):
     cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "last")))
-    parent, real_run_unit = os.getpid(), _stalling_last_cell(matrix._run_unit)
+    parent, real_run_cell_task = os.getpid(), _stalling_last_cell(matrix._run_cell_task)
 
-    def dying(cfg, embedder, forest, cells, dump_dir, unit):
-        if unit == (0, 1) and os.getpid() != parent:
+    def dying(cfg, embedder, forest, ladders, dump_dir, job):
+        if job == (0, 1) and os.getpid() != parent:
             os._exit(3)
-        return real_run_unit(cfg, embedder, forest, cells, dump_dir, unit)
+        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
 
-    monkeypatch.setattr(matrix, "_run_unit", dying)
+    monkeypatch.setattr(matrix, "_run_cell_task", dying)
     with pytest.raises(WorkerError, match="a worker process exited with code 3"):
         run_matrix(cfg, tmp_path / "out", jobs=2)
     assert multiprocessing.active_children() == []
@@ -1237,7 +1251,7 @@ def test_a_failing_verdict_write_propagates_and_leaves_no_child(tmp_path, monkey
         raise OSError(f"cannot write {path.name}")
 
     monkeypatch.setattr(matrix, "atomic_write", failing_write)
-    monkeypatch.setattr(matrix, "_run_unit", _stalling_last_cell(matrix._run_unit))
+    monkeypatch.setattr(matrix, "_run_cell_task", _stalling_last_cell(matrix._run_cell_task))
     # the caller keeps the exception, and with it run_matrix's frame
     with pytest.raises(OSError, match="cannot write first.jsonl") as raised:
         run_matrix(cfg, tmp_path / "out", jobs=2)
@@ -1251,17 +1265,17 @@ def test_a_failed_cell_reports_its_first_failing_task_at_every_jobs(tmp_path, mo
     cell = {**_sql_cell(), "search": {"method": "best_of_n", "n_budget": 1}}
     cfg = load_matrix_config(write_mini_config(tmp_path, [cell]))
     first, second = (t.task_id for t in cfg.benchmarks["toy_sql_demo"].benchmark.tasks[:2])
-    real_run_cell_task = matrix._run_cell_task
+    real_run_search = matrix.run_search
 
-    def failing(cfg, embedder, ladder, task, dump_dir, trie, emit):
+    def failing(task, *args):
         if task.task_id == first:
             time.sleep(0.3)
             raise ValueError("the first task fails")
         if task.task_id == second:
             raise ValueError("the second task fails")
-        return real_run_cell_task(cfg, embedder, ladder, task, dump_dir, trie, emit)
+        return real_run_search(task, *args)
 
-    monkeypatch.setattr(matrix, "_run_cell_task", failing)
+    monkeypatch.setattr(matrix, "run_search", failing)
     errors = {
         jobs: run_matrix(cfg, tmp_path / f"out{jobs}", jobs=jobs)["cells"]["a"]["error"]
         for jobs in (1, 2, 3)
@@ -1276,8 +1290,8 @@ def test_a_cell_verdict_file_is_written_when_its_last_unit_lands(tmp_path, monke
     cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "middle", "last")))
     parent, real_run_cell_task = os.getpid(), matrix._run_cell_task
 
-    def waiting(cfg, embedder, ladder, task, dump_dir, trie, emit):
-        if ladder[0].cell_id == "last":
+    def waiting(cfg, embedder, forest, ladders, dump_dir, job):
+        if ladders[job[0]][0].cell_id == "last":
             first_file = dump_dir.parent / "first.jsonl"
             # in this process the file must be there already; a worker may wait
             deadline = time.monotonic() + (0 if os.getpid() == parent else 30)
@@ -1285,7 +1299,7 @@ def test_a_cell_verdict_file_is_written_when_its_last_unit_lands(tmp_path, monke
                 if time.monotonic() >= deadline:
                     raise AssertionError("the first cell's verdict file is not written")
                 time.sleep(0.005)
-        return real_run_cell_task(cfg, embedder, ladder, task, dump_dir, trie, emit)
+        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
 
     monkeypatch.setattr(matrix, "_run_cell_task", waiting)
     for jobs in (1, 2):

@@ -612,7 +612,8 @@ def _trie_run(method, memory, script, reward, search, wrap, prefixes=(), tempera
 
     snapshot(
         run_search(
-            TASK, ToySqlEnv(WORLD), policy, composite, cfg, 7, prm, None, prefixes, snapshot
+            TASK, ToySqlEnv(WORLD), policy, composite, cfg, 7, prm, None,
+            dict.fromkeys(prefixes, snapshot),
         )
     )
     return snapshots
@@ -716,8 +717,8 @@ def test_ties_submit_the_earliest_trajectory_at_every_prefix(method):
     cfg = SearchConfig(method=method, n_budget=6, n_iters=6, n_actions=2, temperature=0.7)
     env, records = ToySqlEnv(WORLD), []
     record = run_search(
-        TASK, env, _policy(script), _none_composite(), cfg, 5, _prm(), None, range(1, 6),
-        records.append,
+        TASK, env, _policy(script), _none_composite(), cfg, 5, _prm(), None,
+        dict.fromkeys(range(1, 6), records.append),
     )
     records.append(record)
     assert len({t.answer() for t in records[-1].trajectories}) == 2
@@ -731,28 +732,30 @@ def test_beam_has_no_budget_prefixes():
     with pytest.raises(ValueError, match="beam search has no budget prefixes"):
         run_search(
             TASK, ToySqlEnv(WORLD), _policy(STRAIGHT_POLICY), _none_composite(), cfg, 0, _prm(),
-            None, [1], print,
+            None, {1: print},
         )
 
 
 @pytest.mark.parametrize(
-    "method, prefixes, on_prefix, match",
+    "method, on_prefix, match",
     [
-        (SearchMethod.BEST_OF_N, [0, 7, -1], print, r"prefixes \[-1, 0, 7\] not all in \[1, 5\]"),
-        (SearchMethod.MCTS, [5], print, r"prefixes \[5\] not all in \[1, 3\]"),
-        (SearchMethod.BEST_OF_N, [2], None, "budget prefixes need an on_prefix callback"),
-        (SearchMethod.MCTS, [2], None, "budget prefixes need an on_prefix callback"),
+        (
+            SearchMethod.BEST_OF_N,
+            dict.fromkeys([0, 7, -1], print),
+            r"prefixes \[-1, 0, 7\] not all in \[1, 5\]",
+        ),
+        (SearchMethod.MCTS, {5: print}, r"prefixes \[5\] not all in \[1, 3\]"),
     ],
-    ids=["best_of_n_outside", "mcts_outside", "best_of_n_no_callback", "mcts_no_callback"],
+    ids=["best_of_n_outside", "mcts_outside"],
 )
-def test_budget_prefixes_are_refused_before_any_model_call(method, prefixes, on_prefix, match):
+def test_budget_prefixes_are_refused_before_any_model_call(method, on_prefix, match):
     telemetry = Telemetry()
     policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(STRAIGHT_POLICY), telemetry)
     prm = ScriptedRewardModel.from_dict({"default": 0.5}, telemetry)
     cfg = SearchConfig(method=method, n_budget=5, n_iters=3)
     env = CountingEnv(WORLD)
     with pytest.raises(ValueError, match=match):
-        run_search(TASK, env, policy, _none_composite(), cfg, 0, prm, None, prefixes, on_prefix)
+        run_search(TASK, env, policy, _none_composite(), cfg, 0, prm, None, on_prefix)
     assert telemetry == Telemetry()
     assert env.steps == 0
 
@@ -878,8 +881,8 @@ def _shell_run(env_cls, memory, wrap):
     cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=5)
     drawn = []
     record = run_best_of_n(
-        SHELL_TASK, env, policy, composite, cfg, 3, prm, None, range(1, 5),
-        lambda _: drawn.append(len(draws)),
+        SHELL_TASK, env, policy, composite, cfg, 3, prm, None,
+        dict.fromkeys(range(1, 5), lambda _: drawn.append(len(draws))),
     )
     texts = [(t, t.text) for t in record.trajectories]
     return (record, texts, telemetry, composite.store.units, calls), [*drawn, len(draws)]
