@@ -21,12 +21,13 @@ from .core import (
     Abstraction,
     ContextBundle,
     ContextUnit,
+    EMPTY_BUNDLE,
     Scope,
     Step,
     Trajectory,
     atomic_write,
+    extend_bundle,
     is_number,
-    render_bundle,
     step_text,
 )
 from .models import EXTRACT_FACTS, REFLECT, AugmentorModel, Embedder, cosine
@@ -130,9 +131,11 @@ class MemoryStore:
       decision rests on the embedding alone, so two bodies that embed the
       same share a key.
 
-    The rendered bundle of the stored units is kept until the next unit is
-    actually stored, so retrieval without ephemeral units renders once per
-    write, not once per policy call.
+    The store keeps its last bundle and, on the next `bundle()` call after a
+    store, extends it by the units stored since (`extend_bundle`), so a unit
+    that sorts after the stored ones (the usual case: units arrive in
+    source-iteration order) costs its own line, not a render of the whole
+    store; retrieval without ephemeral units renders nothing between writes.
 
     The fact index (the array and the norms) is allocated by the first
     stored fact, and numpy is imported only on the fact path, so a store
@@ -150,7 +153,7 @@ class MemoryStore:
         self._norms: np.ndarray | None = None
         self._min_norm = math.inf  # of the stored facts; NaN once a NaN norm is stored
         self._drop_keys: set[tuple[np.dtype, bytes]] = set()  # embeddings whose repeat is dropped
-        self._bundle: ContextBundle | None = None  # render_bundle(self._units), or None: stale
+        self._bundle = EMPTY_BUNDLE  # render_bundle of the first len(self._bundle.units) units
 
     def __len__(self) -> int:
         return len(self._units)
@@ -180,13 +183,13 @@ class MemoryStore:
             if denom != 0.0 and float(sq) / denom - self.dedup_threshold > EXACT_MARGIN:
                 self._drop_keys.add(key)
         self._units.append(unit)
-        self._bundle = None
         return True
 
     def bundle(self) -> ContextBundle:
-        """The rendered bundle of the stored units, rendered again only after a store."""
-        if self._bundle is None:
-            self._bundle = render_bundle(self._units)
+        """The rendered bundle of the stored units, extended only after a store."""
+        made = len(self._bundle.units)
+        if made < len(self._units):
+            self._bundle = extend_bundle(self._bundle, self._units[made:])
         return self._bundle
 
     def _is_duplicate(self, vec: np.ndarray, norm: float) -> bool:
@@ -330,10 +333,9 @@ def extract_facts(
 
 
 def retrieve(store: MemoryStore, ephemeral: Sequence[ContextUnit] = ()) -> ContextBundle:
-    """Inject-all retrieval: every persistent unit plus the ephemeral ones."""
-    if not ephemeral:
-        return store.bundle()
-    return render_bundle(list(store.units) + list(ephemeral))
+    """Inject-all retrieval: every persistent unit plus the ephemeral ones,
+    the store's bundle extended by the ephemeral units."""
+    return extend_bundle(store.bundle(), ephemeral)
 
 
 class CompositeAugmentor:

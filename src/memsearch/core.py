@@ -8,10 +8,10 @@ other types are frozen dataclasses and safe to share across threads.
 An :class:`Action` carries the whitespace token count of its raw text, an
 :class:`Observation` that of its content, a :class:`Task` that of its
 prompt and a :class:`ContextBundle` that of its rendered text, each counted
-once when the value is built: the scripted models bill the prompt, every
-prefix step and the bundle on every call, and recounting them there is
-quadratic in depth.  :func:`_count_tokens` is the one definition of a
-token.
+once when the value is built (`extend_bundle` counts only the lines it
+appends): the scripted models bill the prompt, every prefix step and the
+bundle on every call, and recounting them there is quadratic in depth.
+:func:`_count_tokens` is the one definition of a token.
 """
 
 from __future__ import annotations
@@ -272,11 +272,18 @@ _SECTION_ORDER = (Abstraction.FACT, Abstraction.REFLECTION, Abstraction.RAW)
 class ContextBundle:
     units: tuple[ContextUnit, ...]
     rendered: str
-    fingerprint: str  # of rendered; computed once, in render_bundle
-    tokens: int = field(init=False, compare=False, repr=False)  # of rendered, set once here
+    fingerprint: str  # of rendered; computed once, in render_bundle or extend_bundle
+    tokens: int | None = field(default=None, compare=False, repr=False)  # of rendered; None: count
+    # what extend_bundle appends to: the sha256 state of rendered and the index
+    # in _SECTION_ORDER of its last section; None: extend_bundle renders in full
+    tail: tuple[object, int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", _count_tokens(self.rendered))
+        if self.tokens is None:
+            object.__setattr__(self, "tokens", _count_tokens(self.rendered))
+
+    def __getstate__(self) -> dict:
+        return {**vars(self), "tail": None}  # a sha256 state does not pickle
 
     @property
     def is_empty(self) -> bool:
@@ -291,7 +298,8 @@ def render_bundle(units: Iterable[ContextUnit]) -> ContextBundle:
     insertion order.  The rendered text groups units into labeled sections
     in the fixed order FACTS:, REFLECTIONS:, SIBLINGS:; empty sections are
     omitted and an empty unit list renders as the empty string (it is
-    EMPTY_BUNDLE).  This is the one place a bundle's fingerprint is computed.
+    EMPTY_BUNDLE).  A bundle's fingerprint is computed here or, for the
+    lines appended to a bundle made here, in `extend_bundle`.
     """
     units = list(units)
     if not units:
@@ -304,7 +312,50 @@ def render_bundle(units: Iterable[ContextUnit]) -> ContextBundle:
     for u in ordered:
         sections[u.abstraction].append(f"- {u.body}")
     rendered = "\n".join("\n".join(lines) for lines in sections.values() if len(lines) > 1)
-    return ContextBundle(units=ordered, rendered=rendered, fingerprint=fingerprint(rendered))
+    sha = hashlib.sha256(rendered.encode("utf-8"))
+    last = max(i for i, lines in enumerate(sections.values()) if len(lines) > 1)
+    return ContextBundle(ordered, rendered, sha.hexdigest()[:12], tail=(sha, last))
+
+
+def extend_bundle(bundle: ContextBundle, units: Iterable[ContextUnit]) -> ContextBundle:
+    """`render_bundle` of the bundle's units and then `units`, appended to
+    `bundle` where every new unit sorts after it.
+
+    A unit sorts after the bundle when `render_bundle` places it last and its
+    line ends the text: it is ephemeral, or persistent with a source_iteration
+    at or above the last unit's, which is persistent too; and its section is
+    the bundle's last or a later one.  Then only the new lines are rendered,
+    hashed (on a copy of the bundle's sha256 state, so `bundle` can be
+    extended again) and counted (the whitespace token count is additive over
+    the "\n"-joined lines).  An empty bundle, one without a sha256 state, or
+    any other unit gets a full `render_bundle`.
+    """
+    units = tuple(units)
+    if not units:
+        return bundle
+    if bundle.tail is None:
+        return render_bundle(bundle.units + units)
+    sha, section = bundle.tail
+    last = bundle.units[-1]
+    lines = [""]
+    for u in units:
+        rank = _SECTION_ORDER.index(u.abstraction)
+        if rank < section or u.persistent and not (
+            last.persistent and u.source_iteration >= last.source_iteration
+        ):
+            return render_bundle(bundle.units + units)
+        if rank > section:
+            lines.append(_SECTION_LABELS[u.abstraction])
+            section = rank
+        lines.append(f"- {u.body}")
+        last = u
+    text = "\n".join(lines)
+    sha = sha.copy()
+    sha.update(text.encode("utf-8"))
+    return ContextBundle(
+        bundle.units + units, bundle.rendered + text, sha.hexdigest()[:12],
+        bundle.tokens + _count_tokens(text), (sha, section),
+    )
 
 
 EMPTY_BUNDLE = ContextBundle(units=(), rendered="", fingerprint=fingerprint(""))
@@ -348,9 +399,14 @@ class PricingTable:
             raise ConfigurationError(f"{what}: {exc}") from exc
 
 
-@dataclass
+@dataclass(slots=True)
 class Telemetry:
-    """Monotone call/token counters. Counters only ever increase."""
+    """Monotone call/token counters. Counters only ever increase.
+
+    Slotted, so it has no `__dict__` and `vars()` on it raises: in CPython
+    3.11 reading an object's `__dict__` drops its inline attribute values,
+    and every later `add` on it runs about 3x slower.
+    """
 
     policy_calls: int = 0
     policy_tokens_in: int = 0

@@ -505,9 +505,7 @@ def _run_cell_task(
                 trajectory_lengths=lengths,
                 terminal_kinds=[t.terminal_kind.value for t in record.trajectories],
                 discovery_skipped=discovery_skipped,
-                # a copy: CPython drops the inline attribute values of an object
-                # whose __dict__ is read (`to_json`), which slows every later bill
-                telemetry=replace(telemetry),
+                telemetry=telemetry,
                 giveup=record.giveup,
             ).to_json()
 

@@ -105,7 +105,8 @@ class VerdictRow:
 
     def to_json(self) -> str:
         giveup = None if self.giveup is None else vars(self.giveup)
-        raw = {**vars(self), "telemetry": vars(self.telemetry), "giveup": giveup}
+        telemetry = {name: getattr(self.telemetry, name) for name in _TELEMETRY_KEYS}
+        raw = {**vars(self), "telemetry": telemetry, "giveup": giveup}
         return json.dumps(raw, sort_keys=True) + "\n"
 
     @classmethod

@@ -37,3 +37,10 @@ def write_mini_config(tmp_path: Path, cells: list[dict], benchmarks: dict | None
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg, indent=2), encoding="utf-8")
     return path
+
+
+def same_bundle(got, want) -> None:
+    """Assert two bundles agree in all a prompt reads: units, text, fingerprint and tokens."""
+    assert (got.units, got.rendered, got.fingerprint, got.tokens) == (
+        want.units, want.rendered, want.fingerprint, want.tokens
+    )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memsearch import augmentors
+from memsearch import augmentors, core
 from memsearch.augmentors import (
     DEDUP_THRESHOLD,
     REFLECTION_THRESHOLD,
@@ -41,6 +41,8 @@ from memsearch.core import (
     render_bundle,
 )
 from memsearch.models import HashEmbedder, ScriptedAugmentorModel, cosine, hash_embed
+
+from conftest import same_bundle
 
 
 def _step(tool="QUERY", args="x", content="row", is_error=False, reward=None):
@@ -244,6 +246,53 @@ def test_retrieve_renders_again_only_after_a_store():
     assert with_siblings.rendered.startswith(third.rendered + "\nSIBLINGS:\n- tried QUERY|x")
     assert with_siblings.units == third.units + tuple(sibling_context([_step(content="one row")]))
     assert retrieve(store) is third
+
+
+# one store operation: ("fact", body, iteration, embedding row), ("reflection",
+# body, iteration) or ("bundle",); facts on one of three orthogonal rows, so a
+# repeated row is a dropped duplicate
+_STORE_OPS = st.one_of(
+    st.tuples(
+        st.just("fact"), st.sampled_from(["a", "b c", " d\n"]), st.integers(0, 3), st.integers(0, 2)
+    ),
+    st.tuples(st.just("reflection"), st.sampled_from(["r", "s t", ""]), st.integers(0, 3)),
+    st.tuples(st.just("bundle")),
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(ops=st.lists(_STORE_OPS, max_size=14), n_siblings=st.integers(0, 2))
+def test_store_bundle_and_retrieve_equal_a_full_render(ops, n_siblings):
+    store, rows = MemoryStore(), np.eye(3)
+    siblings = sibling_context([_step(content=f"row {i}") for i in range(n_siblings)])
+    for op in ops:
+        if op[0] == "fact":
+            unit = ContextUnit(
+                Scope.CROSS_TRAJECTORY, Abstraction.FACT, op[1], op[2], True, rows[op[3]]
+            )
+            store.add(unit)
+        elif op[0] == "reflection":
+            store.add(_reflection_unit(op[1], op[2]))
+        else:
+            store.bundle()
+        same_bundle(store.bundle(), render_bundle(store.units))
+        same_bundle(retrieve(store, siblings), render_bundle(store.units + tuple(siblings)))
+
+
+def test_a_store_renders_in_full_only_what_does_not_sort_after_its_bundle(monkeypatch):
+    full = []
+    real = core.render_bundle
+    monkeypatch.setattr(core, "render_bundle", lambda units: full.append(1) or real(units))
+    store, sibling = MemoryStore(), sibling_context([_step()])
+    for i in range(80):
+        store.add(_reflection_unit(f"reflection {i}", iteration=i))
+        retrieve(store)
+        retrieve(store, sibling)
+    assert len(full) == 1  # the store's first bundle; every later one appends a line
+    # a fact sorts before the REFLECTIONS section: its bundle is rendered in full
+    assert store.add(_fact_unit("the table games has a column Year", iteration=80))
+    same_bundle(retrieve(store), real(store.units))
+    assert len(full) == 2
 
 
 def test_composite_rejects_duplicates_and_missing_models():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import pickle
 from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from memsearch import core
 from memsearch.core import (
     EMPTY_BUNDLE,
     FINAL_ANSWER,
@@ -29,6 +31,7 @@ from memsearch.core import (
     atomic_write,
     checked,
     clamp01,
+    extend_bundle,
     fingerprint,
     known,
     render_bundle,
@@ -37,6 +40,8 @@ from memsearch.core import (
     trajectory_text,
 )
 from memsearch.stats import VerdictRow, efficiency
+
+from conftest import same_bundle
 
 
 def _step(tool="QUERY", args="x", content="row", is_error=False, reward=None):
@@ -248,6 +253,67 @@ def test_render_bundle_order_sections_and_fingerprint(specs):
     assert bundle.fingerprint == fingerprint(bundle.rendered)
 
 
+# bodies that stress the token count: runs of whitespace, separators that
+# str.split() counts as whitespace, empty bodies and line breaks
+_BODIES = st.text(alphabet="ab \n\t\x1c\u2028\u00e9", max_size=5)
+_SPECS_WITH_BODIES = st.tuples(_UNIT_SPECS, _BODIES)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    base=st.lists(_SPECS_WITH_BODIES, max_size=8),
+    batches=st.lists(st.lists(_SPECS_WITH_BODIES, max_size=4), max_size=4),
+)
+def test_extend_bundle_is_render_bundle_of_all_the_units(base, batches):
+    def units(specs):
+        return [_unit(a, body, it, eph) for (a, it, eph), body in specs]
+
+    bundle, so_far = render_bundle(units(base)), units(base)
+    for batch in batches:
+        extended = extend_bundle(bundle, units(batch))
+        so_far += units(batch)
+        same_bundle(extended, render_bundle(so_far))
+        # the base is left as it was and can be extended again
+        same_bundle(extend_bundle(bundle, units(batch)), extended)
+        bundle = extended
+
+
+def test_extend_bundle_appends_only_what_sorts_after_the_bundle(monkeypatch):
+    full = []
+    real = core.render_bundle
+    monkeypatch.setattr(core, "render_bundle", lambda units: full.append(1) or real(units))
+    fact, reflection = _unit(Abstraction.FACT, "f", 1), _unit(Abstraction.REFLECTION, "r", 1)
+    sibling = _unit(Abstraction.RAW, "s", 0, ephemeral=True)
+    base = real([fact])
+    appended = [
+        [_unit(Abstraction.FACT, "g", 1)],  # same section, equal iteration
+        [reflection, _unit(Abstraction.REFLECTION, "q", 3)],  # a later section, rising
+        [sibling],
+        [reflection, sibling, sibling],
+    ]
+    refused = [
+        [_unit(Abstraction.FACT, "g", 0)],  # a falling iteration
+        [reflection, _unit(Abstraction.FACT, "g", 2)],  # an earlier section
+        [sibling, _unit(Abstraction.REFLECTION, "q", 2)],  # persistent after ephemeral
+        [_unit(Abstraction.FACT, "g", 3), _unit(Abstraction.FACT, "h", 2)],  # falling in the batch
+        [_unit(Abstraction.FACT, "e", 0, ephemeral=True), _unit(Abstraction.FACT, "g", 2)],
+    ]
+    for batch in appended + refused:
+        same_bundle(extend_bundle(base, batch), real([fact, *batch]))
+    assert len(full) == len(refused)
+    assert extend_bundle(base, []) is base
+    extend_bundle(EMPTY_BUNDLE, [fact])  # nothing to append to
+    assert len(full) == len(refused) + 1
+
+
+def test_a_bundle_pickles_and_its_copy_renders_in_full_when_extended():
+    bundle = render_bundle([_unit(Abstraction.REFLECTION, "r", 0)])
+    copy = pickle.loads(pickle.dumps(bundle))
+    assert copy == bundle and copy.tokens == bundle.tokens and copy.tail is None
+    more = [_unit(Abstraction.REFLECTION, "s", 1)]
+    same_bundle(extend_bundle(copy, more), extend_bundle(bundle, more))
+
+
 def test_empty_bundle():
     assert EMPTY_BUNDLE.is_empty
     assert EMPTY_BUNDLE.rendered == ""
@@ -273,6 +339,21 @@ def test_telemetry_accounting_and_cost():
     assert cost.total_cost == pytest.approx(cost.policy_cost + cost.supervisor_cost)
     with pytest.raises(ValueError):
         t.record("gardener", 1, 1)
+
+
+def test_telemetry_has_no_dict_and_serializes_by_name():
+    # reading a __dict__ slows every later `add` in CPython 3.11, so there is none
+    with pytest.raises(TypeError):
+        vars(Telemetry())
+    t = Telemetry(1, 2, 3, 4, 5, 6)
+    row = VerdictRow("a", "cell", [True], True, None, [1], ["answered"], None, t, None)
+    assert row.to_json() == (
+        '{"cell_id": "cell", "discovery_skipped": null, "final_answer": null, "giveup": null, '
+        '"selected_verdict": true, "task_id": "a", "telemetry": {"policy_calls": 1, '
+        '"policy_tokens_in": 2, "policy_tokens_out": 3, "supervisor_calls": 4, '
+        '"supervisor_tokens_in": 5, "supervisor_tokens_out": 6}, "terminal_kinds": '
+        '["answered"], "trajectory_lengths": [1], "verdicts": [true]}\n'
+    )
 
 
 def test_trajectory_text_format():

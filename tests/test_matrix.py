@@ -1563,6 +1563,16 @@ def test_run_tree_tool_writes_the_pinned_demo_outputs_at_every_jobs(tmp_path):
     assert any(rel.startswith("run/memory/") for rel in trees[1])
 
 
+def test_same_trees_tool_finds_a_checkout_the_same_as_itself():
+    root = str(FIXTURES.parents[2])
+    tool = [sys.executable, str(FIXTURES.parents[2] / "tools" / "same_trees.py")]
+    done = subprocess.run([*tool, root, root, "demo"], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        f"demo seed {seed} jobs {jobs}: same" for seed in (1, 2) for jobs in (1, 2)
+    ]
+
+
 # The demo pin covers no incremental fact extraction under expansion.  These
 # cells run it under batch expansion (mcts x fact) and under interleaved
 # expansion (every raw_sibling cell), beside a sampled beam and batch facts

@@ -946,9 +946,14 @@ def test_best_of_n_walks_each_repeated_attempt_with_one_retrieve(monkeypatch):
 
 
 def test_a_best_of_n_walk_bills_once_per_model():
-    telemetry, adds = Telemetry(), []
-    real_add = telemetry.add
-    telemetry.add = lambda *a: adds.append(a) or real_add(*a)
+    adds = []
+
+    class Logged(Telemetry):  # Telemetry is slotted: an instance's `add` cannot be replaced
+        def add(self, *a):
+            adds.append(a)
+            super().add(*a)
+
+    telemetry = Logged()
     policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(STRAIGHT_POLICY), telemetry)
     prm = ScriptedRewardModel.from_dict({"default": 0.5}, telemetry)
     cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=5)
