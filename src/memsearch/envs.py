@@ -57,8 +57,11 @@ class Environment(Protocol):
     def fork(self, state: StateHandle) -> StateHandle: ...
 
 
+EMPTY_ANSWER = "(empty)"  # what a tool answers with nothing to list or show
+
+
 def _ok(tool: str, content: str) -> Observation:
-    return Observation(content=content, is_error=False, tool_name=tool)
+    return Observation(content=content or EMPTY_ANSWER, is_error=False, tool_name=tool)
 
 
 def _err(tool: str, message: str) -> Observation:

@@ -280,9 +280,15 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
             raise ConfigurationError(
                 f"{where}: discovery_tool {discovery_tool!r} is none of the fixture's tools {tools}"
             )
+        policy = load("policy_script", _script(_parse_policy))
+        if isinstance(policy, ScriptedPolicy):
+            try:
+                policy.check_templates(set().union(*(task.meta for task in bench.tasks)))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{where}: policy_script: {exc}") from exc
         benchmarks[name] = BenchmarkSpec(
             benchmark=bench,
-            policy=load("policy_script", _script(_parse_policy)),
+            policy=policy,
             reward=load("reward_script", _script(ScriptedRewardModel.from_dict)),
             augmentor=load("augmentor_script", _script(ScriptedAugmentorModel.from_dict)),
             discovery_tool=discovery_tool,

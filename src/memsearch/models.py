@@ -17,7 +17,7 @@ import re
 import string
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from .core import (
     FINAL_ANSWER,
@@ -213,6 +213,25 @@ class ScriptedPolicy:
             return template.format_map(values)
         except KeyError as exc:
             raise ConfigurationError(f"unknown placeholder {exc} in template {template!r}") from exc
+
+    def check_templates(self, meta_keys: Iterable[str]) -> None:
+        """Raise ConfigurationError, naming the rule, unless `_fill` fills every
+        template for a task whose meta holds `meta_keys`.  A field that indexes
+        or reads an attribute of its value (`{prompt[0]}`) is left to run time,
+        since the probe's values are empty."""
+        probe = Task("", "", (), "", "", dict.fromkeys(meta_keys, ""))
+        for i, rule in enumerate(self.config.rules):
+            for template in rule.templates:
+                try:
+                    self._fill(template, probe, None)
+                except ConfigurationError as exc:
+                    raise ConfigurationError(f"policy rule {i}: {exc}") from exc
+                except ValueError as exc:  # a stray brace, a positional field
+                    raise ConfigurationError(
+                        f"policy rule {i}: template {template!r} cannot be filled: {exc}"
+                    ) from exc
+                except (AttributeError, IndexError):
+                    pass
 
     def _apology(self) -> Action:
         text = self.config.apology_text

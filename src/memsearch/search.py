@@ -272,12 +272,23 @@ def _iterate(
     return _record(trajectories, best)
 
 
+@dataclass(slots=True)  # not frozen: a frozen init costs 4x, once per expansion
+class _Run:
+    """What every step of one search run reads: made once per `run_*` or `expand` call."""
+
+    env: Environment
+    task: Task
+    policy: PolicyModel
+    prm: RewardModel | None
+    composite: CompositeAugmentor
+    config: SearchConfig
+
+
 def _stepped(
-    task: Task,
+    run: _Run,
     node: _StepNode | None,
     state: StateHandle,
     prefix: Sequence[Step],
-    prm: RewardModel | None,
     bundle_fp: str,
     action: Action,
     obs: Observation,
@@ -287,8 +298,8 @@ def _stepped(
     a PRM), leading to the child of trie node `node` that (action, obs)
     keys, made if missing (None without a trie)."""
     step = Step(action, obs)
-    if prm is not None:
-        step = Step(action, obs, clamp01(prm.score(task.prompt, prefix, step)))
+    if run.prm is not None:
+        step = Step(action, obs, clamp01(run.prm.score(run.task.prompt, prefix, step)))
     child = None
     if node is not None:
         child = node.children.get((action, obs))
@@ -298,16 +309,11 @@ def _stepped(
 
 
 def _take_step(
-    env: Environment,
-    task: Task,
+    run: _Run,
     node: _StepNode | None,
     state: StateHandle,
     prefix: Sequence[Step],
-    policy: PolicyModel,
-    prm: RewardModel | None,
-    composite: CompositeAugmentor,
     bundle: ContextBundle,
-    config: SearchConfig,
     iteration: int,
     seed_salt: tuple,
     fork: bool = False,
@@ -330,13 +336,15 @@ def _take_step(
     without its stored PRM bill, and the walk goes on from the child it
     leads to.
     """
+    env, task, policy, prm = run.env, run.task, run.policy, run.prm
     key = (bundle.fingerprint, bundle.rendered)
     entry = None if node is None else node.entries.get(key)
     if entry is None:
-        action = policy.sample(task, prefix, bundle, config.temperature, stable_hash(*seed_salt))
+        seed = stable_hash(*seed_salt)
+        action = policy.sample(task, prefix, bundle, run.config.temperature, seed)
         state, obs = env.step(env.fork(state) if fork else state, action)
-        cand = _stepped(task, node, state, prefix, prm, bundle.fingerprint, action, obs)
-        composite.on_step(cand.step, iteration)
+        cand = _stepped(run, node, state, prefix, bundle.fingerprint, action, obs)
+        run.composite.on_step(cand.step, iteration)
         if node is not None:
             node.entries[key] = (cand, policy.billed, None if prm is None else prm.billed)
         return [cand]
@@ -350,8 +358,8 @@ def _take_step(
                 cand = Candidate(cand.step, state, cand.bundle_fp, cand.steps, cand.node)
             else:
                 action, prm_bill = cand.step.action, None
-                cand = _stepped(task, node, state, prefix, prm, cand.bundle_fp, action, obs)
-        composite.on_step(cand.step, iteration)
+                cand = _stepped(run, node, state, prefix, cand.bundle_fp, action, obs)
+        run.composite.on_step(cand.step, iteration)
         taken.append(cand)
         policy_bills.append(policy_bill)
         if prm_bill is not None:
@@ -399,32 +407,40 @@ def expand(
         raise AdmissibilityError(
             f"{env.env_id} is not serializable; {config.method.value} cannot fork"
         )
+    run = _Run(env, task, policy, prm, composite, config)
     out: list[Candidate] = []
     for i in range(config.n_actions):
         if i == 0 or config.expansion is ExpansionMode.INTERLEAVED:
             bundle = composite.retrieve(sibling_context([c.step for c in out]))
-        out += _take_step(
-            env, task, parent, parent_state, prefix, policy, prm, composite, bundle, config,
-            iteration, (*seed_salt, "cand", i), fork=True,
-        )
+        salt = (*seed_salt, "cand", i)
+        out += _take_step(run, parent, parent_state, prefix, bundle, iteration, salt, fork=True)
     return out
+
+
+def _expand_path(
+    run: _Run,
+    path: Sequence[Candidate],
+    root: StateHandle,
+    trie: _StepNode | None,
+    iteration: int,
+    seed_salt: tuple,
+) -> list[Candidate]:
+    """`expand` from the end of `path`, its last candidate, or from the run's
+    root (reset state `root`, trie node `trie`) if `path` is empty.  It calls
+    `expand` by its module name, so a wrapper set there sees every call."""
+    last = path[-1] if path else None
+    state, prefix, node = (last.state, last.steps, last.node) if last else (root, (), trie)
+    return expand(
+        run.env, run.task, state, prefix, run.policy, run.prm, run.composite, run.config,
+        iteration, seed_salt, node,
+    )
 
 
 # ---------------------------------------------------------------------------
 # best-of-N
 
 
-def _linear_rollout(
-    env: Environment,
-    task: Task,
-    root: _StepNode | None,
-    policy: PolicyModel,
-    prm: RewardModel | None,
-    composite: CompositeAugmentor,
-    config: SearchConfig,
-    iteration: int,
-    seed: int,
-) -> Trajectory:
+def _linear_rollout(run: _Run, root: _StepNode | None, iteration: int, seed: int) -> Trajectory:
     """One attempt from `env.reset(task)`, its steps taken by `_take_step`.
 
     A composite that cannot write on a step cannot change the bundle before
@@ -433,15 +449,14 @@ def _linear_rollout(
     attempt is one call, with one telemetry update per model.  Otherwise
     the bundle is retrieved for each step, which is taken alone.
     """
-    state, prefix, node = env.reset(task), (), root
+    state, prefix, node = run.env.reset(run.task), (), root
     path: list[Candidate] = []
-    bundle = None if composite.writes_on_step else composite.retrieve()
-    while len(path) < config.max_depth:
+    bundle = None if run.composite.writes_on_step else run.composite.retrieve()
+    while len(path) < run.config.max_depth:
         path += _take_step(
-            env, task, node, state, prefix, policy, prm, composite,
-            composite.retrieve() if bundle is None else bundle, config, iteration,
-            (seed, "bon", iteration, len(path)),
-            limit=1 if bundle is None else config.max_depth - len(path),
+            run, node, state, prefix, run.composite.retrieve() if bundle is None else bundle,
+            iteration, (seed, "bon", iteration, len(path)),
+            limit=1 if bundle is None else run.config.max_depth - len(path),
         )
         last = path[-1]
         if last.step.action.is_final:
@@ -473,11 +488,9 @@ def run_best_of_n(
     """
     if config.method is not SearchMethod.BEST_OF_N:
         raise ValueError(f"config method {config.method} is not best_of_n")
+    run = _Run(env, task, policy, prm, composite, config)
     root = _step_trie(policy, prm, config, trie)
-    made = (
-        _linear_rollout(env, task, root, policy, prm, composite, config, i, seed)
-        for i in range(config.n_budget)
-    )
+    made = (_linear_rollout(run, root, i, seed) for i in range(config.n_budget))
     return _iterate(made, composite, False, config.n_budget, on_prefix)
 
 
@@ -508,6 +521,7 @@ def run_beam(
     if prm is None:
         raise ValueError("beam search needs a process reward model")
 
+    run = _Run(env, task, policy, prm, composite, config)
     root, trie = env.reset(task), _step_trie(policy, prm, config, trie)
     actives: list[tuple[Candidate, ...]] = [()]
     completed: list[Trajectory] = []
@@ -519,20 +533,7 @@ def run_beam(
             break
         pool: list[tuple[Candidate, ...]] = []
         for b_idx, path in enumerate(actives):
-            last = path[-1] if path else None
-            cands = expand(
-                env,
-                task,
-                last.state if last else root,
-                last.steps if last else (),
-                policy,
-                prm,
-                composite,
-                config,
-                iteration=0,
-                seed_salt=(seed, "beam", depth, b_idx),
-                parent=last.node if last else trie,
-            )
+            cands = _expand_path(run, path, root, trie, 0, (seed, "beam", depth, b_idx))
             if all(is_apology(c.step.action) for c in cands):
                 all_apology_states += 1
             pool.extend(path + (c,) for c in cands)
@@ -609,19 +610,11 @@ def _select_child(nodes: Sequence[Node], nid: int, w_exp: float) -> int:
     return best
 
 
-def _mcts_iterations(
-    task: Task,
-    env: Environment,
-    policy: PolicyModel,
-    prm: RewardModel,
-    composite: CompositeAugmentor,
-    config: SearchConfig,
-    seed: int,
-    trie: _StepNode | None,
-) -> Iterator[Trajectory]:
+def _mcts_iterations(run: _Run, seed: int, trie: _StepNode | None) -> Iterator[Trajectory]:
     """Each MCTS iteration's trajectory, made when asked for (see `run_mcts`)."""
+    config, root = run.config, run.env.reset(run.task)
     # index-aligned by node id: each node, and the candidate that made it
-    nodes = [Node(node_id=0, state=env.reset(task), incoming_action=None)]
+    nodes = [Node(node_id=0, state=root, incoming_action=None)]
     cands: list[Candidate | None] = [None]
 
     for it in range(config.n_iters):
@@ -632,19 +625,7 @@ def _mcts_iterations(
 
         nid = ids[-1]
         if not nodes[nid].is_terminal and len(path) < config.max_depth:
-            expanded = expand(
-                env,
-                task,
-                nodes[nid].state,
-                path[-1].steps if path else (),
-                policy,
-                prm,
-                composite,
-                config,
-                iteration=it,
-                seed_salt=(seed, "mcts_expand", nid),
-                parent=path[-1].node if path else trie,
-            )
+            expanded = _expand_path(run, path, root, trie, it, (seed, "mcts_expand", nid))
             for c in expanded:
                 nodes[nid].children.append(len(nodes))
                 action = c.step.action
@@ -655,20 +636,8 @@ def _mcts_iterations(
             path.append(expanded[pick])
             depth_cap = min(config.rollout_depth, config.max_depth)
             while not path[-1].step.action.is_final and len(path) < depth_cap:
-                rollout_cands = expand(
-                    env,
-                    task,
-                    path[-1].state,
-                    path[-1].steps,
-                    policy,
-                    prm,
-                    composite,
-                    config,
-                    iteration=it,
-                    seed_salt=(seed, "mcts_roll", it, len(path)),
-                    parent=path[-1].node,
-                )
-                path.append(max(rollout_cands, key=lambda c: c.step.reward or 0.0))
+                rolled = _expand_path(run, path, root, trie, it, (seed, "mcts_roll", it, len(path)))
+                path.append(max(rolled, key=lambda c: c.step.reward or 0.0))
 
         traj = _trajectory(path, it)
         backprop(nodes, ids[::-1], traj.trajectory_score, config.backprop, config.decay_gamma)
@@ -702,8 +671,8 @@ def run_mcts(
         raise ValueError(f"config method {config.method} is not mcts")
     if prm is None:
         raise ValueError("mcts needs a process reward model")
-    trie = _step_trie(policy, prm, config, trie)
-    made = _mcts_iterations(task, env, policy, prm, composite, config, seed, trie)
+    run = _Run(env, task, policy, prm, composite, config)
+    made = _mcts_iterations(run, seed, _step_trie(policy, prm, config, trie))
     return _iterate(made, composite, True, config.n_iters, on_prefix)
 
 

@@ -266,7 +266,6 @@ def significance_marker(p: float) -> str:
 @dataclass(frozen=True)
 class BhResult:
     rejected: tuple[bool, ...]  # aligned to the input order
-    thresholds: tuple[float, ...]  # rank-based cutoff for each input p
     qvalues: tuple[float, ...]  # monotone BH-adjusted p-values
     n_rejected: int
 
@@ -279,7 +278,7 @@ def bh_fdr(pvalues: list[float], q: float = 0.05) -> BhResult:
         raise ValueError(f"FDR level q={q} outside (0, 1]")
     m = len(pvalues)
     if m == 0:
-        return BhResult((), (), (), 0)
+        return BhResult((), (), 0)
     for p in pvalues:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p-value {p} outside [0, 1]")
@@ -291,8 +290,6 @@ def bh_fdr(pvalues: list[float], q: float = 0.05) -> BhResult:
             k_star = rank
             cutoff = pvalues[idx]
     rejected = tuple(k_star > 0 and p <= cutoff for p in pvalues)
-    ranks = {idx: rank for rank, idx in enumerate(order, start=1)}
-    thresholds = tuple(ranks[i] * q / m for i in range(m))
     # adjusted p-values: running minimum of p_(k) * m / k from the largest rank down
     adj_sorted = [0.0] * m
     running = 1.0
@@ -303,7 +300,7 @@ def bh_fdr(pvalues: list[float], q: float = 0.05) -> BhResult:
     qvalues = [0.0] * m
     for rank, idx in enumerate(order, start=1):
         qvalues[idx] = adj_sorted[rank - 1]
-    return BhResult(rejected, thresholds, tuple(qvalues), sum(rejected))
+    return BhResult(rejected, tuple(qvalues), sum(rejected))
 
 
 # ---------------------------------------------------------------------------

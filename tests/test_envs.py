@@ -6,6 +6,7 @@ import pytest
 
 from memsearch.core import FINAL_ANSWER, Action, Observation, StateHandle, Task
 from memsearch.envs import (
+    EMPTY_ANSWER,
     ENV_CLASSES,
     EnvError,
     ForkUnsupported,
@@ -129,6 +130,13 @@ class TestToySql:
         _, obs = self._run("DROP", "games")
         assert obs.is_error
 
+    def test_an_empty_answer_is_the_empty_text(self):
+        env = ToySqlEnv({"t1": {"tables": {}}, "t2": {"tables": {"bare": {"columns": []}}}})
+        _, obs = env.step(env.reset(_sql_task("t1")), _act("LIST_TABLES"))
+        assert obs == Observation(EMPTY_ANSWER, False, "LIST_TABLES")
+        _, obs = env.step(env.reset(_sql_task("t2")), _act("SCHEMA", "bare"))
+        assert obs == Observation(EMPTY_ANSWER, False, "SCHEMA")
+
     def test_fork_preserves_depth(self):
         state, _ = self._run("LIST_TABLES")
         fork = self.env.fork(state)
@@ -191,6 +199,14 @@ class TestToyKg:
         assert obs.is_error
         assert "entity 'Cubism' has no relation 'pioneers'" in obs.content
 
+    def test_an_empty_answer_is_the_empty_text(self):
+        env = ToyKgEnv({"k1": {"entities": {"Paris": {}, "Dada": {"pioneered_by": []}}}})
+        state = env.reset(Task("k1", "p", ("RELATIONS", "TRAVERSE"), "b", "toy_kg", {}))
+        _, obs = env.step(state, _act("RELATIONS", "Paris"))
+        assert obs == Observation(EMPTY_ANSWER, False, "RELATIONS")
+        _, obs = env.step(state, _act("TRAVERSE", "Dada,pioneered_by"))
+        assert obs == Observation(EMPTY_ANSWER, False, "TRAVERSE")
+
 
 @pytest.mark.parametrize(
     "env, task_id",
@@ -246,6 +262,14 @@ class TestScriptedShell:
         state, obs = self.env.step(state, _act("RUN", "write log.txt hello"))
         _, obs = self.env.step(state, _act("RUN", "cat log.txt"))
         assert obs.content == "hello"
+
+    def test_an_empty_answer_is_the_empty_text(self):
+        env = ScriptedShellEnv({"s1": {"files": {}}, "s2": {"files": {"blank.txt": ""}}})
+        _, obs = env.step(env.reset(self.task), _act("RUN", "ls"))
+        assert obs == Observation(EMPTY_ANSWER, False, "RUN")
+        state = env.reset(Task("s2", "p", ("RUN",), "b", "scripted_shell", {}))
+        _, obs = env.step(state, _act("RUN", "cat blank.txt"))
+        assert obs == Observation(EMPTY_ANSWER, False, "RUN")
 
     def test_session_state_is_isolated_per_reset(self):
         one = self.env.reset(self.task)

@@ -759,6 +759,41 @@ def test_misspelt_script_key_is_a_config_error(
     _assert_config_error(config, rf"benchmark 'toy_sql_demo': {message}", capsys)
 
 
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("QUERY|{no_such_key}", r"unknown placeholder 'no_such_key' in template 'QUERY\|\{no"),
+        ("QUERY|{", r"template 'QUERY\|\{' cannot be filled: Single '\{' encountered"),
+        ("QUERY|{0}", r"template 'QUERY\|\{0\}' cannot be filled: Format string contains pos"),
+    ],
+    ids=["unknown_key", "stray_brace", "positional"],
+)
+def test_unfillable_policy_template_is_a_config_error(
+    tmp_path, fixtures_dir, capsys, template, message
+):
+    rules = [_RULE, {"step": 1, "candidates": {"LIST_TABLES|": 1.0, template: 0.5}}]
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"rules": rules}))
+    config = _one_sql_cell_config(tmp_path, fixtures_dir, policy_script=path)
+    where = r"benchmark 'toy_sql_demo': policy_script: policy rule 1: "
+    _assert_config_error(config, where + message, capsys)
+
+
+def test_policy_templates_may_name_what_a_draw_fills(tmp_path, fixtures_dir):
+    # the prompt, the task id, the last observation and any task's meta key,
+    # held by one task of the benchmark or by all; an index into a value is
+    # left to run time
+    tasks = json.loads((fixtures_dir / "tasks" / "toy_sql_demo.json").read_text())
+    tasks["tasks"][0]["meta"]["only_here"] = "x"
+    fixture = tmp_path / "tasks.json"
+    fixture.write_text(json.dumps(tasks))
+    template = "QUERY|{prompt} {task_id} {last_observation} {target_table} {only_here} {prompt[0]}"
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"rules": [{"step": 0, "candidates": {template: 1.0}}]}))
+    config = _one_sql_cell_config(tmp_path, fixtures_dir, fixtures=fixture, policy_script=path)
+    assert load_matrix_config(config).benchmarks["toy_sql_demo"].policy.config.rules
+
+
 def _rename(raw, old, new):
     return {new if key == old else key: value for key, value in raw.items()}
 
@@ -1042,12 +1077,11 @@ def test_run_matrix_mini_run(tmp_path):
     assert on_disk == manifest
 
 
-def test_run_matrix_isolates_failing_cells(tmp_path, fixtures_dir):
-    # a policy script with an unknown placeholder fails at sample time
+def test_run_matrix_isolates_failing_cells(tmp_path, fixtures_dir, monkeypatch):
+    # a remote policy whose key variable is unset fails when its job builds models
     broken = tmp_path / "broken_policy.json"
-    broken.write_text(
-        json.dumps({"rules": [{"step": 0, "candidates": {"QUERY|{missing_key}": 1.0}}]})
-    )
+    broken.write_text(json.dumps({**REMOTE_POLICY, "api_key_env": "MEMSEARCH_UNSET_KEY"}))
+    monkeypatch.delenv("MEMSEARCH_UNSET_KEY", raising=False)
     benchmarks = {
         "toy_sql_demo": {
             "fixtures": str(fixtures_dir / "tasks" / "toy_sql_demo.json"),

@@ -1001,3 +1001,39 @@ def test_each_distinct_finished_path_is_rendered_once(monkeypatch, method):
     if kind is AugmentorKind.REFLECTION:  # every trajectory scored 0.5 < 0.6: one reflection each
         assert len(composite.store) == telemetry.supervisor_calls - telemetry.policy_calls
         assert len(aug_model._answers) == len(paths)
+
+
+@pytest.mark.parametrize("method, expansions", [(SearchMethod.BEAM, 7), (SearchMethod.MCTS, 10)])
+def test_beam_and_mcts_expand_through_the_module_name(monkeypatch, method, expansions):
+    # a wrapper set on `search.expand` (the bench tracer sets one) sees every
+    # expansion: beam's one from the root, then 3 beams at each of 2 levels;
+    # MCTS's one per iteration, 5, and the 5 that its rollouts made
+    calls = []
+    real_expand = search.expand
+    monkeypatch.setattr(search, "expand", lambda *a: calls.append(a) or real_expand(*a))
+    cfg = SearchConfig(method=method)
+    policy, composite = _policy(STRAIGHT_POLICY), _none_composite()
+    record = run_search(TASK, ToySqlEnv(WORLD), policy, composite, cfg, 0, _prm())
+    assert len(calls) == expansions
+    assert calls[0][3] == () and calls[0][10] is not None  # the root: empty prefix, trie root
+    assert all(len(t.steps) == 3 for t in record.trajectories)
+
+
+def test_an_interleaved_sibling_sees_the_facts_an_earlier_sibling_stored():
+    # MCTS x fact+raw_sibling: facts are extracted per step, so the second
+    # candidate of the root's expansion is sampled from a bundle that holds
+    # the fact its elder sibling's LIST_TABLES stored, which the first
+    # candidate's bundle lacked; a sibling's bundle is not the one before it
+    # plus that sibling's record
+    memory = (AugmentorConfig(AugmentorKind.FACT), AugmentorConfig(AugmentorKind.RAW_SIBLING))
+    composite = compose(
+        normalize_for_method(memory, "mcts"),
+        model=ScriptedAugmentorModel.from_dict(_TRIE_AUGMENTOR),
+        embedder=HashEmbedder(),
+    )
+    policy = RecordingPolicy(_policy(STRAIGHT_POLICY))
+    cfg = SearchConfig(method=SearchMethod.MCTS, n_iters=1, expansion=ExpansionMode.INTERLEAVED)
+    run_mcts(TASK, ToySqlEnv(WORLD), policy, _prm(), composite, cfg)
+    first, second = policy.bundles[:2]
+    assert "table games" not in first and "tried" not in first
+    assert "FACTS:\n- table games" in second and "tried" in second
