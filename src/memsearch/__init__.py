@@ -55,6 +55,7 @@ from .models import (
     ScriptedPolicyConfig,
     ScriptedRewardModel,
     hash_embed,
+    load_policy,
 )
 from .search import (
     BackpropMode,

@@ -206,11 +206,11 @@ class _ReadOnlyWorldEnv(_WorldEnv):
     For the same reason a tool's observation depends only on (task, tool,
     arguments); each is computed once per env instance, errors included, and
     shared after that (observations are immutable).  The matrix runner builds
-    one env per (cell, task) unit, so the memo holds that unit's distinct
+    one env per (ladder, task) job, so the memo holds that job's distinct
     calls and goes away with it.  A handle names only the env, the task and
     the depth, so it is valid in every env made from the same worlds: the
-    runner's step trie, which the units of a task share, holds handles that
-    other units' envs made.
+    runner's step trie, which the jobs of a task share, holds handles that
+    other jobs' envs made.
     """
 
     world_key: str

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import os
 import re
 import sys
 from collections import Counter
@@ -35,7 +34,6 @@ from .core import (
     CELL_ID,
     PricingTable,
     SearchRecord,
-    Task,
     Telemetry,
     atomic_write,
     checked,
@@ -43,18 +41,15 @@ from .core import (
     known,
     stable_hash,
 )
-from .envs import ENV_CLASSES, Benchmark, EnvError, load_benchmark
+from .envs import ENV_CLASSES, Benchmark, EnvError, Grader, load_benchmark
 from .models import (
     MIN_EMBED_DIM,
     ConfigurationError,
     HashEmbedder,
-    RemoteChatClient,
-    RemoteChatConfig,
-    RemotePolicy,
+    PolicyModel,
     ScriptedAugmentorModel,
-    ScriptedPolicy,
-    ScriptedPolicyConfig,
     ScriptedRewardModel,
+    load_policy,
 )
 from .search import (
     BackpropMode,
@@ -68,9 +63,6 @@ from .search import (
 from .stats import FORMAT_VERSION, CellEntry, VerdictRow
 
 log = logging.getLogger(__name__)
-
-# first wait of a remote policy's 429/503/transport retry; it doubles per retry
-RETRY_DELAY_S = 1.0
 
 GLYPH_NON_SERIALIZABLE = "---"
 GLYPH_STRUCTURAL = "∅"  # empty-set sign
@@ -143,21 +135,15 @@ _MEMORY_KINDS = {k.value: k for k in AugmentorKind}
 
 
 @dataclass(frozen=True)
-class RemotePolicySpec:
-    """A remote policy endpoint; its API key is read from `api_key_env` when a job runs."""
-
-    chat: RemoteChatConfig
-    api_key_env: str
-
-
-@dataclass(frozen=True)
 class BenchmarkSpec:
-    """A benchmark with its scripts parsed once, at load.  The runner never
-    calls these models: `_build_models` gives each job models of its own
-    (`for_unit`) that bill its telemetry and memoize for it alone."""
+    """A benchmark with its grader built and its scripts parsed once, at
+    load.  The runner never calls these models: `_build_models` gives each
+    job models of its own (`for_unit`) that bill its telemetry and memoize
+    for it alone."""
 
     benchmark: Benchmark
-    policy: ScriptedPolicy | RemotePolicySpec
+    grader: Grader
+    policy: PolicyModel
     reward: ScriptedRewardModel
     augmentor: ScriptedAugmentorModel
     discovery_tool: str | None
@@ -213,21 +199,6 @@ def _parse_search(raw: dict, where: str) -> SearchConfig:
         raise ConfigurationError(f"{where}: bad search config: {exc}") from exc
 
 
-def _parse_policy(raw: dict) -> ScriptedPolicy | RemotePolicySpec:
-    kind = raw.get("kind", "scripted")
-    if kind not in ("scripted", "remote"):
-        raise ConfigurationError(f"unknown policy kind {kind!r}")
-    if kind == "scripted":
-        return ScriptedPolicy(ScriptedPolicyConfig.from_dict(raw))
-    known(raw, {"kind", "url", "model", "api_key_env", "max_retries"}, "policy", "remote policy")
-    url, model = raw["url"], raw["model"]
-    key_env, retries = raw.get("api_key_env", "MEMSEARCH_API_KEY"), raw.get("max_retries", 3)
-    if not all(isinstance(v, str) for v in (url, model, key_env)):
-        raise ConfigurationError("remote policy url, model and api_key_env must be strings")
-    chat = RemoteChatConfig(url=url, model=model, max_retries=retries, retry_delay=RETRY_DELAY_S)
-    return RemotePolicySpec(chat, key_env)
-
-
 # what loading a malformed fixture or script raises (JSONDecodeError is a ValueError)
 _LOAD_ERRORS = (
     AttributeError, ConfigurationError, EnvError, KeyError, OSError, TypeError, ValueError, re.error
@@ -280,15 +251,12 @@ def load_matrix_config(path: str | Path) -> MatrixConfig:
             raise ConfigurationError(
                 f"{where}: discovery_tool {discovery_tool!r} is none of the fixture's tools {tools}"
             )
-        policy = load("policy_script", _script(_parse_policy))
-        if isinstance(policy, ScriptedPolicy):
-            try:
-                policy.check_templates(set().union(*(task.meta for task in bench.tasks)))
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"{where}: policy_script: {exc}") from exc
+        meta_keys = set().union(*(task.meta for task in bench.tasks))
+        parse_policy = functools.partial(load_policy, meta_keys=meta_keys)
         benchmarks[name] = BenchmarkSpec(
             benchmark=bench,
-            policy=policy,
+            grader=bench.grader(),
+            policy=load("policy_script", _script(parse_policy)),
             reward=load("reward_script", _script(ScriptedRewardModel.from_dict)),
             augmentor=load("augmentor_script", _script(ScriptedAugmentorModel.from_dict)),
             discovery_tool=discovery_tool,
@@ -343,19 +311,8 @@ def task_seed(cell_seed: int, task_id: str) -> int:
 
 
 def _build_models(spec: BenchmarkSpec, telemetry: Telemetry):
-    if isinstance(spec.policy, RemotePolicySpec):
-        key_env = spec.policy.api_key_env
-        api_key = os.environ.get(key_env)
-        if not api_key:
-            raise ConfigurationError(
-                f"remote policy requires credentials in the '{key_env}' environment variable"
-            )
-        policy = RemotePolicy(
-            RemoteChatClient(replace(spec.policy.chat, api_key=api_key), telemetry)
-        )
-    else:
-        policy = spec.policy.for_unit(telemetry)
-    return policy, spec.reward.for_unit(telemetry), spec.augmentor.for_unit(telemetry)
+    """A job's own policy, PRM and augmentor model, each billing `telemetry`."""
+    return tuple(m.for_unit(telemetry) for m in (spec.policy, spec.reward, spec.augmentor))
 
 
 def _budget(search: SearchConfig) -> int:
@@ -475,7 +432,7 @@ def _run_cell_task(
         expansion = ExpansionMode.INTERLEAVED if interleaved else ExpansionMode.BATCH
         search_cfg = replace(cell.search, expansion=expansion)
         # grading happens offline, once per distinct answer of the whole ladder
-        grade = functools.cache(functools.partial(spec.benchmark.grader().grade, task.task_id))
+        grade = functools.cache(functools.partial(spec.grader.grade, task.task_id))
 
         def row_line(cell: ExperimentCell, record: SearchRecord) -> str:
             if search_cfg.method is SearchMethod.BEAM:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
 import string
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterable, Protocol, Sequence
 
 from .core import (
@@ -123,7 +124,8 @@ class ScriptedPolicyConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ScriptedPolicyConfig":
-        keys = {"kind", "rules", "apology_text", "apology_collapse_prob"}  # matrix reads kind
+        """Checks each rule's shape but no template; `load_policy` checks both."""
+        keys = {"kind", "rules", "apology_text", "apology_collapse_prob"}  # load_policy reads kind
         known(raw, keys, "policy", "scripted policy")
         rules = []
         for i, r in enumerate(raw.get("rules", ())):
@@ -187,7 +189,7 @@ class ScriptedPolicy:
 
     def for_unit(self, telemetry: Telemetry) -> "ScriptedPolicy":
         """A policy on this one's config that bills `telemetry`.  Policies on
-        one config draw and bill alike, so a task's units can share a trie."""
+        one config draw and bill alike, so a task's jobs can share a trie."""
         return ScriptedPolicy(self.config, telemetry)
 
     def rebill(self, calls: int, tokens_in: int, tokens_out: int) -> None:
@@ -216,9 +218,9 @@ class ScriptedPolicy:
 
     def check_templates(self, meta_keys: Iterable[str]) -> None:
         """Raise ConfigurationError, naming the rule, unless `_fill` fills every
-        template for a task whose meta holds `meta_keys`.  A field that indexes
-        or reads an attribute of its value (`{prompt[0]}`) is left to run time,
-        since the probe's values are empty."""
+        template for a task whose meta holds `meta_keys`.  Only an integer
+        index (`{prompt[0]}`) is left to run time: the probe's values are
+        empty strings, and any other index or attribute fails on every string."""
         probe = Task("", "", (), "", "", dict.fromkeys(meta_keys, ""))
         for i, rule in enumerate(self.config.rules):
             for template in rule.templates:
@@ -226,11 +228,11 @@ class ScriptedPolicy:
                     self._fill(template, probe, None)
                 except ConfigurationError as exc:
                     raise ConfigurationError(f"policy rule {i}: {exc}") from exc
-                except ValueError as exc:  # a stray brace, a positional field
+                except (AttributeError, TypeError, ValueError) as exc:
                     raise ConfigurationError(
                         f"policy rule {i}: template {template!r} cannot be filled: {exc}"
                     ) from exc
-                except (AttributeError, IndexError):
+                except IndexError:
                     pass
 
     def _apology(self) -> Action:
@@ -314,12 +316,12 @@ class ScriptedRewardModel:
     A rule reads only the candidate's tool, arguments, error flag and
     observation content, the arguments of `RewardRule.matches`, so the
     instance memoizes each candidate's value on those four.  The matrix
-    runner builds one instance per (cell, task) unit with `for_unit`, so no
-    memo outlives its unit.  A score, and what it bills, are functions of
+    runner builds one instance per (ladder, task) job with `for_unit`, so no
+    memo outlives its job.  A score, and what it bills, are functions of
     the prompt and of the content of the prefix and the candidate, so the
     class declares itself `deterministic_at_zero`, with `billed` and
-    `rebill` as on `ScriptedPolicy`.  So a unit scores, through its memo,
-    only the steps that no earlier unit of its task computed: the rest it
+    `rebill` as on `ScriptedPolicy`.  So a job scores, through its memo,
+    only the steps that no earlier job of its task computed: the rest it
     replays from the run's step trie, which bills them with `rebill`.
     """
 
@@ -336,7 +338,7 @@ class ScriptedRewardModel:
     def for_unit(self, telemetry: Telemetry) -> "ScriptedRewardModel":
         """A reward model with this one's rules that bills `telemetry`, with an
         empty memo.  Models on the same rules score and bill alike, so the
-        units of a task can share a step trie."""
+        jobs of a task can share a step trie."""
         return ScriptedRewardModel(self.rules, self.default, telemetry)
 
     def rebill(self, calls: int, tokens_in: int, tokens_out: int) -> None:
@@ -445,9 +447,9 @@ class ScriptedAugmentorModel:
     An answer reads only (instruction, text), so the instance memoizes each
     answer, with its token counts, on that pair, as the reward model
     memoizes its values; it bills a hit as a miss.  The matrix runner builds
-    one instance per (cell, task) unit with `for_unit`, so no memo outlives
-    its unit.  Unlike the step trie, which the units of a task share for the
-    whole run, each unit answers every distinct pair again.
+    one instance per (ladder, task) job with `for_unit`, so no memo outlives
+    its job.  Unlike the step trie, which the jobs of a task share for the
+    whole run, each job answers every distinct pair again.
     """
 
     def __init__(
@@ -588,9 +590,9 @@ class HashEmbedder:
     """`hash_embed` at a fixed dim, memoized by text for the life of the instance.
 
     The matrix runner builds one embedder per run (per `run_matrix` call) and
-    hands it to every (cell, task) unit, so a line extracted again, in the
+    hands it to every (ladder, task) job, so a line extracted again, in the
     same task (MCTS re-extracts the same listing at every expansion) or in
-    another unit of the run, is hashed once; with forked workers each worker
+    another job of the run, is hashed once; with forked workers each worker
     fills its own copy.  The memo is bounded by the run's distinct fact
     lines.  The n-grams of new lines are memoized the same way: fact lines
     share most of their words, and each distinct n-gram is hashed once per
@@ -724,8 +726,21 @@ class RemotePolicy:
     is treated as a submitted final answer.
     """
 
-    def __init__(self, client: RemoteChatClient):
+    def __init__(self, client: RemoteChatClient, api_key_env: str = "MEMSEARCH_API_KEY"):
         self.client = client
+        self.api_key_env = api_key_env
+
+    def for_unit(self, telemetry: Telemetry) -> "RemotePolicy":
+        """A policy on this endpoint that bills `telemetry`, with the key read
+        from `api_key_env` now: the matrix runner calls it once per job."""
+        key = os.environ.get(self.api_key_env)
+        if not key:
+            raise ConfigurationError(
+                f"remote policy requires credentials in the '{self.api_key_env}' "
+                "environment variable"
+            )
+        client = RemoteChatClient(replace(self.client.config, api_key=key), telemetry)
+        return RemotePolicy(client, self.api_key_env)
 
     def sample(
         self, task: Task, prefix: Sequence[Step], bundle: ContextBundle, temperature: float, seed: int
@@ -746,3 +761,25 @@ class RemotePolicy:
             return Action(tool, args, text)
         return Action(FINAL_ANSWER, text.strip(), text)
 
+
+# first wait of a remote policy's 429/503/transport retry; it doubles per retry
+RETRY_DELAY_S = 1.0
+
+
+def load_policy(raw: dict, meta_keys: Iterable[str]) -> ScriptedPolicy | RemotePolicy:
+    """The policy a script describes: scripted (the default kind), each template
+    checked for tasks whose meta holds `meta_keys`, or remote."""
+    kind = raw.get("kind", "scripted")
+    if kind not in ("scripted", "remote"):
+        raise ConfigurationError(f"unknown policy kind {kind!r}")
+    if kind == "scripted":
+        policy = ScriptedPolicy(ScriptedPolicyConfig.from_dict(raw))
+        policy.check_templates(meta_keys)
+        return policy
+    known(raw, {"kind", "url", "model", "api_key_env", "max_retries"}, "policy", "remote policy")
+    url, model = raw["url"], raw["model"]
+    key_env, retries = raw.get("api_key_env", "MEMSEARCH_API_KEY"), raw.get("max_retries", 3)
+    if not all(isinstance(v, str) for v in (url, model, key_env)):
+        raise ConfigurationError("remote policy url, model and api_key_env must be strings")
+    chat = RemoteChatConfig(url=url, model=model, max_retries=retries, retry_delay=RETRY_DELAY_S)
+    return RemotePolicy(RemoteChatClient(chat), key_env)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import collections
+import functools
 import gc
 import hashlib
 import json
@@ -24,7 +25,6 @@ from memsearch.envs import load_benchmark
 from memsearch.matrix import (
     GLYPH_NON_SERIALIZABLE,
     GLYPH_STRUCTURAL,
-    RETRY_DELAY_S,
     AdmissibilityReason,
     ExperimentCell,
     WorkerError,
@@ -35,11 +35,11 @@ from memsearch.matrix import (
     run_matrix,
     task_seed,
 )
-from memsearch.models import ConfigurationError, HashEmbedder
+from memsearch.models import RETRY_DELAY_S, ConfigurationError, HashEmbedder
 from memsearch.search import SearchConfig, SearchMethod
 from memsearch.stats import VerdictRow
 
-from conftest import FIXTURES, write_mini_config
+from conftest import FIXTURES, ChatStub, chat_reply, write_mini_config
 
 
 def _cell(memory=(), method=SearchMethod.BEST_OF_N, env="toy_sql"):
@@ -765,8 +765,16 @@ def test_misspelt_script_key_is_a_config_error(
         ("QUERY|{no_such_key}", r"unknown placeholder 'no_such_key' in template 'QUERY\|\{no"),
         ("QUERY|{", r"template 'QUERY\|\{' cannot be filled: Single '\{' encountered"),
         ("QUERY|{0}", r"template 'QUERY\|\{0\}' cannot be filled: Format string contains pos"),
+        (
+            "QUERY|{prompt[a]}",
+            r"template 'QUERY\|\{prompt\[a\]\}' cannot be filled: string indices must be int",
+        ),
+        (
+            "QUERY|{prompt.x}",
+            r"template 'QUERY\|\{prompt\.x\}' cannot be filled: 'str' object has no attribute",
+        ),
     ],
-    ids=["unknown_key", "stray_brace", "positional"],
+    ids=["unknown_key", "stray_brace", "positional", "key_index", "attribute"],
 )
 def test_unfillable_policy_template_is_a_config_error(
     tmp_path, fixtures_dir, capsys, template, message
@@ -854,8 +862,15 @@ def test_bad_fixture_is_a_config_error(tmp_path, fixtures_dir, capsys, change, m
     _assert_config_error(config, rf"benchmark 'toy_sql_demo': fixtures: .*{message}", capsys)
 
 
+# a policy template may name the meta keys of any shipped task
+_META_KEYS = {
+    key
+    for path in (FIXTURES / "tasks").glob("*.json")
+    for task in load_benchmark(path).tasks
+    for key in task.meta
+}
 _PARSERS = {
-    "policy": matrix._parse_policy,
+    "policy": functools.partial(models.load_policy, meta_keys=_META_KEYS),
     "reward": models.ScriptedRewardModel.from_dict,
     "augmentor": models.ScriptedAugmentorModel.from_dict,
 }
@@ -910,6 +925,65 @@ def test_build_models_remote_requires_credentials(tmp_path, fixtures_dir, monkey
     monkeypatch.setenv("MEMSEARCH_API_KEY", "k")
     policy, prm, aug = _build_models(spec, Telemetry())
     assert policy.client.config.api_key == "k"
+
+
+def test_a_remote_policy_runs_to_an_ok_cell(tmp_path, fixtures_dir, chat_server, monkeypatch):
+    # the first call steps, every later one answers; each bills the stub's usage
+    ChatStub.script = [(200, chat_reply("LIST_TABLES|", 20, 2)), (200, chat_reply("games", 12, 3))]
+    script = tmp_path / "remote_policy.json"
+    script.write_text(json.dumps({**REMOTE_POLICY, "url": chat_server}))
+    benchmarks = {
+        "toy_sql_demo": {
+            "fixtures": str(fixtures_dir / "tasks" / "toy_sql_demo.json"),
+            "policy_script": str(script),
+            "reward_script": str(fixtures_dir / "scripts" / "toy_sql_reward.json"),
+            "augmentor_script": str(fixtures_dir / "scripts" / "toy_sql_augmentor.json"),
+        }
+    }
+    cells = [
+        {"id": "r", "benchmark": "toy_sql_demo", "search": {"method": "best_of_n", "n_budget": 2}}
+    ]
+    cfg = load_matrix_config(write_mini_config(tmp_path, cells, benchmarks))
+    monkeypatch.setenv("MEMSEARCH_API_KEY", "secret")
+    manifest = run_matrix(cfg, tmp_path / "out", jobs=1)
+    assert manifest["cells"]["r"]["status"] == "ok"
+    rows = [json.loads(line) for line in (tmp_path / "out" / "r.jsonl").read_text().splitlines()]
+    assert [row["trajectory_lengths"] for row in rows] == [[2, 1]] + [[1, 1]] * 9
+    for i, row in enumerate(rows):
+        telemetry = row["telemetry"]
+        calls = telemetry["policy_calls"]
+        assert calls == sum(row["trajectory_lengths"])  # one call per step
+        stepped = 1 if i == 0 else 0  # the run's first call, on the first task
+        assert telemetry["policy_tokens_in"] == 20 * stepped + 12 * (calls - stepped)
+        assert telemetry["policy_tokens_out"] == 2 * stepped + 3 * (calls - stepped)
+    assert sum(row["telemetry"]["policy_calls"] for row in rows) == len(ChatStub.hits) == 21
+    assert {h.get("Authorization") for h in ChatStub.headers_seen} == {"Bearer secret"}
+
+    monkeypatch.delenv("MEMSEARCH_API_KEY")
+    manifest = run_matrix(cfg, tmp_path / "out2", jobs=1)
+    assert manifest["cells"]["r"]["status"] == "failed"
+    assert manifest["cells"]["r"]["error"] == (
+        "ConfigurationError: remote policy requires credentials in the "
+        "'MEMSEARCH_API_KEY' environment variable"
+    )
+    assert len(ChatStub.hits) == 21
+
+
+def test_run_matrix_builds_no_grader(tmp_path, demo_config_path, monkeypatch):
+    # each benchmark's grader is built once, when the config loads
+    built = []
+    real_init = envs.Grader.__init__
+
+    def counting_init(self, golds):
+        built.append(golds)
+        real_init(self, golds)
+
+    monkeypatch.setattr(envs.Grader, "__init__", counting_init)
+    cfg = load_matrix_config(demo_config_path)
+    assert len(built) == len(cfg.benchmarks)
+    manifest = run_matrix(cfg, tmp_path / "out", jobs=1)
+    assert all(entry["status"] != "failed" for entry in manifest["cells"].values())
+    assert len(built) == len(cfg.benchmarks)
 
 
 def test_run_matrix_builds_one_embedder_per_call(tmp_path, demo_config_path, monkeypatch):

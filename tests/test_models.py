@@ -3,8 +3,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
@@ -25,6 +23,7 @@ from memsearch.core import (
     Telemetry,
     render_bundle,
 )
+import memsearch
 from memsearch import models
 from memsearch.augmentors import sibling_context
 from memsearch.models import (
@@ -47,6 +46,8 @@ from memsearch.models import (
     cosine,
     hash_embed,
 )
+
+from conftest import ChatStub, chat_reply
 
 TASK = Task("t1", "find the answer", ("QUERY",), "bench", "toy_sql", {"table": "games"})
 
@@ -566,101 +567,61 @@ def test_hash_embed_cosine_landmarks():
 # remote client against a local http server
 
 
-class _Handler(BaseHTTPRequestHandler):
-    script: list[tuple[int, bytes]] = []
-    hits: list[bytes] = []
-
-    def do_POST(self):
-        body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
-        type(self).hits.append(body)
-        status, payload = self.script[min(len(self.hits) - 1, len(self.script) - 1)]
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def chat_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    _Handler.script = []
-    _Handler.hits = []
-    yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
-    server.shutdown()
-    thread.join(timeout=2)
-    server.server_close()
-    assert not thread.is_alive()
-
-
-def _ok_payload(content, prompt_tokens=12, completion_tokens=3):
-    return json.dumps(
-        {
-            "choices": [{"message": {"content": content}}],
-            "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
-        }
-    ).encode()
-
-
 def test_remote_client_happy_path_ingests_usage(chat_server):
-    _Handler.script = [(200, _ok_payload("QUERY|(q)"))]
+    ChatStub.script = [(200, chat_reply("QUERY|(q)"))]
     telemetry = Telemetry()
     client = RemoteChatClient(RemoteChatConfig(chat_server, "m", api_key="k"), telemetry)
     text = client.complete([{"role": "user", "content": "hi"}])
     assert text == "QUERY|(q)"
     assert telemetry.policy_tokens_in == 12
     assert telemetry.policy_tokens_out == 3
-    sent = json.loads(_Handler.hits[-1])
+    sent = json.loads(ChatStub.hits[-1])
     assert sent["model"] == "m"
 
 
 def test_remote_client_401_is_credential_error_no_retry(chat_server):
-    _Handler.script = [(401, b"{}")]
+    ChatStub.script = [(401, b"{}")]
     client = RemoteChatClient(RemoteChatConfig(chat_server, "m", max_retries=3))
     with pytest.raises(CredentialError):
         client.complete([{"role": "user", "content": "hi"}])
-    assert len(_Handler.hits) == 1
+    assert len(ChatStub.hits) == 1
 
 
 def test_remote_client_other_http_error_is_configuration_error(chat_server):
-    _Handler.script = [(500, b"boom")]
+    ChatStub.script = [(500, b"boom")]
     client = RemoteChatClient(RemoteChatConfig(chat_server, "m", max_retries=3))
     with pytest.raises(ConfigurationError):
         client.complete([{"role": "user", "content": "hi"}])
-    assert len(_Handler.hits) == 1
+    assert len(ChatStub.hits) == 1
 
 
 @pytest.mark.parametrize("status", [429, 503])
 def test_remote_client_retries_transient_status_then_succeeds(chat_server, status):
-    _Handler.script = [(status, b"{}"), (status, b"{}"), (200, _ok_payload("QUERY|(q)"))]
+    ChatStub.script = [(status, b"{}"), (status, b"{}"), (200, chat_reply("QUERY|(q)"))]
     telemetry = Telemetry()
     client = RemoteChatClient(RemoteChatConfig(chat_server, "m", max_retries=3), telemetry)
     assert client.complete([{"role": "user", "content": "hi"}]) == "QUERY|(q)"
-    assert len(_Handler.hits) == 3
+    assert len(ChatStub.hits) == 3
     assert telemetry.policy_tokens_in == 12
 
 
 def test_remote_client_transient_status_backs_off_within_max_retries(chat_server, monkeypatch):
-    _Handler.script = [(429, b"{}"), (503, b"{}")]
+    ChatStub.script = [(429, b"{}"), (503, b"{}")]
     delays = []
     monkeypatch.setattr(models.time, "sleep", delays.append)
     cfg = RemoteChatConfig(chat_server, "m", max_retries=4, retry_delay=0.5)
     with pytest.raises(TransportError, match="503"):
         RemoteChatClient(cfg).complete([{"role": "user", "content": "hi"}])
-    assert len(_Handler.hits) == 4
+    assert len(ChatStub.hits) == 4
     assert delays == [0.5, 1.0, 2.0]
 
 
 def test_remote_client_retries_bad_json_then_transport_error(chat_server):
-    _Handler.script = [(200, b"not json at all")]
+    ChatStub.script = [(200, b"not json at all")]
     client = RemoteChatClient(RemoteChatConfig(chat_server, "m", max_retries=3))
     with pytest.raises(TransportError):
         client.complete([{"role": "user", "content": "hi"}])
-    assert len(_Handler.hits) == 3
+    assert len(ChatStub.hits) == 3
 
 
 def test_remote_client_refuses_unreachable_endpoint():
@@ -672,23 +633,35 @@ def test_remote_client_refuses_unreachable_endpoint():
 
 
 def test_remote_policy_parses_tool_line_and_final_answer(chat_server):
-    _Handler.script = [(200, _ok_payload("QUERY|(project a b)\nrest ignored"))]
+    ChatStub.script = [(200, chat_reply("QUERY|(project a b)\nrest ignored"))]
     policy = RemotePolicy(RemoteChatClient(RemoteChatConfig(chat_server, "m")))
     action = policy.sample(TASK, [], EMPTY_BUNDLE, 0.0, 0)
     assert action.tool_name == "QUERY"
     assert action.arguments == "(project a b)"
 
-    _Handler.script = [(200, _ok_payload("The answer is 42."))]
+    ChatStub.script = [(200, chat_reply("The answer is 42."))]
     action = policy.sample(TASK, [], EMPTY_BUNDLE, 0.0, 0)
     assert action.tool_name == FINAL_ANSWER
     assert action.arguments == "The answer is 42."
 
 
 def test_remote_policy_puts_bundle_in_prompt(chat_server):
-    _Handler.script = [(200, _ok_payload("ok"))]
+    ChatStub.script = [(200, chat_reply("ok"))]
     policy = RemotePolicy(RemoteChatClient(RemoteChatConfig(chat_server, "m")))
     bundle = render_bundle(sibling_context([_step()]))
     policy.sample(TASK, [], bundle, 0.0, 0)
-    sent = json.loads(_Handler.hits[-1])
+    sent = json.loads(ChatStub.hits[-1])
     user_msg = sent["messages"][1]["content"]
     assert "SIBLINGS:" in user_msg
+
+
+def test_load_policy_makes_every_load_time_check():
+    # a library caller building a policy from a script dict gets the checks a
+    # config load makes; the parsed config alone checks no template
+    raw = {"rules": [{"step": 0, "candidates": {"QUERY|{": 1.0}}]}
+    ScriptedPolicyConfig.from_dict(raw)
+    with pytest.raises(ConfigurationError, match=r"policy rule 0: template 'QUERY\|\{' cannot"):
+        memsearch.load_policy(raw, ())
+    fine = {"rules": [{"step": 0, "candidates": {"QUERY|{table}": 1.0}}]}
+    assert isinstance(memsearch.load_policy(fine, {"table"}), ScriptedPolicy)
+
