@@ -52,7 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes that run the (ladder, task) jobs (default 1: run in this process)",
+        help=(
+            "worker processes that run the (benchmark, task) groups of jobs, no more than there"
+            " are groups (default 1: run in this process)"
+        ),
     )
     p_run.add_argument(
         "--dump-memory", action="store_true", help="write per-task memory store dumps"

@@ -357,6 +357,8 @@ def _ladders(cfg: MatrixConfig, cells: tuple[ExperimentCell, ...]) -> list[tuple
 
 # a job's task id and one cell's verdict file line
 _Row = tuple[str, str]
+# a (ladder index, task index) job
+_Job = tuple[int, int]
 
 
 def _error(exc: Exception) -> str:
@@ -364,52 +366,21 @@ def _error(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-class _StepForest:
-    """The step trie roots of one run, one per (benchmark, task), each handed
-    to every job of its task in turn (see `search._step_trie`), so a job
-    replays the steps that earlier jobs of its task computed.
-
-    A job is one (ladder index, task index), and jobs are claimed in
-    increasing order, so once a job past the last job of a (benchmark,
-    task) is claimed, that root is never asked for again, and it is
-    dropped.  A forked worker fills and drops its own copy.
-    """
-
-    def __init__(self, benchmarks: list[str], jobs: list[tuple[int, int]]):
-        self._benchmarks = benchmarks  # by ladder index
-        last = {(benchmarks[ladder], t): (ladder, t) for ladder, t in jobs}
-        self._ends = sorted((end, key) for key, end in last.items())  # by last job
-        self._dropped = 0  # how many of `_ends` have been passed
-        self._roots: dict[tuple[str, int], _StepNode] = {}
-
-    def root(self, job: tuple[int, int]) -> _StepNode:
-        """The root of `job`'s (benchmark, task), after dropping every root
-        whose last job comes before `job`."""
-        ends = self._ends
-        while self._dropped < len(ends) and ends[self._dropped][0] < job:
-            self._roots.pop(ends[self._dropped][1], None)
-            self._dropped += 1
-        key = (self._benchmarks[job[0]], job[1])
-        root = self._roots.get(key)
-        if root is None:
-            root = self._roots[key] = _StepNode()
-        return root
-
-
 def _run_cell_task(
     cfg: MatrixConfig,
     embedder: HashEmbedder,
-    forest: _StepForest,
+    trie: _StepNode,
     ladders: tuple[tuple[ExperimentCell, ...], ...],
     dump_dir: Path | None,
-    job: tuple[int, int],
+    job: _Job,
 ) -> list[_Row | str]:
     """One (ladder index, task index) job: run the search of the ladder's
-    last cell, its largest budget, on the task, and return one result per
-    cell of the ladder, in order: the task's id and the cell's verdict line,
-    or as a string the error that failed that row (`_error`).  A smaller
-    budget's row is made from the search's prefix of that many trajectories
-    as soon as it is done (see `_ladders`), carrying the telemetry billed so
+    last cell, its largest budget, on the task, through `trie`, the step
+    trie root of the task's group (see `_run_group`), and return one result
+    per cell of the ladder, in order: the task's id and the cell's verdict
+    line, or as a string the error that failed that row (`_error`).  A
+    smaller budget's row is made from the search's prefix of that many
+    trajectories as soon as it is done (see `_ladders`), carrying the telemetry billed so
     far, and with `dump_dir` the store is dumped for it then.  An exception
     in making one row fails that cell alone and the search goes on; one from
     the search fails every row not yet made.  Both are made here, on the
@@ -419,7 +390,6 @@ def _run_cell_task(
     cell = ladder[-1]
     spec = cfg.benchmarks[cell.benchmark]
     task = spec.benchmark.tasks[job[1]]
-    trie = forest.root(job)
     results: list[_Row | str] = []
     try:
         telemetry = Telemetry()
@@ -487,49 +457,59 @@ def _run_cell_task(
     return results
 
 
+def _run_group(
+    cfg: MatrixConfig,
+    embedder: HashEmbedder,
+    ladders: tuple[tuple[ExperimentCell, ...], ...],
+    dump_dir: Path | None,
+    group: tuple[_Job, ...],
+) -> list[tuple[_Job, list[_Row | str]]]:
+    """Run the jobs of one (benchmark, task) group, every ladder's job of
+    the task in ladder order, through one fresh step trie root (see
+    `search._step_trie`), so a job replays the steps that earlier jobs of
+    its task computed, and return the (job, results) pairs.  No other group
+    asks for the task's steps, so the root is dropped when this returns."""
+    trie = _StepNode()
+    return [(job, _run_cell_task(cfg, embedder, trie, ladders, dump_dir, job)) for job in group]
+
+
 class WorkerError(RuntimeError):
     """A worker process died, or a job's results came back twice or never."""
 
 
-def _work(conn, counter, run, queue: list[tuple[int, int]]) -> None:
-    """A worker's loop: `run` job after job, each claimed from the shared
-    counter, keeping the (job index, results) pairs of one ladder until it
-    claims a job of another ladder, or none, and then sending them as one
-    list; close `conn` when no job is left."""
-    rows: list[tuple[int, list]] = []
+def _work(conn, counter, run, groups: list[tuple[_Job, ...]]) -> None:
+    """A worker's loop: `run` group after group, each claimed from the
+    shared counter, and send each group's (job, results) pairs as one
+    message; close `conn` when no group is left."""
     while True:
         with counter.get_lock():
             index = counter.value
             counter.value = index + 1
-        done = index >= len(queue)
-        if rows and (done or queue[index][0] != queue[rows[-1][0]][0]):
-            conn.send(rows)
-            rows = []
-        if done:
+        if index >= len(groups):
             conn.close()
             return
-        rows.append((index, run(queue[index])))
+        conn.send(run(groups[index]))
 
 
 def _run_jobs(
-    run, queue: list[tuple[int, int]], jobs: int
-) -> Iterator[tuple[int, list[_Row | str]]]:
-    """Yield (i, `run(queue[i])`) for every job index i as its job finishes:
-    in this process for jobs <= 1, else from up to `jobs` worker processes
-    that share one queue.
+    run, groups: list[tuple[_Job, ...]], jobs: int
+) -> Iterator[tuple[_Job, list[_Row | str]]]:
+    """Yield every (job, results) pair of `run(group)` for each group as the
+    group finishes: in this process, in order, for jobs <= 1, else from up
+    to `jobs` worker processes, never more than there are groups, that
+    share one queue.
 
-    Each worker claims the next job index from a shared counter, one lock
-    acquisition per claim, and sends its results down its own pipe one
-    ladder at a time (see `_work`): jobs are ladder-major and claimed in
-    increasing order, so the parent wakes about once per worker per ladder,
-    and neither side holds more than a ladder's rows.  A worker that exits
-    with a nonzero code, or a job whose results come back twice or never,
-    raises `WorkerError`.  Close the generator (`contextlib.closing`) when
-    the consumer stops early: that terminates and joins every live worker.
+    Each worker claims the next group index from a shared counter, one lock
+    acquisition per claim, and sends the group's results down its own pipe
+    in one message (see `_work`), so the parent wakes once per group.  A
+    worker that exits with a nonzero code, or a job whose results come back
+    twice or never, raises `WorkerError`.  Close the generator
+    (`contextlib.closing`) when the consumer stops early: that terminates
+    and joins every live worker.
     """
-    if jobs <= 1 or not queue:
-        for index, job in enumerate(queue):
-            yield index, run(job)
+    if jobs <= 1 or not groups:
+        for group in groups:
+            yield from run(group)
         return
     # imported here, so that loading a config or analysing a run does not pay
     # for the process machinery
@@ -541,11 +521,11 @@ def _run_jobs(
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
     counter = context.Value("q", 0)
     workers = {}  # receiving end -> its worker
-    seen: set[int] = set()  # the job indices whose results came back
+    seen: set[_Job] = set()  # the jobs whose results came back
     try:
-        for _ in range(min(jobs, len(queue))):
+        for _ in range(min(jobs, len(groups))):
             receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_work, args=(sender, counter, run, queue))
+            worker = context.Process(target=_work, args=(sender, counter, run, groups))
             worker.start()
             # only the worker holds the sending end now: its exit is our EOF,
             # and no later worker inherits it
@@ -565,14 +545,14 @@ def _run_jobs(
                             f"a worker process exited with code {worker.exitcode}"
                         ) from None
                     continue
-                for index, results in rows:
-                    if index in seen:
-                        raise WorkerError(f"job {queue[index]} came back twice")
-                    seen.add(index)
-                    yield index, results
-        if len(seen) < len(queue):
-            missing = next(i for i in range(len(queue)) if i not in seen)
-            raise WorkerError(f"job {queue[missing]} never came back")
+                for job, results in rows:
+                    if job in seen:
+                        raise WorkerError(f"job {job} came back twice")
+                    seen.add(job)
+                    yield job, results
+        missing = next((job for group in groups for job in group if job not in seen), None)
+        if missing is not None:
+            raise WorkerError(f"job {missing} never came back")
     finally:
         for receiver, worker in workers.items():
             if worker.is_alive():
@@ -606,23 +586,28 @@ def run_matrix(
     bytes depend only on the config and seeds, never on `jobs`.
 
     The admissible cells are grouped into budget ladders (`_ladders`; most
-    cells are a ladder of one), and the (ladder, task) jobs form one queue,
-    in the order of their first (cell, task).  A job runs one search and
-    gives one result per cell of its ladder (`_run_cell_task`).  With jobs
+    cells are a ladder of one).  A job is one (ladder, task) pair: it runs
+    one search and gives one result per cell of its ladder
+    (`_run_cell_task`).  The jobs of one (benchmark, task) form a group,
+    run in ladder order through one step trie root of its own
+    (`_run_group`), so each of the task's steps is computed once at any
+    `jobs`.  The groups form one queue, the largest first and ties in the
+    order of their first job, so the cheapest fill the tail.  With jobs
     <= 1 the queue runs in this process; with jobs > 1 each of up to `jobs`
-    worker processes claims the next job from it until it is empty and
-    sends the results back as the job finishes (see `_run_jobs`).  Each
+    worker processes claims the next group from it until it is empty and
+    sends the group's results back as it finishes (see `_run_jobs`).  Each
     cell's manifest entry is made when its admission is checked, and is
     final when its verdict file is written, as soon as its ladder's last job
-    lands; the ladder's results are then dropped.  The manifest is written
-    once, after the last cell.  A benchmark with no tasks is refused with a
-    ConfigurationError before anything runs.  A worker that dies raises
-    `WorkerError` with no worker left running, leaving the verdict files of
-    the cells finished so far and no manifest.  On Linux the workers are
-    forked, so no other Python thread of the caller may hold a lock at that
-    moment (native threads such as OpenBLAS's are fork-safe through their
-    atfork handlers); Python 3.12+ warns on such forks.  Elsewhere they
-    start with the platform default.  Only Linux on Python 3.11 has been run.
+    lands, with the last group of its benchmark; the ladder's results are
+    then dropped.  The manifest is written once, after the last cell.  A
+    benchmark with no tasks is refused with a ConfigurationError before
+    anything runs.  A worker that dies raises `WorkerError` with no worker
+    left running, leaving the verdict files of the cells finished so far
+    and no manifest.  On Linux the workers are forked, so no other Python
+    thread of the caller may hold a lock at that moment (native threads
+    such as OpenBLAS's are fork-safe through their atfork handlers); Python
+    3.12+ warns on such forks.  Elsewhere they start with the platform
+    default.  Only Linux on Python 3.11 has been run.
     """
     entries: dict[str, CellEntry] = {}  # cell id -> its manifest entry, in config order
     cells: list[ExperimentCell] = []  # the admitted ones
@@ -638,12 +623,16 @@ def run_matrix(
             cells.append(cell)
         entries[cell.cell_id] = entry
     ladders = tuple(tuple(cells[c] for c in ladder) for ladder in _ladders(cfg, tuple(cells)))
-    benchmarks = [ladder[0].benchmark for ladder in ladders]
     # ladder index -> its jobs' results by task, until its cells are finished
     pending: list[list | None] = [
-        [None] * len(cfg.benchmarks[name].benchmark.tasks) for name in benchmarks
+        [None] * len(cfg.benchmarks[ladder[0].benchmark].benchmark.tasks) for ladder in ladders
     ]
-    queue = [(i, t) for i, results in enumerate(pending) for t in range(len(results))]
+    groups: dict[tuple[str, int], list[_Job]] = {}  # (benchmark, task) -> its jobs
+    for i, results in enumerate(pending):
+        for t in range(len(results)):
+            groups.setdefault((ladders[i][0].benchmark, t), []).append((i, t))
+    # the largest groups first; the sort is stable, so ties keep the order of their first job
+    queue = sorted(map(tuple, groups.values()), key=len, reverse=True)
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -651,15 +640,13 @@ def run_matrix(
     if dump_memory:
         dump_dir = out / "memory"
         dump_dir.mkdir(exist_ok=True)
-    # one embedder and one step forest per call, never kept past it: a later
-    # call with the same config hashes its lines and computes its steps
-    # again, as a fresh `memsearch run` does
+    # one embedder per call, never kept past it, as each group's trie root
+    # is: a later call with the same config hashes its lines and computes
+    # its steps again, as a fresh `memsearch run` does
     embedder = HashEmbedder(cfg.embedder_dim)
-    forest = _StepForest(benchmarks, queue)
-    run = functools.partial(_run_cell_task, cfg, embedder, forest, ladders, dump_dir)
+    run = functools.partial(_run_group, cfg, embedder, ladders, dump_dir)
     with closing(_run_jobs(run, queue, jobs)) as finished:
-        for index, results in finished:
-            i, t = queue[index]
+        for (i, t), results in finished:
             pending[i][t] = results
             if None not in pending[i]:
                 # one column per cell, its results already in task order

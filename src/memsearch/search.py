@@ -142,8 +142,9 @@ class _StepNode:
     one.  `_take_step` alone reads and writes `entries`; a best-of-N attempt
     under a fixed bundle walks them from the root down in one call, so a
     repeated attempt only bills its steps again and reads its end node's
-    `ending`.  The matrix runner keeps one trie per (benchmark, task) for a
-    whole run, so an ending serves every trajectory of the task ending there.
+    `ending`.  The matrix runner keeps one trie per (benchmark, task) for
+    the group of every job of that task, so an ending serves every
+    trajectory of the task ending there.
     """
 
     __slots__ = ("entries", "children", "ending")
@@ -180,10 +181,10 @@ def _step_trie(
     fresh node.
 
     A root may serve several runs of one task, as the matrix runner's do
-    (one per benchmark and task), if their envs are of one benchmark and
-    their models answer and bill alike.  A state handle the trie holds is
-    read only in a serializable env, where it is valid in each env of the
-    benchmark.
+    (one per (benchmark, task) group of jobs), if their envs are of one
+    benchmark and their models answer and bill alike.  A state handle the
+    trie holds is read only in a serializable env, where it is valid in
+    each env of the benchmark.
     """
     if not replays_steps(policy, prm, config):
         return None

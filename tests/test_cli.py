@@ -124,10 +124,10 @@ def test_run_with_a_dead_worker_exits_1_with_one_line(tmp_path, capsys, monkeypa
     out = tmp_path / "out"
     parent, real_run_cell_task = os.getpid(), matrix._run_cell_task
 
-    def dying(cfg, embedder, forest, ladders, dump_dir, job):
+    def dying(cfg, embedder, trie, ladders, dump_dir, job):
         if os.getpid() != parent:
             os._exit(3)
-        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
+        return real_run_cell_task(cfg, embedder, trie, ladders, dump_dir, job)
 
     monkeypatch.setattr(matrix, "_run_cell_task", dying)
     assert main(["run", str(path), "--out", str(out), "--jobs", "2"]) == 1

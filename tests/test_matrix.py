@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import fields, replace
 
 import pytest
@@ -1198,13 +1199,13 @@ def test_run_matrix_logs_one_record_per_cell_in_config_order(tmp_path, monkeypat
     cfg = load_matrix_config(write_mini_config(tmp_path, cells))
     real_run_cell_task = matrix._run_cell_task
 
-    def failing(cfg, embedder, forest, ladders, dump_dir, job):
+    def failing(cfg, embedder, trie, ladders, dump_dir, job):
         ladder = ladders[job[0]]
         task = cfg.benchmarks[ladder[0].benchmark].benchmark.tasks[job[1]]
         if ladder[0].cell_id == "failing" and task.task_id == "sql-003":
             time.sleep(0.2)
             return [matrix._error(ValueError("task sql-003 fails"))]
-        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
+        return real_run_cell_task(cfg, embedder, trie, ladders, dump_dir, job)
 
     monkeypatch.setattr(matrix, "_run_cell_task", failing)
     with caplog.at_level(logging.INFO, logger="memsearch.matrix"):
@@ -1279,20 +1280,20 @@ def test_run_matrix_refuses_a_benchmark_without_tasks(tmp_path, monkeypatch):
 
 
 def _work_sending_first(times):
-    """`matrix._work` with job 0's results sent `times` times, each job's
-    results in a message of its own (a one-element list)."""
+    """`matrix._work` with the results of group 0's first job sent `times`
+    times, each job's results in a message of its own (a one-element list)."""
 
-    def work(conn, counter, run, queue):
+    def work(conn, counter, run, groups):
         while True:
             with counter.get_lock():
                 index = counter.value
                 counter.value = index + 1
-            if index >= len(queue):
+            if index >= len(groups):
                 conn.close()
                 return
-            result = run(queue[index])
-            for _ in range(times if index == 0 else 1):
-                conn.send([(index, result)])
+            for n, pair in enumerate(run(groups[index])):
+                for _ in range(times if index == n == 0 else 1):
+                    conn.send([pair])
 
     return work
 
@@ -1323,15 +1324,26 @@ def _sql_cells_config(tmp_path, ids):
     return write_mini_config(tmp_path, cells)
 
 
+def _sql_and_kg_config(tmp_path, sql_ids, kg_ids):
+    """One best_of_n cell at n_budget 1 per id, over toy_sql_demo for
+    `sql_ids` and then over toy_kg_demo for `kg_ids`.  Every group of
+    toy_sql_demo's tasks is queued before any of toy_kg_demo's: it holds at
+    least as many jobs, and the first job comes first on a tie."""
+    search = {"method": "best_of_n", "n_budget": 1}
+    cells = [{"id": i, "benchmark": "toy_sql_demo", "search": search} for i in sql_ids]
+    cells += [{"id": i, "benchmark": "toy_kg_demo", "search": search} for i in kg_ids]
+    return write_mini_config(tmp_path, cells, _demo_benchmarks())
+
+
 def _stalling_last_cell(real_run_cell_task):
     """`matrix._run_cell_task` with each job of the config's last cell stalled
     for long enough that a worker that reaches one is still alive when the
     runner stops: only the runner's own clean-up can then end it in time."""
 
-    def run_cell_task(cfg, embedder, forest, ladders, dump_dir, job):
+    def run_cell_task(cfg, embedder, trie, ladders, dump_dir, job):
         if job[0] == len(ladders) - 1:
             time.sleep(20)
-        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
+        return real_run_cell_task(cfg, embedder, trie, ladders, dump_dir, job)
 
     return run_cell_task
 
@@ -1340,10 +1352,10 @@ def test_a_dead_worker_raises_worker_error_and_leaves_no_child(tmp_path, monkeyp
     cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "last")))
     parent, real_run_cell_task = os.getpid(), _stalling_last_cell(matrix._run_cell_task)
 
-    def dying(cfg, embedder, forest, ladders, dump_dir, job):
+    def dying(cfg, embedder, trie, ladders, dump_dir, job):
         if job == (0, 1) and os.getpid() != parent:
             os._exit(3)
-        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
+        return real_run_cell_task(cfg, embedder, trie, ladders, dump_dir, job)
 
     monkeypatch.setattr(matrix, "_run_cell_task", dying)
     with pytest.raises(WorkerError, match="a worker process exited with code 3"):
@@ -1353,7 +1365,9 @@ def test_a_dead_worker_raises_worker_error_and_leaves_no_child(tmp_path, monkeyp
 
 
 def test_a_failing_verdict_write_propagates_and_leaves_no_child(tmp_path, monkeypatch):
-    cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "last")))
+    # first.jsonl is written when toy_sql_demo's last group lands, while the
+    # workers are stalled in toy_kg_demo's groups
+    cfg = load_matrix_config(_sql_and_kg_config(tmp_path, ("first",), ("last",)))
 
     def failing_write(path, content):
         raise OSError(f"cannot write {path.name}")
@@ -1392,13 +1406,13 @@ def test_a_failed_cell_reports_its_first_failing_task_at_every_jobs(tmp_path, mo
 
 
 def test_a_cell_verdict_file_is_written_when_its_last_unit_lands(tmp_path, monkeypatch):
-    # units are claimed in config order, so every unit of the first cell is
-    # claimed, and runs to its end, before any unit of the last cell starts;
-    # waiting in the last cell for the first cell's file cannot deadlock
-    cfg = load_matrix_config(_sql_cells_config(tmp_path, ("first", "middle", "last")))
+    # every group of toy_sql_demo's tasks is claimed, and runs to its end,
+    # before any group of toy_kg_demo's starts; waiting in the last cell for
+    # the first cell's file cannot deadlock
+    cfg = load_matrix_config(_sql_and_kg_config(tmp_path, ("first", "middle"), ("last",)))
     parent, real_run_cell_task = os.getpid(), matrix._run_cell_task
 
-    def waiting(cfg, embedder, forest, ladders, dump_dir, job):
+    def waiting(cfg, embedder, trie, ladders, dump_dir, job):
         if ladders[job[0]][0].cell_id == "last":
             first_file = dump_dir.parent / "first.jsonl"
             # in this process the file must be there already; a worker may wait
@@ -1407,7 +1421,7 @@ def test_a_cell_verdict_file_is_written_when_its_last_unit_lands(tmp_path, monke
                 if time.monotonic() >= deadline:
                     raise AssertionError("the first cell's verdict file is not written")
                 time.sleep(0.005)
-        return real_run_cell_task(cfg, embedder, forest, ladders, dump_dir, job)
+        return real_run_cell_task(cfg, embedder, trie, ladders, dump_dir, job)
 
     monkeypatch.setattr(matrix, "_run_cell_task", waiting)
     for jobs in (1, 2):
@@ -1503,43 +1517,97 @@ def test_the_run_tree_is_the_same_whatever_unit_computed_a_shared_step(tmp_path)
     assert multiprocessing.active_children() == []
 
 
-def test_the_step_forest_drops_a_root_once_its_last_unit_is_passed(tmp_path):
-    # ladder 0 is toy_sql_demo's best_of_n budgets 1 and 2, ladder 1 a
-    # toy_kg_demo cell, ladder 2 toy_sql_demo's mcts cell; jobs are claimed
-    # ladder by ladder, each ladder task by task
-    search = {"method": "best_of_n", "n_budget": 1}
-    cells = [
-        {"id": "sql_1", "benchmark": "toy_sql_demo", "search": search},
-        {"id": "kg", "benchmark": "toy_kg_demo", "search": search},
-        {"id": "sql_2", "benchmark": "toy_sql_demo", "search": {**search, "n_budget": 2}},
-        {"id": "sql_mcts", "benchmark": "toy_sql_demo", "search": {"method": "mcts"}},
-    ]
-    benchmarks = {
+def _demo_benchmarks() -> dict:
+    """The demo config's benchmarks, their paths made absolute."""
+    return {
         name: {
             key: value if key == "discovery_tool" else str(FIXTURES / value)
             for key, value in spec.items()
         }
         for name, spec in DEMO_CONFIG["benchmarks"].items()
     }
-    cfg = load_matrix_config(write_mini_config(tmp_path, cells, benchmarks))
-    ladders = matrix._ladders(cfg, cfg.cells)
-    assert ladders == [(0, 2), (1,), (3,)]
-    by_ladder = [cfg.cells[ladder[0]].benchmark for ladder in ladders]
-    n_tasks = {name: len(spec.benchmark.tasks) for name, spec in cfg.benchmarks.items()}
-    jobs = [(i, t) for i, bench in enumerate(by_ladder) for t in range(n_tasks[bench])]
-    n_kg = n_tasks["toy_kg_demo"]
-    forest = matrix._StepForest(by_ladder, jobs)
-    sql_roots = {("toy_sql_demo", t) for t in range(10)}
-    roots = {job: forest.root(job) for job in jobs[: 10 + n_kg]}  # the first two ladders
-    assert len({id(root) for root in roots.values()}) == 10 + n_kg  # one per (benchmark, task)
-    # ladder 1 is toy_kg_demo's last: each of its roots went at the next claim
-    assert set(forest._roots) == sql_roots | {("toy_kg_demo", n_kg - 1)}
-    assert forest.root((2, 0)) is roots[0, 0]  # the same task of the same benchmark
-    assert set(forest._roots) == sql_roots
-    assert forest.root((2, 1)) is roots[0, 1]
-    assert set(forest._roots) == {("toy_sql_demo", t) for t in range(1, 10)}
-    assert forest.root((2, 9)) is roots[0, 9]
-    assert set(forest._roots) == {("toy_sql_demo", 9)}
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_every_job_of_a_task_runs_in_one_process_through_one_root(
+    tmp_path, demo_config_path, monkeypatch, jobs
+):
+    # a worker claims a whole (benchmark, task) group, so no task's steps
+    # are computed in two processes or through two roots
+    cfg = load_matrix_config(demo_config_path)
+    runs, real_run_cell_task = tmp_path / "runs", matrix._run_cell_task
+    runs.mkdir()
+
+    def recording(cfg, embedder, trie, ladders, dump_dir, job):
+        with open(runs / str(os.getpid()), "a", encoding="utf-8") as fh:
+            fh.write(f"{ladders[job[0]][0].benchmark} {job[1]} {id(trie)}\n")
+        return real_run_cell_task(cfg, embedder, trie, ladders, dump_dir, job)
+
+    monkeypatch.setattr(matrix, "_run_cell_task", recording)
+    run_matrix(cfg, tmp_path / "out", jobs=jobs)
+    by_group = collections.defaultdict(list)  # (benchmark, task) -> (pid, root id) per job
+    for path in runs.iterdir():
+        for line in path.read_text(encoding="utf-8").splitlines():
+            bench, task, root = line.split()
+            by_group[bench, int(task)].append((int(path.name), root))
+    admitted = tuple(cell for cell in cfg.cells if check_admissible(cell).admissible)
+    benchmarks = [admitted[ladder[0]].benchmark for ladder in matrix._ladders(cfg, admitted)]
+    assert sorted(by_group) == sorted(
+        (name, t) for name, spec in cfg.benchmarks.items() for t in range(len(spec.benchmark.tasks))
+    )
+    for (bench, _), runs_of_group in by_group.items():
+        assert len(runs_of_group) == benchmarks.count(bench)  # one job per ladder
+        assert len(set(runs_of_group)) == 1  # one process, one root
+        assert runs_of_group[0][0] != os.getpid()
+
+
+def test_a_task_groups_root_is_unreachable_once_the_group_ends(
+    tmp_path, demo_config_path, monkeypatch
+):
+    class WeakNode(search._StepNode):
+        __slots__ = ("__weakref__",)
+
+    roots = {}  # (benchmark, task) -> a weak reference to its group's root
+    real_run_cell_task = matrix._run_cell_task
+
+    def recording(cfg, embedder, trie, ladders, dump_dir, job):
+        key = (ladders[job[0]][0].benchmark, job[1])
+        if key not in roots:  # a group's first job: every earlier group has ended
+            gc.collect()
+            assert [k for k, ref in roots.items() if ref() is not None] == []
+            roots[key] = weakref.ref(trie)
+        assert roots[key]() is trie
+        return real_run_cell_task(cfg, embedder, trie, ladders, dump_dir, job)
+
+    monkeypatch.setattr(matrix, "_StepNode", WeakNode)
+    monkeypatch.setattr(matrix, "_run_cell_task", recording)
+    cfg = load_matrix_config(demo_config_path)
+    run_matrix(cfg, tmp_path / "out", jobs=1)
+    assert len(roots) == sum(len(spec.benchmark.tasks) for spec in cfg.benchmarks.values())
+    gc.collect()
+    assert all(ref() is None for ref in roots.values())
+
+
+def test_each_step_is_computed_once_summed_over_the_workers(
+    tmp_path, demo_config_path, monkeypatch
+):
+    # one process holds a task's root, so more workers compute no step twice
+    cfg = load_matrix_config(demo_config_path)
+    real_draw = models.ScriptedPolicy._draw
+    computed = {}
+    for jobs in (1, 2):
+        draws = tmp_path / f"draws{jobs}"
+        draws.mkdir()
+
+        def counting_draw(self, *args, draws=draws):
+            with open(draws / str(os.getpid()), "a", encoding="utf-8") as fh:
+                fh.write(".")
+            return real_draw(self, *args)
+
+        monkeypatch.setattr(models.ScriptedPolicy, "_draw", counting_draw)
+        run_matrix(cfg, tmp_path / f"out{jobs}", jobs=jobs)
+        computed[jobs] = sum(path.stat().st_size for path in draws.iterdir())
+    assert computed == {1: 312, 2: 312}
 
 
 def _live_step_nodes() -> int:
@@ -1601,27 +1669,37 @@ def test_run_matrix_dump_memory_writes_the_stores_used(tmp_path, monkeypatch):
         for kind in ("fact", "reflection")
     ]
     cfg = load_matrix_config(write_mini_config(tmp_path, cells))
-    stores = []
-    real_compose = matrix.compose
+    stores = {}  # (cell id, task id) -> the store its job composed
+    job_of, real_compose, real_run_cell_task = [], matrix.compose, matrix._run_cell_task
+
+    def recording_run_cell_task(cfg, embedder, trie, ladders, dump_dir, job):
+        cell = ladders[job[0]][-1]
+        job_of[:] = [(cell.cell_id, cfg.benchmarks[cell.benchmark].benchmark.tasks[job[1]].task_id)]
+        return real_run_cell_task(cfg, embedder, trie, ladders, dump_dir, job)
 
     def recording_compose(*args, **kwargs):
         composite = real_compose(*args, **kwargs)
-        stores.append(composite.store)
+        stores[job_of[0]] = composite.store
         return composite
 
+    monkeypatch.setattr(matrix, "_run_cell_task", recording_run_cell_task)
     monkeypatch.setattr(matrix, "compose", recording_compose)
     run_matrix(cfg, tmp_path / "out", dump_memory=True)
 
     tasks = cfg.benchmarks["toy_sql_demo"].benchmark.tasks
-    dumps = [
-        (tmp_path / "out" / "memory" / f"{cell.cell_id}__{task.task_id}.jsonl")
-        .read_text()
-        .splitlines()
+    dumps = {
+        (cell.cell_id, task.task_id): (
+            tmp_path / "out" / "memory" / f"{cell.cell_id}__{task.task_id}.jsonl"
+        ).read_text().splitlines()
         for cell in cfg.cells
         for task in tasks
+    }
+    assert stores.keys() == dumps.keys()
+    assert all(len(dumps[key]) == len(store) for key, store in stores.items())
+    fact_dumps = [lines for (cell_id, _), lines in dumps.items() if cell_id.endswith("fact")]
+    reflection_dumps = [
+        lines for (cell_id, _), lines in dumps.items() if cell_id.endswith("reflection")
     ]
-    assert [len(lines) for lines in dumps] == [len(store) for store in stores]
-    fact_dumps, reflection_dumps = dumps[:len(tasks)], dumps[len(tasks):]
     assert all(fact_dumps)
     assert any(reflection_dumps)
     assert {json.loads(line)["abstraction"] for lines in fact_dumps for line in lines} == {"fact"}
