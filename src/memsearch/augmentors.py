@@ -308,14 +308,32 @@ def extract_facts(
     """Extract facts from trajectory or step text and store the novel ones.
 
     Returns the number of facts actually stored.  Dedup happens at write
-    time, including against facts emitted earlier in the same call.
+    time, including against facts emitted earlier in the same call.  Each
+    line of the model's answer is embedded and offered to `store.add`, on
+    every call; `CompositeAugmentor` skips the lines of an answer it knows
+    can store nothing.
     """
+    return _add_facts(_answer_facts(model, text), iteration, embedder, store)[0]
+
+
+def _answer_facts(model: AugmentorModel, text: str) -> str:
     try:
-        raw = model.generate(EXTRACT_FACTS, text)
+        return model.generate(EXTRACT_FACTS, text)
     except Exception as exc:
         raise AugmentorError(f"fact extraction model call failed: {exc}") from exc
-    stored = 0
-    for line in raw.splitlines():
+
+
+def _add_facts(
+    answer: str, iteration: int, embedder: Embedder, store: MemoryStore
+) -> tuple[int, bool]:
+    """Offer each non-blank line of `answer` to `store` as a fact.  Returns
+    how many were stored and whether the answer is spent: whether each
+    line's embedding is now one whose repeat the store drops (one of its
+    drop keys), which holds for a dropped line and for a stored one whose
+    key the add put in, counted as the drop keys growing."""
+    stored, spent = 0, True
+    drop_keys = store._drop_keys
+    for line in answer.splitlines():
         line = line.strip()
         if not line:
             continue
@@ -327,9 +345,11 @@ def extract_facts(
             persistent=True,
             embedding=embedder.embed(line),
         )
+        keys = len(drop_keys)
         if store.add(unit):
             stored += 1
-    return stored
+            spent = spent and len(drop_keys) > keys
+    return stored, spent
 
 
 def retrieve(store: MemoryStore, ephemeral: Sequence[ContextUnit] = ()) -> ContextBundle:
@@ -347,6 +367,15 @@ class CompositeAugmentor:
     batch fact extraction).  Sibling units are not handled here; search
     passes them as ephemeral units since they exist only inside a single
     expansion.
+
+    Fact extraction is `extract_facts`, bar one saving.  The composite
+    remembers each fact answer that is spent (`_add_facts`): every line's
+    embedding is one of its store's drop keys.  The store only grows, so a
+    key stays one, and `embed` is a function of its text (the `Embedder`
+    protocol asks that), so each line of a repeat of that answer embeds to
+    a drop key and is dropped.  A repeat (MCTS extracts the same listing at
+    every expansion) is still generated and billed, but is not split,
+    embedded or offered to the store, which ends as if it were.
     """
 
     def __init__(
@@ -372,6 +401,7 @@ class CompositeAugmentor:
         # whether on_step can write memory; if not, the bundle cannot change
         # before the trajectory ends
         self.writes_on_step = fact_cfg is not None and fact_cfg.fact_mode is FactMode.INCREMENTAL
+        self._spent: set[str] = set()  # fact answers that can store nothing more
 
     @property
     def wants_siblings(self) -> bool:
@@ -380,17 +410,22 @@ class CompositeAugmentor:
     def retrieve(self, ephemeral: Sequence[ContextUnit] = ()) -> ContextBundle:
         return retrieve(self.store, ephemeral)
 
+    def _extract_facts(self, text: str, iteration: int) -> None:
+        answer = _answer_facts(self.model, text)
+        if answer in self._spent:
+            return
+        if _add_facts(answer, iteration, self.embedder, self.store)[1]:
+            self._spent.add(answer)
+
     def on_step(self, step: Step, iteration: int) -> None:
         if not self.writes_on_step:
             return
-        extract_facts(step_text(step), iteration, self.model, self.embedder, self.store)
+        self._extract_facts(step_text(step), iteration)
 
     def on_trajectory(self, trajectory: Trajectory) -> None:
         fact_cfg = self.configs.get(AugmentorKind.FACT)
         if fact_cfg is not None and fact_cfg.fact_mode is FactMode.BATCH:
-            extract_facts(
-                trajectory.text, trajectory.iteration_index, self.model, self.embedder, self.store
-            )
+            self._extract_facts(trajectory.text, trajectory.iteration_index)
         refl_cfg = self.configs.get(AugmentorKind.REFLECTION)
         if refl_cfg is not None:
             unit = maybe_reflect(trajectory, self.model, refl_cfg.reflection_threshold)

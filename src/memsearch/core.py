@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 MAX_DEPTH = 15
 
@@ -46,15 +46,32 @@ class Abstraction(str, Enum):
     FACT = "fact"
 
 
-def stable_hash(*parts: object) -> int:
-    """Deterministic 64-bit hash of the given parts, stable across processes.
+def _encode(parts: tuple) -> bytes:
+    """What `stable_hash` digests: each part's repr followed by a 0x1f
+    separator, in UTF-8 (repr escapes lone surrogates, so the encoding never
+    fails).  The parts' encodings concatenate, so a sha256 state fed a
+    prefix of the parts goes on with the rest (`stable_hasher`)."""
+    return ("%r\x1f" * len(parts) % parts).encode("utf-8")
 
-    The digest is sha256 over each part's repr followed by a 0x1f separator,
-    in UTF-8 (repr escapes lone surrogates, so the encoding never fails);
-    the hash is its first 8 bytes, big-endian.
-    """
-    encoded = "\x1f".join([*map(repr, parts), ""]).encode("utf-8")
-    return int.from_bytes(hashlib.sha256(encoded).digest()[:8], "big")
+
+def stable_hash(*parts: object) -> int:
+    """Deterministic 64-bit hash of the given parts, stable across processes:
+    the first 8 bytes, big-endian, of the sha256 of `_encode(parts)`."""
+    return int.from_bytes(hashlib.sha256(_encode(parts)).digest()[:8], "big")
+
+
+def stable_hasher(*prefix: object) -> Callable[..., int]:
+    """`stable_hash` with its first parts fixed: `stable_hasher(*prefix)(*parts)`
+    is `stable_hash(*prefix, *parts)`, each call going on from a copy of one
+    sha256 state fed the prefix, so the prefix is hashed once."""
+    copy = hashlib.sha256(_encode(prefix)).copy
+
+    def hasher(*parts: object) -> int:
+        sha = copy()
+        sha.update(_encode(parts))
+        return int.from_bytes(sha.digest()[:8], "big")
+
+    return hasher
 
 
 def is_int(value: object) -> bool:

@@ -34,6 +34,7 @@ from .core import (
     is_number,
     known,
     stable_hash,
+    stable_hasher,
     trajectory_text,
 )
 
@@ -64,6 +65,9 @@ class AugmentorModel(Protocol):
 
 
 class Embedder(Protocol):
+    """`embed` must be a function of its text: `CompositeAugmentor` skips a
+    repeated fact answer whose lines' embeddings the store already drops."""
+
     def embed(self, text: str) -> np.ndarray: ...
 
 
@@ -174,6 +178,9 @@ class ScriptedPolicy:
 
     A draw reads the task, the step index, the bundle's rendered text and
     fingerprint, the last observation and, above temperature 0, the seed.
+    A rule with one candidate is a forced draw: it takes that candidate at
+    any temperature with no RNG, as a weighted draw would (load keeps the
+    weight above 0).
     So the class declares itself `deterministic_at_zero`: at temperature <=
     0 a call's action, and what it bills, are functions of the task and of
     the content of its prefix and of its bundle's text and fingerprint.
@@ -271,7 +278,7 @@ class ScriptedPolicy:
             if coin.random() < self.config.apology_collapse_prob:
                 return self._apology()
 
-        if temperature <= 0.0:
+        if temperature <= 0.0 or len(rule.templates) == 1:
             template = rule.best
         else:
             rng = random.Random(stable_hash("sample", seed, step_index, fingerprint))
@@ -557,14 +564,19 @@ def hash_embed(text: str, dim: int = 64) -> np.ndarray:
     return _feature_hash(text, dim, {})
 
 
+# an n-gram's stable_hash("embed", gram)
+_gram_hash = stable_hasher("embed")
+
+
 def _feature_hash(text: str, dim: int, features: dict[str, tuple[int, float]]) -> np.ndarray:
     """hash_embed, with `features` as the memo of each n-gram's (index, sign) at this dim.
 
     An n-gram is hashed, as `stable_hash("embed", gram)`, on its first
-    sighting in the memo only.  Every coordinate is a sum of +-1.0 terms,
-    exact in float64, so the vector is the same bits whatever the memo
-    holds, and its squared norm v.v is exact: the norm is its square root,
-    which is what `np.linalg.norm` computes.
+    sighting in the memo only, by `_gram_hash`: from a copy of one sha256
+    state already fed the "embed" part.  Every coordinate is a sum of +-1.0
+    terms, exact in float64, so the vector is the same bits whatever the
+    memo holds, and its squared norm v.v is exact: the norm is its square
+    root, which is what `np.linalg.norm` computes.
     """
     import numpy as np
 
@@ -575,7 +587,7 @@ def _feature_hash(text: str, dim: int, features: dict[str, tuple[int, float]]) -
     for gram in tokens + [f"{a} {b}" for a, b in zip(tokens, tokens[1:])]:
         feature = features.get(gram)
         if feature is None:
-            h = stable_hash("embed", gram)
+            h = _gram_hash(gram)
             feature = features[gram] = (h % dim, 1.0 if (h >> 32) & 1 else -1.0)
         acc[feature[0]] += feature[1]
     vec = np.array(acc, dtype=np.float64)

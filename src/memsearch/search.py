@@ -324,11 +324,13 @@ def _take_step(
     (None: no trie), under `bundle`, each handed to the composite's on_step.
 
     Where the trie holds no step under this bundle, this is one computed
-    step: an action sampled from `bundle` with seed `stable_hash(*seed_salt)`,
-    executed from `state` (from a fork of it if `fork`), scored by the PRM
-    and stored.  Else it is the steps the trie holds under this bundle from
-    `node` down, at most `limit` of them, up to the first final action or
-    the first node that holds none.  Nothing is sampled, forked, scored or
+    step: an action sampled from `bundle` with seed `stable_hash(*seed_salt)`
+    (seed 0 on a trie: its models are `deterministic_at_zero` at temperature
+    <= 0 and read none, see `replays_steps`), executed from `state` (from a
+    fork of it if `fork`), scored by the PRM and stored.  Else it is the
+    steps the trie holds under this bundle from `node` down, at most `limit`
+    of them, up to the first final action or the first node that holds
+    none.  Nothing is sampled, forked, scored or
     seeded for them; each model bills again what it billed for them, with
     one telemetry update per model per call.  In a serializable env nothing
     is executed either; in any other env each action is executed from the
@@ -341,7 +343,7 @@ def _take_step(
     key = (bundle.fingerprint, bundle.rendered)
     entry = None if node is None else node.entries.get(key)
     if entry is None:
-        seed = stable_hash(*seed_salt)
+        seed = stable_hash(*seed_salt) if node is None else 0
         action = policy.sample(task, prefix, bundle, run.config.temperature, seed)
         state, obs = env.step(env.fork(state) if fork else state, action)
         cand = _stepped(run, node, state, prefix, bundle.fingerprint, action, obs)

@@ -546,6 +546,111 @@ def test_extract_facts_embeds_and_adds_once_per_line(monkeypatch):
     assert calls == {"embed": lines * 2, "add": lines * 2}
 
 
+def _listing_step(tables):
+    return _step("LIST_TABLES", "", ", ".join(tables))
+
+
+def _incremental_fact(threshold=DEDUP_THRESHOLD):
+    config = AugmentorConfig(
+        AugmentorKind.FACT, fact_mode=FactMode.INCREMENTAL, dedup_threshold=threshold
+    )
+    return (config,)
+
+
+def test_composite_skips_a_spent_answer_but_bills_it(monkeypatch):
+    calls = {"embed": 0, "add": 0}
+    real_embed, real_add = HashEmbedder.embed, MemoryStore.add
+
+    def embed(self, text):
+        calls["embed"] += 1
+        return real_embed(self, text)
+
+    def add(self, unit):
+        calls["add"] += 1
+        return real_add(self, unit)
+
+    monkeypatch.setattr(HashEmbedder, "embed", embed)
+    monkeypatch.setattr(MemoryStore, "add", add)
+    telemetry = Telemetry()
+    composite = compose(_incremental_fact(), None, AUG_MODEL.for_unit(telemetry), HashEmbedder())
+    step = _listing_step(("games", "games", "albums", "Games"))
+    composite.on_step(step, 0)
+    # 'games' and 'albums' are stored with their drop keys; the repeats are dropped
+    assert calls == {"embed": 4, "add": 4} and len(composite.store) == 2
+    units, billed = composite.store.units, telemetry.supervisor_calls
+    composite.on_step(step, 1)
+    assert telemetry.supervisor_calls == billed + 1
+    assert calls == {"embed": 4, "add": 4} and composite.store.units == units
+    # an answer with a new line is not spent: each of its lines is offered again
+    composite.on_step(_listing_step(("games", "studio_sessions")), 2)
+    assert calls == {"embed": 6, "add": 6} and len(composite.store) == 3
+
+
+# the `self_cosine_below_one` vector: its cosine with itself rounds below 1,
+# so at threshold 1.0 the per-pair loop keeps every repeat of it
+_BELOW_ONE = np.array((0.2,) + (0.3,) * 15)
+
+
+class _SomeBelowOneEmbedder(HashEmbedder):
+    """`hash_embed` at dim 16, but a text with "delta" in it embeds to `_BELOW_ONE`."""
+
+    def embed(self, text):
+        return _BELOW_ONE if "delta" in text else super().embed(text)
+
+
+def test_composite_never_skips_an_answer_whose_repeat_is_stored():
+    embedder = _SomeBelowOneEmbedder(16)
+    composite = compose(_incremental_fact(1.0), None, AUG_MODEL.for_unit(Telemetry()), embedder)
+    tables = ("delta", "delta_log")
+    reference = []
+    for iteration in range(3):
+        composite.on_step(_listing_step(tables), iteration)
+        for table in tables:
+            body = f"The database contains a table named '{table}'."
+            unit = ContextUnit(
+                Scope.CROSS_TRAJECTORY, Abstraction.FACT, body, iteration, True, _BELOW_ONE
+            )
+            assert _reference_add(reference, unit, 1.0)
+    assert composite.store.units == tuple(reference) and len(reference) == 6
+
+
+class _AnswerModel:
+    """Answers each call with the next answer of a list."""
+
+    def __init__(self, answers):
+        self._answers = iter(answers)
+
+    def generate(self, instruction, text):
+        return next(self._answers)
+
+
+_ANSWER_LINES = st.lists(_WORDS, min_size=0, max_size=4).map(" ".join)
+_ANSWER_POOL = st.lists(
+    st.lists(_ANSWER_LINES, min_size=1, max_size=4).map("\n".join), min_size=1, max_size=4
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(threshold=st.sampled_from([0.5, 0.9, 1.0 - 1e-12, 1.0]), data=st.data())
+def test_composite_stores_what_bare_extract_facts_stores(threshold, data):
+    pool = data.draw(_ANSWER_POOL)
+    answers = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+    store = MemoryStore(threshold)
+    model, embedder = _AnswerModel(answers), _SomeBelowOneEmbedder(16)
+    for iteration in range(len(answers)):
+        extract_facts("text", iteration, model, embedder, store)
+    composite = compose(
+        _incremental_fact(threshold), None, _AnswerModel(answers), _SomeBelowOneEmbedder(16)
+    )
+    for iteration in range(len(answers)):
+        composite.on_step(_step(), iteration)
+    got, want = composite.store.units, store.units
+    assert got == want  # bodies, source iterations and order; embeddings do not compare
+    assert [np.asarray(u.embedding).tobytes() for u in got] == [
+        np.asarray(u.embedding).tobytes() for u in want
+    ]
+
+
 def test_store_repeat_of_a_stored_or_dropped_fact_skips_the_scan(monkeypatch):
     a = _fact_unit("The database contains a table named 'albums'.")
     b = _fact_unit("The database contains a table named 'studio_sessions'.")

@@ -84,6 +84,14 @@ def test_stable_hash_pinned_values(parts, expected):
     assert stable_hash(*parts) == expected
 
 
+@pytest.mark.parametrize(
+    "parts", [("a", 1), (7, "beam", 3, 0), ("embed", "\ud800"), (None, 2.5, ("x",), b"y")]
+)
+def test_stable_hasher_goes_on_from_a_prefix(parts):
+    for cut in range(len(parts) + 1):
+        assert core.stable_hasher(*parts[:cut])(*parts[cut:]) == stable_hash(*parts)
+
+
 def test_fingerprint_shape():
     fp = fingerprint("hello")
     assert len(fp) == 12

@@ -6,7 +6,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memsearch.core import (
@@ -22,6 +22,7 @@ from memsearch.core import (
     Task,
     Telemetry,
     render_bundle,
+    stable_hash,
 )
 import memsearch
 from memsearch import models
@@ -129,6 +130,29 @@ def test_positive_temperature_sampling_is_seeded():
     one = _policy(raw).sample(TASK, [], EMPTY_BUNDLE, 0.9, 3)
     two = _policy(raw).sample(TASK, [], EMPTY_BUNDLE, 0.9, 3)
     assert one.raw_text == two.raw_text
+
+
+def test_a_forced_draw_takes_no_rng(monkeypatch):
+    built = []
+    real = models.random.Random
+
+    class CountingRandom(real):
+        def __init__(self, seed):
+            built.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(models.random, "Random", CountingRandom)
+    forced = {"rules": [{"step": 0, "candidates": {"QUERY|{table}": 1.0}}]}
+    for seed in range(5):
+        assert _policy(forced).sample(TASK, [], EMPTY_BUNDLE, 0.7, seed).raw_text == "QUERY|games"
+    assert built == []
+    # two candidates still draw, with the RNG the draw always used
+    raw = {"rules": [{"step": 0, "candidates": {"A|a": 0.5, "B|b": 0.5}}]}
+    for seed in range(20):
+        got = _policy(raw).sample(TASK, [], EMPTY_BUNDLE, 0.7, seed).raw_text
+        rng = real(stable_hash("sample", seed, 0, EMPTY_BUNDLE.fingerprint))
+        assert got == rng.choices(["A|a", "B|b"], weights=[0.5, 0.5], k=1)[0]
+    assert len(built) == 20
 
 
 def test_apology_collapse_requires_all_three_conditions():
@@ -530,6 +554,15 @@ def test_hash_embed_is_normalized_and_deterministic():
 def test_hash_embed_pinned_bytes(text, dim, digest):
     # repeated unigrams and bigrams; dedup decisions depend on these exact bits
     assert hashlib.sha256(hash_embed(text, dim).tobytes()).hexdigest() == digest
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gram=st.text(st.characters(exclude_categories=()), max_size=12))  # lone surrogates too
+@example(gram="\ud800")
+@example(gram="x\udfff y")
+@example(gram="a\x1fb")
+def test_gram_hash_is_stable_hash_of_embed(gram):
+    assert models._gram_hash(gram) == stable_hash("embed", gram)
 
 
 def test_hash_embedder_memoizes_read_only_arrays():

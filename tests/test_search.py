@@ -456,6 +456,25 @@ def test_depth_capped_trajectories_never_answer(method):
     _check_depth_capped(method)
 
 
+@pytest.mark.parametrize("method", list(SearchMethod))
+def test_only_a_run_without_a_trie_hashes_step_seeds(method, monkeypatch):
+    # at temperature 0 the scripted models read no seed, so a trie run hashes none
+    hashed = []
+    real = search.stable_hash
+    monkeypatch.setattr(search, "stable_hash", lambda *parts: hashed.append(parts) or real(*parts))
+    cfg = SearchConfig(method=method, n_budget=3, n_iters=3)
+    plain = run_search(
+        TASK, ToySqlEnv(WORLD), _policy(STRAIGHT_POLICY), _none_composite(), cfg, prm=_prm()
+    )
+    assert hashed == []
+    # a wrapper class declares no deterministic_at_zero: every step is
+    # computed, with one seed each
+    policy = RecordingPolicy(_policy(STRAIGHT_POLICY))
+    wrapped = run_search(TASK, ToySqlEnv(WORLD), policy, _none_composite(), cfg, prm=_prm())
+    assert len(hashed) == len(policy.bundles) > 0
+    assert wrapped.trajectories == plain.trajectories
+
+
 def test_run_search_dispatch_and_prm_requirement():
     env = ToySqlEnv(WORLD)
     cfg = SearchConfig(method=SearchMethod.BEST_OF_N, n_budget=2)
