@@ -116,20 +116,16 @@ class MemoryStore:
     only a zero or NaN norm, or a product that underflows, takes the masked
     divide.
 
-    Two exits skip part of that work and decide the same:
+    The scan looks at the largest similarity first.  Rounding is monotone,
+    so max(sims) - threshold is the largest gap: more than EXACT_MARGIN above
+    0 means some fact is a duplicate, more than EXACT_MARGIN below means none
+    is, and only a near or NaN maximum takes the full check.
 
-    - The scan looks at the largest similarity first.  Rounding is monotone,
-      so max(sims) - threshold is the largest gap: more than EXACT_MARGIN
-      above 0 means some fact is a duplicate, more than EXACT_MARGIN below
-      means none is, and only a near or NaN maximum takes the full check.
-    - A repeated fact skips the scan.  The store keeps the keys (dtype and
-      bytes) of embeddings whose repeat is known to be dropped: one that was
-      dropped (the store only grows, so the fact it matched is still there)
-      and one that was stored with a self-similarity (v.v) / (|v| |v|) more
-      than EXACT_MARGIN above the threshold (that value is `cosine(v, v)`,
-      so the per-pair loop drops a repeat on the stored copy).  The
-      decision rests on the embedding alone, so two bodies that embed the
-      same share a key.
+    The store counts its settled facts: float64 ones stored with a
+    self-similarity (v.v) / (|v| |v|) = `cosine(v, v)` more than EXACT_MARGIN
+    above the threshold, so the per-pair loop, and with it the scan, drops a
+    repeat of one on its stored copy (for float64 only, so no other dtype
+    settles).
 
     The store keeps its last bundle and, on the next `bundle()` call after a
     store, extends it by the units stored since (`extend_bundle`), so a unit
@@ -152,7 +148,7 @@ class MemoryStore:
         self._matrix: np.ndarray | None = None
         self._norms: np.ndarray | None = None
         self._min_norm = math.inf  # of the stored facts; NaN once a NaN norm is stored
-        self._drop_keys: set[tuple[np.dtype, bytes]] = set()  # embeddings whose repeat is dropped
+        self._settled = 0  # stored facts whose repeat is dropped
         self._bundle = EMPTY_BUNDLE  # render_bundle of the first len(self._bundle.units) units
 
     def __len__(self) -> int:
@@ -170,18 +166,14 @@ class MemoryStore:
             import numpy as np
 
             vec = np.asarray(unit.embedding)
-            key = (vec.dtype, vec.tobytes())
-            if key in self._drop_keys:
-                return False
             sq = vec.dot(vec)
-            norm = math.sqrt(sq) if vec.dtype == np.float64 else float(np.linalg.norm(vec))
+            f64 = vec.dtype == np.float64
+            norm = math.sqrt(sq) if f64 else float(np.linalg.norm(vec))
             if self._is_duplicate(vec, norm):
-                self._drop_keys.add(key)
                 return False
             self._append_fact(unit, vec, norm)
-            denom = norm * norm
-            if denom != 0.0 and float(sq) / denom - self.dedup_threshold > EXACT_MARGIN:
-                self._drop_keys.add(key)
+            if f64 and norm and float(sq) / (norm * norm) - self.dedup_threshold > EXACT_MARGIN:
+                self._settled += 1
         self._units.append(unit)
         return True
 
@@ -327,12 +319,11 @@ def _add_facts(
     answer: str, iteration: int, embedder: Embedder, store: MemoryStore
 ) -> tuple[int, bool]:
     """Offer each non-blank line of `answer` to `store` as a fact.  Returns
-    how many were stored and whether the answer is spent: whether each
-    line's embedding is now one whose repeat the store drops (one of its
-    drop keys), which holds for a dropped line and for a stored one whose
-    key the add put in, counted as the drop keys growing."""
+    how many were stored and whether the answer is spent: whether the store
+    now drops a repeat of each line.  It does for a dropped line, since the
+    fact it matched stays stored, and for a stored one that the add counted
+    as settled."""
     stored, spent = 0, True
-    drop_keys = store._drop_keys
     for line in answer.splitlines():
         line = line.strip()
         if not line:
@@ -345,10 +336,10 @@ def _add_facts(
             persistent=True,
             embedding=embedder.embed(line),
         )
-        keys = len(drop_keys)
+        settled = store._settled
         if store.add(unit):
             stored += 1
-            spent = spent and len(drop_keys) > keys
+            spent = spent and store._settled > settled
     return stored, spent
 
 
@@ -369,13 +360,13 @@ class CompositeAugmentor:
     expansion.
 
     Fact extraction is `extract_facts`, bar one saving.  The composite
-    remembers each fact answer that is spent (`_add_facts`): every line's
-    embedding is one of its store's drop keys.  The store only grows, so a
-    key stays one, and `embed` is a function of its text (the `Embedder`
-    protocol asks that), so each line of a repeat of that answer embeds to
-    a drop key and is dropped.  A repeat (MCTS extracts the same listing at
-    every expansion) is still generated and billed, but is not split,
-    embedded or offered to the store, which ends as if it were.
+    remembers each fact answer that is spent (`_add_facts`): each line was
+    dropped, or stored as a settled fact.  The store only grows, so what
+    decided either stays stored, and `embed` is a function of its text (the
+    `Embedder` protocol asks that), so each line of a repeat of that answer
+    embeds as before and is dropped.  A repeat (MCTS extracts the same
+    listing at every expansion) is still generated and billed, but is not
+    split, embedded or offered to the store, which ends as if it were.
     """
 
     def __init__(
@@ -412,9 +403,7 @@ class CompositeAugmentor:
 
     def _extract_facts(self, text: str, iteration: int) -> None:
         answer = _answer_facts(self.model, text)
-        if answer in self._spent:
-            return
-        if _add_facts(answer, iteration, self.embedder, self.store)[1]:
+        if answer not in self._spent and _add_facts(answer, iteration, self.embedder, self.store)[1]:
             self._spent.add(answer)
 
     def on_step(self, step: Step, iteration: int) -> None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import os
 import re
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
@@ -126,8 +127,12 @@ def _count_tokens(text: str) -> int:
 
 
 def fingerprint(text: str) -> str:
-    """Short stable fingerprint of a rendered context, used for script keys."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+    """The first 12 hex digits of a rendered context's sha256, used for script keys."""
+    return _fingerprint_of(hashlib.sha256(text.encode("utf-8")))
+
+
+def _fingerprint_of(sha) -> str:
+    return sha.hexdigest()[:12]
 
 
 def clamp01(x: float) -> float:
@@ -331,7 +336,7 @@ def render_bundle(units: Iterable[ContextUnit]) -> ContextBundle:
     rendered = "\n".join("\n".join(lines) for lines in sections.values() if len(lines) > 1)
     sha = hashlib.sha256(rendered.encode("utf-8"))
     last = max(i for i, lines in enumerate(sections.values()) if len(lines) > 1)
-    return ContextBundle(ordered, rendered, sha.hexdigest()[:12], tail=(sha, last))
+    return ContextBundle(ordered, rendered, _fingerprint_of(sha), tail=(sha, last))
 
 
 def extend_bundle(bundle: ContextBundle, units: Iterable[ContextUnit]) -> ContextBundle:
@@ -370,7 +375,7 @@ def extend_bundle(bundle: ContextBundle, units: Iterable[ContextUnit]) -> Contex
     sha = sha.copy()
     sha.update(text.encode("utf-8"))
     return ContextBundle(
-        bundle.units + units, bundle.rendered + text, sha.hexdigest()[:12],
+        bundle.units + units, bundle.rendered + text, _fingerprint_of(sha),
         bundle.tokens + _count_tokens(text), (sha, section),
     )
 
@@ -402,8 +407,9 @@ class PricingTable:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not is_number(value) or not value >= 0:
-                raise ValueError(f"{name} must be a non-negative number, got {value!r}")
+            # a float's range, so that no price reads inf or overflows a cost
+            if not is_number(value) or not 0 <= value <= sys.float_info.max:
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
     @classmethod
     def from_dict(cls, raw, where: str) -> "PricingTable":

@@ -315,9 +315,14 @@ def _build_models(spec: BenchmarkSpec, telemetry: Telemetry):
     return tuple(m.for_unit(telemetry) for m in (spec.policy, spec.reward, spec.augmentor))
 
 
+def _budget_field(method: SearchMethod) -> str:
+    """The search config field of a best-of-N or MCTS search's budget."""
+    return "n_budget" if method is SearchMethod.BEST_OF_N else "n_iters"
+
+
 def _budget(search: SearchConfig) -> int:
     """A best-of-N or MCTS search's budget: its attempts or its iterations."""
-    return search.n_budget if search.method is SearchMethod.BEST_OF_N else search.n_iters
+    return getattr(search, _budget_field(search.method))
 
 
 def _ladders(cfg: MatrixConfig, cells: tuple[ExperimentCell, ...]) -> list[tuple[int, ...]]:
@@ -343,8 +348,7 @@ def _ladders(cfg: MatrixConfig, cells: tuple[ExperimentCell, ...]) -> list[tuple
         method = cell.search.method
         if method is not SearchMethod.BEAM and replays_steps(spec.policy, spec.reward, cell.search):
             # the search config's field values, its budget blanked
-            rung = "n_budget" if method is SearchMethod.BEST_OF_N else "n_iters"
-            search = tuple({**vars(cell.search), rung: None}.values())
+            search = tuple({**vars(cell.search), _budget_field(method): None}.values())
             key = (cell.benchmark, cell.env, cell.memory, search)
             repeats[key, _budget(cell.search)] += 1
             key += (repeats[key, _budget(cell.search)],)

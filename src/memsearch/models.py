@@ -66,7 +66,7 @@ class AugmentorModel(Protocol):
 
 class Embedder(Protocol):
     """`embed` must be a function of its text: `CompositeAugmentor` skips a
-    repeated fact answer whose lines' embeddings the store already drops."""
+    repeated fact answer whose lines, embedded again, the store would drop."""
 
     def embed(self, text: str) -> np.ndarray: ...
 

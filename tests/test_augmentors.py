@@ -575,7 +575,7 @@ def test_composite_skips_a_spent_answer_but_bills_it(monkeypatch):
     composite = compose(_incremental_fact(), None, AUG_MODEL.for_unit(telemetry), HashEmbedder())
     step = _listing_step(("games", "games", "albums", "Games"))
     composite.on_step(step, 0)
-    # 'games' and 'albums' are stored with their drop keys; the repeats are dropped
+    # 'games' and 'albums' are stored as settled facts; the repeats are dropped
     assert calls == {"embed": 4, "add": 4} and len(composite.store) == 2
     units, billed = composite.store.units, telemetry.supervisor_calls
     composite.on_step(step, 1)
@@ -651,23 +651,46 @@ def test_composite_stores_what_bare_extract_facts_stores(threshold, data):
     ]
 
 
-def test_store_repeat_of_a_stored_or_dropped_fact_skips_the_scan(monkeypatch):
+# a float32 vector whose self-similarity, computed in float32, is more than
+# EXACT_MARGIN above 1, while the store's float64 scan scores a repeat of it
+# more than EXACT_MARGIN below 1: at threshold 1.0 the store keeps each repeat
+_F32 = np.array(
+    [
+        0.6369616985321045, 0.2697867155075073, 0.04097352549433708, 0.016527635976672173,
+        0.8132702112197876, 0.91275554895401, 0.6066357493400574, 0.7294965386390686,
+        0.543624997138977, 0.9350724220275879, 0.8158535361289978, 0.0027385002467781305,
+        0.8574042916297913, 0.033585574477910995, 0.7296554446220398, 0.17565561830997467,
+    ],
+    dtype=np.float32,
+)
+
+
+class _Float32Embedder(HashEmbedder):
+    def embed(self, text):
+        return _F32
+
+
+def test_composite_never_skips_a_float32_answer():
+    answers = ["a fact"] * 3
+    store, embedder = MemoryStore(1.0), _Float32Embedder(16)
+    model = _AnswerModel(answers)
+    for iteration in range(3):
+        extract_facts("text", iteration, model, embedder, store)
+    composite = compose(_incremental_fact(1.0), None, _AnswerModel(answers), embedder)
+    for iteration in range(3):
+        composite.on_step(_step(), iteration)
+    assert composite.store.units == store.units and len(store) == 3
+
+
+def test_store_drops_each_repeat_of_a_stored_or_dropped_fact():
     a = _fact_unit("The database contains a table named 'albums'.")
     b = _fact_unit("The database contains a table named 'studio_sessions'.")
-    scans = []
-    real = MemoryStore._is_duplicate
-
-    def counting_scan(self, vec, norm):
-        scans.append(1)
-        return real(self, vec, norm)
-
-    monkeypatch.setattr(MemoryStore, "_is_duplicate", counting_scan)
     store = MemoryStore(cosine(np.asarray(a.embedding), np.asarray(b.embedding)) - 0.01)
-    assert store.add(a) and len(scans) == 1
-    assert not store.add(_fact_unit(a.body)) and len(scans) == 1  # a stored fact again
-    assert not store.add(_fact_unit(a.body.upper())) and len(scans) == 1  # same embedding
-    assert not store.add(b) and len(scans) == 2  # dropped as a duplicate of a
-    assert not store.add(_fact_unit(b.body)) and len(scans) == 2  # a dropped fact again
+    assert store.add(a)
+    assert not store.add(_fact_unit(a.body))  # a stored fact again
+    assert not store.add(_fact_unit(a.body.upper()))  # same embedding
+    assert not store.add(b)  # dropped as a duplicate of a
+    assert not store.add(_fact_unit(b.body))  # a dropped fact again
     assert store.units == (a,)
 
 

@@ -384,7 +384,11 @@ def _telemetry(key, value):
         ),
         (
             _manifest(lambda m, out: m["pricing"].update(policy_in=-1.0) or m),
-            "bad pricing: policy_in must be a non-negative number, got -1.0",
+            "bad pricing: policy_in must be a finite number >= 0, got -1.0",
+        ),
+        (
+            _manifest(lambda m, out: m["pricing"].update(policy_in=float("inf")) or m),
+            "bad pricing: policy_in must be a finite number >= 0, got inf",
         ),
         (
             _entry(lambda e, out: e.pop("verdict_file")),
@@ -429,6 +433,7 @@ def _telemetry(key, value):
         "manifest_without_cells",
         "pricing_unknown_key",
         "pricing_negative",
+        "pricing_inf",
         "entry_without_verdict_file",
         "entry_without_benchmark",
         "entry_without_memory",

@@ -157,6 +157,7 @@ def test_load_matrix_config_validates_cells(tmp_path, fixtures_dir):
         ({"pricing": {"supervisor_out": -2.0}}, "bad pricing: supervisor_out"),
         ({"pricing": {"policy_out": True}}, "bad pricing: policy_out"),
         ({"pricing": {"policy_out": float("nan")}}, "bad pricing: policy_out"),
+        ({"pricing": {"policy_in": float("inf")}}, "bad pricing: policy_in"),
         ({"pricing": [0.8, 4.0]}, "bad pricing"),
         ({"embedder_dim": 4}, "embedder_dim must be an integer >= 8, got 4"),
         ({"embedder_dim": "64"}, "embedder_dim must be an integer >= 8, got '64'"),
@@ -168,6 +169,7 @@ def test_load_matrix_config_validates_cells(tmp_path, fixtures_dir):
         "pricing_negative",
         "pricing_bool",
         "pricing_nan",
+        "pricing_inf",
         "pricing_list",
         "dim_4",
         "dim_str",
